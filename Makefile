@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-checked race vet fmt-check bench bench-gate fleet-bench fleet-mem telemetry-bench check-bench obsv-bench obsv-smoke trace-bench trace-smoke corpus-bench corpus-smoke jobs-smoke jobs-bench fuzz-short fuzz-corpus-short clean
+.PHONY: all build test test-checked race vet fmt-check bench bench-gate fleet-bench fleet-mem telemetry-bench check-bench obsv-bench obsv-smoke trace-bench trace-smoke corpus-bench corpus-smoke jobs-smoke jobs-bench perfbench-test fuzz-short fuzz-corpus-short clean
 
 all: build test
 
@@ -35,9 +35,10 @@ fmt-check:
 bench:
 	$(GO) test -run NONE -bench . -benchmem . ./internal/sim ./internal/hw ./internal/telemetry
 
-# Perf regression gate: rerun the fleet/telemetry/check studies at the
-# shape recorded in the committed BENCH_*.json artifacts and fail on any
-# >15% wall-clock regression (plus the studies' own overhead gates).
+# Perf regression gate: rerun all seven studies (fleet, telemetry, check,
+# obsv, trace, corpus, jobs) at the shape recorded in the committed
+# BENCH_*.json artifacts and fail on any study's own gate, on diverged
+# corpus statistics, or on a >15% regression of a compared number.
 bench-gate:
 	$(GO) run ./cmd/benchsuite -benchcmp
 
@@ -101,7 +102,7 @@ corpus-bench:
 # CI proof that generation, replay and aggregation still work; the
 # interval gates are advisory at this scale but violations still fail.
 corpus-smoke:
-	$(GO) run ./cmd/benchsuite -corpus -corpus-reps 3 -corpus-cells 2 -corpus-horizon 1h -corpus-out ""
+	$(GO) run ./cmd/benchsuite -corpus -reps 3 -corpus-cells 2 -corpus-horizon 1h -out ""
 
 # End-to-end smoke of the jobs control plane under -race: concurrent
 # HTTP submit/scrape with enforced 429 backpressure, cache byte-identity
@@ -116,6 +117,11 @@ jobs-smoke:
 # speedup >= 50x.
 jobs-bench:
 	$(GO) run ./cmd/benchsuite -jobs
+
+# The perfbench module (the repo benchmark) sits outside ./...: vet and
+# test it on its own so an API change here cannot break its build unseen.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # 30-second randomized invariant hunt (the CI smoke; run longer locally
 # with -fuzztime).

@@ -4,105 +4,48 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
+	"strings"
 	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/corpus/replay"
+	"repro/internal/experiments"
 )
 
-// corpusArtifact is the BENCH_corpus.json schema: the full statistical
-// replay result (per-cell detection and false-positive Wilson
-// intervals) plus the run's wall time, so benchcmp can track both the
-// separation quality and the replay's cost across PRs.
-type corpusArtifact struct {
-	replay.Result
-	WallMS float64 `json:"wall_ms"`
-}
-
-// corpusStudyRun replays the corpus at the given shape, prints the
-// summary table, and enforces the interval gates (binding only at
-// reps >= replay.MinGatedReps; the zero-violation gate always binds).
-// The artifact is returned even when a gate fails so CI logs carry the
-// numbers.
-func corpusStudyRun(opts replay.Options) (corpusArtifact, error) {
+// corpusStudy replays the corpus at the shape (Cells > 0 restricts it
+// to the first N canonical cells; the order interleaves benign and
+// attack variants, so even a two-cell smoke run exercises both gates),
+// prints the summary table, and enforces the interval gates (binding
+// only at reps >= replay.MinGatedReps; the zero-violation gate always
+// binds). The cell statistics are the artifact's detail: the replay is
+// deterministic, so -benchcmp requires them byte-identical.
+func corpusStudy(sh shape) (*artifact, error) {
+	opts := replay.Options{RootSeed: sh.Seed, Reps: sh.Reps, Workers: sh.Workers, Horizon: sh.Horizon}
+	if sh.Cells > 0 {
+		all := corpus.Cells()
+		opts.Cells = all[:min(sh.Cells, len(all))]
+	}
 	start := time.Now()
 	res, err := replay.Run(context.Background(), opts)
 	if err != nil {
-		return corpusArtifact{}, err
+		return nil, err
 	}
-	art := corpusArtifact{Result: *res, WallMS: float64(time.Since(start).Microseconds()) / 1000}
-	fmt.Println(res.Render())
-	fmt.Printf("corpus replay: %d cells x %d reps in %.1fms\n", len(res.Cells), res.Reps, art.WallMS)
-	if fails := res.Gate(); len(fails) > 0 {
-		return art, fmt.Errorf("corpus gate failed:\n  %s", joinLines(fails))
-	}
-	return art, nil
-}
-
-// corpusBench runs the corpus replay study and records it in
-// BENCH_corpus.json.
-func corpusBench(opts replay.Options, outPath string) error {
-	art, gateErr := corpusStudyRun(opts)
-	if len(art.Cells) == 0 {
-		return gateErr
-	}
-	if outPath != "" {
-		blob, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-	return gateErr
-}
-
-// corpusOptions assembles replay options from the benchsuite flags:
-// cells > 0 restricts the run to the first N canonical cells (the
-// order interleaves benign and attack variants, so even a two-cell
-// smoke run exercises both gates).
-func corpusOptions(reps, workers, cells int, horizon time.Duration) replay.Options {
-	opts := replay.Options{Reps: reps, Workers: workers, Horizon: horizon}
-	if cells > 0 {
-		all := corpus.Cells()
-		if cells > len(all) {
-			cells = len(all)
-		}
-		opts.Cells = all[:cells]
-	}
-	return opts
-}
-
-// corpusCompare is benchcmp's corpus leg: rerun the replay at the
-// committed artifact's exact shape, re-enforce the statistical gates,
-// and hand the wall-clock pair to the regression comparator.
-func corpusCompare(compare func(name string, fresh, committed float64)) error {
-	var old corpusArtifact
-	if err := readArtifact("BENCH_corpus.json", &old); err != nil {
-		return err
-	}
-	if len(old.Cells) == 0 {
-		return fmt.Errorf("benchcmp: BENCH_corpus.json has no cells")
-	}
-	fresh, err := corpusStudyRun(replay.Options{
-		RootSeed: old.RootSeed,
-		Reps:     old.Reps,
-		Horizon:  old.Horizon,
-	})
+	wallMS := float64(time.Since(start).Microseconds()) / 1000
+	cells, err := json.Marshal(res.Cells)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Same root seed and shape must reproduce the committed statistics
-	// exactly — the replay is deterministic, so any drift is a real
-	// behaviour change that belongs in a regenerated artifact.
-	freshCells, _ := json.Marshal(fresh.Cells)
-	oldCells, _ := json.Marshal(old.Cells)
-	if string(freshCells) != string(oldCells) {
-		return fmt.Errorf("benchcmp: corpus replay diverged from committed BENCH_corpus.json — regenerate it with -corpus if the change is intended")
+	fails := res.Gate()
+	a := &artifact{
+		shape:  shape{Reps: res.Reps, Workers: sh.Workers, Seed: res.RootSeed, Cells: sh.Cells, Horizon: res.Horizon},
+		Modes:  []mode{{Name: "replay", WallMS: wallMS}},
+		Gates:  []experiments.GateResult{experiments.AtMost("failed_cell_checks", float64(len(fails)), 0)},
+		Detail: cells,
 	}
-	compare("corpus/replay", fresh.WallMS, old.WallMS)
-	return nil
+	fmt.Println(res.Render())
+	fmt.Printf("corpus replay: %d cells x %d reps in %.1fms\n", len(res.Cells), res.Reps, wallMS)
+	if len(fails) > 0 {
+		return a, fmt.Errorf("corpus gate failed:\n  %s", strings.Join(fails, "\n  "))
+	}
+	return a, nil
 }

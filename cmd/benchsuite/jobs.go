@@ -1,12 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/experiments"
 	"repro/internal/jobs"
 )
 
@@ -18,23 +17,8 @@ import (
 const jobsSpeedupGate = 50.0
 
 // defaultJobsReps: min-over-reps denoises the wall clocks the same way
-// the fleet and telemetry studies do.
+// the fleet study does.
 const defaultJobsReps = 3
-
-// jobsArtifact is the BENCH_jobs.json schema: control-plane throughput
-// cold vs cached over one batch of scenario jobs (one per corpus cell).
-type jobsArtifact struct {
-	Jobs             int     `json:"jobs"`
-	Reps             int     `json:"reps"`
-	ColdMS           float64 `json:"cold_ms"`
-	CachedMS         float64 `json:"cached_ms"`
-	ColdJobsPerSec   float64 `json:"cold_jobs_per_sec"`
-	CachedJobsPerSec float64 `json:"cached_jobs_per_sec"`
-	Speedup          float64 `json:"speedup"`
-	HitRate          float64 `json:"hit_rate"`
-	SpeedupGate      float64 `json:"speedup_gate"`
-	GatePass         bool    `json:"gate_pass"`
-}
 
 // jobsStudySpecs is the study batch: one scenario job per corpus cell
 // at the minimum horizon — 16 distinct content addresses.
@@ -78,11 +62,12 @@ func jobsBatch(m *jobs.Manager, specs []jobs.Spec) (time.Duration, bool, error) 
 	return time.Since(start), allCached, nil
 }
 
-// jobsStudyRun measures the batch cold (fresh manager, empty cache)
-// and cached (immediate resubmission), min-over-reps, and checks the
+// jobsStudy measures the batch cold (fresh manager, empty cache) and
+// cached (immediate resubmission), min-over-reps, and checks the
 // speedup gate. The queue is sized to the batch so the study measures
 // execution, not backpressure.
-func jobsStudyRun(reps int) (jobsArtifact, error) {
+func jobsStudy(sh shape) (*artifact, error) {
+	reps := sh.Reps
 	if reps <= 0 {
 		reps = defaultJobsReps
 	}
@@ -94,20 +79,20 @@ func jobsStudyRun(reps int) (jobsArtifact, error) {
 		cold, cached0, err := jobsBatch(m, specs)
 		if err != nil {
 			m.Close()
-			return jobsArtifact{}, err
+			return nil, err
 		}
 		if cached0 {
 			m.Close()
-			return jobsArtifact{}, fmt.Errorf("cold batch reported cached on a fresh manager")
+			return nil, fmt.Errorf("cold batch reported cached on a fresh manager")
 		}
 		warm, cached1, err := jobsBatch(m, specs)
 		if err != nil {
 			m.Close()
-			return jobsArtifact{}, err
+			return nil, err
 		}
 		if !cached1 {
 			m.Close()
-			return jobsArtifact{}, fmt.Errorf("resubmitted batch missed the cache")
+			return nil, fmt.Errorf("resubmitted batch missed the cache")
 		}
 		cs := m.CacheStats()
 		hitRate = float64(cs.Hits) / float64(cs.Hits+cs.Misses)
@@ -122,62 +107,26 @@ func jobsStudyRun(reps int) (jobsArtifact, error) {
 
 	coldMS := float64(coldMin) / float64(time.Millisecond)
 	cachedMS := float64(cachedMin) / float64(time.Millisecond)
-	art := jobsArtifact{
-		Jobs:             len(specs),
-		Reps:             reps,
-		ColdMS:           coldMS,
-		CachedMS:         cachedMS,
-		ColdJobsPerSec:   float64(len(specs)) / coldMin.Seconds(),
-		CachedJobsPerSec: float64(len(specs)) / cachedMin.Seconds(),
-		Speedup:          coldMS / cachedMS,
-		HitRate:          hitRate,
-		SpeedupGate:      jobsSpeedupGate,
+	a := &artifact{
+		shape: shape{Reps: reps},
+		Modes: []mode{{Name: "cold", WallMS: coldMS}, {Name: "cached", WallMS: cachedMS}},
+		Gates: []experiments.GateResult{experiments.AtLeast("speedup", coldMS/cachedMS, jobsSpeedupGate)},
+		Counts: map[string]float64{
+			"jobs":                float64(len(specs)),
+			"cold_jobs_per_sec":   float64(len(specs)) / coldMin.Seconds(),
+			"cached_jobs_per_sec": float64(len(specs)) / cachedMin.Seconds(),
+			"hit_rate":            hitRate,
+		},
 	}
-	art.GatePass = art.Speedup >= jobsSpeedupGate
+	gate := a.Gates[0]
 	fmt.Printf("=== Jobs control plane: cold vs content-addressed cache (%d jobs, min over %d reps) ===\n",
-		art.Jobs, art.Reps)
-	fmt.Printf("cold    %9.2fms  %8.1f jobs/s\n", art.ColdMS, art.ColdJobsPerSec)
-	fmt.Printf("cached  %9.2fms  %8.1f jobs/s\n", art.CachedMS, art.CachedJobsPerSec)
+		len(specs), reps)
+	fmt.Printf("cold    %9.2fms  %8.1f jobs/s\n", coldMS, a.Counts["cold_jobs_per_sec"])
+	fmt.Printf("cached  %9.2fms  %8.1f jobs/s\n", cachedMS, a.Counts["cached_jobs_per_sec"])
 	fmt.Printf("speedup %.0fx (gate >= %.0fx) pass=%v, hit rate %.2f\n",
-		art.Speedup, art.SpeedupGate, art.GatePass, art.HitRate)
-	if !art.GatePass {
-		return art, fmt.Errorf("jobs cache speedup %.1fx under the %.0fx gate", art.Speedup, jobsSpeedupGate)
+		gate.Value, gate.Limit, gate.Pass, hitRate)
+	if !gate.Pass {
+		return a, fmt.Errorf("jobs cache speedup %.1fx under the %.0fx gate", gate.Value, jobsSpeedupGate)
 	}
-	return art, nil
-}
-
-// jobsBench runs the study and records BENCH_jobs.json.
-func jobsBench(reps int, outPath string) error {
-	art, gateErr := jobsStudyRun(reps)
-	if art.Jobs == 0 {
-		return gateErr
-	}
-	if outPath != "" {
-		blob, err := json.MarshalIndent(art, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(blob, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", outPath)
-	}
-	return gateErr
-}
-
-// jobsCompare reruns the study at the committed shape for the
-// -benchcmp gate: the cold wall must not regress and the speedup gate
-// must still hold. The cached wall is microseconds and too noisy for a
-// percentage budget; the speedup gate covers it with margin.
-func jobsCompare(compare func(name string, fresh, committed float64)) error {
-	var old jobsArtifact
-	if err := readArtifact("BENCH_jobs.json", &old); err != nil {
-		return err
-	}
-	fresh, err := jobsStudyRun(old.Reps)
-	if err != nil {
-		return err
-	}
-	compare("jobs/cold", fresh.ColdMS, old.ColdMS)
-	return nil
+	return a, nil
 }

@@ -44,7 +44,7 @@ func All() []Spec {
 		{"ext-detection", "Extension: battery interface vs power signatures vs E-Android", func() (Renderer, error) { return ExtDetection() }},
 		{"ext-stealth", "Extension: stealth auto-launch on unlock", func() (Renderer, error) { return ExtStealth() }},
 		{"ext-fleet", "Extension: fleet-parallel stealth + drain studies", func() (Renderer, error) { return ExtFleet() }},
-		{"ext-telemetry", "Extension: telemetry overhead study (paper §VI-C analog)", func() (Renderer, error) { return TelemetryOverheadStudy(0) }},
+		{"ext-telemetry", "Extension: telemetry overhead study (paper §VI-C analog)", func() (Renderer, error) { return TelemetryStudy.Run(0) }},
 		{"ext-obsv", "Extension: live watchdog vs the six attacks", func() (Renderer, error) { return WatchdogStudy() }},
 		{"ext-corpus", "Extension: generated scenario corpus replay with confidence intervals", func() (Renderer, error) { return ExtCorpus() }},
 		{"ext-jobs", "Extension: simulation-as-a-service jobs plane with content-addressed cache", func() (Renderer, error) { return ExtJobs() }},

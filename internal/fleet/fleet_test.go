@@ -13,8 +13,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // attackSpec is the canonical test fleet: every device installs the
@@ -358,7 +358,7 @@ func TestScenarioErrorIsIsolated(t *testing.T) {
 }
 
 func TestPanicIsCapturedPerDevice(t *testing.T) {
-	spec := attackSpec(3, 3, 5)
+	spec := telemetrySpec(3, 3, 5)
 	inner := spec.Scenario
 	spec.Scenario = func(i int, dev *device.Device) error {
 		if i == 1 {
@@ -377,8 +377,15 @@ func TestPanicIsCapturedPerDevice(t *testing.T) {
 	if !strings.Contains(got.Error(), "fleet_test.go") {
 		t.Fatalf("panic error lost its stack: %v", got)
 	}
+	if fr.Summary.Failed != 1 {
+		t.Fatalf("failed = %d, want 1", fr.Summary.Failed)
+	}
 	if fr.Results[0].Err != nil || fr.Results[2].Err != nil {
 		t.Fatal("panic leaked into sibling devices")
+	}
+	// The merge still covers the healthy devices.
+	if fr.Metrics == nil || len(fr.Metrics.Counters) == 0 {
+		t.Fatal("healthy devices' metrics lost after a sibling panic")
 	}
 }
 
@@ -506,21 +513,24 @@ func TestNoTelemetryMeansNoSnapshots(t *testing.T) {
 	}
 }
 
-// A panicking tracer must follow the same policy as a panicking
-// scenario: the engine contains it, the run surfaces it, and the fleet
-// marks only that device failed.
+// A panic raised mid-run on a traced device — from a kernel event, where
+// engine-side tracing hooks fire — must follow the same policy as a
+// panicking scenario: the run surfaces it, the fleet marks only that
+// device failed, and the healthy devices' metrics and trace spans
+// survive.
 func TestTracerPanicMarksDeviceFailed(t *testing.T) {
 	spec := telemetrySpec(3, 3, 13)
+	tr := trace.New("tracer-panic", "request", trace.Config{SampleRate: 1})
+	spec.Trace = tr.Fleet(spec.Devices)
 	inner := spec.Scenario
 	spec.Scenario = func(i int, dev *device.Device) error {
 		if err := inner(i, dev); err != nil {
 			return err
 		}
 		if i == 1 {
-			dev.Engine.Trace(func(sim.Time, string, int) { panic("tracer boom") })
 			// The attack scenario mutates state synchronously, so give
-			// the tracer a kernel event to fire on inside the horizon.
-			dev.Engine.After(time.Second, "bait", func() {})
+			// the run a kernel event to panic in inside the horizon.
+			dev.Engine.After(time.Second, "bait", func() { panic("tracer boom") })
 		}
 		return nil
 	}
@@ -528,9 +538,12 @@ func TestTracerPanicMarksDeviceFailed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tpe *sim.TracerPanicError
-	if fr.Results[1].Err == nil || !errors.As(fr.Results[1].Err, &tpe) {
-		t.Fatalf("device 1 err = %v, want *sim.TracerPanicError", fr.Results[1].Err)
+	var pe *panicError
+	if fr.Results[1].Err == nil || !errors.As(fr.Results[1].Err, &pe) {
+		t.Fatalf("device 1 err = %v, want *panicError", fr.Results[1].Err)
+	}
+	if !strings.Contains(pe.Error(), "tracer boom") {
+		t.Fatalf("panic error lost its value: %v", pe)
 	}
 	if fr.Summary.Failed != 1 {
 		t.Fatalf("failed = %d, want 1", fr.Summary.Failed)
@@ -541,6 +554,15 @@ func TestTracerPanicMarksDeviceFailed(t *testing.T) {
 	// The merge still covers the healthy devices.
 	if fr.Metrics == nil || len(fr.Metrics.Counters) == 0 {
 		t.Fatal("healthy devices' metrics lost after a sibling tracer panic")
+	}
+	traced := map[int]bool{}
+	for _, sp := range tr.Spans() {
+		if sp.Kind == trace.KindDevice {
+			traced[sp.Dev] = true
+		}
+	}
+	if !traced[0] || !traced[2] {
+		t.Fatalf("healthy devices' trace spans lost after a sibling panic: traced = %v", traced)
 	}
 }
 

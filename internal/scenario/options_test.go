@@ -11,10 +11,10 @@ import (
 )
 
 // TestWorldOptionsConcurrent hammers the process-default options from
-// several goroutines while worlds are being built. Before options were
-// guarded, the bare SetWorld* globals raced with NewWorld under
-// exactly this pattern (a fleet building worlds while a CLI flips a
-// flag); the test exists to fail under -race if the guard regresses.
+// several goroutines while worlds are being built. Unguarded process
+// defaults race with NewWorld under exactly this pattern (a fleet
+// building worlds while a CLI flips a flag); the test exists to fail
+// under -race if the guard regresses.
 func TestWorldOptionsConcurrent(t *testing.T) {
 	prev := SetWorldOptions(WorldOptions{})
 	defer SetWorldOptions(prev)
@@ -31,12 +31,8 @@ func TestWorldOptionsConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			// The deprecated shims must share the same guard.
-			SetWorldTelemetry(telemetry.New(telemetry.Options{}))
-			SetWorldTelemetry(nil)
-			SetWorldChecks(nil)
-			SetWorldHook(nil)
-			SetWorldLogger(nil)
+			SetWorldOptions(WorldOptions{Hook: func(*device.Device) {}})
+			_ = DefaultWorldOptions()
 		}
 	}()
 	for g := 0; g < 2; g++ {

@@ -84,48 +84,6 @@ func DefaultWorldOptions() WorldOptions {
 	return worldDefaults
 }
 
-// SetWorldTelemetry installs rec on every subsequently built world (nil
-// detaches). A config that already carries its own recorder wins.
-//
-// Deprecated: mutate one field of the process defaults via
-// SetWorldOptions, or pass options explicitly to NewWorldWith.
-func SetWorldTelemetry(rec *telemetry.Recorder) {
-	worldMu.Lock()
-	defer worldMu.Unlock()
-	worldDefaults.Telemetry = rec
-}
-
-// SetWorldChecks installs checker options on every subsequently built
-// world (nil detaches). A config that already carries its own wins.
-//
-// Deprecated: use SetWorldOptions or NewWorldWith.
-func SetWorldChecks(opts *check.Options) {
-	worldMu.Lock()
-	defer worldMu.Unlock()
-	worldDefaults.Checks = opts
-}
-
-// SetWorldLogger installs lg on every subsequently built world (nil
-// detaches). A config that already carries its own logger wins.
-//
-// Deprecated: use SetWorldOptions or NewWorldWith.
-func SetWorldLogger(lg *slog.Logger) {
-	worldMu.Lock()
-	defer worldMu.Unlock()
-	worldDefaults.Logger = lg
-}
-
-// SetWorldHook installs fn on every subsequently built world (nil
-// detaches). The hook runs after device construction, before the cast
-// installs.
-//
-// Deprecated: use SetWorldOptions or NewWorldWith.
-func SetWorldHook(fn func(*device.Device)) {
-	worldMu.Lock()
-	defer worldMu.Unlock()
-	worldDefaults.Hook = fn
-}
-
 // NewWorld builds a device from cfg with the process-default options
 // and installs the demo cast.
 func NewWorld(cfg device.Config) (*World, error) {

@@ -4,31 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime/debug"
 )
 
 // ErrStopped is returned by Run variants when the engine was halted by a
 // call to Stop before the requested horizon was reached.
 var ErrStopped = errors.New("sim: engine stopped")
-
-// TracerPanicError reports a trace callback that panicked. The engine
-// recovers the panic (a diagnostic hook must never corrupt a run the
-// way an unwinding panic through event dispatch would), halts the run,
-// and surfaces this from the Run variant in flight — the same policy
-// the fleet runner applies to scenario panics: the device is marked
-// failed, the rest of the fleet is untouched.
-type TracerPanicError struct {
-	// EventName is the kernel event being traced when the panic hit.
-	EventName string
-	// Value is the recovered panic value.
-	Value any
-	// Stack is the goroutine stack captured at recovery.
-	Stack []byte
-}
-
-func (e *TracerPanicError) Error() string {
-	return fmt.Sprintf("sim: tracer panicked on event %q: %v\n%s", e.EventName, e.Value, e.Stack)
-}
 
 // Event is a scheduled callback. Events fire in timestamp order; ties are
 // broken by scheduling order (FIFO), which keeps scenarios deterministic.
@@ -163,48 +143,12 @@ type Engine struct {
 	stopped bool
 	pool    *EventPool
 
-	// tracers receive every fired event; used by tests, the CLIs'
-	// -trace flags and the telemetry recorder.
-	tracers []*Tracer
 	// tlog, when set, receives every dispatched event inline (see
-	// TraceLog) — the no-callback fast path the telemetry recorder
-	// rides.
+	// TraceLog); the telemetry recorder rides it.
 	tlog *TraceLog
-	// tracing is true only while fireTracers runs its callbacks, and
-	// tracingName names the event being traced. Together they let the
-	// run-loop recover guards tell a tracer panic (recovered, converted
-	// to traceErr) from an event-callback panic (left to unwind with its
-	// full stack) without paying a defer per fired event.
-	tracing     bool
-	tracingName string
-	// traceErr holds a recovered tracer panic until the run loop in
-	// flight surfaces it.
-	traceErr *TracerPanicError
 	// failErr holds an injected failure (see Fail) until a run loop
 	// surfaces it.
 	failErr error
-}
-
-// Tracer is a registered trace callback. Close unregisters it.
-type Tracer struct {
-	engine *Engine
-	fn     func(t Time, name string, queueDepth int)
-}
-
-// Close unregisters the tracer; later events no longer reach its
-// callback. Closing twice (or closing a nil tracer) is a no-op.
-func (tr *Tracer) Close() {
-	if tr == nil || tr.engine == nil {
-		return
-	}
-	e := tr.engine
-	tr.engine = nil
-	for i, t := range e.tracers {
-		if t == tr {
-			e.tracers = append(e.tracers[:i], e.tracers[i+1:]...)
-			return
-		}
-	}
 }
 
 // NewEngine returns an engine whose clock reads T+0 and whose random
@@ -228,21 +172,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Rand exposes the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
-
-// Trace registers fn to be called for every event that fires and
-// returns a handle; Close the handle to unregister. Along with the
-// event's timestamp and name, fn receives the queue depth just after
-// the event was popped: the dispatch loop has it at hand, and handing
-// it over saves per-event samplers (the telemetry recorder) a
-// round-trip through QueueLen on the hottest path in the tree. A
-// panicking tracer does not unwind through event dispatch: the engine
-// recovers it, halts the run, and the Run variant in flight returns a
-// *TracerPanicError.
-func (e *Engine) Trace(fn func(t Time, name string, queueDepth int)) *Tracer {
-	tr := &Tracer{engine: e, fn: fn}
-	e.tracers = append(e.tracers, tr)
-	return tr
-}
 
 // QueueLen reports the number of live queued events in O(1). Cancelled
 // events are reclaimed immediately by the wheel, so QueueLen and
@@ -319,8 +248,8 @@ func (e *Engine) Stop() { e.stopped = true }
 // flight — or, when called between runs, the next one entered — return
 // err instead of ErrStopped. The first failure wins and Fail(nil) is a
 // no-op. It exists for invariant checkers and similar observers: a
-// failure detected inside event dispatch surfaces from RunUntil the
-// same way a tracer panic does.
+// failure detected inside event dispatch surfaces from RunUntil as an
+// error instead of unwinding through the dispatch loop.
 func (e *Engine) Fail(err error) {
 	if err == nil || e.failErr != nil {
 		return
@@ -338,31 +267,8 @@ func (e *Engine) FailErr() error {
 }
 
 // Step fires the single earliest pending event, advancing the clock to its
-// timestamp. It reports false when no events remain. If a tracer panics,
-// the event's callback is skipped, the engine stops, and the error is
-// surfaced by the Run variant in flight (or by TraceErr for manual
-// steppers).
-func (e *Engine) Step() (fired bool) {
-	// Manual steppers get the per-call recover guard; the run loops call
-	// stepFast directly and amortize one guard over the whole run.
-	defer func() {
-		if !e.tracing {
-			return // a panic in flight is the event callback's own: let it unwind
-		}
-		if r := recover(); r != nil {
-			e.noteTracerPanic(r)
-			fired = true
-		}
-	}()
-	return e.stepFast()
-}
-
-// stepFast is Step without a recover guard: a panicking tracer unwinds
-// out with e.tracing still set, and the caller's deferred guard (Step,
-// RunUntil, Drain) converts it to traceErr. Keeping the defer out of
-// this path is worth several ns per event, which is exactly the margin
-// the telemetry enabled-overhead gate is fought over.
-func (e *Engine) stepFast() bool {
+// timestamp. It reports false when no events remain.
+func (e *Engine) Step() bool {
 	if e.wheel == nil {
 		return false
 	}
@@ -380,9 +286,6 @@ func (e *Engine) dispatch(ev *Event) {
 	if e.tlog != nil {
 		e.tlog.Log(e.now, ev.name, e.wheel.live)
 	}
-	if len(e.tracers) > 0 {
-		e.fireTracers(ev.name)
-	}
 	fn := ev.fn
 	// Recycle before dispatch so fn itself (the common self-
 	// rescheduling case: tickers, WiFi tails) reuses this very Event.
@@ -392,51 +295,10 @@ func (e *Engine) dispatch(ev *Event) {
 	fn()
 }
 
-// fireTracers invokes every tracer. The range's slice snapshot and the
-// engine-nil check keep dispatch well-defined when a callback closes
-// its own (or another) tracer mid-event. There is deliberately no
-// recover here: the tracing flag marks the region instead, and the
-// enclosing run loop's single deferred guard does the recovery, so the
-// per-event cost charged against the telemetry overhead gate is two
-// flag stores rather than a defer + recover.
-func (e *Engine) fireTracers(name string) {
-	e.tracingName = name
-	e.tracing = true
-	depth := e.wheel.live
-	for _, tr := range e.tracers {
-		if tr.engine == nil { // closed mid-dispatch
-			continue
-		}
-		tr.fn(e.now, name, depth)
-	}
-	e.tracing = false
-}
-
-// noteTracerPanic converts a panic recovered from a trace callback into
-// the engine's pending traceErr and halts the run. Callers must have
-// checked e.tracing before recovering: a panic with tracing unset
-// belongs to the event callback and must be left to unwind.
-func (e *Engine) noteTracerPanic(r any) {
-	e.tracing = false
-	e.traceErr = &TracerPanicError{EventName: e.tracingName, Value: r, Stack: debug.Stack()}
-	e.stopped = true
-}
-
-// TraceErr reports (and clears) a pending tracer panic. Run variants
-// surface this automatically; only manual Step loops need it.
-func (e *Engine) TraceErr() error {
-	if e.traceErr == nil {
-		return nil // typed nil in an error interface would read as non-nil
-	}
-	err := e.traceErr
-	e.traceErr = nil
-	return err
-}
-
 // RunUntil fires events until the clock would pass horizon, then advances
 // the clock exactly to horizon. Pending events after the horizon stay
 // queued. It returns ErrStopped if Stop was called mid-run.
-func (e *Engine) RunUntil(horizon Time) (err error) {
+func (e *Engine) RunUntil(horizon Time) error {
 	if horizon < e.now {
 		return fmt.Errorf("sim: horizon %v before now %v", horizon, e.now)
 	}
@@ -444,17 +306,6 @@ func (e *Engine) RunUntil(horizon Time) (err error) {
 		return err
 	}
 	e.stopped = false
-	// One recover guard for the whole run instead of one per event; see
-	// stepFast. Event-callback panics keep unwinding untouched.
-	defer func() {
-		if !e.tracing {
-			return
-		}
-		if r := recover(); r != nil {
-			e.noteTracerPanic(r)
-			err = e.TraceErr()
-		}
-	}()
 	for !e.stopped {
 		// popUntil fuses the horizon peek into the pop: one wheel scan
 		// per event instead of two.
@@ -468,9 +319,6 @@ func (e *Engine) RunUntil(horizon Time) (err error) {
 		}
 		e.dispatch(ev)
 	}
-	if err := e.TraceErr(); err != nil {
-		return err
-	}
 	if err := e.FailErr(); err != nil {
 		return err
 	}
@@ -483,26 +331,13 @@ func (e *Engine) RunFor(d Duration) error { return e.RunUntil(e.now.Add(d)) }
 // Drain fires every pending event. It returns ErrStopped if Stop was
 // called, and an error if the queue never empties within maxEvents fires
 // (a guard against runaway self-rescheduling scenarios).
-func (e *Engine) Drain(maxEvents int) (err error) {
+func (e *Engine) Drain(maxEvents int) error {
 	if err := e.FailErr(); err != nil {
 		return err
 	}
 	e.stopped = false
-	// Same single-guard pattern as RunUntil.
-	defer func() {
-		if !e.tracing {
-			return
-		}
-		if r := recover(); r != nil {
-			e.noteTracerPanic(r)
-			err = e.TraceErr()
-		}
-	}()
 	for i := 0; ; i++ {
 		if e.stopped {
-			if err := e.TraceErr(); err != nil {
-				return err
-			}
 			if err := e.FailErr(); err != nil {
 				return err
 			}
@@ -511,7 +346,7 @@ func (e *Engine) Drain(maxEvents int) (err error) {
 		if i >= maxEvents {
 			return fmt.Errorf("sim: drain exceeded %d events", maxEvents)
 		}
-		if !e.stepFast() {
+		if !e.Step() {
 			return nil
 		}
 	}

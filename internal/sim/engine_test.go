@@ -229,17 +229,39 @@ func TestEveryNonPositivePanics(t *testing.T) {
 	e.Every(0, "bad", func() {})
 }
 
+// TestTraceSeesEvents: the inline trace log sees every dispatched
+// event in firing order, with the queue depth just after its pop.
 func TestTraceSeesEvents(t *testing.T) {
 	e := NewEngine(1)
-	var names []string
-	e.Trace(func(_ Time, name string, _ int) { names = append(names, name) })
+	tl := &TraceLog{Buf: make([]TraceRecord, 4)}
+	e.SetTraceLog(tl)
 	e.Schedule(Second, "a", func() {})
 	e.Schedule(2*Second, "b", func() {})
 	if err := e.Drain(10); err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("trace = %v", names)
+	recs := tl.Records()
+	if len(recs) != 2 || recs[0].Name != "a" || recs[1].Name != "b" {
+		t.Fatalf("trace = %+v", recs)
+	}
+	if recs[0].T != Time(Second) || recs[0].Depth != 1 || recs[1].Depth != 0 {
+		t.Fatalf("trace = %+v, want a at T+1s depth 1, b depth 0", recs)
+	}
+}
+
+func TestQueueLen(t *testing.T) {
+	e := NewEngine(1)
+	if e.QueueLen() != 0 {
+		t.Fatalf("QueueLen = %d, want 0", e.QueueLen())
+	}
+	e.Schedule(Second, "a", func() {})
+	e.Schedule(2*Second, "b", func() {})
+	if e.QueueLen() != 2 {
+		t.Fatalf("QueueLen = %d, want 2", e.QueueLen())
+	}
+	e.Step()
+	if e.QueueLen() != 1 {
+		t.Fatalf("QueueLen after step = %d, want 1", e.QueueLen())
 	}
 }
 

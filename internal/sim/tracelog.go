@@ -16,7 +16,7 @@ type TraceRecord struct {
 // scheduler gauges that ride along (queue depth after the last pop and
 // its high-water mark). The engine fills it inline from dispatch — a
 // handful of plain stores on a hot cache line instead of an indirect
-// tracer callback into the telemetry layer — which is what keeps the
+// callback into the telemetry layer — which is what keeps the
 // telemetry enabled-overhead gate honest now that the dispatch loop
 // itself is cheap. A TraceLog is single-goroutine, like the engine
 // that fills it.
@@ -86,7 +86,6 @@ func (tl *TraceLog) Records() []TraceRecord {
 }
 
 // SetTraceLog installs (or, with nil, removes) the engine's inline
-// trace log. Unlike Trace callbacks, the log is filled with plain
-// stores inside dispatch itself; use it for high-volume recording and
-// reserve Trace for callbacks that need to run per event.
+// trace log, which dispatch fills with plain stores for every fired
+// event.
 func (e *Engine) SetTraceLog(tl *TraceLog) { e.tlog = tl }

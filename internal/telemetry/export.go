@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"repro/internal/sim"
 )
 
 // Exporters. All three event formats are deterministic byte-for-byte for
@@ -202,13 +200,4 @@ func ExportFiles(rec *Recorder, traceOut, eventsOut, metricsOut string) error {
 		}
 	}
 	return nil
-}
-
-// TextTracer returns a legacy stringly tracer that prints kernel events
-// to w in the old "-trace" stdout format, for callers that want live
-// output instead of a post-run export.
-func TextTracer(w io.Writer) func(t sim.Time, name string, queueDepth int) {
-	return func(t sim.Time, name string, _ int) {
-		fmt.Fprintf(w, "%v %s\n", t, name)
-	}
 }

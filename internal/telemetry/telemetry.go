@@ -218,7 +218,7 @@ func New(opts Options) *Recorder {
 func (r *Recorder) Enabled() bool { return r != nil && r.enabled }
 
 // SetEnabled flips recording on or off, attaching or detaching the
-// kernel tracer of any instrumented engine so a disabled recorder costs
+// kernel trace log of any instrumented engine so a disabled recorder costs
 // the engine nothing. Safe on nil (no-op).
 func (r *Recorder) SetEnabled(v bool) {
 	if r == nil {
