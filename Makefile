@@ -85,10 +85,11 @@ trace-bench:
 # over HTTP must yield a trace.json artifact that parses as Chrome
 # trace JSON and forms a single rooted span tree whose root threads
 # through the job status, the live /trace feed, and the /metrics RED
-# exemplars — plus the stalled-subscriber drop test on the live trace
-# stream.
+# exemplars; /metrics must keep one # TYPE line per family, the RED
+# exemplar line shape and the process hygiene gauges — plus the
+# stalled-subscriber drop test on the live trace stream.
 trace-smoke:
-	$(GO) test -run 'TestTraceSmoke|TestGoldenWorkerIndependence' -count=1 -v ./internal/jobs
+	$(GO) test -run 'TestTraceSmoke|TestGoldenWorkerIndependence|TestMetricsExposition' -count=1 -v ./internal/jobs
 	$(GO) test -race -run 'TestTraceStreamStalledSubscriber' -count=1 ./internal/obsv
 
 # Regenerate the BENCH_corpus.json scenario-corpus artifact: every

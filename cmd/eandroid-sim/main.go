@@ -77,7 +77,7 @@ func run(args []string) error {
 	// Telemetry attaches to every serially-built experiment world; the
 	// recorder routes the old stdout -trace callback and the structured
 	// exports through one instrumentation path. -serve implies it: the
-	// /metrics and /watchdog endpoints are views over the recorder. All
+	// /metrics endpoint is a view over the recorder. All
 	// cross-cutting wiring goes into one WorldOptions set, installed as
 	// the process default just before the experiments run.
 	var worldOpts scenario.WorldOptions
@@ -110,21 +110,25 @@ func run(args []string) error {
 		srv = plane.Server
 	}
 
-	// Flame collection (and, when serving, a live watchdog) attach to
-	// every world through the construction hook. Worlds without an
-	// enabled recorder simply skip the watchdog.
+	// Flame collection attaches to every world through the construction
+	// hook, and so, when serving, does a live watchdog: each is a sink
+	// on its own world's meter. Only -serve reads watchdog findings, so
+	// batch runs start none.
 	var flames []*obsv.FlameCollector
 	var watchdogs []*obsv.Watchdog
 	if *flameOut != "" || *flameHTML != "" || srv != nil {
 		worldOpts.Hook = func(dev *device.Device) {
 			flames = append(flames, obsv.AttachFlame(dev))
-			if wd, err := obsv.NewWatchdog(dev, obsv.WatchdogOptions{}); err == nil {
-				if srv != nil {
-					wd.Subscribe(srv.PublishFinding)
-				}
-				wd.Start()
-				watchdogs = append(watchdogs, wd)
+			if srv == nil {
+				return
 			}
+			wd, err := obsv.NewWatchdog(dev, obsv.WatchdogOptions{})
+			if err != nil {
+				panic(err) // unreachable: the hook is handed a built device
+			}
+			wd.Subscribe(srv.PublishFinding)
+			wd.Start()
+			watchdogs = append(watchdogs, wd)
 		}
 	}
 	prevOpts := scenario.SetWorldOptions(worldOpts)
@@ -135,13 +139,9 @@ func run(args []string) error {
 		var wstats obsv.WindowStats
 		for _, wd := range watchdogs {
 			wd.Finish()
-			st := wd.Stats()
-			wstats.Total += st.Total
-			wstats.Interactive += st.Interactive
-			wstats.Judged += st.Judged
-			wstats.Flagged += st.Flagged
+			wstats.Add(wd.Stats())
 		}
-		if srv != nil && len(watchdogs) > 0 {
+		if len(watchdogs) > 0 {
 			// Surface the summed window counters as /metrics gauges —
 			// the Stats() satellite of the observability plane.
 			srv.PublishWindowStats(wstats)

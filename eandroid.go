@@ -297,9 +297,9 @@ func AttachFlame(dev *Device) *FlameCollector { return obsv.AttachFlame(dev) }
 // MergeFlames sums several folded flames into one.
 func MergeFlames(flames ...*Flame) *Flame { return obsv.MergeFlames(flames...) }
 
-// NewWatchdog attaches a drain-anomaly watchdog to a device. The device
-// needs an enabled telemetry recorder; call Start before the run and
-// Finish after it.
+// NewWatchdog builds a drain-anomaly watchdog over a device. Start
+// attaches it to the device's meter as an interval sink (no telemetry
+// recorder needed) before the run; Finish closes it after.
 func NewWatchdog(dev *Device, opts WatchdogOptions) (*Watchdog, error) {
 	return obsv.NewWatchdog(dev, opts)
 }
@@ -360,8 +360,8 @@ const (
 func NewJobManager(opts JobManagerOptions) *JobManager { return jobs.NewManager(opts) }
 
 // AttachJobs mounts a manager's HTTP surface under /jobs on an
-// observability server, wires its counters into /metrics, and closes
-// the manager on server shutdown.
+// observability server, wires its counters and RED request series into
+// /metrics, and closes the manager on server shutdown.
 var AttachJobs = jobs.Attach
 
 // Causal tracing API: deterministic span trees across the whole stack
@@ -384,8 +384,6 @@ type (
 	FleetTrace = trace.FleetTrace
 	// DeviceTracer collects one sampled device's engine-phase spans.
 	DeviceTracer = trace.DeviceTracer
-	// REDMetrics aggregates request rate/errors/duration with exemplars.
-	REDMetrics = trace.RED
 )
 
 // NewTracer builds a tracer rooted at a seed string (a job's content

@@ -39,7 +39,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/obsv"
 	"repro/internal/scenario"
-	"repro/internal/telemetry"
 )
 
 // Defaults and gate thresholds.
@@ -178,8 +177,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 			Policy:   accounting.BatteryStats,
 			Checks:   &check.Options{},
 		},
-		Telemetry: &telemetry.Options{},
-		Progress:  opts.Progress,
+		Progress: opts.Progress,
 		// The Stream sink runs on the worker goroutine right after the
 		// device finishes; outcome writes stay disjoint-index, and the
 		// per-cell reductions below iterate outcomes in rep order — the

@@ -10,7 +10,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/obsv"
 	"repro/internal/scenario"
-	"repro/internal/telemetry"
 )
 
 // Watchdog-vs-attacks study: the live detection counterpart of the
@@ -134,9 +133,8 @@ func WatchdogStudy() (*WatchdogStudyResult, error) {
 	res := &WatchdogStudyResult{Window: obsv.DefaultWindow}
 	for _, sc := range watchdogScenarios() {
 		w, err := scenario.NewWorld(device.Config{
-			EAndroid:  true,
-			Policy:    accounting.BatteryStats,
-			Telemetry: telemetry.New(telemetry.Options{}),
+			EAndroid: true,
+			Policy:   accounting.BatteryStats,
 		})
 		if err != nil {
 			return nil, err

@@ -21,7 +21,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"log/slog"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -104,10 +103,6 @@ type Spec struct {
 	// scheduling-dependent, so treat it as a live feed, not a
 	// determinism surface.
 	Progress func(Progress)
-	// Logger, when non-nil, receives one structured Info per finished
-	// device (Warn on failure). Like Progress it is called from worker
-	// goroutines; obsv.NewLogHandler serializes writes internally.
-	Logger *slog.Logger
 	// Trace, when non-nil, threads causal span collection through the
 	// run: head-sampled devices get a single-goroutine DeviceTracer
 	// (wired into the device as Config.Trace), every device reports
@@ -226,20 +221,6 @@ type WorkerStat struct {
 	Utilization float64
 }
 
-// WorkerUtilization renders the worker stats as a fleet-level telemetry
-// snapshot (gauges fleet.worker<i>.devices / .busy_ms / .utilization).
-// Keep it out of determinism comparisons: the values are wall-clock.
-func (fr *FleetResult) WorkerUtilization() *telemetry.Snapshot {
-	m := telemetry.NewMetrics()
-	for _, ws := range fr.WorkerStats {
-		prefix := fmt.Sprintf("fleet.worker%d.", ws.Worker)
-		m.Gauge(prefix + "devices").Set(float64(ws.Devices))
-		m.Gauge(prefix + "busy_ms").Set(float64(ws.Busy.Microseconds()) / 1000)
-		m.Gauge(prefix + "utilization").Set(ws.Utilization)
-	}
-	return m.Snapshot()
-}
-
 // panicError preserves a captured scenario panic, including its stack,
 // without tearing down the rest of the fleet.
 type panicError struct {
@@ -275,7 +256,7 @@ func DeviceSeed(fleetSeed int64, i int) int64 {
 // the rest of the fleet; Run itself returns an error only for an
 // invalid spec. Cancelling ctx stops dispatching new devices and halts
 // in-flight horizon runs at their next check; affected devices report
-// ctx's error and still emit their Progress/Logger/Stream ticks, so a
+// ctx's error and still emit their Progress/Stream ticks, so a
 // live feed always reaches Done == Total.
 func Run(ctx context.Context, spec Spec) (*FleetResult, error) {
 	if spec.Devices < 1 {
@@ -395,10 +376,10 @@ func cancelTail(spec *Spec, f *folder, done *atomic.Int64, from int, cause error
 	}
 }
 
-// notifyProgress feeds one finished device into the Progress hook and
-// the fleet logger. done is the completion count including this device.
+// notifyProgress feeds one finished device into the Progress hook.
+// done is the completion count including this device.
 func notifyProgress(spec *Spec, res *Result, done, shards int) {
-	if spec.Progress == nil && spec.Logger == nil {
+	if spec.Progress == nil {
 		return
 	}
 	p := Progress{
@@ -415,20 +396,7 @@ func notifyProgress(spec *Spec, res *Result, done, shards int) {
 		p.Failed = true
 		p.Err = res.Err.Error()
 	}
-	if spec.Logger != nil {
-		if p.Failed {
-			spec.Logger.Warn("fleet device failed",
-				"device", p.Index, "done", p.Done, "total", p.Total, "err", p.Err)
-		} else {
-			spec.Logger.Info("fleet device done",
-				"device", p.Index, "done", p.Done, "total", p.Total,
-				"battery_pct", p.BatteryPct, "drained_j", p.DrainedJ,
-				"attacks", p.Attacks, "violations", p.Violations)
-		}
-	}
-	if spec.Progress != nil {
-		spec.Progress(p)
-	}
+	spec.Progress(p)
 }
 
 // runDevice builds, scripts, runs and harvests one device, converting

@@ -193,15 +193,16 @@ func Register(mux *http.ServeMux, m *Manager) {
 }
 
 // Attach wires a manager into an obsv server: jobs routes on its mux,
-// manager counters merged into its /metrics, and broker shutdown hooked
-// so Shutdown does not wait out live job streams.
+// manager counters and the RED request series merged into its
+// /metrics, and broker shutdown hooked so Shutdown does not wait out
+// live job streams.
 func Attach(srv *obsv.Server, m *Manager) {
 	mux := http.NewServeMux()
 	Register(mux, m)
 	srv.Mount("/jobs", mux)
 	srv.Mount("/jobs/", mux)
 	srv.AddMetricsSource(m.Snapshot)
-	srv.AddTextSource(m.red.WritePrometheus)
+	srv.AddMetricsSource(m.red.Snapshot)
 	m.SetTracePublisher(srv.PublishTrace)
 	srv.OnShutdown(m.Close)
 }

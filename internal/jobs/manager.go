@@ -43,9 +43,6 @@ type Options struct {
 	// server configuration, uniform across jobs, so cached artifacts
 	// stay consistent with fresh runs on the same server.
 	TraceSampleRate int
-	// TraceDisabled turns per-device tracing off entirely; control-
-	// plane spans (request/job/shard) are still assembled.
-	TraceDisabled bool
 }
 
 // Default manager options.
@@ -183,7 +180,7 @@ func (j *Job) publishState() {
 type Manager struct {
 	opts Options
 	log  *slog.Logger
-	red  *trace.RED
+	red  *redMetrics
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -228,7 +225,7 @@ func NewManager(opts Options) *Manager {
 	m := &Manager{
 		opts:       opts,
 		log:        opts.Logger,
-		red:        trace.NewRED(),
+		red:        newREDMetrics(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		jobs:       make(map[string]*Job),
@@ -245,11 +242,6 @@ func NewManager(opts Options) *Manager {
 // Limits exposes the effective per-job bounds.
 func (m *Manager) Limits() Limits { return m.opts.Limits }
 
-// RED is the manager's request-metrics collector (rate / errors /
-// duration with exemplar span IDs); the HTTP layer feeds it and the
-// obsv server renders it via AddTextSource.
-func (m *Manager) RED() *trace.RED { return m.red }
-
 // SetTracePublisher wires the sink for finished jobs' trace summaries
 // (Attach points it at obsv.Server.PublishTrace). Call before traffic.
 func (m *Manager) SetTracePublisher(fn func(*trace.Summary)) {
@@ -261,10 +253,7 @@ func (m *Manager) SetTracePublisher(fn func(*trace.Summary)) {
 // traceConfig is the per-job tracer configuration from the manager's
 // options.
 func (m *Manager) traceConfig() trace.Config {
-	return trace.Config{
-		SampleRate: m.opts.TraceSampleRate,
-		Disabled:   m.opts.TraceDisabled,
-	}
+	return trace.Config{SampleRate: m.opts.TraceSampleRate}
 }
 
 // Submit normalizes the spec and either returns an already-done job
@@ -435,10 +424,7 @@ func (m *Manager) publishTraceLocked(j *Job, state string) {
 // window counters into the manager's running totals.
 func (m *Manager) noteWatchdog(st obsv.WindowStats) {
 	m.mu.Lock()
-	m.wdStats.Total += st.Total
-	m.wdStats.Interactive += st.Interactive
-	m.wdStats.Judged += st.Judged
-	m.wdStats.Flagged += st.Flagged
+	m.wdStats.Add(st)
 	m.mu.Unlock()
 }
 

@@ -232,10 +232,7 @@ func (m *Manager) runFleet(ctx context.Context, j *Job) (Artifacts, error) {
 	// /metrics totals (index order is irrelevant to a sum).
 	var wdTotals obsv.WindowStats
 	for i := range outs {
-		wdTotals.Total += outs[i].stats.Total
-		wdTotals.Interactive += outs[i].stats.Interactive
-		wdTotals.Judged += outs[i].stats.Judged
-		wdTotals.Flagged += outs[i].stats.Flagged
+		wdTotals.Add(outs[i].stats)
 	}
 	m.noteWatchdog(wdTotals)
 

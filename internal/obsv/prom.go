@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -10,39 +9,84 @@ import (
 )
 
 // WritePrometheus renders a telemetry snapshot in the Prometheus text
-// exposition format (version 0.0.4): counters and gauges as single
-// samples, histograms as cumulative le-buckets plus _sum and _count.
-// The rendering is byte-deterministic: the snapshot's sections are
-// already name-sorted, floats use Go's shortest-exact formatting, and
-// metric names are sanitized with a fixed rule (every character outside
+// exposition format (version 0.0.4) — the one Prometheus encoder in
+// the repo, behind both the live /metrics endpoint and the jobs'
+// metrics.prom artifact. Counters and gauges render as single
+// samples, histograms as cumulative le-buckets plus _sum and _count;
+// each family gets one # TYPE line ahead of its samples. Labels render
+// in series order, and a histogram bucket with a span exemplar carries
+// it OpenMetrics-style (` # {span="<id>"} 1`). The rendering is
+// byte-deterministic: the snapshot's sections are already sorted by
+// series, floats use Go's shortest-exact formatting, and metric names
+// are sanitized with a fixed rule (every character outside
 // [a-zA-Z0-9_:] becomes '_'). A nil snapshot renders nothing.
 func WritePrometheus(w io.Writer, s *telemetry.Snapshot) error {
 	if s == nil {
 		return nil
 	}
 	var b strings.Builder
+	// family writes the # TYPE line when a new family starts (series of
+	// one family are adjacent in a sorted snapshot) and returns the
+	// family's sanitized name.
+	var last string
+	family := func(name, typ string) string {
+		name = promName(name)
+		if name != last {
+			b.WriteString("# TYPE " + name + " " + typ + "\n")
+			last = name
+		}
+		return name
+	}
+	// sample writes one sample line: name and suffix, the label set
+	// plus an le bucket label when le is set, the value, and the span
+	// exemplar when ex is set.
+	sample := func(name, suffix string, labels []telemetry.Label, le, value, ex string) {
+		b.WriteString(name)
+		b.WriteString(suffix)
+		sep := byte('{')
+		for _, l := range labels {
+			b.WriteByte(sep)
+			b.WriteString(l.Name + "=" + strconv.Quote(l.Value))
+			sep = ','
+		}
+		if le != "" {
+			b.WriteByte(sep)
+			b.WriteString(`le="` + le + `"`)
+			sep = ','
+		}
+		if sep == ',' {
+			b.WriteByte('}')
+		}
+		b.WriteByte(' ')
+		b.WriteString(value)
+		if ex != "" {
+			b.WriteString(" # {span=" + strconv.Quote(ex) + "} 1")
+		}
+		b.WriteByte('\n')
+	}
 	for _, c := range s.Counters {
-		name := promName(c.Name)
-		fmt.Fprintf(&b, "# TYPE %s counter\n%s %s\n", name, name, promFloat(c.Value))
+		sample(family(c.Name, "counter"), "", c.Labels, "", promFloat(c.Value), "")
 	}
 	for _, g := range s.Gauges {
-		name := promName(g.Name)
-		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %s\n", name, name, promFloat(g.Value))
+		sample(family(g.Name, "gauge"), "", g.Labels, "", promFloat(g.Value), "")
 	}
 	for _, h := range s.Histograms {
-		name := promName(h.Name)
-		fmt.Fprintf(&b, "# TYPE %s histogram\n", name)
+		name := family(h.Name, "histogram")
 		var cum uint64
 		for i, bound := range h.Bounds {
 			cum += h.Counts[i]
-			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", name, promFloat(bound), cum)
+			var ex string
+			if i < len(h.Exemplars) {
+				ex = h.Exemplars[i]
+			}
+			sample(name, "_bucket", h.Labels, promFloat(bound), strconv.FormatUint(cum, 10), ex)
 		}
 		if len(h.Counts) > len(h.Bounds) {
 			cum += h.Counts[len(h.Bounds)]
 		}
-		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-		fmt.Fprintf(&b, "%s_sum %s\n", name, promFloat(h.Sum))
-		fmt.Fprintf(&b, "%s_count %d\n", name, h.Count)
+		sample(name, "_bucket", h.Labels, "+Inf", strconv.FormatUint(cum, 10), "")
+		sample(name, "_sum", h.Labels, "", promFloat(h.Sum), "")
+		sample(name, "_count", h.Labels, "", strconv.FormatUint(h.Count, 10), "")
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

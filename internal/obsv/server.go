@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -34,6 +33,7 @@ const traceRing = 32
 // exposing
 //
 //	/metrics          Prometheus text exposition of the latest snapshot
+//	                  merged with the server's own and every source's series
 //	/healthz, /readyz liveness / readiness
 //	/debug/pprof/     the standard Go profiling endpoints
 //	/fleet            JSON fleet progress; /fleet/events is its SSE feed
@@ -75,12 +75,10 @@ type Server struct {
 	trackMu sync.Mutex
 	tracker *FleetTracker
 
-	// srcMu guards the extra metrics sources, raw-text appenders and
-	// shutdown hooks that mounted subsystems (the jobs control plane)
-	// register.
+	// srcMu guards the extra metrics sources and shutdown hooks that
+	// mounted subsystems (the jobs control plane) register.
 	srcMu    sync.Mutex
 	sources  []func() *telemetry.Snapshot
-	texts    []func(io.Writer)
 	onClose  []func()
 	hooksRan bool
 }
@@ -151,23 +149,13 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Mount(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
 
 // AddMetricsSource registers a snapshot source merged into every
-// /metrics response alongside the published snapshot. Sources are
-// called on each scrape and must be safe for concurrent use.
+// /metrics response alongside the published snapshot — labelled
+// series (the jobs RED histograms with exemplars) included. Sources
+// are called on each scrape and must be safe for concurrent use.
 func (s *Server) AddMetricsSource(fn func() *telemetry.Snapshot) {
 	s.srcMu.Lock()
 	defer s.srcMu.Unlock()
 	s.sources = append(s.sources, fn)
-}
-
-// AddTextSource registers a raw Prometheus-text appender written after
-// the merged snapshot on every /metrics scrape. Labelled series (the
-// jobs RED histograms with exemplars) use this path — the snapshot
-// writer is label-free by design. Appenders must be safe for
-// concurrent use.
-func (s *Server) AddTextSource(fn func(io.Writer)) {
-	s.srcMu.Lock()
-	defer s.srcMu.Unlock()
-	s.texts = append(s.texts, fn)
 }
 
 // OnShutdown registers a hook run at the start of Shutdown, before the
@@ -330,7 +318,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.srcMu.Lock()
 	sources := s.sources
-	texts := s.texts
 	s.srcMu.Unlock()
 	snaps := []*telemetry.Snapshot{s.snap.Load(), s.ownMetrics()}
 	for _, fn := range sources {
@@ -343,36 +330,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = WritePrometheus(w, merged)
-	s.writeProcessMetrics(w)
-	for _, fn := range texts {
-		fn(w)
-	}
-}
-
-// writeProcessMetrics appends the standard process hygiene gauges:
-// build identity, uptime, goroutines, heap in use. Rendered directly —
-// build_info needs labels, which the snapshot writer does not carry.
-func (s *Server) writeProcessMetrics(w io.Writer) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	fmt.Fprintf(w, "# HELP eandroid_build_info Build identity (value is constant 1).\n")
-	fmt.Fprintf(w, "# TYPE eandroid_build_info gauge\n")
-	fmt.Fprintf(w, "eandroid_build_info{version=%q,go=%q} 1\n", Version, runtime.Version())
-	fmt.Fprintf(w, "# HELP eandroid_process_uptime_seconds Seconds since the obsv server was built.\n")
-	fmt.Fprintf(w, "# TYPE eandroid_process_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "eandroid_process_uptime_seconds %.3f\n", time.Since(s.start).Seconds())
-	fmt.Fprintf(w, "# HELP eandroid_process_goroutines Current goroutine count.\n")
-	fmt.Fprintf(w, "# TYPE eandroid_process_goroutines gauge\n")
-	fmt.Fprintf(w, "eandroid_process_goroutines %d\n", runtime.NumGoroutine())
-	fmt.Fprintf(w, "# HELP eandroid_process_heap_inuse_bytes Bytes in in-use heap spans.\n")
-	fmt.Fprintf(w, "# TYPE eandroid_process_heap_inuse_bytes gauge\n")
-	fmt.Fprintf(w, "eandroid_process_heap_inuse_bytes %d\n", ms.HeapInuse)
 }
 
 // ownMetrics is the server's self-instrumentation: the SSE brokers'
-// stuck-subscriber drop counts, always present on /metrics so a
-// misbehaving scraper is visible from any other scraper.
+// stuck-subscriber drop counts, the latest watchdog window counters,
+// and the process hygiene gauges (build identity, uptime, goroutines,
+// heap in use), always present on /metrics so a misbehaving scraper
+// or a leak is visible from any other scraper.
 func (s *Server) ownMetrics() *telemetry.Snapshot {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
 	m := telemetry.NewMetrics()
 	m.Counter("obsv.sse.dropped_subscribers").Add(
 		float64(s.watchSSE.Dropped() + s.fleetSSE.Dropped() + s.traceSSE.Dropped()))
@@ -382,7 +349,19 @@ func (s *Server) ownMetrics() *telemetry.Snapshot {
 		m.Gauge("obsv.watchdog.windows_judged").Set(float64(st.Judged))
 		m.Gauge("obsv.watchdog.windows_flagged").Set(float64(st.Flagged))
 	}
-	return m.Snapshot()
+	m.Gauge("eandroid_process_uptime_seconds").Set(float64(time.Since(s.start).Milliseconds()) / 1000)
+	m.Gauge("eandroid_process_goroutines").Set(float64(runtime.NumGoroutine()))
+	m.Gauge("eandroid_process_heap_inuse_bytes").Set(float64(ms.HeapInuse))
+	snap := m.Snapshot()
+	// Build identity is a labelled constant-1 gauge; the registry is
+	// label-free, so it joins the snapshot directly.
+	snap.Gauges = append(snap.Gauges, telemetry.GaugeSnapshot{
+		Name:   "eandroid_build_info",
+		Labels: []telemetry.Label{{Name: "version", Value: Version}, {Name: "go", Value: runtime.Version()}},
+		Value:  1,
+	})
+	snap.Sort()
+	return snap
 }
 
 func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {

@@ -6,10 +6,11 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/accounting"
 	"repro/internal/app"
 	"repro/internal/device"
+	"repro/internal/hw"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -111,20 +112,22 @@ type Finding struct {
 	Detail string `json:"detail"`
 }
 
-// Watchdog is the streaming drain-anomaly detector: it taps the
-// device's telemetry recorder for battery and attribution events,
-// closes a rolling window on a virtual-time ticker, and flags
+// Watchdog is the streaming drain-anomaly detector: a meter sink (the
+// same attach path as the flame collector and the device tracer) that
+// folds each integrated interval into per-UID attribution and device
+// drain, closes a rolling window on a virtual-time ticker, and flags
 //
 //   - per-UID (and whole-device) drain-rate spikes against a rolling
 //     baseline, and
 //   - collateral-vs-direct divergence via the E-Android monitor's
 //     collateral maps (skipped when the monitor is off),
 //
-// recording each finding as a KindAnomaly telemetry event, an optional
-// structured log line, and a fan-out to subscribers (the obsv server's
-// SSE channel). Single-goroutine, like everything else observing the
-// engine; all thresholds and window closes run on virtual time, so
-// findings are deterministic.
+// recording each finding as a KindAnomaly telemetry event (when the
+// device carries a recorder), an optional structured log line, and a
+// fan-out to subscribers (the obsv server's SSE channel).
+// Single-goroutine, like everything else observing the engine; all
+// thresholds and window closes run on virtual time, so findings are
+// deterministic.
 //
 // Findings are raised only for user-quiet windows — windows containing
 // no user touch (power.Manager.LastUserActivity). A user interacting
@@ -138,7 +141,6 @@ type Finding struct {
 // suppressed.
 type Watchdog struct {
 	dev  *device.Device
-	rec  *telemetry.Recorder
 	opts WatchdogOptions
 	log  *slog.Logger
 
@@ -176,20 +178,25 @@ type WindowStats struct {
 	Flagged int `json:"flagged"`
 }
 
-// NewWatchdog builds a watchdog over dev. The device must carry an
-// enabled telemetry recorder — the watchdog consumes its event tap.
-// The device's Config.Logger, if any, receives one Warn per finding.
+// Add folds o's counters into s (summing several watchdogs' windows).
+func (s *WindowStats) Add(o WindowStats) {
+	s.Total += o.Total
+	s.Interactive += o.Interactive
+	s.Judged += o.Judged
+	s.Flagged += o.Flagged
+}
+
+// NewWatchdog builds a watchdog over dev; Start attaches it. Any device
+// works — no telemetry recorder is needed, though one, if present,
+// receives each finding as a KindAnomaly event. The device's
+// Config.Logger, if any, receives one Warn per finding.
 func NewWatchdog(dev *device.Device, opts WatchdogOptions) (*Watchdog, error) {
 	if dev == nil {
 		return nil, fmt.Errorf("obsv: nil device")
 	}
-	if !dev.Telemetry.Enabled() {
-		return nil, fmt.Errorf("obsv: watchdog needs an enabled telemetry recorder (device.Config.Telemetry)")
-	}
 	opts.fill()
 	return &Watchdog{
 		dev:     dev,
-		rec:     dev.Telemetry,
 		opts:    opts,
 		log:     dev.Log,
 		direct:  make(map[app.UID]float64),
@@ -202,26 +209,27 @@ func NewWatchdog(dev *device.Device, opts WatchdogOptions) (*Watchdog, error) {
 // (the obsv server's SSE feed). Call before Start.
 func (w *Watchdog) Subscribe(fn func(Finding)) { w.subs = append(w.subs, fn) }
 
-// Start installs the telemetry tap and the window ticker. Idempotent.
+// Start adds the watchdog to the device's meter sinks and starts the
+// window ticker. Idempotent.
 func (w *Watchdog) Start() {
 	if w.started {
 		return
 	}
 	w.started = true
 	w.winStart = w.dev.Engine.Now()
-	w.rec.SetTap(w.onEvent)
+	w.dev.Meter.AddSink(w)
 	w.ticker = w.dev.Engine.Every(sim.Duration(w.opts.Window), "obsv.watchdog", w.tick)
 }
 
-// Finish stops the detector, closes the partial final window, releases
-// the telemetry tap, and returns the findings. Idempotent.
+// Finish stops the detector, closes the partial final window, and
+// returns the findings; the meter keeps the sink, which ignores every
+// later interval. Idempotent.
 func (w *Watchdog) Finish() []Finding {
 	if w.started && !w.finished {
-		w.finished = true
 		w.ticker.Stop()
 		w.dev.Meter.Flush()
 		w.closeWindow(w.dev.Engine.Now())
-		w.rec.SetTap(nil)
+		w.finished = true
 	}
 	return w.Findings()
 }
@@ -242,23 +250,40 @@ func (w *Watchdog) Dropped() int { return w.dropped }
 // Stats reports the closed-window counters accumulated so far.
 func (w *Watchdog) Stats() WindowStats { return w.stats }
 
-// onEvent is the telemetry tap: it accumulates the current window's
-// per-UID attribution and battery drain. KindAnomaly events (the
-// watchdog's own output) fall through the switch, so recording a
-// finding cannot re-enter the detector.
-func (w *Watchdog) onEvent(ev telemetry.Event) {
-	switch ev.Kind {
-	case telemetry.KindAttribution:
-		w.direct[ev.UID] += ev.V0
-	case telemetry.KindBattery:
-		w.drainJ += ev.V0
+// Accrue implements hw.Sink: it folds one integrated interval into the
+// current window exactly as the baseline accountant attributes it —
+// each app row to its UID, screen energy to UIDScreen (or, under
+// PowerTutor, to the foreground app), platform energy to UIDSystem —
+// and adds the interval's whole drain to the device total. Only the
+// interval's totals are read; nothing borrowed is retained.
+func (w *Watchdog) Accrue(iv hw.Interval) {
+	if w.finished {
+		return
 	}
+	for _, uid := range iv.UIDs() {
+		w.direct[uid] += iv.App(uid).Total()
+	}
+	if iv.ScreenJ > 0 {
+		uid := app.UIDScreen
+		if acct := w.dev.Android; acct.Policy() == accounting.PowerTutor && acct.Foreground() != app.UIDNone {
+			uid = acct.Foreground()
+		}
+		w.direct[uid] += iv.ScreenJ
+	}
+	if iv.SystemJ > 0 {
+		w.direct[app.UIDSystem] += iv.SystemJ
+	}
+	// Summed in the meter's own order (apps, then screen plus system),
+	// so the drain equals the battery's debit bit for bit.
+	drain := iv.AppsTotalJ()
+	drain += iv.ScreenJ + iv.SystemJ
+	w.drainJ += drain
 }
 
 // tick fires once per window on the virtual clock.
 func (w *Watchdog) tick() {
-	// Settle accounting up to the window edge; the flushed attribution
-	// events land in the closing window via the tap, synchronously.
+	// Settle accounting up to the window edge; the flushed interval
+	// reaches Accrue synchronously, so it lands in the closing window.
 	w.dev.Meter.Flush()
 	w.closeWindow(w.dev.Engine.Now())
 }
@@ -379,7 +404,7 @@ func (w *Watchdog) record(f Finding) {
 	} else {
 		w.dropped++
 	}
-	w.rec.RecordAnomaly(f.T, f.UID, f.Signal, f.Detail, f.RateMW, f.BaselineMW)
+	w.dev.Telemetry.RecordAnomaly(f.T, f.UID, f.Signal, f.Detail, f.RateMW, f.BaselineMW)
 	if w.log != nil {
 		w.log.Warn("drain anomaly", "signal", f.Signal, "uid", int64(f.UID),
 			"label", f.Label, "rate_mw", f.RateMW, "baseline_mw", f.BaselineMW)

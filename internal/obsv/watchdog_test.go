@@ -1,55 +1,67 @@
 package obsv
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/accounting"
 	"repro/internal/app"
 	"repro/internal/device"
+	"repro/internal/manifest"
+	"repro/internal/power"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
-// TestWatchdogRequiresTelemetry: a watchdog without an enabled recorder
-// is a construction error, not a silent no-op.
-func TestWatchdogRequiresTelemetry(t *testing.T) {
-	dev, err := device.New(device.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewWatchdog(dev, WatchdogOptions{}); err == nil {
-		t.Fatal("watchdog accepted a device without telemetry")
-	}
+// TestWatchdogRejectsNilDevice: a watchdog needs a device to attach
+// to; anything else is a construction error, not a silent no-op.
+func TestWatchdogRejectsNilDevice(t *testing.T) {
 	if _, err := NewWatchdog(nil, WatchdogOptions{}); err == nil {
 		t.Fatal("watchdog accepted a nil device")
 	}
 }
 
-// TestWatchdogSpikeDetection drives the detector with a synthetic
-// attribution stream: a quiet baseline long enough to pass warmup, then
-// a drain burst. Both the per-UID and the device-level spike signals
-// must fire — and only after the burst.
-func TestWatchdogSpikeDetection(t *testing.T) {
-	dev, err := device.New(device.Config{Telemetry: telemetry.New(telemetry.Options{})})
+// burnerDevice builds a device for driving the watchdog with real meter
+// intervals: one installed app holding a partial wakelock, so the
+// platform stays awake and the app's CPU share is charged, and a 1 s
+// screen timeout, so the screen-on boot window does not inflate the
+// device's drain baseline. The app burns util of the CPU from boot and
+// full CPU from burstAt (never, when zero).
+func burnerDevice(t *testing.T, rec *telemetry.Recorder, util float64, burstAt time.Duration) (*device.Device, app.UID) {
+	t.Helper()
+	dev, err := device.New(device.Config{Telemetry: rec, ScreenTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const uid = app.UID(10001)
+	a, err := dev.Packages.Install(manifest.NewBuilder("com.example.burner", "Burner").
+		Permission(manifest.PermWakeLock).Activity("Main", true).MustBuild())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dev.Power.Acquire(a.UID, power.Partial, "burn"); err != nil {
+		t.Fatal(err)
+	}
+	dev.Meter.SetCPUUtil(a.UID, util)
+	if burstAt > 0 {
+		dev.Engine.Schedule(sim.Time(burstAt), "burst", func() { dev.Meter.SetCPUUtil(a.UID, 1) })
+	}
+	return dev, a.UID
+}
+
+// TestWatchdogSpikeDetection drives the detector with real intervals: a
+// quiet baseline long enough to pass warmup, then a CPU burst. Both the
+// per-UID and the device-level spike signals must fire — and only
+// after the burst.
+func TestWatchdogSpikeDetection(t *testing.T) {
+	dev, uid := burnerDevice(t, telemetry.New(telemetry.Options{}), 0.01, 50*time.Second)
 	wd, err := NewWatchdog(dev, WatchdogOptions{Window: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wd.Start()
-	// 1 Hz feed: 5 mW until t=50s, then 5000 mW.
-	dev.Engine.Every(sim.Duration(time.Second), "feed", func() {
-		now := dev.Engine.Now()
-		j := 0.005
-		if time.Duration(now) >= 50*time.Second {
-			j = 5.0
-		}
-		dev.Telemetry.RecordAttribution(now, uid, j)
-		dev.Telemetry.RecordBattery(now, j, 80)
-	})
 	if err := dev.Run(70 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +87,7 @@ func TestWatchdogSpikeDetection(t *testing.T) {
 	if devSpike == nil {
 		t.Fatalf("no %s in %+v", SignalDeviceSpike, findings)
 	}
-	if uidSpike.RateMW < 1000 || uidSpike.BaselineMW > 100 {
+	if uidSpike.RateMW < 400 || uidSpike.BaselineMW > 10 {
 		t.Fatalf("implausible spike rates: %+v", uidSpike)
 	}
 	// The findings surfaced as telemetry events too.
@@ -90,22 +102,15 @@ func TestWatchdogSpikeDetection(t *testing.T) {
 	}
 }
 
-// TestWatchdogQuietBaselineStaysClean: the same feed without a burst
+// TestWatchdogQuietBaselineStaysClean: the same load without a burst
 // never alarms.
 func TestWatchdogQuietBaselineStaysClean(t *testing.T) {
-	dev, err := device.New(device.Config{Telemetry: telemetry.New(telemetry.Options{})})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dev, _ := burnerDevice(t, nil, 0.01, 0)
 	wd, err := NewWatchdog(dev, WatchdogOptions{Window: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wd.Start()
-	dev.Engine.Every(sim.Duration(time.Second), "feed", func() {
-		dev.Telemetry.RecordAttribution(dev.Engine.Now(), 10001, 0.005)
-		dev.Telemetry.RecordBattery(dev.Engine.Now(), 0.005, 80)
-	})
 	if err := dev.Run(5 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -118,27 +123,16 @@ func TestWatchdogQuietBaselineStaysClean(t *testing.T) {
 // touched is not judged; the same burst with the user absent is.
 func TestWatchdogUserWindowsSuppressed(t *testing.T) {
 	run := func(touch bool) []Finding {
-		dev, err := device.New(device.Config{Telemetry: telemetry.New(telemetry.Options{})})
-		if err != nil {
-			t.Fatal(err)
-		}
+		dev, _ := burnerDevice(t, nil, 0.01, 50*time.Second)
 		wd, err := NewWatchdog(dev, WatchdogOptions{Window: 10 * time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wd.Start()
-		dev.Engine.Every(sim.Duration(time.Second), "feed", func() {
-			now := dev.Engine.Now()
-			j := 0.005
-			if time.Duration(now) >= 50*time.Second {
-				j = 5.0
-			}
-			if touch {
-				// The user keeps tapping: every window is interactive.
-				dev.Power.UserActivity()
-			}
-			dev.Telemetry.RecordAttribution(now, 10001, j)
-		})
+		if touch {
+			// The user keeps tapping: every window is interactive.
+			dev.Engine.Every(sim.Duration(time.Second), "touch", dev.Power.UserActivity)
+		}
 		if err := dev.Run(70 * time.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -152,13 +146,10 @@ func TestWatchdogUserWindowsSuppressed(t *testing.T) {
 	}
 }
 
-// TestWatchdogFinishIdempotent: Finish twice returns the same findings
-// and releases the tap.
+// TestWatchdogFinishIdempotent: Finish twice returns the same findings,
+// and the sink ignores every interval after the first Finish.
 func TestWatchdogFinishIdempotent(t *testing.T) {
-	dev, err := device.New(device.Config{Telemetry: telemetry.New(telemetry.Options{})})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dev, _ := burnerDevice(t, nil, 0.01, 0)
 	wd, err := NewWatchdog(dev, WatchdogOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -168,8 +159,168 @@ func TestWatchdogFinishIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := wd.Finish()
+	st := wd.Stats()
+	if err := dev.Run(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	dev.Meter.Flush()
 	b := wd.Finish()
-	if len(a) != len(b) {
-		t.Fatalf("Finish not idempotent: %d vs %d findings", len(a), len(b))
+	if len(a) != len(b) || wd.Stats() != st {
+		t.Fatalf("Finish not idempotent: %d vs %d findings, stats %+v vs %+v", len(a), len(b), st, wd.Stats())
+	}
+	if len(wd.direct) != 0 || wd.drainJ != 0 {
+		t.Fatalf("finished watchdog folded later intervals: direct %v, drain %v J", wd.direct, wd.drainJ)
+	}
+}
+
+// TestWatchdogsOnSharedRecorder: serial worlds sharing one recorder
+// (the CLIs' -serve wiring) each get a watchdog from the construction
+// hook, and each judges exactly what it would alone — its closed-window
+// rate history, window counts and findings match a solo run of the same
+// world. World 0 ends mid-window, so its partial final window closes
+// only at Finish, after world 1 has run.
+func TestWatchdogsOnSharedRecorder(t *testing.T) {
+	scripts := []func(*scenario.World) error{
+		func(w *scenario.World) error { return w.Attack3ServicePin(75 * time.Second) },
+		func(w *scenario.World) error { return w.Attack6WakelockScreen(2 * time.Minute) },
+	}
+	// run builds the selected worlds in order over one recorder, then
+	// finishes their watchdogs in build order, as eandroid-sim does.
+	run := func(which ...int) []*Watchdog {
+		var wds []*Watchdog
+		opts := scenario.WorldOptions{
+			Telemetry: telemetry.New(telemetry.Options{}),
+			Hook: func(dev *device.Device) {
+				wd, err := NewWatchdog(dev, WatchdogOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				wd.Start()
+				wds = append(wds, wd)
+			},
+		}
+		for _, i := range which {
+			w, err := scenario.NewWorldWith(device.Config{EAndroid: true}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := scripts[i](w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, wd := range wds {
+			wd.Finish()
+		}
+		return wds
+	}
+	shared := run(0, 1)
+	for i := range scripts {
+		solo := run(i)[0]
+		got := shared[i]
+		if !reflect.DeepEqual(got.devHist, solo.devHist) {
+			t.Errorf("world %d: device rate history %v, solo %v", i, got.devHist, solo.devHist)
+		}
+		if !reflect.DeepEqual(got.hist, solo.hist) {
+			t.Errorf("world %d: per-UID rate history %v, solo %v", i, got.hist, solo.hist)
+		}
+		if got.Stats() != solo.Stats() || !reflect.DeepEqual(got.Findings(), solo.Findings()) {
+			t.Errorf("world %d: stats %+v and %d findings, solo %+v and %d",
+				i, got.Stats(), len(got.Findings()), solo.Stats(), len(solo.Findings()))
+		}
+	}
+}
+
+// TestWatchdogMatchesAccountantAttribution is the sink's differential
+// check against the baseline accountant: every closed window's per-UID
+// joules, as the watchdog folds them from meter intervals, equal the
+// sum of that window's KindAttribution events in the device's
+// recorder, and its device drain equals the window's KindBattery
+// events — under both policies, so the sink reproduces the accountant's
+// screen routing (UIDScreen under BatteryStats, the foreground app
+// under PowerTutor) as well as its per-app rows.
+func TestWatchdogMatchesAccountantAttribution(t *testing.T) {
+	const window = 10 * time.Second
+	for _, policy := range []accounting.Policy{accounting.BatteryStats, accounting.PowerTutor} {
+		t.Run(policy.String(), func(t *testing.T) {
+			rec := telemetry.New(telemetry.Options{EventCapacity: 1 << 15})
+			w, err := scenario.NewWorldWith(device.Config{EAndroid: true, Policy: policy, Telemetry: rec},
+				scenario.WorldOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Keep every closed window in the rate history.
+			wd, err := NewWatchdog(w.Dev, WatchdogOptions{Window: window, Baseline: 1 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := w.Dev.Engine.Now()
+			wd.Start()
+			if err := w.Scene1MessageFilm(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Dev.Run(45 * time.Second); err != nil { // screen times out, device idles
+				t.Fatal(err)
+			}
+			wd.Finish()
+			end := w.Dev.Engine.Now()
+			if rec.Dropped() != 0 {
+				t.Fatalf("recorder ring dropped %d events; the differential needs them all", rec.Dropped())
+			}
+
+			// Window k covers (bounds[k-1], bounds[k]]: ticks every
+			// window from start, then Finish's partial window to end.
+			n := len(wd.devHist)
+			bounds := []sim.Time{start}
+			for k := 1; k < n; k++ {
+				bounds = append(bounds, start+sim.Time(k)*sim.Time(window))
+			}
+			bounds = append(bounds, end)
+			direct := make([]map[app.UID]float64, n)
+			drain := make([]float64, n)
+			for k := range direct {
+				direct[k] = map[app.UID]float64{}
+			}
+			for _, ev := range rec.Events() {
+				if ev.Kind != telemetry.KindAttribution && ev.Kind != telemetry.KindBattery {
+					continue
+				}
+				k := sort.Search(n, func(k int) bool { return ev.T <= bounds[k+1] })
+				if k == n || ev.T <= bounds[0] {
+					t.Fatalf("%s event at %v outside the watched span (%v, %v]", ev.Kind, ev.T, start, end)
+				}
+				if ev.Kind == telemetry.KindBattery {
+					drain[k] += ev.V0
+				} else {
+					direct[k][ev.UID] += ev.V0
+				}
+			}
+
+			// Replay the watchdog's history bookkeeping over the events.
+			wantHist := map[app.UID][]float64{}
+			var wantDev []float64
+			for k := 0; k < n; k++ {
+				secs := time.Duration(bounds[k+1] - bounds[k]).Seconds()
+				for uid := range direct[k] {
+					if _, ok := wantHist[uid]; !ok {
+						wantHist[uid] = nil
+					}
+				}
+				for uid := range wantHist {
+					wantHist[uid] = append(wantHist[uid], direct[k][uid]/secs*1000)
+				}
+				wantDev = append(wantDev, drain[k]/secs*1000)
+			}
+			if !reflect.DeepEqual(wd.hist, wantHist) {
+				t.Fatalf("per-UID window rates:\nwatchdog   %v\naccountant %v", wd.hist, wantHist)
+			}
+			if !reflect.DeepEqual(wd.devHist, wantDev) {
+				t.Fatalf("device window rates:\nwatchdog %v\nbattery  %v", wd.devHist, wantDev)
+			}
+			// The scene must exercise the policy's screen routing: only
+			// BatteryStats keeps a Screen row.
+			if _, ok := wd.hist[app.UIDScreen]; ok != (policy == accounting.BatteryStats) {
+				t.Fatalf("%s: UIDScreen in the watchdog's history = %v", policy, ok)
+			}
+		})
 	}
 }

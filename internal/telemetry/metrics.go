@@ -167,35 +167,84 @@ func (m *Metrics) Histogram(name string, bounds []float64) *Histogram {
 	return h
 }
 
+// Label is one name="value" pair on a snapshot series. The live
+// registries are label-free; labelled series (per-endpoint request
+// metrics, build identity) are built directly as snapshot values by
+// the sources that own them.
+type Label struct {
+	Name  string `json:"name"`
+	Value string `json:"value"`
+}
+
 // CounterSnapshot is one counter's frozen value.
 type CounterSnapshot struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
+	Name   string  `json:"name"`
+	Labels []Label `json:"labels,omitempty"`
+	Value  float64 `json:"value"`
 }
 
 // GaugeSnapshot is one gauge's frozen value.
 type GaugeSnapshot struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
+	Name   string  `json:"name"`
+	Labels []Label `json:"labels,omitempty"`
+	Value  float64 `json:"value"`
 }
 
 // HistogramSnapshot is one histogram's frozen state. Counts has one more
-// element than Bounds (the overflow bucket).
+// element than Bounds (the overflow bucket). Exemplars, when present,
+// has one entry per finite bucket: the span ID of the last observation
+// that landed there, "" for none.
 type HistogramSnapshot struct {
-	Name   string    `json:"name"`
-	Count  uint64    `json:"count"`
-	Sum    float64   `json:"sum"`
-	Bounds []float64 `json:"bounds"`
-	Counts []uint64  `json:"counts"`
+	Name      string    `json:"name"`
+	Labels    []Label   `json:"labels,omitempty"`
+	Count     uint64    `json:"count"`
+	Sum       float64   `json:"sum"`
+	Bounds    []float64 `json:"bounds"`
+	Counts    []uint64  `json:"counts"`
+	Exemplars []string  `json:"exemplars,omitempty"`
 }
 
 // Snapshot is an order-stable freeze of a registry: every section is
-// sorted by name, so two registries that saw the same updates render
-// byte-identically regardless of registration or map order.
+// sorted by series (name, then labels), so two registries that saw the
+// same updates render byte-identically regardless of registration or
+// map order.
 type Snapshot struct {
 	Counters   []CounterSnapshot   `json:"counters,omitempty"`
 	Gauges     []GaugeSnapshot     `json:"gauges,omitempty"`
 	Histograms []HistogramSnapshot `json:"histograms,omitempty"`
+}
+
+// seriesKey identifies a series within a section: its name, then each
+// label's name and value, NUL-separated. NUL sorts below every other
+// byte, so ordering by key is ordering by name, then labels.
+func seriesKey(name string, labels []Label) string {
+	if len(labels) == 0 {
+		return name
+	}
+	var b strings.Builder
+	b.WriteString(name)
+	for _, l := range labels {
+		b.WriteByte(0)
+		b.WriteString(l.Name)
+		b.WriteByte(0)
+		b.WriteString(l.Value)
+	}
+	return b.String()
+}
+
+// Sort orders every section by series key — the order Snapshot and
+// MergeSnapshots produce. Sources that build labelled series by hand
+// call it before publishing.
+func (s *Snapshot) Sort() {
+	sort.Slice(s.Counters, func(i, j int) bool {
+		return seriesKey(s.Counters[i].Name, s.Counters[i].Labels) < seriesKey(s.Counters[j].Name, s.Counters[j].Labels)
+	})
+	sort.Slice(s.Gauges, func(i, j int) bool {
+		return seriesKey(s.Gauges[i].Name, s.Gauges[i].Labels) < seriesKey(s.Gauges[j].Name, s.Gauges[j].Labels)
+	})
+	sort.Slice(s.Histograms, func(i, j int) bool {
+		return seriesKey(s.Histograms[i].Name, s.Histograms[i].Labels) < seriesKey(s.Histograms[j].Name, s.Histograms[j].Labels)
+	})
 }
 
 // Snapshot freezes the registry. Nil-safe: a nil registry yields an
@@ -220,46 +269,59 @@ func (m *Metrics) Snapshot() *Snapshot {
 			Name: name, Count: h.n, Sum: h.sum, Bounds: bounds, Counts: counts,
 		})
 	}
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
-	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
+	s.Sort()
 	return s
 }
 
-// MergeSnapshots folds snaps into one aggregate, in the given order:
-// counters and gauges sum (a fleet gauge aggregate is the sum of
-// per-device final values), histograms add bucket counts and sums.
-// Because every float accumulation follows the slice order, merging
-// per-device snapshots in device-index order yields byte-identical
-// aggregates for any worker count. Nil snapshots are skipped; mismatched
-// histogram bounds are an error.
+// MergeSnapshots folds snaps into one aggregate, in the given order,
+// series by series (name plus labels): counters and gauges sum (a
+// fleet gauge aggregate is the sum of per-device final values),
+// histograms add bucket counts and sums, and a later non-empty
+// exemplar replaces an earlier one. Because every float accumulation
+// follows the slice order, merging per-device snapshots in
+// device-index order yields byte-identical aggregates for any worker
+// count. Nil snapshots are skipped; mismatched histogram bounds are an
+// error.
 func MergeSnapshots(snaps []*Snapshot) (*Snapshot, error) {
-	counters := make(map[string]float64)
-	gauges := make(map[string]float64)
-	hists := make(map[string]*HistogramSnapshot)
+	out := &Snapshot{}
+	// Position of each series in its output section.
+	counters := make(map[string]int)
+	gauges := make(map[string]int)
+	hists := make(map[string]int)
 	for _, s := range snaps {
 		if s == nil {
 			continue
 		}
 		for _, c := range s.Counters {
-			counters[c.Name] += c.Value
+			k := seriesKey(c.Name, c.Labels)
+			if i, ok := counters[k]; ok {
+				out.Counters[i].Value += c.Value
+			} else {
+				counters[k] = len(out.Counters)
+				out.Counters = append(out.Counters, c)
+			}
 		}
 		for _, g := range s.Gauges {
-			gauges[g.Name] += g.Value
+			k := seriesKey(g.Name, g.Labels)
+			if i, ok := gauges[k]; ok {
+				out.Gauges[i].Value += g.Value
+			} else {
+				gauges[k] = len(out.Gauges)
+				out.Gauges = append(out.Gauges, g)
+			}
 		}
 		for _, h := range s.Histograms {
-			dst := hists[h.Name]
-			if dst == nil {
-				cp := HistogramSnapshot{
-					Name:   h.Name,
-					Count:  h.Count,
-					Sum:    h.Sum,
-					Bounds: append([]float64(nil), h.Bounds...),
-					Counts: append([]uint64(nil), h.Counts...),
-				}
-				hists[h.Name] = &cp
+			k := seriesKey(h.Name, h.Labels)
+			at, ok := hists[k]
+			if !ok {
+				h.Bounds = append([]float64(nil), h.Bounds...)
+				h.Counts = append([]uint64(nil), h.Counts...)
+				h.Exemplars = append([]string(nil), h.Exemplars...)
+				hists[k] = len(out.Histograms)
+				out.Histograms = append(out.Histograms, h)
 				continue
 			}
+			dst := &out.Histograms[at]
 			if len(dst.Bounds) != len(h.Bounds) {
 				return nil, fmt.Errorf("telemetry: merge %q: bucket count mismatch (%d vs %d)",
 					h.Name, len(dst.Bounds), len(h.Bounds))
@@ -275,26 +337,25 @@ func MergeSnapshots(snaps []*Snapshot) (*Snapshot, error) {
 			for i, n := range h.Counts {
 				dst.Counts[i] += n
 			}
+			for i, ex := range h.Exemplars {
+				if ex == "" {
+					continue
+				}
+				if dst.Exemplars == nil {
+					dst.Exemplars = make([]string, len(h.Exemplars))
+				}
+				dst.Exemplars[i] = ex
+			}
 		}
 	}
-	out := &Snapshot{}
-	for name, v := range counters {
-		out.Counters = append(out.Counters, CounterSnapshot{Name: name, Value: v})
-	}
-	for name, v := range gauges {
-		out.Gauges = append(out.Gauges, GaugeSnapshot{Name: name, Value: v})
-	}
-	for _, h := range hists {
-		out.Histograms = append(out.Histograms, *h)
-	}
-	sort.Slice(out.Counters, func(i, j int) bool { return out.Counters[i].Name < out.Counters[j].Name })
-	sort.Slice(out.Gauges, func(i, j int) bool { return out.Gauges[i].Name < out.Gauges[j].Name })
-	sort.Slice(out.Histograms, func(i, j int) bool { return out.Histograms[i].Name < out.Histograms[j].Name })
+	out.Sort()
 	return out, nil
 }
 
 // Text renders the snapshot as a plain-text metrics dump, one instrument
-// per line, deterministic byte-for-byte.
+// per line, deterministic byte-for-byte. It is the dump of the
+// label-free registries: labels and exemplars are not rendered (the
+// Prometheus encoder, obsv.WritePrometheus, carries them).
 func (s *Snapshot) Text() string {
 	var b strings.Builder
 	if len(s.Counters) > 0 {

@@ -118,7 +118,7 @@ type Options struct {
 	EventCapacity int
 	// Disabled builds the recorder in the disabled state: every emission
 	// takes the one-branch gate path and records nothing. Used by the
-	// overhead study's "disabled" configuration; SetEnabled flips it.
+	// overhead study's "disabled" configuration.
 	Disabled bool
 }
 
@@ -163,22 +163,8 @@ type Recorder struct {
 	gDropped   *Gauge
 	gRingCap   *Gauge
 
-	// tap, when set, sees every recorded event by value as it lands —
-	// the live stream behind the obsv watchdog. scratch backs the tap
-	// when the ring is disabled (negative capacity) so record sites keep
-	// their single slot-fill shape.
-	tap     func(Event)
-	scratch Event
-
 	hMW   map[string]*Histogram  // per-component mW distributions
 	hUIDJ map[app.UID]*Histogram // per-UID attributed-J distributions
-
-	// engine tracks the instrumented engine so the trace log can
-	// attach lazily: a disabled recorder installs no log, so the
-	// engine's dispatch path stays on its untraced fast branch (see
-	// InstrumentEngine).
-	engine   *sim.Engine
-	attached bool
 }
 
 // New builds a Recorder with its own Metrics registry.
@@ -217,40 +203,6 @@ func New(opts Options) *Recorder {
 // Enabled reports whether the recorder exists and is recording.
 func (r *Recorder) Enabled() bool { return r != nil && r.enabled }
 
-// SetEnabled flips recording on or off, attaching or detaching the
-// kernel trace log of any instrumented engine so a disabled recorder costs
-// the engine nothing. Safe on nil (no-op).
-func (r *Recorder) SetEnabled(v bool) {
-	if r == nil {
-		return
-	}
-	r.enabled = v
-	if v {
-		r.attach()
-	} else {
-		r.detach()
-	}
-}
-
-// attach installs the trace log on the instrumented engine: dispatch
-// fills it inline with a few plain stores, so there is no per-event
-// callback at all on the hottest record path.
-func (r *Recorder) attach() {
-	if r.engine == nil || r.attached {
-		return
-	}
-	r.engine.SetTraceLog(r.simLog)
-	r.attached = true
-}
-
-// detach removes the trace log from the engine.
-func (r *Recorder) detach() {
-	if r.attached {
-		r.engine.SetTraceLog(nil)
-		r.attached = false
-	}
-}
-
 // Metrics returns the recorder's registry, nil for a nil recorder. The
 // queue-depth gauges are synced from their shadow fields here — every
 // snapshot/export path reads the registry through this accessor.
@@ -265,36 +217,16 @@ func (r *Recorder) Metrics() *Metrics {
 	return r.metrics
 }
 
-// SetTap installs fn as the live event tap: every subsequently recorded
-// non-kernel event is handed to fn by value, immediately after it lands
-// (even when the ring itself is disabled). KindSimEvent firings logged
-// by an instrumented engine bypass the tap — they land in the inline
-// trace log, whose whole point is to skip per-event callbacks; no tap
-// consumer reads them (the watchdog folds attributions and battery
-// updates only). One tap at a time — the observability watchdog owns
-// it; pass nil to remove. Safe on nil (no-op).
-func (r *Recorder) SetTap(fn func(Event)) {
-	if r == nil {
-		return
-	}
-	r.tap = fn
-}
-
 // slot advances the ring and returns the slot for the next event (nil
-// when event recording is off, i.e. negative capacity, and no tap is
-// listening). Callers write every field in place: compared to building
-// an Event and copying it in, this skips a ~100-byte struct copy and
-// the modulo of the old total-based indexing on every emission — the
-// recording fast path is exactly what the enabled-overhead gate spends
-// its budget on. With the ring disabled but a tap installed, the
-// recorder-owned scratch slot keeps the call sites' single fill shape.
+// when event recording is off, i.e. negative capacity). Callers write
+// every field in place: compared to building an Event and copying it
+// in, this skips a ~100-byte struct copy and the modulo of the old
+// total-based indexing on every emission — the recording fast path is
+// exactly what the enabled-overhead gate spends its budget on.
 func (r *Recorder) slot() *Event {
 	r.total++
 	r.simLog.Seq++ // shared emission sequence across both rings
 	if len(r.buf) == 0 {
-		if r.tap != nil {
-			return &r.scratch
-		}
 		return nil
 	}
 	r.seqs[r.w] = r.simLog.Seq
@@ -304,14 +236,6 @@ func (r *Recorder) slot() *Event {
 		r.w = 0
 	}
 	return ev
-}
-
-// emit forwards a just-filled slot to the live tap, if any. Record
-// sites call it as the last statement of their slot-fill block.
-func (r *Recorder) emit(ev *Event) {
-	if r.tap != nil {
-		r.tap(*ev)
-	}
 }
 
 // RecordSimEvent records one kernel event firing and samples the queue
@@ -340,7 +264,6 @@ func (r *Recorder) RecordLifecycle(t sim.Time, uid app.UID, component, from, to 
 		ev.To = to
 		ev.V0 = 0
 		ev.V1 = 0
-		r.emit(ev)
 	}
 }
 
@@ -361,7 +284,6 @@ func (r *Recorder) RecordPowerState(t sim.Time, uid app.UID, name string, old, n
 		ev.To = ""
 		ev.V0 = old
 		ev.V1 = new
-		r.emit(ev)
 	}
 }
 
@@ -381,7 +303,6 @@ func (r *Recorder) RecordBattery(t sim.Time, drainedJ, pct float64) {
 		ev.To = ""
 		ev.V0 = drainedJ
 		ev.V1 = pct
-		r.emit(ev)
 	}
 }
 
@@ -407,7 +328,6 @@ func (r *Recorder) RecordAttribution(t sim.Time, uid app.UID, joules float64) {
 		ev.To = ""
 		ev.V0 = joules
 		ev.V1 = 0
-		r.emit(ev)
 	}
 }
 
@@ -429,7 +349,6 @@ func (r *Recorder) RecordViolation(t sim.Time, invariant, detail string, got, wa
 		ev.To = detail
 		ev.V0 = got
 		ev.V1 = want
-		r.emit(ev)
 	}
 }
 
@@ -451,7 +370,6 @@ func (r *Recorder) RecordAnomaly(t sim.Time, uid app.UID, signal, detail string,
 		ev.To = detail
 		ev.V0 = rateMW
 		ev.V1 = baselineMW
-		r.emit(ev)
 	}
 }
 
@@ -588,19 +506,16 @@ func (r *Recorder) KernelBatches() []KernelBatch {
 
 // InstrumentEngine wires r to e: every fired kernel event lands in the
 // recorder's trace log (a KindSimEvent record in Events()) and feeds
-// the events-fired counter and queue-depth gauges. The log attaches
-// only while the recorder is enabled — a disabled recorder leaves the
-// engine untraced, so event dispatch keeps its fast path and
-// SetEnabled(true) attaches retroactively. Reports whether the log is
-// attached now (false when either argument is nil or the recorder is
-// currently disabled).
+// the events-fired counter and queue-depth gauges. Only an enabled
+// recorder installs the log — a disabled one leaves the engine
+// untraced, so event dispatch keeps its fast path. One recorder may
+// instrument several engines run one after another (the CLIs' serial
+// experiment worlds): each gets the same log, so the counters cover
+// every engine. Reports whether the log was installed.
 func InstrumentEngine(e *sim.Engine, r *Recorder) bool {
-	if e == nil || r == nil {
+	if e == nil || !r.Enabled() {
 		return false
 	}
-	r.engine = e
-	if r.enabled {
-		r.attach()
-	}
-	return r.attached
+	e.SetTraceLog(r.simLog)
+	return true
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -15,7 +16,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	if r.Enabled() {
 		t.Fatal("nil recorder claims enabled")
 	}
-	r.SetEnabled(true)
 	r.RecordSimEvent(0, "x", 1)
 	r.RecordLifecycle(0, 1, "c", "a", "b")
 	r.RecordPowerState(0, 1, "screen", 0, 1)
@@ -57,11 +57,6 @@ func TestDisabledRecorderRecordsNothing(t *testing.T) {
 	}
 	if v := r.Metrics().Counter("sim.events_fired").Value(); v != 0 {
 		t.Fatalf("disabled recorder bumped counters: %v", v)
-	}
-	r.SetEnabled(true)
-	r.RecordSimEvent(0, "x", 1)
-	if r.Total() != 1 {
-		t.Fatal("SetEnabled(true) did not resume recording")
 	}
 }
 
@@ -215,6 +210,33 @@ func TestMergeSnapshots(t *testing.T) {
 		t.Fatalf("merged histogram counts = %v", h.Counts)
 	}
 
+	// Labelled series merge per label set and sort after their
+	// unlabelled namesake; a later non-empty exemplar replaces an
+	// earlier one, an empty one erases nothing.
+	lab := func(v string) []Label { return []Label{{Name: "k", Value: v}} }
+	a := &Snapshot{
+		Counters: []CounterSnapshot{{Name: "c", Labels: lab("y"), Value: 1}, {Name: "c", Labels: lab("x"), Value: 2}, {Name: "c", Value: 1}},
+		Histograms: []HistogramSnapshot{{Name: "h", Labels: lab("x"), Count: 1, Sum: 0.5,
+			Bounds: []float64{1, 10}, Counts: []uint64{1, 0, 0}, Exemplars: []string{"aa", "ab"}}},
+	}
+	b := &Snapshot{
+		Counters: []CounterSnapshot{{Name: "c", Labels: lab("x"), Value: 3}},
+		Histograms: []HistogramSnapshot{{Name: "h", Labels: lab("x"), Count: 1, Sum: 5,
+			Bounds: []float64{1, 10}, Counts: []uint64{0, 1, 0}, Exemplars: []string{"", "bb"}}},
+	}
+	labelled, err := MergeSnapshots([]*Snapshot{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Snapshot{
+		Counters: []CounterSnapshot{{Name: "c", Value: 1}, {Name: "c", Labels: lab("x"), Value: 5}, {Name: "c", Labels: lab("y"), Value: 1}},
+		Histograms: []HistogramSnapshot{{Name: "h", Labels: lab("x"), Count: 2, Sum: 5.5,
+			Bounds: []float64{1, 10}, Counts: []uint64{1, 1, 0}, Exemplars: []string{"aa", "bb"}}},
+	}
+	if !reflect.DeepEqual(labelled, want) {
+		t.Fatalf("labelled merge = %+v, want %+v", labelled, want)
+	}
+
 	// Mismatched bounds must refuse to merge.
 	m2 := NewMetrics()
 	m2.Histogram("h", []float64{1, 2, 3}).Observe(1)
@@ -344,14 +366,6 @@ func TestInstrumentEngineRecordsKernelEvents(t *testing.T) {
 	if evs[0].Kind != KindSimEvent || evs[0].Name != "a" || evs[0].T != sim.Second {
 		t.Fatalf("first event = %+v", evs[0])
 	}
-	r.SetEnabled(false)
-	e.Schedule(3*sim.Second, "c", func() {})
-	if err := e.Drain(10); err != nil {
-		t.Fatal(err)
-	}
-	if r.Total() != 2 {
-		t.Fatal("detached trace log still recording")
-	}
 	if InstrumentEngine(nil, r) || InstrumentEngine(e, nil) {
 		t.Fatal("InstrumentEngine must report false for nil arguments")
 	}
@@ -370,21 +384,28 @@ func TestDisabledRecorderLeavesEngineUntraced(t *testing.T) {
 	if r.Total() != 0 {
 		t.Fatal("disabled recorder saw kernel events")
 	}
-	// Enabling attaches retroactively; disabling detaches again.
-	r.SetEnabled(true)
-	e.Schedule(2*sim.Second, "b", func() {})
-	if err := e.Drain(10); err != nil {
-		t.Fatal(err)
+}
+
+// TestRecorderSharedAcrossEngines: one recorder instrumenting several
+// engines run one after another (the CLIs' serial experiment worlds)
+// counts every engine's firings, not just the first engine's.
+func TestRecorderSharedAcrossEngines(t *testing.T) {
+	r := New(Options{})
+	for i, name := range []string{"first", "second"} {
+		e := sim.NewEngine(int64(i))
+		if !InstrumentEngine(e, r) {
+			t.Fatalf("engine %d: trace log not installed", i)
+		}
+		e.Schedule(sim.Second, name, func() {})
+		if err := e.Drain(10); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if r.Total() != 1 || r.Events()[0].Name != "b" {
-		t.Fatalf("enabled recorder events = %+v, want [b]", r.Events())
+	if v := r.Metrics().Counter("sim.events_fired").Value(); v != 2 {
+		t.Fatalf("sim.events_fired = %v, want 2 (one firing per engine)", v)
 	}
-	r.SetEnabled(false)
-	e.Schedule(3*sim.Second, "c", func() {})
-	if err := e.Drain(10); err != nil {
-		t.Fatal(err)
-	}
-	if r.Total() != 1 {
-		t.Fatal("disabled recorder kept its tracer attached")
+	evs := r.Events()
+	if len(evs) != 2 || evs[0].Name != "first" || evs[1].Name != "second" {
+		t.Fatalf("events = %+v, want [first second]", evs)
 	}
 }

@@ -565,32 +565,16 @@ func (d *DeviceTracer) appendMerged(out []Span) []Span {
 		sort.Slice(seg, func(i, j int) bool { return less(&seg[i], &seg[j]) })
 		return out
 	}
-	var heads [8]int
-	if len(d.runs) > len(heads) {
-		// More distinct phase names than the fixed head array — not a
-		// case any current producer creates; fall back to allocating.
-		return d.appendMergedWide(out)
+	// The merge heads live in a stack array for the handful of phase
+	// names the engine's producers create; only a wider tracer pays
+	// for a heap slice.
+	var stack [8]int
+	var heads []int
+	if len(d.runs) <= len(stack) {
+		heads = stack[:len(d.runs)]
+	} else {
+		heads = make([]int, len(d.runs))
 	}
-	for n := 0; n < d.count; n++ {
-		best := -1
-		for i := range d.runs {
-			if heads[i] >= len(d.runs[i].recs) {
-				continue
-			}
-			if best < 0 || recLess(&d.runs[i].recs[heads[i]], &d.runs[best].recs[heads[best]], d) {
-				best = i
-			}
-		}
-		out = append(out, d.spanAt(&d.runs[best], heads[best]))
-		heads[best]++
-	}
-	return out
-}
-
-// appendMergedWide is appendMerged's merge loop with a heap-allocated
-// head array, for tracers with more phase names than the fixed array.
-func (d *DeviceTracer) appendMergedWide(out []Span) []Span {
-	heads := make([]int, len(d.runs))
 	for n := 0; n < d.count; n++ {
 		best := -1
 		for i := range d.runs {

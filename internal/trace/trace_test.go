@@ -3,9 +3,8 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
+	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/hw"
 	"repro/internal/sim"
@@ -146,6 +145,34 @@ func TestDeviceTracerCapDropsNew(t *testing.T) {
 	}
 }
 
+// TestDeviceTracerMergesManyPhaseNames: a device with more phase names
+// than the merge keeps heads for on the stack still assembles its
+// phases in virtual-start order.
+func TestDeviceTracerMergesManyPhaseNames(t *testing.T) {
+	const names, n = 11, 33
+	tr := New("wide", "POST /jobs", Config{SampleRate: 1})
+	ft := tr.Fleet(1)
+	dt := ft.Device(0)
+	for k := 0; k < n; k++ {
+		dt.Phase(fmt.Sprintf("phase-%d", k%names), sim.Time(k), sim.Time(k+1), 0)
+	}
+	ft.Finish(0, dt, n)
+	var starts []int64
+	for _, sp := range tr.Spans() {
+		if sp.Kind == KindPhase {
+			starts = append(starts, sp.Start)
+		}
+	}
+	if len(starts) != n {
+		t.Fatalf("%d phase spans, want %d", len(starts), n)
+	}
+	for k, st := range starts {
+		if st != int64(k) {
+			t.Fatalf("phase %d starts at %d, want %d (merge out of order)", k, st, k)
+		}
+	}
+}
+
 func TestNilDeviceTracerIsInert(t *testing.T) {
 	var dt *DeviceTracer
 	dt.Phase(PhaseMeterFlush, 0, 1, 0) // must not panic
@@ -208,35 +235,5 @@ func TestWriteChromeParses(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatal("chrome export not byte-stable")
-	}
-}
-
-func TestREDExemplarsAndText(t *testing.T) {
-	red := NewRED()
-	ex := RootID("job-key")
-	red.Observe("POST /jobs", "fleet", 202, 3*time.Millisecond, ex)
-	red.Observe("POST /jobs", "fleet", 500, 40*time.Millisecond, 0)
-	red.Observe("GET /jobs", "", 200, 100*time.Microsecond, 0)
-	var b strings.Builder
-	red.WritePrometheus(&b)
-	text := b.String()
-
-	for _, want := range []string{
-		`eandroid_jobs_requests_total{endpoint="POST /jobs",kind="fleet"} 2`,
-		`eandroid_jobs_errors_total{endpoint="POST /jobs",kind="fleet"} 1`,
-		`eandroid_jobs_requests_total{endpoint="GET /jobs"} 1`,
-		`eandroid_jobs_duration_seconds_count{endpoint="POST /jobs",kind="fleet"} 2`,
-		`le="+Inf"`,
-		`# {span="` + ex.String() + `"}`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("RED text missing %q:\n%s", want, text)
-		}
-	}
-	// Stable output.
-	var b2 strings.Builder
-	red.WritePrometheus(&b2)
-	if b2.String() != text {
-		t.Fatal("RED text not stable across writes")
 	}
 }
