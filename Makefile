@@ -22,7 +22,7 @@ test-checked:
 # cleanliness of internal/fleet (and of the packages that drive it) is
 # an acceptance gate for every PR that touches concurrency.
 race:
-	$(GO) test -race -count=1 ./internal/fleet/... ./internal/telemetry/... ./internal/experiments/... ./internal/obsv/... ./internal/scenario/... ./internal/corpus/... ./internal/jobs/... ./internal/serveutil/... ./internal/trace/... .
+	$(GO) test -race -count=1 ./internal/fleet/... ./internal/telemetry/... ./internal/experiments/... ./internal/obsv/... ./internal/scenario/... ./internal/corpus/... ./internal/jobs/... ./internal/trace/... .
 
 vet:
 	$(GO) vet ./...
@@ -71,10 +71,10 @@ obsv-bench:
 
 # End-to-end smoke of the live observability plane: an ephemeral-port
 # server over a real attack run (healthz/readyz, /metrics parses, one
-# SSE tick, clean shutdown) plus the eandroid-sim -serve path.
+# SSE tick, clean shutdown) plus the readiness rule (200 from Start
+# until Shutdown begins) and an index with no route that cannot answer.
 obsv-smoke:
-	$(GO) test -run 'TestServerSmoke|TestServerFleetEndpoints' -count=1 -v ./internal/obsv
-	$(GO) test -run 'TestServeFlag' -count=1 -v ./cmd/...
+	$(GO) test -run 'TestServerSmoke|TestReadyzFollowsServing' -count=1 -v ./internal/obsv
 
 # Regenerate the BENCH_trace.json causal-span tracing overhead artifact
 # (and enforce the trace-off <= 1% / every-device-traced <= 10% gates).
@@ -107,11 +107,12 @@ corpus-smoke:
 
 # End-to-end smoke of the jobs control plane under -race: concurrent
 # HTTP submit/scrape with enforced 429 backpressure, cache byte-identity
-# over HTTP, and mid-job cancellation (the heavy load tests), plus the
-# every-CLI -serve-jobs path and the eandroid-serve daemon.
+# over HTTP, and mid-job cancellation (the heavy load tests), server
+# shutdown closing the manager and leaving no goroutines behind, plus
+# the eandroid-serve daemon.
 jobs-smoke:
-	$(GO) test -race -count=1 -run 'TestLoad|TestJobSSEStream|TestQueueCancelWhileQueued' -v ./internal/jobs
-	$(GO) test -count=1 -run 'TestServeJobsFlag|TestServeAndStop|TestJobsPlaneServes' ./cmd/... ./internal/serveutil
+	$(GO) test -race -count=1 -run 'TestLoad|TestJobSSEStream|TestQueueCancelWhileQueued|TestServerShutdownClosesManager|TestPlaneShutdownLeavesNoGoroutines' -v ./internal/jobs
+	$(GO) test -count=1 -run 'TestServeAndStop' ./cmd/eandroid-serve
 
 # Regenerate the BENCH_jobs.json cache-study artifact: one scenario job
 # per corpus cell submitted cold then warm, gated at cached-batch

@@ -8,7 +8,6 @@
 //	appstudy
 //	appstudy -n 5000 -seed 7
 //	appstudy -categories        # also print the per-category breakdown
-//	appstudy -n 100000 -serve 127.0.0.1:8080   # live /debug/pprof during big corpora
 package main
 
 import (
@@ -18,12 +17,7 @@ import (
 	"sort"
 
 	"repro/internal/appstore"
-	"repro/internal/serveutil"
 )
-
-// serveStop, when non-nil, ends a -serve wait as soon as it closes;
-// the CLI tests use it in place of Ctrl-C.
-var serveStop chan struct{}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -37,27 +31,16 @@ func run(args []string) error {
 	n := fs.Int("n", appstore.DefaultCorpusSize, "corpus size")
 	seed := fs.Int64("seed", 42, "corpus seed")
 	cats := fs.Bool("categories", false, "print per-category breakdown")
-	serveAddr := fs.String("serve", "", "serve liveness and /debug/pprof on this address; blocks after the run until interrupted")
-	serveJobs := fs.Bool("serve-jobs", false, "with -serve: mount the simulation-as-a-service control plane at /jobs")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	// The corpus study has no device, so -serve exposes liveness and the
-	// profiling endpoints — and, with -serve-jobs, the full simulation
-	// control plane on the same mux.
-	plane, err := serveutil.Start(serveutil.Options{
-		Addr: *serveAddr, Name: "appstudy", Jobs: *serveJobs, Banner: os.Stderr,
-	})
-	if err != nil {
 		return err
 	}
 	corpus, err := appstore.Generate(*n, *seed)
 	if err != nil {
-		return plane.Finish(err, serveStop)
+		return err
 	}
 	study, err := appstore.Inspect(corpus)
 	if err != nil {
-		return plane.Finish(err, serveStop)
+		return err
 	}
 	fmt.Printf("Figure 2: %d apps inspected\n", study.Total)
 	fmt.Printf("  exported component: %4d (%.1f%%)\n", study.Exported, study.ExportedRate*100)
@@ -74,5 +57,5 @@ func run(args []string) error {
 			fmt.Printf("    %-18s %d\n", c, study.PerCategory[c])
 		}
 	}
-	return plane.Finish(nil, serveStop)
+	return nil
 }

@@ -25,14 +25,3 @@ func TestBadFlag(t *testing.T) {
 		t.Fatal("bad flag accepted")
 	}
 }
-
-// TestServeFlag: -serve exposes liveness/pprof and returns once the
-// stop channel closes.
-func TestServeFlag(t *testing.T) {
-	serveStop = make(chan struct{})
-	close(serveStop)
-	defer func() { serveStop = nil }()
-	if err := run([]string{"-n", "50", "-serve", "127.0.0.1:0"}); err != nil {
-		t.Fatal(err)
-	}
-}

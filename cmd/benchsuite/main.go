@@ -22,7 +22,6 @@
 //	benchsuite -trace -reps 2 -out t.json   # any study: its reps, and where to write (-out '' writes nothing)
 //	benchsuite -benchcmp              # rerun every study, compare against committed BENCH_*.json
 //	benchsuite -cpuprofile cpu.pprof -memprofile mem.pprof -micro
-//	benchsuite -micro -serve 127.0.0.1:9090   # live /debug/pprof during the run
 package main
 
 import (
@@ -48,7 +47,6 @@ import (
 	"repro/internal/fleet/population"
 	"repro/internal/microbench"
 	"repro/internal/scenario"
-	"repro/internal/serveutil"
 )
 
 func main() {
@@ -78,8 +76,6 @@ func run(args []string) error {
 	corpusHorizon := fs.Duration("corpus-horizon", corpus.DefaultHorizon, "virtual span of each corpus scenario")
 	jobsStudy := fs.Bool("jobs", false, "run the jobs control-plane throughput study (cold vs content-addressed cache)")
 	out := fs.String("out", "", "the selected study's artifact path (default BENCH_<study>.json; an explicit empty value writes nothing)")
-	serveAddr := fs.String("serve", "", "serve the live observability plane (healthz, /debug/pprof) on this address; blocks after the run until interrupted")
-	serveJobs := fs.Bool("serve-jobs", false, "with -serve: mount the simulation-as-a-service control plane at /jobs")
 	benchcmp := fs.Bool("benchcmp", false, "rerun every study at its committed shape and fail on a gate, a >15% regression or diverged output vs the committed BENCH_*.json")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
@@ -111,81 +107,64 @@ func run(args []string) error {
 			}
 		}()
 	}
-	// -serve starts the plane before the work so /debug/pprof can profile
-	// a long study live; the process then blocks until Ctrl-C.
-	plane, err := serveutil.Start(serveutil.Options{
-		Addr: *serveAddr, Name: "benchsuite", Jobs: *serveJobs, Banner: os.Stderr,
-	})
-	if err != nil {
-		return err
+	if *benchcmp {
+		return benchCompare()
 	}
-
-	work := func() error {
-		if *benchcmp {
-			return benchCompare()
-		}
-		sh := shape{Reps: *reps}
-		var name string
-		switch {
-		case *telem:
-			name = "telemetry"
-		case *checkStudy:
-			name = "check"
-		case *obsvStudy:
-			name = "obsv"
-		case *traceStudy:
-			name = "trace"
-		case *corpusStudy:
-			name, sh.Workers, sh.Cells, sh.Horizon = "corpus", *workers, *corpusCells, *corpusHorizon
-		case *jobsStudy:
-			name = "jobs"
-		case *fleetMem > 0:
-			return fleetMemStudy(*fleetMem, *workers, *fleetSeed)
-		case *fleetN > 0:
-			name, sh.Devices, sh.Workers, sh.Shards, sh.Seed = "fleet", *fleetN, *workers, *shards, *fleetSeed
-		}
-		if name != "" {
-			path := "BENCH_" + name + ".json"
-			fs.Visit(func(f *flag.Flag) {
-				if f.Name == "out" {
-					path = *out
-				}
-			})
-			return runStudy(studyNamed(name), sh, path)
-		}
-		all := !*micro && !*antutuOnly && !*energy
-
-		if all || *micro {
-			if *reps == 0 {
-				*reps = microbench.DefaultReps
-			}
-			r, err := experiments.Fig10WithReps(*reps)
-			if err != nil {
-				return err
-			}
-			fmt.Println(r.Render())
-		}
-		if all || *antutuOnly {
-			r, err := experiments.Fig11WithConfig(antutu.Config{})
-			if err != nil {
-				return err
-			}
-			fmt.Println(r.Render())
-		}
-		if all || *energy {
-			if err := energyParity(); err != nil {
-				return err
-			}
-		}
-		return nil
+	sh := shape{Reps: *reps}
+	var name string
+	switch {
+	case *telem:
+		name = "telemetry"
+	case *checkStudy:
+		name = "check"
+	case *obsvStudy:
+		name = "obsv"
+	case *traceStudy:
+		name = "trace"
+	case *corpusStudy:
+		name, sh.Workers, sh.Cells, sh.Horizon = "corpus", *workers, *corpusCells, *corpusHorizon
+	case *jobsStudy:
+		name = "jobs"
+	case *fleetMem > 0:
+		return fleetMemStudy(*fleetMem, *workers, *fleetSeed)
+	case *fleetN > 0:
+		name, sh.Devices, sh.Workers, sh.Shards, sh.Seed = "fleet", *fleetN, *workers, *shards, *fleetSeed
 	}
+	if name != "" {
+		path := "BENCH_" + name + ".json"
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "out" {
+				path = *out
+			}
+		})
+		return runStudy(studyNamed(name), sh, path)
+	}
+	all := !*micro && !*antutuOnly && !*energy
 
-	return plane.Finish(work(), serveStop)
+	if all || *micro {
+		if *reps == 0 {
+			*reps = microbench.DefaultReps
+		}
+		r, err := experiments.Fig10WithReps(*reps)
+		if err != nil {
+			return err
+		}
+		fmt.Println(r.Render())
+	}
+	if all || *antutuOnly {
+		r, err := experiments.Fig11WithConfig(antutu.Config{})
+		if err != nil {
+			return err
+		}
+		fmt.Println(r.Render())
+	}
+	if all || *energy {
+		if err := energyParity(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
-
-// serveStop, when non-nil, ends a -serve wait as soon as it closes;
-// the CLI tests use it in place of Ctrl-C.
-var serveStop chan struct{}
 
 // shape is the configuration a study runs at. Its artifact records it,
 // and -benchcmp reruns the study at the committed shape.

@@ -189,14 +189,3 @@ func TestObsvBenchWritesArtifact(t *testing.T) {
 		t.Fatalf("gate drifted: %+v", a.Gates)
 	}
 }
-
-// TestServeFlag: -serve starts the plane and returns once the stop
-// channel closes.
-func TestServeFlag(t *testing.T) {
-	serveStop = make(chan struct{})
-	close(serveStop)
-	defer func() { serveStop = nil }()
-	if err := run([]string{"-energy", "-serve", "127.0.0.1:0"}); err != nil {
-		t.Fatal(err)
-	}
-}

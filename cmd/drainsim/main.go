@@ -15,7 +15,6 @@
 // per-device Result set is retained.
 //
 //	drainsim -trace-out t.json -metrics-out m.txt   # telemetry (serial only)
-//	drainsim -serve 127.0.0.1:8080   # live metrics/pprof (serial only), Ctrl-C to stop
 package main
 
 import (
@@ -29,13 +28,8 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obsv"
 	"repro/internal/scenario"
-	"repro/internal/serveutil"
 	"repro/internal/telemetry"
 )
-
-// serveStop, when non-nil, ends a -serve wait as soon as it closes;
-// the CLI tests use it in place of Ctrl-C.
-var serveStop chan struct{}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -54,8 +48,6 @@ func run(args []string) error {
 	eventsOut := fs.String("events-out", "", "write the structured event stream as JSONL")
 	metricsOut := fs.String("metrics-out", "", "write a plain-text metrics dump")
 	checks := fs.Bool("check", true, "run the runtime invariant checker; any violation fails the serial sweep (the worker path checks passively per device)")
-	serveAddr := fs.String("serve", "", "serve live observability (metrics, pprof) on this address; blocks after the run until interrupted")
-	serveJobs := fs.Bool("serve-jobs", false, "with -serve: mount the simulation-as-a-service control plane at /jobs")
 	logFlag := fs.Bool("log", false, "emit structured logs (deterministic text format) on stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -75,7 +67,7 @@ func run(args []string) error {
 	// builds its devices off the serial funnel, so telemetry flags only
 	// make sense for the serial sweep.
 	var rec *telemetry.Recorder
-	if *trace || *traceOut != "" || *eventsOut != "" || *metricsOut != "" || *serveAddr != "" {
+	if *trace || *traceOut != "" || *eventsOut != "" || *metricsOut != "" {
 		if *workers != 1 {
 			return fmt.Errorf("telemetry flags require -workers 1 (the parallel sweep runs one recorder per device internally)")
 		}
@@ -85,15 +77,6 @@ func run(args []string) error {
 	prevOpts := scenario.SetWorldOptions(worldOpts)
 	defer scenario.SetWorldOptions(prevOpts)
 
-	// -serve starts the plane before the sweep (live /healthz and pprof)
-	// and publishes the recorder's snapshot once the sweep is done.
-	plane, perr := serveutil.Start(serveutil.Options{
-		Addr: *serveAddr, Name: "drainsim", Jobs: *serveJobs, Banner: os.Stderr,
-	})
-	if perr != nil {
-		return perr
-	}
-
 	var res *experiments.Fig3Result
 	var err error
 	if *workers == 1 {
@@ -102,16 +85,16 @@ func run(args []string) error {
 		res, err = experiments.Fig3WithStepWorkers(*step, *workers)
 	}
 	if err != nil {
-		return plane.Finish(err, serveStop)
+		return err
 	}
 	if rec != nil {
 		if *trace {
 			if err := telemetry.WriteText(os.Stdout, rec.Events()); err != nil {
-				return plane.Finish(err, serveStop)
+				return err
 			}
 		}
 		if err := telemetry.ExportFiles(rec, *traceOut, *eventsOut, *metricsOut); err != nil {
-			return plane.Finish(err, serveStop)
+			return err
 		}
 	}
 	if *csv {
@@ -124,8 +107,5 @@ func run(args []string) error {
 	} else {
 		fmt.Println(res.Render())
 	}
-	if plane != nil {
-		plane.Server.PublishSnapshot(rec.Metrics().Snapshot())
-	}
-	return plane.Finish(nil, serveStop)
+	return nil
 }

@@ -57,23 +57,3 @@ func TestTelemetryExports(t *testing.T) {
 		}
 	}
 }
-
-// TestServeFlag: -serve implies telemetry, publishes the sweep's
-// snapshot and returns once the stop channel closes.
-func TestServeFlag(t *testing.T) {
-	serveStop = make(chan struct{})
-	close(serveStop)
-	defer func() { serveStop = nil }()
-	if err := run([]string{"-step", "15m", "-serve", "127.0.0.1:0"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestServeRequiresSerialSweep: -serve rides the shared world recorder,
-// which the parallel sweep cannot use.
-func TestServeRequiresSerialSweep(t *testing.T) {
-	err := run([]string{"-workers", "2", "-serve", "127.0.0.1:0"})
-	if err == nil || !strings.Contains(err.Error(), "-workers 1") {
-		t.Fatalf("run = %v, want workers conflict error", err)
-	}
-}

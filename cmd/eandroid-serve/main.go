@@ -1,5 +1,6 @@
-// Command eandroid-serve is the standalone simulation-as-a-service
-// daemon: the full observability plane plus the jobs control plane,
+// Command eandroid-serve is the simulation-as-a-service daemon and the
+// repo's only HTTP server: the observability plane (/metrics, /healthz,
+// /readyz, /trace, /debug/pprof/) plus the jobs control plane (/jobs),
 // with nothing to run locally — all work arrives over HTTP.
 //
 // Usage:
@@ -17,12 +18,13 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
 	"repro/internal/jobs"
-	"repro/internal/serveutil"
+	"repro/internal/obsv"
 )
 
 func main() {
@@ -49,28 +51,32 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	plane, err := serveutil.Start(serveutil.Options{
-		Addr:   *addr,
-		Name:   "eandroid-serve",
-		Jobs:   true,
-		Banner: os.Stderr,
-		JobsOptions: jobs.Options{
-			Runners:    *runners,
-			QueueDepth: *queue,
-			CacheBytes: *cacheMB << 20,
-			Limits: jobs.Limits{
-				MaxDevices:  *maxDevices,
-				MaxSimHours: *maxSimHours,
-				MaxWall:     *maxWall,
-				Workers:     *workers,
-			},
+	// The daemon is nothing but its HTTP surface, and net.Listen would
+	// read an empty address as "any port".
+	if *addr == "" {
+		return errors.New("-addr must not be empty")
+	}
+	m := jobs.NewManager(jobs.Options{
+		Runners:    *runners,
+		QueueDepth: *queue,
+		CacheBytes: *cacheMB << 20,
+		Limits: jobs.Limits{
+			MaxDevices:  *maxDevices,
+			MaxSimHours: *maxSimHours,
+			MaxWall:     *maxWall,
+			Workers:     *workers,
 		},
 	})
+	srv := obsv.NewServer()
+	jobs.Attach(srv, m) // the server's shutdown hooks close m
+	bound, err := srv.Start(*addr)
 	if err != nil {
+		m.Close()
 		return err
 	}
-	lim := plane.Manager.Limits()
+	lim := m.Limits()
+	fmt.Fprintf(os.Stderr, "eandroid-serve: serving http://%s (/metrics, /trace, /jobs, /debug/pprof/)\n", bound)
 	fmt.Fprintf(os.Stderr, "eandroid-serve: %d runners, queue %d, cache %d MiB; per-job limits: %d devices, %.0f sim-hours, %v wall\n",
 		*runners, *queue, *cacheMB, lim.MaxDevices, lim.MaxSimHours, lim.MaxWall)
-	return plane.Finish(nil, serveStop)
+	return srv.AwaitShutdown(serveStop)
 }

@@ -10,7 +10,6 @@
 //	eandroid-sim -exp fig9a -trace-out trace.json       # open in Perfetto
 //	eandroid-sim -exp fig9a -events-out events.jsonl -metrics-out metrics.txt
 //	eandroid-sim -exp fig9a -flame-out flame.txt -flame-html flame.html
-//	eandroid-sim -exp all -serve 127.0.0.1:8080         # live metrics/flame/pprof, Ctrl-C to stop
 //	eandroid-sim -exp fig9a -log                        # structured logs on stderr
 //	eandroid-sim -fleet 10000 -workers 8 -shards 8      # streaming population fleet, merged summary only
 package main
@@ -29,7 +28,6 @@ import (
 	"repro/internal/fleet/population"
 	"repro/internal/obsv"
 	"repro/internal/scenario"
-	"repro/internal/serveutil"
 	"repro/internal/telemetry"
 )
 
@@ -39,10 +37,6 @@ func main() {
 		os.Exit(1)
 	}
 }
-
-// serveStop, when non-nil, ends a -serve wait as soon as it closes;
-// the CLI tests use it in place of Ctrl-C.
-var serveStop chan struct{}
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("eandroid-sim", flag.ContinueOnError)
@@ -54,8 +48,6 @@ func run(args []string) error {
 	metricsOut := fs.String("metrics-out", "", "write a plain-text metrics dump")
 	flameOut := fs.String("flame-out", "", "write the energy flame graph as collapsed stacks (Brendan Gregg format)")
 	flameHTML := fs.String("flame-html", "", "write the energy flame graph as a self-contained HTML report")
-	serveAddr := fs.String("serve", "", "serve live observability (metrics, flame, watchdog, pprof) on this address; blocks after the run until interrupted")
-	serveJobs := fs.Bool("serve-jobs", false, "with -serve: mount the simulation-as-a-service control plane at /jobs")
 	logFlag := fs.Bool("log", false, "emit structured logs (deterministic text format) on stderr")
 	checks := fs.Bool("check", true, "run the runtime invariant checker; any violation fails the run")
 	fleetN := fs.Int("fleet", 0, "run an N-device streaming population fleet (heterogeneous cohorts) and print the merged summary")
@@ -76,13 +68,12 @@ func run(args []string) error {
 
 	// Telemetry attaches to every serially-built experiment world; the
 	// recorder routes the old stdout -trace callback and the structured
-	// exports through one instrumentation path. -serve implies it: the
-	// /metrics endpoint is a view over the recorder. All
-	// cross-cutting wiring goes into one WorldOptions set, installed as
-	// the process default just before the experiments run.
+	// exports through one instrumentation path. All cross-cutting
+	// wiring goes into one WorldOptions set, installed as the process
+	// default just before the experiments run.
 	var worldOpts scenario.WorldOptions
 	var rec *telemetry.Recorder
-	if *trace || *traceOut != "" || *eventsOut != "" || *metricsOut != "" || *serveAddr != "" {
+	if *trace || *traceOut != "" || *eventsOut != "" || *metricsOut != "" {
 		rec = telemetry.New(telemetry.Options{})
 		worldOpts.Telemetry = rec
 	}
@@ -96,67 +87,21 @@ func run(args []string) error {
 		worldOpts.Logger = slog.New(obsv.NewLogHandler(os.Stderr, nil, nil))
 	}
 
-	// -serve starts the plane before the run so /healthz and pprof are
-	// live while experiments execute and watchdog findings stream out
-	// over SSE as they happen; snapshot and flame publish at the end.
-	plane, err := serveutil.Start(serveutil.Options{
-		Addr: *serveAddr, Name: "eandroid-sim", Jobs: *serveJobs, Banner: os.Stderr,
-	})
-	if err != nil {
-		return err
-	}
-	var srv *obsv.Server
-	if plane != nil {
-		srv = plane.Server
-	}
-
 	// Flame collection attaches to every world through the construction
-	// hook, and so, when serving, does a live watchdog: each is a sink
-	// on its own world's meter. Only -serve reads watchdog findings, so
-	// batch runs start none.
+	// hook: each collector is a sink on its own world's meter.
 	var flames []*obsv.FlameCollector
-	var watchdogs []*obsv.Watchdog
-	if *flameOut != "" || *flameHTML != "" || srv != nil {
+	if *flameOut != "" || *flameHTML != "" {
 		worldOpts.Hook = func(dev *device.Device) {
 			flames = append(flames, obsv.AttachFlame(dev))
-			if srv == nil {
-				return
-			}
-			wd, err := obsv.NewWatchdog(dev, obsv.WatchdogOptions{})
-			if err != nil {
-				panic(err) // unreachable: the hook is handed a built device
-			}
-			wd.Subscribe(srv.PublishFinding)
-			wd.Start()
-			watchdogs = append(watchdogs, wd)
 		}
 	}
 	prevOpts := scenario.SetWorldOptions(worldOpts)
 	defer scenario.SetWorldOptions(prevOpts)
 
-	err = runExperiments(list, exp, rec, *trace, *traceOut, *eventsOut, *metricsOut)
-	if err == nil {
-		var wstats obsv.WindowStats
-		for _, wd := range watchdogs {
-			wd.Finish()
-			wstats.Add(wd.Stats())
-		}
-		if len(watchdogs) > 0 {
-			// Surface the summed window counters as /metrics gauges —
-			// the Stats() satellite of the observability plane.
-			srv.PublishWindowStats(wstats)
-		}
-		err = exportFlames(flames, *flameOut, *flameHTML, *exp)
+	if err := runExperiments(list, exp, rec, *trace, *traceOut, *eventsOut, *metricsOut); err != nil {
+		return err
 	}
-	if srv != nil && err == nil {
-		if rec != nil {
-			srv.PublishSnapshot(rec.Metrics().Snapshot())
-		}
-		if len(flames) > 0 {
-			srv.PublishFlame(obsv.MergeFlames(flameList(flames)...))
-		}
-	}
-	return plane.Finish(err, serveStop)
+	return exportFlames(flames, *flameOut, *flameHTML, *exp)
 }
 
 // runPopulationFleet runs the default cohort mixture down the fleet's
@@ -216,22 +161,17 @@ func runExperiments(list *bool, exp *string, rec *telemetry.Recorder, trace bool
 	return export(rec, trace, traceOut, eventsOut, metricsOut)
 }
 
-// flameList folds each collector once.
-func flameList(cs []*obsv.FlameCollector) []*obsv.Flame {
-	out := make([]*obsv.Flame, len(cs))
-	for i, c := range cs {
-		out[i] = c.Fold()
-	}
-	return out
-}
-
-// exportFlames merges every world's flame and writes the requested
-// renderings.
+// exportFlames folds every world's flame, merges them and writes the
+// requested renderings.
 func exportFlames(cs []*obsv.FlameCollector, outTxt, outHTML, title string) error {
 	if outTxt == "" && outHTML == "" {
 		return nil
 	}
-	merged := obsv.MergeFlames(flameList(cs)...)
+	folded := make([]*obsv.Flame, len(cs))
+	for i, c := range cs {
+		folded[i] = c.Fold()
+	}
+	merged := obsv.MergeFlames(folded...)
 	if outTxt != "" {
 		f, err := os.Create(outTxt)
 		if err != nil {

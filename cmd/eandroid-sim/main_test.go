@@ -93,31 +93,6 @@ func TestFlameExports(t *testing.T) {
 	}
 }
 
-// TestServeFlag: -serve starts the plane on an ephemeral port, runs the
-// experiment, publishes, and shuts down when the stop channel closes.
-func TestServeFlag(t *testing.T) {
-	serveStop = make(chan struct{})
-	close(serveStop)
-	defer func() { serveStop = nil }()
-	if err := run([]string{"-exp", "fig9a", "-serve", "127.0.0.1:0"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestServeJobsFlag: -serve-jobs mounts the jobs control plane on the
-// same plane; without -serve it is a configuration error.
-func TestServeJobsFlag(t *testing.T) {
-	serveStop = make(chan struct{})
-	close(serveStop)
-	defer func() { serveStop = nil }()
-	if err := run([]string{"-exp", "fig9a", "-serve", "127.0.0.1:0", "-serve-jobs"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-exp", "fig9a", "-serve-jobs"}); err == nil {
-		t.Fatal("-serve-jobs without -serve accepted")
-	}
-}
-
 // TestLogFlag: -log attaches the deterministic slog handler without
 // disturbing the run.
 func TestLogFlag(t *testing.T) {

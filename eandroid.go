@@ -256,8 +256,9 @@ type (
 var WriteTrace = telemetry.WriteTrace
 
 // Observability API: the live plane layered over telemetry. ObsvServer
-// is a stdlib-only HTTP surface (Prometheus /metrics, health probes,
-// pprof, fleet/watchdog SSE, flame graphs); FlameCollector folds the
+// is the stdlib-only HTTP surface the eandroid-serve daemon runs
+// (Prometheus /metrics over registered snapshot sources, health
+// probes, pprof, live trace summaries); FlameCollector folds the
 // meter's attribution stream into energy flame graphs; Watchdog is the
 // streaming drain-anomaly detector (the paper's esDiagnose signal);
 // LogHandler is a deterministic virtual-time slog handler for
@@ -286,8 +287,9 @@ const (
 	SignalDivergence  = obsv.SignalDivergence
 )
 
-// NewObsvServer builds an (unstarted) observability server; call
-// Start(addr) to bind and AwaitShutdown to block until interrupted.
+// NewObsvServer builds an (unstarted) observability server; register
+// series with AddMetricsSource, call Start(addr) to bind and
+// AwaitShutdown to block until interrupted.
 func NewObsvServer() *ObsvServer { return obsv.NewServer() }
 
 // AttachFlame subscribes a flame collector to a device's meter; Fold it

@@ -99,7 +99,7 @@ type Spec struct {
 	Telemetry *telemetry.Options
 	// Progress, when non-nil, is called once per finished device, from
 	// the worker goroutine that ran it. It MUST be safe for concurrent
-	// calls (the obsv.FleetTracker hook is); completion order is
+	// calls (the jobs progress hook is); completion order is
 	// scheduling-dependent, so treat it as a live feed, not a
 	// determinism surface.
 	Progress func(Progress)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -75,6 +76,32 @@ func waitDone(t *testing.T, base, id string) Status {
 	}
 	t.Fatalf("job %s never reached a terminal state", id)
 	return Status{}
+}
+
+// waitRunning polls job id until it is running; it fails the test if
+// the job ends first (too fast for the caller) or never starts.
+func waitRunning(t *testing.T, base, id string) {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for {
+		resp, err := http.Get(base + "/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cur Status
+		_ = json.NewDecoder(resp.Body).Decode(&cur)
+		resp.Body.Close()
+		if cur.State == StateRunning {
+			return
+		}
+		if cur.State != StateQueued {
+			t.Fatalf("job %s reached %s before it was seen running", id, cur.State)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never started running", id)
+		}
+		// No sleep: the poll loop must catch the running window.
+	}
 }
 
 func getArtifact(t *testing.T, base, id, name string) []byte {
@@ -166,13 +193,14 @@ func TestLoadConcurrentSubmitScrape(t *testing.T) {
 		}()
 	}
 
-	// SSE reader: follow the watchdog stream (always mounted) while the
-	// storm runs, proving streams and submissions coexist.
+	// SSE reader: follow the live trace stream (always mounted, fed as
+	// jobs finish) while the storm runs, proving streams and submissions
+	// coexist.
 	sseCtx, sseCancel := context.WithCancel(context.Background())
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		req, _ := http.NewRequestWithContext(sseCtx, "GET", base+"/watchdog/events", nil)
+		req, _ := http.NewRequestWithContext(sseCtx, "GET", base+"/trace/events", nil)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			return // cancelled before connect is fine
@@ -306,27 +334,7 @@ func TestLoadMidJobCancellation(t *testing.T) {
 		t.Fatalf("submit: HTTP %d", code)
 	}
 
-	// Wait for it to start running, then cancel.
-	deadline := time.Now().Add(time.Minute)
-	for {
-		resp, err := http.Get(base + "/jobs/" + st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var cur Status
-		_ = json.NewDecoder(resp.Body).Decode(&cur)
-		resp.Body.Close()
-		if cur.State == StateRunning {
-			break
-		}
-		if cur.State != StateQueued {
-			t.Fatalf("job reached %s before cancel (too fast for this test?)", cur.State)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never started running")
-		}
-		// No sleep: the poll loop must catch the running window.
-	}
+	waitRunning(t, base, st.ID)
 	resp, err := http.Post(base+"/jobs/"+st.ID+"/cancel", "", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -387,6 +395,73 @@ func TestSubmitAfterClose(t *testing.T) {
 	m.Close() // idempotent
 	if _, err := m.Submit(cheapSpec(1)); err != ErrClosed {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
+	}
+}
+
+// TestServerShutdownClosesManager: the daemon's wiring (Attach on an
+// obsv server) is ready before any job arrives, and stopping the server
+// closes the manager through its shutdown hook.
+func TestServerShutdownClosesManager(t *testing.T) {
+	base, m, stop := startPlane(t, Options{Runners: 1})
+	resp, err := http.Get(base + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/readyz before any job = %d, want 200", resp.StatusCode)
+	}
+	stop()
+	if _, err := m.Submit(cheapSpec(1)); err != ErrClosed {
+		t.Fatalf("Submit after shutdown = %v, want ErrClosed", err)
+	}
+}
+
+// TestPlaneShutdownLeavesNoGoroutines: stopping the plane — after one
+// job's SSE stream ran to its end, with a second job still running —
+// returns the process to its baseline goroutine count.
+func TestPlaneShutdownLeavesNoGoroutines(t *testing.T) {
+	http.DefaultClient.CloseIdleConnections()
+	baseline := runtime.NumGoroutine()
+
+	base, _, stop := startPlane(t, Options{Runners: 1, Limits: Limits{Workers: 1}})
+	code, st := postSpec(t, base, Spec{Kind: KindFleet, Cell: "gamer/coordinated-collateral",
+		Seed: 5, Devices: 4, Horizon: Duration(time.Hour)})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	// The job's stream ends when the job does.
+	resp, err := http.Get(base + "/jobs/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"state":"done"`) {
+		t.Fatalf("SSE stream ended without the done frame: %q", b)
+	}
+
+	// A second job big enough to still be running when the plane stops.
+	code, st = postSpec(t, base, Spec{Kind: KindFleet, Cell: "gamer/benign",
+		Seed: 6, Devices: 256, Horizon: Duration(16 * time.Hour)})
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", code)
+	}
+	waitRunning(t, base, st.ID)
+
+	stop()
+	http.DefaultClient.CloseIdleConnections()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines 2s after shutdown, baseline %d:\n%s",
+				runtime.NumGoroutine(), baseline, buf)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

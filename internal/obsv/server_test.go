@@ -3,23 +3,18 @@ package obsv
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/accounting"
 	"repro/internal/device"
-	"repro/internal/fleet"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 )
-
-func fleetProgress(i int) fleet.Progress {
-	return fleet.Progress{Index: i, Done: i + 1, Total: 3, BatteryPct: 90 - float64(i)}
-}
 
 func get(t *testing.T, url string) (int, string) {
 	t.Helper()
@@ -35,9 +30,17 @@ func get(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// muxStatus serves one GET straight through the server's mux — for
+// probing a server that is not listening.
+func muxStatus(s *Server, path string) int {
+	rec := httptest.NewRecorder()
+	s.mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	return rec.Code
+}
+
 // TestServerSmoke is the end-to-end pass the obsv-smoke make target
-// mirrors: serve a finished simulation on an ephemeral port, probe
-// every endpoint, read one SSE tick, shut down cleanly.
+// mirrors: serve a finished simulation's metrics on an ephemeral port,
+// probe every endpoint, read one SSE tick, shut down cleanly.
 func TestServerSmoke(t *testing.T) {
 	w, err := scenario.NewWorld(device.Config{
 		EAndroid:  true,
@@ -47,27 +50,25 @@ func TestServerSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer()
 	wd, err := NewWatchdog(w.Dev, WatchdogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wd.Subscribe(srv.PublishFinding)
 	wd.Start()
-	fc := AttachFlame(w.Dev)
 
+	srv := NewServer()
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := "http://" + addr
 
-	// Liveness is up before any data; readiness is not.
+	// Liveness and readiness are both up as soon as the server serves.
 	if code, body := get(t, base+"/healthz"); code != 200 || !strings.Contains(body, "ok") {
 		t.Fatalf("/healthz = %d %q", code, body)
 	}
-	if code, _ := get(t, base+"/readyz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz before publish = %d, want 503", code)
+	if code, body := get(t, base+"/readyz"); code != 200 || !strings.Contains(body, "ready") {
+		t.Fatalf("/readyz = %d %q", code, body)
 	}
 
 	if err := w.ForceScreenOn(); err != nil {
@@ -77,12 +78,10 @@ func TestServerSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	wd.Finish()
-	srv.PublishSnapshot(w.Dev.Telemetry.Metrics().Snapshot())
-	srv.PublishFlame(fc.Fold())
-
-	if code, body := get(t, base+"/readyz"); code != 200 || !strings.Contains(body, "ready") {
-		t.Fatalf("/readyz after publish = %d %q", code, body)
-	}
+	// The run's series reach /metrics the way every series does: as a
+	// registered source handing back a frozen snapshot.
+	snap := w.Dev.Telemetry.Metrics().Snapshot()
+	srv.AddMetricsSource(func() *telemetry.Snapshot { return snap })
 
 	// /metrics parses as text exposition and carries the anomaly count.
 	code, body := get(t, base+"/metrics")
@@ -93,28 +92,8 @@ func TestServerSmoke(t *testing.T) {
 	if samples["obsv_anomalies"] < 1 {
 		t.Fatalf("obsv_anomalies = %v, want >= 1 (attack #6 ran)\n%s", samples["obsv_anomalies"], body)
 	}
-
-	// /watchdog returns the findings as JSON.
-	code, body = get(t, base+"/watchdog")
-	if code != 200 {
-		t.Fatalf("/watchdog = %d", code)
-	}
-	var wp struct {
-		Findings []Finding `json:"findings"`
-	}
-	if err := json.Unmarshal([]byte(body), &wp); err != nil {
-		t.Fatalf("/watchdog JSON: %v\n%s", err, body)
-	}
-	if len(wp.Findings) == 0 {
-		t.Fatal("/watchdog has no findings after attack #6")
-	}
-
-	// Flame endpoints.
-	if code, body := get(t, base+"/flame.txt"); code != 200 || !strings.Contains(body, "screen;Screen;(display)") {
-		t.Fatalf("/flame.txt = %d %q", code, body)
-	}
-	if code, body := get(t, base+"/flame"); code != 200 || !strings.Contains(body, "<!DOCTYPE html>") {
-		t.Fatalf("/flame = %d", code)
+	if _, ok := samples["eandroid_process_goroutines"]; !ok {
+		t.Fatalf("/metrics missing the server's own gauges:\n%s", body)
 	}
 
 	// pprof is mounted.
@@ -122,20 +101,78 @@ func TestServerSmoke(t *testing.T) {
 		t.Fatalf("/debug/pprof/cmdline = %d", code)
 	}
 
-	// One SSE tick: the initial state frame replays the findings.
-	frame := readSSEFrame(t, base+"/watchdog/events")
-	if !strings.HasPrefix(frame, "event: state\ndata: ") {
+	// One SSE tick: the initial state frame replays the trace summaries.
+	frame := readSSEFrame(t, base+"/trace/events")
+	if !strings.HasPrefix(frame, "event: state\ndata: ") || !strings.Contains(frame, `"traces":`) {
 		t.Fatalf("SSE frame = %q", frame)
-	}
-	if !strings.Contains(frame, SignalDivergence) && !strings.Contains(frame, SignalDrainSpike) &&
-		!strings.Contains(frame, SignalDeviceSpike) {
-		t.Fatalf("SSE state frame carries no findings: %q", frame)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestReadyzFollowsServing pins the one readiness rule — /readyz is 200
+// from Start until Shutdown begins, 503 before and after — and that the
+// index advertises no route a fresh server cannot answer.
+func TestReadyzFollowsServing(t *testing.T) {
+	srv := NewServer()
+	if code := muxStatus(srv, "/readyz"); code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz before Start = %d, want 503", code)
+	}
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + addr
+
+	// Nothing registered, nothing published: serving is ready.
+	if code, body := get(t, base+"/readyz"); code != http.StatusOK || strings.TrimSpace(body) != "ready" {
+		t.Fatalf("/readyz on a started server = %d %q, want 200 ready", code, body)
+	}
+
+	_, index := get(t, base+"/")
+	var paths []string
+	for _, field := range strings.Fields(index) {
+		if strings.HasPrefix(field, "/") {
+			paths = append(paths, field)
+		}
+	}
+	if len(paths) == 0 {
+		t.Fatalf("index lists no paths:\n%s", index)
+	}
+	for _, path := range paths {
+		// Headers are enough: SSE routes stream until the context ends.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		req, _ := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			cancel()
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close()
+		cancel()
+		if resp.StatusCode == http.StatusNotFound {
+			t.Errorf("index lists %s, which answers 404", path)
+		}
+	}
+
+	// Readiness drops as soon as Shutdown begins, while the listener
+	// still accepts: the hooks run before the HTTP server stops.
+	var during int
+	srv.OnShutdown(func() { during, _ = get(t, base+"/readyz") })
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if during != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz once Shutdown began = %d, want 503", during)
+	}
+	if code := muxStatus(srv, "/readyz"); code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz after Shutdown = %d, want 503", code)
 	}
 }
 
@@ -168,49 +205,5 @@ func readSSEFrame(t *testing.T, url string) string {
 			return b.String() + line
 		}
 		b.WriteString(line)
-	}
-}
-
-// TestServerFleetEndpoints drives the tracker the way fleet.Run does
-// and checks both the JSON view and the SSE live feed.
-func TestServerFleetEndpoints(t *testing.T) {
-	srv := NewServer()
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := "http://" + addr
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}()
-
-	if code, _ := get(t, base+"/fleet"); code != http.StatusNotFound {
-		t.Fatalf("/fleet with no tracker = %d, want 404", code)
-	}
-
-	hook := srv.TrackFleet(3)
-	for i := 0; i < 2; i++ {
-		hook(fleetProgress(i))
-	}
-	code, body := get(t, base+"/fleet")
-	if code != 200 {
-		t.Fatalf("/fleet = %d", code)
-	}
-	var st FleetState
-	if err := json.Unmarshal([]byte(body), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Total != 3 || st.Done != 2 || len(st.Devices) != 2 {
-		t.Fatalf("fleet state = %+v", st)
-	}
-	if st.Devices[0].Index != 0 || st.Devices[1].Index != 1 {
-		t.Fatalf("devices not index-sorted: %+v", st.Devices)
-	}
-
-	frame := readSSEFrame(t, base+"/fleet/events")
-	if !strings.HasPrefix(frame, "event: state\ndata: ") || !strings.Contains(frame, `"total":3`) {
-		t.Fatalf("fleet SSE frame = %q", frame)
 	}
 }

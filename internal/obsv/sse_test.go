@@ -34,7 +34,7 @@ func TestShutdownClosesSSEPromptly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get("http://" + addr + "/watchdog/events")
+	resp, err := http.Get("http://" + addr + "/trace/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +143,7 @@ func TestBrokerMissResetOnDelivery(t *testing.T) {
 }
 
 // TestMetricsSourceMerged: snapshots from AddMetricsSource appear on
-// /metrics alongside the published snapshot and the server's own SSE
-// drop counter.
+// /metrics alongside the server's own SSE drop counter.
 func TestMetricsSourceMerged(t *testing.T) {
 	s := NewServer()
 	s.AddMetricsSource(func() *telemetry.Snapshot {

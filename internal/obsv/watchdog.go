@@ -123,8 +123,7 @@ type Finding struct {
 //     collateral maps (skipped when the monitor is off),
 //
 // recording each finding as a KindAnomaly telemetry event (when the
-// device carries a recorder), an optional structured log line, and a
-// fan-out to subscribers (the obsv server's SSE channel).
+// device carries a recorder) and an optional structured log line.
 // Single-goroutine, like everything else observing the engine; all
 // thresholds and window closes run on virtual time, so findings are
 // deterministic.
@@ -158,7 +157,6 @@ type Watchdog struct {
 
 	findings []Finding
 	dropped  int
-	subs     []func(Finding)
 
 	stats WindowStats
 }
@@ -204,10 +202,6 @@ func NewWatchdog(dev *device.Device, opts WatchdogOptions) (*Watchdog, error) {
 		lastCol: make(map[app.UID]float64),
 	}, nil
 }
-
-// Subscribe registers fn to receive every finding as it is recorded
-// (the obsv server's SSE feed). Call before Start.
-func (w *Watchdog) Subscribe(fn func(Finding)) { w.subs = append(w.subs, fn) }
 
 // Start adds the watchdog to the device's meter sinks and starts the
 // window ticker. Idempotent.
@@ -397,7 +391,7 @@ func (w *Watchdog) closeWindow(now sim.Time) {
 	w.winStart = now
 }
 
-// record stores, exports and fans out one finding.
+// record stores and exports one finding.
 func (w *Watchdog) record(f Finding) {
 	if len(w.findings) < w.opts.MaxFindings {
 		w.findings = append(w.findings, f)
@@ -408,9 +402,6 @@ func (w *Watchdog) record(f Finding) {
 	if w.log != nil {
 		w.log.Warn("drain anomaly", "signal", f.Signal, "uid", int64(f.UID),
 			"label", f.Label, "rate_mw", f.RateMW, "baseline_mw", f.BaselineMW)
-	}
-	for _, fn := range w.subs {
-		fn(f)
 	}
 }
 

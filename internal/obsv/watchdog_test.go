@@ -174,7 +174,7 @@ func TestWatchdogFinishIdempotent(t *testing.T) {
 }
 
 // TestWatchdogsOnSharedRecorder: serial worlds sharing one recorder
-// (the CLIs' -serve wiring) each get a watchdog from the construction
+// (the CLIs' world funnel) each get a watchdog from the construction
 // hook, and each judges exactly what it would alone — its closed-window
 // rate history, window counts and findings match a solo run of the same
 // world. World 0 ends mid-window, so its partial final window closes

@@ -14,7 +14,8 @@ import (
 // TestPublicObservability exercises the observability re-exports end to
 // end: a flame collector and watchdog attached through the root API, a
 // Prometheus rendering of the recorder's snapshot, and a live server
-// round-trip on an ephemeral port.
+// round-trip on an ephemeral port with that snapshot as a metrics
+// source.
 func TestPublicObservability(t *testing.T) {
 	rec := eandroid.NewTelemetry(eandroid.TelemetryOptions{})
 	dev := eandroid.MustNew(eandroid.Config{EAndroid: true, Telemetry: rec})
@@ -62,6 +63,7 @@ func TestPublicObservability(t *testing.T) {
 	}
 
 	srv := eandroid.NewObsvServer()
+	srv.AddMetricsSource(func() *eandroid.TelemetrySnapshot { return snap })
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -73,12 +75,10 @@ func TestPublicObservability(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	srv.PublishSnapshot(snap)
-	srv.PublishFlame(eandroid.MergeFlames(flame))
 	for path, want := range map[string]string{
-		"/healthz":   "ok",
-		"/metrics":   "hw_mw_system",
-		"/flame.txt": "screen;Screen;(display)",
+		"/healthz": "ok",
+		"/readyz":  "ready",
+		"/metrics": "hw_mw_system",
 	} {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
