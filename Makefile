@@ -72,9 +72,11 @@ obsv-bench:
 # End-to-end smoke of the live observability plane: an ephemeral-port
 # server over a real attack run (healthz/readyz, /metrics parses, one
 # SSE tick, clean shutdown) plus the readiness rule (200 from Start
-# until Shutdown begins) and an index with no route that cannot answer.
+# until Shutdown begins) and an index with no route that cannot answer,
+# plus the batch exports: ExportFiles's three files must be byte-equal
+# to the Chrome, JSONL and Prometheus encoders behind a job's artifacts.
 obsv-smoke:
-	$(GO) test -run 'TestServerSmoke|TestReadyzFollowsServing' -count=1 -v ./internal/obsv
+	$(GO) test -run 'TestServerSmoke|TestReadyzFollowsServing|TestExportFilesWritesAllOutputs' -count=1 -v ./internal/obsv
 
 # Regenerate the BENCH_trace.json causal-span tracing overhead artifact
 # (and enforce the trace-off <= 1% / every-device-traced <= 10% gates).
@@ -86,11 +88,13 @@ trace-bench:
 # trace JSON and forms a single rooted span tree whose root threads
 # through the job status, the live /trace feed, and the /metrics RED
 # exemplars; /metrics must keep one # TYPE line per family, the RED
-# exemplar line shape and the process hygiene gauges — plus the
-# stalled-subscriber drop test on the live trace stream.
+# exemplar line shape and the process hygiene gauges — plus, under
+# -race, the stalled-subscriber drop test on the live trace stream and
+# the SSE regression test (a frame published while a stream flushes its
+# initial frames still reaches the subscriber).
 trace-smoke:
 	$(GO) test -run 'TestTraceSmoke|TestGoldenWorkerIndependence|TestMetricsExposition' -count=1 -v ./internal/jobs
-	$(GO) test -race -run 'TestTraceStreamStalledSubscriber' -count=1 ./internal/obsv
+	$(GO) test -race -run 'TestTraceStreamStalledSubscriber|TestServeKeepsFrameDuringInitialFlush' -count=1 ./internal/obsv
 
 # Regenerate the BENCH_corpus.json scenario-corpus artifact: every
 # (archetype x attack-variant) cell over 40 seeded reps, and enforce the

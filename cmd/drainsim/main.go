@@ -14,13 +14,12 @@
 // the fleet folds everything else away as devices finish, so no
 // per-device Result set is retained.
 //
-//	drainsim -trace-out t.json -metrics-out m.txt   # telemetry (serial only)
+//	drainsim -trace-out t.json -metrics-out m.prom  # telemetry (serial only)
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"time"
 
@@ -43,19 +42,14 @@ func run(args []string) error {
 	step := fs.Duration("step", 30*time.Second, "integration step")
 	csv := fs.Bool("csv", false, "emit the full per-percent series as CSV")
 	workers := fs.Int("workers", 1, "run configurations concurrently on this many workers (0 = GOMAXPROCS)")
-	trace := fs.Bool("trace", false, "print the kernel event trace to stdout (legacy text format)")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON file (open in Perfetto or chrome://tracing)")
 	eventsOut := fs.String("events-out", "", "write the structured event stream as JSONL")
-	metricsOut := fs.String("metrics-out", "", "write a plain-text metrics dump")
+	metricsOut := fs.String("metrics-out", "", "write the recorder's metrics as Prometheus text")
 	checks := fs.Bool("check", true, "run the runtime invariant checker; any violation fails the serial sweep (the worker path checks passively per device)")
-	logFlag := fs.Bool("log", false, "emit structured logs (deterministic text format) on stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	var worldOpts scenario.WorldOptions
-	if *logFlag {
-		worldOpts.Logger = slog.New(obsv.NewLogHandler(os.Stderr, nil, nil))
-	}
 
 	// Serial sweeps get a fail-fast checker through the world funnel;
 	// the parallel path already builds checked devices per fleet spec.
@@ -67,7 +61,7 @@ func run(args []string) error {
 	// builds its devices off the serial funnel, so telemetry flags only
 	// make sense for the serial sweep.
 	var rec *telemetry.Recorder
-	if *trace || *traceOut != "" || *eventsOut != "" || *metricsOut != "" {
+	if *traceOut != "" || *eventsOut != "" || *metricsOut != "" {
 		if *workers != 1 {
 			return fmt.Errorf("telemetry flags require -workers 1 (the parallel sweep runs one recorder per device internally)")
 		}
@@ -88,12 +82,7 @@ func run(args []string) error {
 		return err
 	}
 	if rec != nil {
-		if *trace {
-			if err := telemetry.WriteText(os.Stdout, rec.Events()); err != nil {
-				return err
-			}
-		}
-		if err := telemetry.ExportFiles(rec, *traceOut, *eventsOut, *metricsOut); err != nil {
+		if err := obsv.ExportFiles(rec, *traceOut, *eventsOut, *metricsOut); err != nil {
 			return err
 		}
 	}

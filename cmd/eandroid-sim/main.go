@@ -6,11 +6,10 @@
 //	eandroid-sim -list
 //	eandroid-sim -exp fig9a
 //	eandroid-sim -exp all
-//	eandroid-sim -exp fig9a -trace                      # legacy text trace on stdout
 //	eandroid-sim -exp fig9a -trace-out trace.json       # open in Perfetto
-//	eandroid-sim -exp fig9a -events-out events.jsonl -metrics-out metrics.txt
+//	eandroid-sim -exp fig9a -events-out events.jsonl -metrics-out metrics.prom
+//	eandroid-sim -exp fig9a -events-out /dev/stdout     # event stream on the terminal
 //	eandroid-sim -exp fig9a -flame-out flame.txt -flame-html flame.html
-//	eandroid-sim -exp fig9a -log                        # structured logs on stderr
 //	eandroid-sim -fleet 10000 -workers 8 -shards 8      # streaming population fleet, merged summary only
 package main
 
@@ -18,7 +17,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 
 	"repro/internal/check"
@@ -42,13 +40,11 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("eandroid-sim", flag.ContinueOnError)
 	list := fs.Bool("list", false, "list available experiments")
 	exp := fs.String("exp", "", "experiment id to run (or 'all')")
-	trace := fs.Bool("trace", false, "print the kernel event trace to stdout (legacy text format)")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON file (open in Perfetto or chrome://tracing)")
 	eventsOut := fs.String("events-out", "", "write the structured event stream as JSONL")
-	metricsOut := fs.String("metrics-out", "", "write a plain-text metrics dump")
+	metricsOut := fs.String("metrics-out", "", "write the recorder's metrics as Prometheus text")
 	flameOut := fs.String("flame-out", "", "write the energy flame graph as collapsed stacks (Brendan Gregg format)")
 	flameHTML := fs.String("flame-html", "", "write the energy flame graph as a self-contained HTML report")
-	logFlag := fs.Bool("log", false, "emit structured logs (deterministic text format) on stderr")
 	checks := fs.Bool("check", true, "run the runtime invariant checker; any violation fails the run")
 	fleetN := fs.Int("fleet", 0, "run an N-device streaming population fleet (heterogeneous cohorts) and print the merged summary")
 	fleetWorkers := fs.Int("workers", 0, "with -fleet: worker count (0 = GOMAXPROCS)")
@@ -66,14 +62,13 @@ func run(args []string) error {
 		return runPopulationFleet(*fleetN, *fleetWorkers, *fleetShards, *fleetSeed)
 	}
 
-	// Telemetry attaches to every serially-built experiment world; the
-	// recorder routes the old stdout -trace callback and the structured
-	// exports through one instrumentation path. All cross-cutting
-	// wiring goes into one WorldOptions set, installed as the process
-	// default just before the experiments run.
+	// Telemetry attaches to every serially-built experiment world, and
+	// one recorder feeds every file export. All cross-cutting wiring
+	// goes into one WorldOptions set, installed as the process default
+	// just before the experiments run.
 	var worldOpts scenario.WorldOptions
 	var rec *telemetry.Recorder
-	if *trace || *traceOut != "" || *eventsOut != "" || *metricsOut != "" {
+	if *traceOut != "" || *eventsOut != "" || *metricsOut != "" {
 		rec = telemetry.New(telemetry.Options{})
 		worldOpts.Telemetry = rec
 	}
@@ -82,9 +77,6 @@ func run(args []string) error {
 	// silently wrong figure.
 	if *checks {
 		worldOpts.Checks = &check.Options{FailFast: true}
-	}
-	if *logFlag {
-		worldOpts.Logger = slog.New(obsv.NewLogHandler(os.Stderr, nil, nil))
 	}
 
 	// Flame collection attaches to every world through the construction
@@ -98,7 +90,7 @@ func run(args []string) error {
 	prevOpts := scenario.SetWorldOptions(worldOpts)
 	defer scenario.SetWorldOptions(prevOpts)
 
-	if err := runExperiments(list, exp, rec, *trace, *traceOut, *eventsOut, *metricsOut); err != nil {
+	if err := runExperiments(list, exp, rec, *traceOut, *eventsOut, *metricsOut); err != nil {
 		return err
 	}
 	return exportFlames(flames, *flameOut, *flameHTML, *exp)
@@ -126,7 +118,7 @@ func runPopulationFleet(devices, workers, shards int, seed int64) error {
 
 // runExperiments is the pre-obsv body of the command: list, run one or
 // all experiments, export telemetry.
-func runExperiments(list *bool, exp *string, rec *telemetry.Recorder, trace bool, traceOut, eventsOut, metricsOut string) error {
+func runExperiments(list *bool, exp *string, rec *telemetry.Recorder, traceOut, eventsOut, metricsOut string) error {
 	if *list || *exp == "" {
 		fmt.Println("available experiments:")
 		for _, s := range experiments.All() {
@@ -146,7 +138,7 @@ func runExperiments(list *bool, exp *string, rec *telemetry.Recorder, trace bool
 			}
 			fmt.Println(r.Render())
 		}
-		return export(rec, trace, traceOut, eventsOut, metricsOut)
+		return obsv.ExportFiles(rec, traceOut, eventsOut, metricsOut)
 	}
 
 	spec, err := experiments.ByID(*exp)
@@ -158,7 +150,7 @@ func runExperiments(list *bool, exp *string, rec *telemetry.Recorder, trace bool
 		return err
 	}
 	fmt.Println(r.Render())
-	return export(rec, trace, traceOut, eventsOut, metricsOut)
+	return obsv.ExportFiles(rec, traceOut, eventsOut, metricsOut)
 }
 
 // exportFlames folds every world's flame, merges them and writes the
@@ -199,17 +191,4 @@ func exportFlames(cs []*obsv.FlameCollector, outTxt, outHTML, title string) erro
 		}
 	}
 	return nil
-}
-
-// export flushes the recorder to the requested sinks after a run.
-func export(rec *telemetry.Recorder, trace bool, traceOut, eventsOut, metricsOut string) error {
-	if rec == nil {
-		return nil
-	}
-	if trace {
-		if err := telemetry.WriteText(os.Stdout, rec.Events()); err != nil {
-			return err
-		}
-	}
-	return telemetry.ExportFiles(rec, traceOut, eventsOut, metricsOut)
 }

@@ -38,11 +38,14 @@ func TestBadFlag(t *testing.T) {
 	}
 }
 
+// TestTelemetryExports: the batch files decode like a job's artifacts —
+// -trace-out as a Chrome trace-event array (trace.json's framing),
+// -metrics-out as Prometheus text (metrics.prom's encoding).
 func TestTelemetryExports(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "trace.json")
 	events := filepath.Join(dir, "events.jsonl")
-	metrics := filepath.Join(dir, "metrics.txt")
+	metrics := filepath.Join(dir, "metrics.prom")
 	err := run([]string{"-exp", "fig9a",
 		"-trace-out", trace, "-events-out", events, "-metrics-out", metrics})
 	if err != nil {
@@ -52,19 +55,24 @@ func TestTelemetryExports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tf struct {
-		TraceEvents []json.RawMessage `json:"traceEvents"`
+	var records []struct {
+		Name string `json:"name"`
 	}
-	if err := json.Unmarshal(blob, &tf); err != nil {
-		t.Fatalf("trace.json invalid: %v", err)
+	if err := json.Unmarshal(blob, &records); err != nil {
+		t.Fatalf("trace.json is not a trace-event array: %v", err)
 	}
-	if len(tf.TraceEvents) == 0 {
-		t.Fatal("trace.json empty")
+	if len(records) == 0 || records[0].Name != "process_name" {
+		t.Fatalf("trace.json: %d records, want process_name first", len(records))
 	}
-	for _, p := range []string{events, metrics} {
-		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
-			t.Fatalf("export %s missing or empty (err=%v)", p, err)
-		}
+	prom, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(prom), "# TYPE sim_events_fired counter\n") {
+		t.Fatalf("metrics file is not Prometheus text:\n%s", prom)
+	}
+	if st, err := os.Stat(events); err != nil || st.Size() == 0 {
+		t.Fatalf("export %s missing or empty (err=%v)", events, err)
 	}
 }
 
@@ -90,13 +98,5 @@ func TestFlameExports(t *testing.T) {
 	}
 	if !strings.Contains(string(page), "<!DOCTYPE html>") {
 		t.Fatalf("flame HTML missing doctype")
-	}
-}
-
-// TestLogFlag: -log attaches the deterministic slog handler without
-// disturbing the run.
-func TestLogFlag(t *testing.T) {
-	if err := run([]string{"-exp", "fig9a", "-log"}); err != nil {
-		t.Fatal(err)
 	}
 }

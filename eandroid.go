@@ -252,17 +252,16 @@ type (
 )
 
 // WriteTrace exports recorded events as Chrome trace-event JSON
-// (loadable in Perfetto or chrome://tracing).
-var WriteTrace = telemetry.WriteTrace
+// (loadable in Perfetto or chrome://tracing): the encoder behind the
+// CLIs' -trace-out, a JSON array with one event per line.
+var WriteTrace = obsv.WriteChromeEvents
 
 // Observability API: the live plane layered over telemetry. ObsvServer
 // is the stdlib-only HTTP surface the eandroid-serve daemon runs
 // (Prometheus /metrics over registered snapshot sources, health
 // probes, pprof, live trace summaries); FlameCollector folds the
 // meter's attribution stream into energy flame graphs; Watchdog is the
-// streaming drain-anomaly detector (the paper's esDiagnose signal);
-// LogHandler is a deterministic virtual-time slog handler for
-// Config.Logger.
+// streaming drain-anomaly detector (the paper's esDiagnose signal).
 type (
 	// ObsvServer is the live observability HTTP server.
 	ObsvServer = obsv.Server
@@ -276,8 +275,6 @@ type (
 	WatchdogOptions = obsv.WatchdogOptions
 	// WatchdogFinding is one anomaly the watchdog flagged.
 	WatchdogFinding = obsv.Finding
-	// LogHandler is the deterministic virtual-time slog handler.
-	LogHandler = obsv.LogHandler
 )
 
 // Watchdog finding signal names.
@@ -307,13 +304,9 @@ func NewWatchdog(dev *Device, opts WatchdogOptions) (*Watchdog, error) {
 }
 
 // WritePrometheus renders a telemetry snapshot in Prometheus text
-// exposition format.
+// exposition format: the encoder behind /metrics, a job's
+// metrics.prom and the CLIs' -metrics-out.
 var WritePrometheus = obsv.WritePrometheus
-
-// NewLogHandler builds the deterministic slog handler for Config.Logger
-// (virtual-time timestamps via now; nil now omits timestamps, nil level
-// means Info).
-var NewLogHandler = obsv.NewLogHandler
 
 // Service-facing aliases used by advanced callers.
 type (
@@ -395,8 +388,9 @@ func NewTracer(seed, rootName string, cfg TraceConfig) *Tracer {
 }
 
 // WriteChromeTrace exports a span tree as Chrome trace-event JSON
-// (virtual-time only; loadable in chrome://tracing or Perfetto).
-var WriteChromeTrace = trace.WriteChrome
+// (virtual-time only; loadable in chrome://tracing or Perfetto): the
+// encoder behind a job's trace.json.
+var WriteChromeTrace = obsv.WriteChromeSpans
 
 // TraceRootID derives an operation's root span ID from its seed string.
 var TraceRootID = trace.RootID

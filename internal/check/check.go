@@ -34,9 +34,7 @@ package check
 
 import (
 	"fmt"
-	"log/slog"
 	"os"
-	"time"
 
 	"repro/internal/accounting"
 	"repro/internal/activity"
@@ -112,22 +110,22 @@ func (e *ViolationError) Error() string {
 	return "check: invariant violated: " + e.V.String()
 }
 
-// Defaults for Options' zero values.
+// Checker tolerances and bounds.
 const (
-	// DefaultEpsilon is the absolute per-interval conservation
-	// tolerance in joules — far below any single integrated segment,
-	// far above float64 accumulation noise.
-	DefaultEpsilon = 1e-6
-	// DefaultRelEpsilon is the additional relative slack the cumulative
+	// Epsilon is the absolute per-interval conservation tolerance in
+	// joules — far below any single integrated segment, far above
+	// float64 accumulation noise.
+	Epsilon = 1e-6
+	// RelEpsilon is the additional relative slack the cumulative
 	// ledger-vs-battery comparison gets: the two totals accumulate the
 	// same energy in different summation orders, so they drift apart by
 	// a few ulps per segment.
-	DefaultRelEpsilon = 1e-9
-	// DefaultErrorEnvelope bounds the differential oracle: the paper's
+	RelEpsilon = 1e-9
+	// ErrorEnvelope bounds the differential oracle: the paper's
 	// related-work survey puts sampling-profiler error "as high as
 	// about 20%", so a sampled total further than 25% from the exact
 	// total indicates an oracle bug, not expected sampling error.
-	DefaultErrorEnvelope = 0.25
+	ErrorEnvelope = 0.25
 	// DefaultMaxViolations bounds the recorded slice so a systemic
 	// breach (one violation per interval over a long horizon) cannot
 	// balloon memory; further violations are counted, not stored.
@@ -139,33 +137,21 @@ const (
 )
 
 // Options configures a Checker. The zero value enables checker families
-// 1–4 with default tolerances, recording violations passively.
+// 1–4, recording violations passively.
 type Options struct {
 	// Disabled suppresses checker construction entirely. It exists so
 	// benchmark baselines can force checking off even when the
 	// EANDROID_CHECK environment variable would turn it on.
 	Disabled bool
-	// Epsilon is the absolute per-interval conservation tolerance in
-	// joules; zero means DefaultEpsilon.
-	Epsilon float64
-	// RelEpsilon is the relative slack added to cumulative
-	// comparisons; zero means DefaultRelEpsilon.
-	RelEpsilon float64
 	// FailFast injects the first violation into the engine, so the Run
 	// variant in flight returns a *ViolationError instead of recording
 	// passively.
 	FailFast bool
-	// Differential enables family 5: a SampledAccountant polling on
-	// SamplePeriod, with the envelope asserted at Finish. Off by
-	// default because the sampling ticker adds events to the engine's
-	// stream, which changes event-level goldens.
+	// Differential enables family 5: a SampledAccountant polling at
+	// accounting.DefaultSamplePeriod (1 Hz), with ErrorEnvelope asserted
+	// at Finish. Off by default because the sampling ticker adds events
+	// to the engine's stream, which changes event-level goldens.
 	Differential bool
-	// SamplePeriod is the differential oracle's polling period; zero
-	// means accounting.DefaultSamplePeriod (1 Hz).
-	SamplePeriod time.Duration
-	// ErrorEnvelope is the maximum sampled-vs-exact relative error;
-	// zero means DefaultErrorEnvelope.
-	ErrorEnvelope float64
 	// MaxViolations bounds the stored violation slice; zero means
 	// DefaultMaxViolations.
 	MaxViolations int
@@ -190,10 +176,6 @@ type Deps struct {
 	Ledger     Ledger
 	Packages   *app.PackageManager
 	Telemetry  *telemetry.Recorder
-	// Logger, when non-nil, receives one structured Warn per recorded
-	// violation (virtual-time deterministic when built with
-	// obsv.NewLogHandler).
-	Logger *slog.Logger
 }
 
 // Checker observes a device through the meter's sink interface and the
@@ -225,15 +207,6 @@ func New(opts Options, deps Deps) (*Checker, error) {
 		deps.Aggregator == nil || deps.Ledger == nil {
 		return nil, fmt.Errorf("check: nil dependency")
 	}
-	if opts.Epsilon <= 0 {
-		opts.Epsilon = DefaultEpsilon
-	}
-	if opts.RelEpsilon <= 0 {
-		opts.RelEpsilon = DefaultRelEpsilon
-	}
-	if opts.ErrorEnvelope <= 0 {
-		opts.ErrorEnvelope = DefaultErrorEnvelope
-	}
 	if opts.MaxViolations <= 0 {
 		opts.MaxViolations = DefaultMaxViolations
 	}
@@ -247,7 +220,7 @@ func New(opts Options, deps Deps) (*Checker, error) {
 		if deps.Packages == nil {
 			return nil, fmt.Errorf("check: differential oracle needs Packages")
 		}
-		s, err := accounting.NewSampled(deps.Engine, deps.Meter, deps.Packages, opts.SamplePeriod)
+		s, err := accounting.NewSampled(deps.Engine, deps.Meter, deps.Packages, accounting.DefaultSamplePeriod)
 		if err != nil {
 			return nil, err
 		}
@@ -290,10 +263,6 @@ func (c *Checker) report(inv Invariant, detail string, got, want, eps float64) {
 		c.dropped++
 	}
 	c.deps.Telemetry.RecordViolation(v.T, inv.String(), detail, got, want)
-	if c.deps.Logger != nil {
-		c.deps.Logger.Warn("invariant violation",
-			"invariant", inv.String(), "detail", detail, "got", got, "want", want)
-	}
 	if c.opts.FailFast && !c.failed {
 		c.failed = true
 		c.deps.Engine.Fail(&ViolationError{V: v})
@@ -355,16 +324,16 @@ func (c *Checker) Accrue(iv hw.Interval) {
 	if !c.deps.Battery.Dead() {
 		sum := intervalSum(iv)
 		delta := drained - c.lastDrained
-		if diff := abs(delta - sum); diff > c.opts.Epsilon {
+		if diff := abs(delta - sum); diff > Epsilon {
 			c.report(InvConservation,
 				fmt.Sprintf("interval [%v, %v] battery delta != attributed sum", iv.From, iv.To),
-				delta, sum, c.opts.Epsilon)
+				delta, sum, Epsilon)
 		}
 		// Family 1, cumulative: the exact ledger tracks total drain. The
 		// checker is the last sink, so the ledger has already consumed
 		// this interval.
 		ledger := c.deps.Ledger.TotalJ()
-		tol := c.opts.Epsilon + c.opts.RelEpsilon*drained
+		tol := Epsilon + RelEpsilon*drained
 		if diff := abs(ledger - drained); diff > tol {
 			c.report(InvConservation, "cumulative ledger total != battery drained",
 				ledger, drained, tol)
@@ -403,9 +372,9 @@ func (c *Checker) Finish() []Violation {
 			c.sampled.Stop()
 			exact := c.deps.Ledger.TotalJ()
 			if exact >= MinDifferentialJ {
-				if re := accounting.RelativeError(c.sampled.TotalJ(), exact); re > c.opts.ErrorEnvelope {
+				if re := accounting.RelativeError(c.sampled.TotalJ(), exact); re > ErrorEnvelope {
 					c.report(InvDifferential, "sampled total outside the exact-accounting error envelope",
-						c.sampled.TotalJ(), exact, c.opts.ErrorEnvelope*exact)
+						c.sampled.TotalJ(), exact, ErrorEnvelope*exact)
 				}
 			}
 		}

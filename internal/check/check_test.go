@@ -100,9 +100,9 @@ func TestDifferentialEnvelopeOnAttacks(t *testing.T) {
 			exact := w.Dev.Android.TotalJ()
 			sampled := w.Dev.Checker.Sampled().TotalJ()
 			re := accounting.RelativeError(sampled, exact)
-			if exact >= check.MinDifferentialJ && re > check.DefaultErrorEnvelope {
+			if exact >= check.MinDifferentialJ && re > check.ErrorEnvelope {
 				t.Fatalf("relative error %.4f above envelope %.2f (sampled %v, exact %v)",
-					re, check.DefaultErrorEnvelope, sampled, exact)
+					re, check.ErrorEnvelope, sampled, exact)
 			}
 			t.Logf("sampled %.3f J vs exact %.3f J: relative error %.4f", sampled, exact, re)
 		})

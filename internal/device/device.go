@@ -7,7 +7,6 @@ package device
 
 import (
 	"fmt"
-	"log/slog"
 	"strings"
 	"time"
 
@@ -73,11 +72,6 @@ type Config struct {
 	// only across devices run sequentially on the same goroutine (a
 	// fleet worker), never across concurrent devices.
 	Events *sim.EventPool
-	// Logger, when non-nil, receives structured logs from the device's
-	// subsystems (check violations, the obsv watchdog). Use
-	// obsv.NewLogHandler for a deterministic, virtual-time handler; nil
-	// keeps the device silent (every log site is nil-checked).
-	Logger *slog.Logger
 	// Trace, when non-nil, collects this device's engine-phase spans
 	// (meter flushes via the sink below; watchdog windows and kernel
 	// dispatch batches via their own layers). Like a telemetry
@@ -118,9 +112,6 @@ type Device struct {
 	// Checker is the runtime invariant checker, nil when the device
 	// runs unchecked. Read violations with FinishChecks.
 	Checker *check.Checker
-	// Log is the structured logger from Config.Logger, nil when the
-	// device runs silent.
-	Log *slog.Logger
 	// Trace is the span tracer from Config.Trace, nil when the device
 	// runs untraced.
 	Trace *trace.DeviceTracer
@@ -257,7 +248,6 @@ func New(cfg Config) (*Device, error) {
 		Aggregator: agg,
 		Android:    acc,
 		Telemetry:  cfg.Telemetry,
-		Log:        cfg.Logger,
 		Trace:      cfg.Trace,
 	}
 
@@ -301,7 +291,6 @@ func New(cfg Config) (*Device, error) {
 			Ledger:     acc,
 			Packages:   pm,
 			Telemetry:  cfg.Telemetry,
-			Logger:     cfg.Logger,
 		})
 		if err != nil {
 			return nil, err

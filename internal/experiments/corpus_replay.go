@@ -19,14 +19,8 @@ const ExtCorpusReps = 10
 // watchdog attached and reports per-cell detection and false-positive
 // rates with Wilson 95% confidence intervals.
 func ExtCorpus() (*replay.Result, error) {
-	return ExtCorpusWith(replay.Options{
+	return replay.Run(context.Background(), replay.Options{
 		Reps:    ExtCorpusReps,
 		Horizon: corpus.MinHorizon,
 	})
-}
-
-// ExtCorpusWith is ExtCorpus with explicit replay options (the
-// benchsuite path uses this with gate-grade reps).
-func ExtCorpusWith(opts replay.Options) (*replay.Result, error) {
-	return replay.Run(context.Background(), opts)
 }

@@ -147,10 +147,11 @@ func Register(mux *http.ServeMux, m *Manager) {
 			return
 		}
 		annotate(r, j.Spec.Kind, j.tr.Root())
-		j.mu.Lock()
-		initial := j.stateFrameLocked()
-		j.mu.Unlock()
-		j.events.Serve(w, r, []string{initial})
+		j.events.Serve(w, r, func() []string {
+			j.mu.Lock()
+			defer j.mu.Unlock()
+			return []string{j.stateFrameLocked()}
+		})
 	}))
 
 	mux.HandleFunc("GET /jobs/{id}/artifacts", observe(m, "GET /jobs/{id}/artifacts", func(w http.ResponseWriter, r *http.Request) {

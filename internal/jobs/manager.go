@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"sync"
 	"time"
 
@@ -34,10 +33,6 @@ type Options struct {
 	CacheBytes int64
 	// Limits are the per-job resource bounds.
 	Limits Limits
-	// Logger, when non-nil, receives structured lifecycle logs (accept,
-	// cache hit, reject, start, finish, cancel) — the same funnel
-	// device.Config.Logger uses. Nil keeps the manager silent.
-	Logger *slog.Logger
 	// TraceSampleRate head-samples 1 in N devices for engine-phase
 	// tracing (1 = every device, 0 = trace.DefaultSampleRate). It is
 	// server configuration, uniform across jobs, so cached artifacts
@@ -179,7 +174,6 @@ func (j *Job) publishState() {
 // contract, so the manager builds a fresh Snapshot per scrape instead).
 type Manager struct {
 	opts Options
-	log  *slog.Logger
 	red  *redMetrics
 
 	baseCtx    context.Context
@@ -224,7 +218,6 @@ func NewManager(opts Options) *Manager {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		opts:       opts,
-		log:        opts.Logger,
 		red:        newREDMetrics(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -306,10 +299,6 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		j.tr.AddStage("cache-hit", time.Since(t0))
 		j.tr.Finish()
 		m.publishTraceLocked(j, StateDone)
-		if m.log != nil {
-			m.log.Info("job cache hit", "job", j.ID, "key", j.Key,
-				"kind", string(norm.Kind), "cell", norm.Cell)
-		}
 		return j, nil
 	}
 	select {
@@ -318,21 +307,11 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		m.seq-- // not admitted; don't burn the ID
 		cancel()
 		m.rejected++
-		if m.log != nil {
-			m.log.Warn("job rejected: queue full", "key", key,
-				"kind", string(norm.Kind), "cell", norm.Cell,
-				"queue_depth", len(m.queue), "retry_after_s", m.retryAfterLocked())
-		}
 		return nil, ErrQueueFull
 	}
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
 	m.submitted++
-	if m.log != nil {
-		m.log.Info("job accepted", "job", j.ID, "key", j.Key,
-			"kind", string(norm.Kind), "cell", norm.Cell,
-			"devices", j.total, "queue_depth", len(m.queue))
-	}
 	return j, nil
 }
 
@@ -363,9 +342,6 @@ func (m *Manager) Cancel(id string) bool {
 	if !ok {
 		return false
 	}
-	if m.log != nil {
-		m.log.Info("job cancel requested", "job", j.ID, "key", j.Key)
-	}
 	j.cancel()
 	return true
 }
@@ -387,12 +363,6 @@ func (m *Manager) noteWall(d time.Duration) {
 func (m *Manager) RetryAfter() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.retryAfterLocked()
-}
-
-// retryAfterLocked computes the hint with m.mu held (Submit logs it
-// from inside its critical section).
-func (m *Manager) retryAfterLocked() int {
 	n := m.wallN
 	if n > wallHistLen {
 		n = wallHistLen
@@ -563,16 +533,6 @@ func (m *Manager) finish(j *Job, arts Artifacts, runErr error) {
 	m.publishTraceLocked(j, state)
 	m.mu.Unlock()
 
-	if m.log != nil {
-		if state == StateDone {
-			m.log.Info("job finished", "job", j.ID, "state", state,
-				"trace", j.tr.Root().String())
-		} else {
-			m.log.Warn("job finished", "job", j.ID, "state", state,
-				"trace", j.tr.Root().String(), "err", runErr)
-		}
-	}
-
 	j.events.Publish(frame)
 	j.events.CloseAll()
 	close(j.doneCh)
@@ -596,10 +556,6 @@ func (m *Manager) runJob(j *Job) {
 	j.state = StateRunning
 	j.mu.Unlock()
 	j.tr.AddStage("queued", time.Since(j.queuedAt))
-	if m.log != nil {
-		m.log.Info("job started", "job", j.ID, "key", j.Key,
-			"queued_ms", time.Since(j.queuedAt).Milliseconds())
-	}
 	j.publishState()
 
 	ctx, cancel := context.WithTimeout(j.jctx, m.opts.Limits.MaxWall)

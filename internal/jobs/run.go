@@ -16,7 +16,6 @@ import (
 	"repro/internal/obsv"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // deviceOut is one device's harvest in a scenario/fleet job. Workers
@@ -242,7 +241,7 @@ func (m *Manager) runFleet(ctx context.Context, j *Job) (Artifacts, error) {
 	// — are a pure function of the normalized spec. The wall-clock
 	// lifecycle stages live on the /trace feed instead.
 	var traceJSON bytes.Buffer
-	if err := trace.WriteChrome(&traceJSON, j.tr.Spans()); err != nil {
+	if err := obsv.WriteChromeSpans(&traceJSON, j.tr.Spans()); err != nil {
 		return Artifacts{}, err
 	}
 	j.tr.AddStage("artifact-write", time.Since(artStart))
@@ -290,7 +289,7 @@ func (m *Manager) runCorpus(ctx context.Context, j *Job) (Artifacts, error) {
 	// horizon.
 	j.tr.SetHorizon(spec.Horizon.std())
 	var traceJSON bytes.Buffer
-	if err := trace.WriteChrome(&traceJSON, j.tr.Spans()); err != nil {
+	if err := obsv.WriteChromeSpans(&traceJSON, j.tr.Spans()); err != nil {
 		return Artifacts{}, err
 	}
 	return Artifacts{Files: map[string][]byte{

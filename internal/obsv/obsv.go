@@ -1,5 +1,5 @@
-// Package obsv is the simulation's live observability plane, layered
-// over the device meter, the telemetry recorder and the span tracer:
+// Package obsv is the simulation's observability plane, layered over
+// the device meter, the telemetry recorder and the span tracer:
 //
 //   - Server: the jobs daemon's HTTP surface (stdlib net/http only):
 //     every registered metrics source in Prometheus text exposition
@@ -10,14 +10,16 @@
 //     weighted by joules) and a self-contained HTML icicle report.
 //   - Watchdog: a rolling-window drain-anomaly detector flagging
 //     per-UID drain-rate spikes and collateral-vs-direct divergence —
-//     the paper's esDiagnose signal — as structured telemetry events
-//     and log lines.
-//   - LogHandler: a deterministic log/slog handler stamped with
-//     virtual time.
+//     the paper's esDiagnose signal — as structured telemetry events.
+//   - One encoder per format, shared by the daemon's job artifacts and
+//     the batch CLIs' files: WritePrometheus (metrics), and
+//     WriteChromeSpans / WriteChromeEvents over one Chrome trace-event
+//     writer; ExportFiles writes a recorder through them.
+//     telemetry.WriteJSONL is the event stream's own JSON form.
 //
 // The split of responsibilities mirrors the rest of the repo: the
 // simulation side stays single-goroutine and deterministic (collector,
-// watchdog and log output are byte-identical run-to-run and across
+// watchdog and every encoder are byte-identical run-to-run and across
 // fleet worker counts), while the server reads only frozen snapshots and
 // finished summaries and may be hit from any number of request
 // goroutines.

@@ -10,16 +10,16 @@ import (
 
 // WritePrometheus renders a telemetry snapshot in the Prometheus text
 // exposition format (version 0.0.4) — the one Prometheus encoder in
-// the repo, behind both the live /metrics endpoint and the jobs'
-// metrics.prom artifact. Counters and gauges render as single
-// samples, histograms as cumulative le-buckets plus _sum and _count;
-// each family gets one # TYPE line ahead of its samples. Labels render
-// in series order, and a histogram bucket with a span exemplar carries
-// it OpenMetrics-style (` # {span="<id>"} 1`). The rendering is
-// byte-deterministic: the snapshot's sections are already sorted by
-// series, floats use Go's shortest-exact formatting, and metric names
-// are sanitized with a fixed rule (every character outside
-// [a-zA-Z0-9_:] becomes '_'). A nil snapshot renders nothing.
+// the repo, behind the live /metrics endpoint, the jobs' metrics.prom
+// artifact and the CLIs' -metrics-out file. Counters and gauges render
+// as single samples, histograms as cumulative le-buckets plus _sum and
+// _count; each family gets one # TYPE line ahead of its samples.
+// Labels render in series order, and a histogram bucket with a span
+// exemplar carries it OpenMetrics-style (` # {span="<id>"} 1`). The
+// rendering is byte-deterministic: the snapshot's sections are already
+// sorted by series, floats use Go's shortest-exact formatting, and
+// metric names are sanitized with a fixed rule (every character
+// outside [a-zA-Z0-9_:] becomes '_'). A nil snapshot renders nothing.
 func WritePrometheus(w io.Writer, s *telemetry.Snapshot) error {
 	if s == nil {
 		return nil

@@ -10,12 +10,7 @@ import (
 
 func promSnapshot(t *testing.T) *telemetry.Snapshot {
 	t.Helper()
-	r := telemetry.New(telemetry.Options{})
-	r.RecordSimEvent(0, "boot", 1)
-	r.RecordAttribution(1e9, 10001, 2.5)
-	r.RecordAnomaly(2e9, 10001, "drain-spike", "x", 120, 20)
-	r.Metrics().Histogram("hw.mw.cpu", telemetry.PowerBuckets).Observe(42)
-	return r.Metrics().Snapshot()
+	return exportRecorder().Metrics().Snapshot()
 }
 
 // parseProm validates the text exposition line grammar and returns

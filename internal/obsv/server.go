@@ -93,7 +93,7 @@ func NewServer() *Server {
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s.mux.HandleFunc("/trace", s.handleTrace)
 	s.mux.HandleFunc("/trace/events", func(w http.ResponseWriter, r *http.Request) {
-		s.traceSSE.Serve(w, r, s.traceStateFrame())
+		s.traceSSE.Serve(w, r, s.traceStateFrame)
 	})
 	// ReadHeaderTimeout bounds how long a connection may dribble its
 	// request headers (the slowloris hole an unset value leaves open);

@@ -120,8 +120,11 @@ func (b *SSEBroker) Subscribers() int {
 // Serve runs one SSE subscription: initial frames first (so every
 // subscriber sees at least one event immediately), then the live feed
 // until the client disconnects, the broker closes, or the subscriber is
-// dropped for being stuck.
-func (b *SSEBroker) Serve(w http.ResponseWriter, r *http.Request, initial []string) {
+// dropped for being stuck. It subscribes before calling initial, so a
+// frame published while the initial frames render and flush waits in
+// the subscriber's buffer: the stream may repeat a state the initial
+// frames already show, but it never loses a frame.
+func (b *SSEBroker) Serve(w http.ResponseWriter, r *http.Request, initial func() []string) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
@@ -131,12 +134,12 @@ func (b *SSEBroker) Serve(w http.ResponseWriter, r *http.Request, initial []stri
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
-	for _, f := range initial {
+	ch := b.Subscribe()
+	defer b.Unsubscribe(ch)
+	for _, f := range initial() {
 		_, _ = fmt.Fprint(w, f)
 	}
 	fl.Flush()
-	ch := b.Subscribe()
-	defer b.Unsubscribe(ch)
 	for {
 		select {
 		case <-r.Context().Done():

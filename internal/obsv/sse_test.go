@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -140,6 +141,45 @@ func TestBrokerMissResetOnDelivery(t *testing.T) {
 		t.Fatalf("Dropped() = %d for a draining subscriber, want 0", got)
 	}
 	b.CloseAll()
+}
+
+// flushHook is a ResponseWriter whose first Flush runs a hook: the
+// moment Serve has written its initial frames and not yet entered its
+// live loop.
+type flushHook struct {
+	*httptest.ResponseRecorder
+	hook func()
+}
+
+func (f *flushHook) Flush() {
+	if h := f.hook; h != nil {
+		f.hook = nil
+		h()
+	}
+	f.ResponseRecorder.Flush()
+}
+
+// TestServeKeepsFrameDuringInitialFlush: a frame published while Serve
+// flushes its initial frames reaches the subscriber. This is a job that
+// finishes just as a client opens /jobs/{id}/events: the terminal frame
+// is published and the broker closed inside that gap, and a stream that
+// subscribed only after the flush ended on "running" with no terminal
+// state.
+func TestServeKeepsFrameDuringInitialFlush(t *testing.T) {
+	b := NewSSEBroker()
+	w := &flushHook{ResponseRecorder: httptest.NewRecorder()}
+	w.hook = func() {
+		b.Publish(SSEFrame("job", `{"state":"done"}`))
+		b.CloseAll()
+	}
+	req := httptest.NewRequest("GET", "/jobs/j1/events", nil)
+	b.Serve(w, req, func() []string {
+		return []string{SSEFrame("job", `{"state":"running"}`)}
+	})
+	want := SSEFrame("job", `{"state":"running"}`) + SSEFrame("job", `{"state":"done"}`)
+	if got := w.Body.String(); got != want {
+		t.Fatalf("stream = %q, want %q", got, want)
+	}
 }
 
 // TestMetricsSourceMerged: snapshots from AddMetricsSource appear on

@@ -23,11 +23,14 @@ func traceSummary(i int) *trace.Summary {
 	}
 }
 
-// TestTraceStreamStalledSubscriber is the broker-stress satellite: a
+// TestTraceStreamStalledSubscriber is the broker-stress test: a
 // stalled /trace subscriber under a live trace stream is dropped (and
-// counted) after its miss budget, while a fast subscriber on the same
-// broker receives every frame undisturbed, and the drop surfaces on
-// /metrics. Runs under -race in the Makefile's race gate.
+// counted) after its miss budget, while a fast in-process subscriber
+// and a live HTTP subscriber on the same broker receive every frame
+// undisturbed, and the drop surfaces on /metrics. Both live subscribers
+// are paced: each publish waits until both have the frame, so neither
+// can be dropped however little CPU its goroutine gets. Runs under
+// -race in the Makefile's race and trace-smoke gates.
 func TestTraceStreamStalledSubscriber(t *testing.T) {
 	s := NewServer()
 	addr, err := s.Start("127.0.0.1:0")
@@ -40,8 +43,8 @@ func TestTraceStreamStalledSubscriber(t *testing.T) {
 		_ = s.Shutdown(ctx)
 	}()
 
-	// A real HTTP subscriber keeps the stream live end to end; it reads
-	// continuously and must see trace frames despite the stalled peer.
+	// A real HTTP subscriber keeps the stream live end to end; its
+	// reader forwards every event name, in order.
 	httpCtx, httpCancel := context.WithCancel(context.Background())
 	defer httpCancel()
 	req, _ := http.NewRequestWithContext(httpCtx, "GET", "http://"+addr+"/trace/events", nil)
@@ -62,25 +65,33 @@ func TestTraceStreamStalledSubscriber(t *testing.T) {
 			if strings.HasPrefix(line, "event: ") {
 				select {
 				case httpFrames <- strings.TrimSpace(strings.TrimPrefix(line, "event: ")):
-				default:
+				case <-httpCtx.Done():
+					return
 				}
 			}
 		}
 	}()
-	// The initial replay frame proves the subscription is fully live
-	// before the storm starts.
-	select {
-	case ev := <-httpFrames:
-		if ev != "state" {
-			t.Fatalf("initial frame event = %q, want state", ev)
+	nextHTTP := func(what string) string {
+		t.Helper()
+		select {
+		case ev, ok := <-httpFrames:
+			if !ok {
+				t.Fatalf("HTTP trace stream closed before %s", what)
+			}
+			return ev
+		case <-time.After(5 * time.Second):
+			t.Fatalf("HTTP subscriber never saw %s", what)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no initial state frame on /trace/events")
+		return ""
+	}
+	// Serve subscribes before it renders the initial replay frame, so
+	// once that frame arrives the HTTP subscriber is live.
+	if ev := nextHTTP("the initial state frame"); ev != "state" {
+		t.Fatalf("initial frame event = %q, want state", ev)
 	}
 
 	// One stalled subscriber (never drains) and one fast subscriber
-	// (drained in lockstep with each publish, so delivery to it is
-	// guaranteed, not timing-dependent).
+	// (drained in lockstep with each publish).
 	stalled := s.traceSSE.Subscribe()
 	fast := s.traceSSE.Subscribe()
 	total := sseSubBuffer + sseMaxMisses
@@ -90,6 +101,11 @@ func TestTraceStreamStalledSubscriber(t *testing.T) {
 		case <-fast:
 		case <-time.After(5 * time.Second):
 			t.Fatalf("fast subscriber starved at frame %d", i)
+		}
+		// The HTTP subscriber rides out the storm: every storm frame
+		// reaches it.
+		if ev := nextHTTP(fmt.Sprintf("trace frame %d", i)); ev != "trace" {
+			t.Fatalf("HTTP frame %d event = %q, want trace", i, ev)
 		}
 	}
 	if got := s.traceSSE.Dropped(); got != 1 {
@@ -105,24 +121,23 @@ func TestTraceStreamStalledSubscriber(t *testing.T) {
 	}
 	s.traceSSE.Unsubscribe(fast)
 
-	// The HTTP subscriber rode out the storm: it must have seen live
-	// trace frames (not just the initial state).
-	sawTrace := false
-	deadline := time.After(5 * time.Second)
-	for !sawTrace {
-		select {
-		case ev, ok := <-httpFrames:
-			if !ok {
-				t.Fatal("HTTP trace stream closed during the storm")
-			}
-			sawTrace = ev == "trace"
-		case <-deadline:
-			t.Fatal("HTTP subscriber never saw a trace frame")
-		}
+	// The drop is visible to any other scraper.
+	mresp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if !strings.Contains(string(prom), "obsv_sse_dropped_subscribers 1") {
+		t.Fatalf("/metrics missing the SSE drop:\n%s", grepLines(string(prom), "dropped"))
 	}
 
 	// Concurrent publishers against the live stream: exercises the
-	// broker's locking under -race; the HTTP reader keeps draining.
+	// broker's locking under -race while the HTTP reader drains.
+	go func() {
+		for range httpFrames {
+		}
+	}()
 	var wg sync.WaitGroup
 	for p := 0; p < 4; p++ {
 		wg.Add(1)
@@ -134,17 +149,6 @@ func TestTraceStreamStalledSubscriber(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
-
-	// The drop is visible to any other scraper.
-	mresp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prom, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if !strings.Contains(string(prom), "obsv_sse_dropped_subscribers 1") {
-		t.Fatalf("/metrics missing the SSE drop:\n%s", grepLines(string(prom), "dropped"))
-	}
 }
 
 // grepLines filters text to lines containing sub, for focused failure

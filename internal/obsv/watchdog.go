@@ -2,7 +2,6 @@ package obsv
 
 import (
 	"fmt"
-	"log/slog"
 	"sort"
 	"time"
 
@@ -123,7 +122,7 @@ type Finding struct {
 //     collateral maps (skipped when the monitor is off),
 //
 // recording each finding as a KindAnomaly telemetry event (when the
-// device carries a recorder) and an optional structured log line.
+// device carries a recorder).
 // Single-goroutine, like everything else observing the engine; all
 // thresholds and window closes run on virtual time, so findings are
 // deterministic.
@@ -141,7 +140,6 @@ type Finding struct {
 type Watchdog struct {
 	dev  *device.Device
 	opts WatchdogOptions
-	log  *slog.Logger
 
 	ticker   *sim.Ticker
 	started  bool
@@ -186,8 +184,7 @@ func (s *WindowStats) Add(o WindowStats) {
 
 // NewWatchdog builds a watchdog over dev; Start attaches it. Any device
 // works — no telemetry recorder is needed, though one, if present,
-// receives each finding as a KindAnomaly event. The device's
-// Config.Logger, if any, receives one Warn per finding.
+// receives each finding as a KindAnomaly event.
 func NewWatchdog(dev *device.Device, opts WatchdogOptions) (*Watchdog, error) {
 	if dev == nil {
 		return nil, fmt.Errorf("obsv: nil device")
@@ -196,7 +193,6 @@ func NewWatchdog(dev *device.Device, opts WatchdogOptions) (*Watchdog, error) {
 	return &Watchdog{
 		dev:     dev,
 		opts:    opts,
-		log:     dev.Log,
 		direct:  make(map[app.UID]float64),
 		hist:    make(map[app.UID][]float64),
 		lastCol: make(map[app.UID]float64),
@@ -399,10 +395,6 @@ func (w *Watchdog) record(f Finding) {
 		w.dropped++
 	}
 	w.dev.Telemetry.RecordAnomaly(f.T, f.UID, f.Signal, f.Detail, f.RateMW, f.BaselineMW)
-	if w.log != nil {
-		w.log.Warn("drain anomaly", "signal", f.Signal, "uid", int64(f.UID),
-			"label", f.Label, "rate_mw", f.RateMW, "baseline_mw", f.BaselineMW)
-	}
 }
 
 func mean(xs []float64) float64 {

@@ -7,7 +7,6 @@ package scenario
 
 import (
 	"fmt"
-	"log/slog"
 	"sync"
 	"time"
 
@@ -44,16 +43,15 @@ type World struct {
 }
 
 // WorldOptions carries the cross-cutting construction options NewWorld
-// threads into every world it builds: the CLIs' -trace/-metrics
-// recorder, the runtime invariant checker options, the structured
-// logger, and a post-construction hook for observers that need the
+// threads into every world it builds: the CLIs' telemetry recorder
+// (-trace-out/-events-out/-metrics-out), the runtime invariant checker
+// options, and a post-construction hook for observers that need the
 // concrete device (e.g. the obsv flame-graph collector). Options set
 // directly on the device.Config win over these; every built device gets
 // its own Checker — only the options pointer is shared.
 type WorldOptions struct {
 	Telemetry *telemetry.Recorder
 	Checks    *check.Options
-	Logger    *slog.Logger
 	Hook      func(*device.Device)
 }
 
@@ -99,9 +97,6 @@ func NewWorldWith(cfg device.Config, opts WorldOptions) (*World, error) {
 	}
 	if cfg.Checks == nil {
 		cfg.Checks = opts.Checks
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = opts.Logger
 	}
 	dev, err := device.New(cfg)
 	if err != nil {
@@ -199,15 +194,6 @@ func Populate(dev *device.Device) (*World, error) {
 	w.Malware.HiddenFromRecents = true
 
 	return w, nil
-}
-
-// MustNewWorld is NewWorld that panics on error.
-func MustNewWorld(cfg device.Config) *World {
-	w, err := NewWorld(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return w
 }
 
 func (w *World) run(d time.Duration) error { return w.Dev.Run(d) }

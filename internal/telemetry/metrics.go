@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -350,48 +349,4 @@ func MergeSnapshots(snaps []*Snapshot) (*Snapshot, error) {
 	}
 	out.Sort()
 	return out, nil
-}
-
-// Text renders the snapshot as a plain-text metrics dump, one instrument
-// per line, deterministic byte-for-byte. It is the dump of the
-// label-free registries: labels and exemplars are not rendered (the
-// Prometheus encoder, obsv.WritePrometheus, carries them).
-func (s *Snapshot) Text() string {
-	var b strings.Builder
-	if len(s.Counters) > 0 {
-		b.WriteString("# counters\n")
-		for _, c := range s.Counters {
-			fmt.Fprintf(&b, "%s %s\n", c.Name, formatFloat(c.Value))
-		}
-	}
-	if len(s.Gauges) > 0 {
-		b.WriteString("# gauges\n")
-		for _, g := range s.Gauges {
-			fmt.Fprintf(&b, "%s %s\n", g.Name, formatFloat(g.Value))
-		}
-	}
-	if len(s.Histograms) > 0 {
-		b.WriteString("# histograms\n")
-		for _, h := range s.Histograms {
-			fmt.Fprintf(&b, "%s count=%d sum=%s", h.Name, h.Count, formatFloat(h.Sum))
-			for i, n := range h.Counts {
-				if n == 0 {
-					continue
-				}
-				if i < len(h.Bounds) {
-					fmt.Fprintf(&b, " le%s=%d", formatFloat(h.Bounds[i]), n)
-				} else {
-					fmt.Fprintf(&b, " inf=%d", n)
-				}
-			}
-			b.WriteString("\n")
-		}
-	}
-	return b.String()
-}
-
-// formatFloat renders v with the shortest exact representation, so text
-// dumps are deterministic and diff-friendly.
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

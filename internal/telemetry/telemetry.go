@@ -1,8 +1,8 @@
 // Package telemetry is the simulation's observability subsystem: a
-// typed, ring-buffered event tracer plus a lock-free metrics registry,
-// with exporters for Chrome trace-event JSON (Perfetto /
-// chrome://tracing), JSONL, the legacy "-trace" text format, and a
-// plain-text metrics dump.
+// typed, ring-buffered event tracer plus a lock-free metrics registry.
+// Events export as JSONL, their own JSON form (WriteJSONL); the Chrome
+// trace-event and Prometheus text encoders, shared with the jobs
+// plane's artifacts, live in internal/obsv.
 //
 // The design mirrors the paper's own implementation strategy: E-Android
 // is itself an instrumentation layer grafted onto Android's
@@ -495,13 +495,6 @@ func (r *Recorder) ForEachKernelBatch(fn func(KernelBatch)) {
 	if started {
 		fn(cur)
 	}
-}
-
-// KernelBatches collects ForEachKernelBatch's stream into a slice.
-func (r *Recorder) KernelBatches() []KernelBatch {
-	var out []KernelBatch
-	r.ForEachKernelBatch(func(b KernelBatch) { out = append(out, b) })
-	return out
 }
 
 // InstrumentEngine wires r to e: every fired kernel event lands in the

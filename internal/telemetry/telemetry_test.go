@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -165,19 +164,19 @@ func TestSnapshotSortedAndStable(t *testing.T) {
 	}
 	a := build([]string{"z", "a", "m"})
 	b := build([]string{"m", "z", "a"})
-	if a.Text() != b.Text() {
-		t.Fatalf("snapshot text depends on registration order:\n%s\nvs\n%s", a.Text(), b.Text())
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("snapshot depends on registration order:\n%+v\nvs\n%+v", a, b)
 	}
 	for i := 1; i < len(a.Counters); i++ {
 		if a.Counters[i-1].Name >= a.Counters[i].Name {
 			t.Fatalf("counters not sorted: %+v", a.Counters)
 		}
 	}
-	txt := a.Text()
-	for _, want := range []string{"# counters\n", "# gauges\n", "# histograms\n", "a 1\n", "g.a 2\n"} {
-		if !strings.Contains(txt, want) {
-			t.Fatalf("text dump missing %q:\n%s", want, txt)
-		}
+	if c, g := a.Counters[0], a.Gauges[0]; c.Name != "a" || c.Value != 1 || g.Name != "g.a" || g.Value != 2 {
+		t.Fatalf("first counter %+v, first gauge %+v; want a=1, g.a=2", c, g)
+	}
+	if len(a.Histograms) != 3 || a.Histograms[0].Count != 1 {
+		t.Fatalf("histograms = %+v, want 3 with one sample each", a.Histograms)
 	}
 }
 
@@ -245,64 +244,6 @@ func TestMergeSnapshots(t *testing.T) {
 	}
 }
 
-func TestWriteTraceIsValidAndDeterministic(t *testing.T) {
-	events := []Event{
-		{T: sim.Time(1500 * sim.Millisecond), Kind: KindSimEvent, Name: "tick", V0: 2},
-		{T: 2 * sim.Second, Kind: KindLifecycle, Name: "app/.Main", UID: 10001, From: "stopped", To: "resumed"},
-		{T: 3 * sim.Second, Kind: KindPowerState, Name: "screen", UID: 1000, V0: 0, V1: 1},
-		{T: 4 * sim.Second, Kind: KindBattery, Name: "battery", V0: 0.5, V1: 99.5},
-		{T: 5 * sim.Second, Kind: KindAttribution, Name: "attribution", UID: 10001, V0: 0.25},
-	}
-	var a, b bytes.Buffer
-	if err := WriteTrace(&a, 0, events); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteTrace(&b, 0, events); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("trace export is not deterministic")
-	}
-	var tf struct {
-		TraceEvents []struct {
-			Name  string         `json:"name"`
-			Phase string         `json:"ph"`
-			TS    float64        `json:"ts"`
-			TID   int            `json:"tid"`
-			Args  map[string]any `json:"args"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(a.Bytes(), &tf); err != nil {
-		t.Fatalf("trace export is not valid JSON: %v", err)
-	}
-	meta, inst := 0, 0
-	for _, te := range tf.TraceEvents {
-		switch te.Phase {
-		case "M":
-			meta++
-		case "i":
-			inst++
-		default:
-			t.Fatalf("unexpected phase %q", te.Phase)
-		}
-	}
-	if meta != 1+len(kindLanes) {
-		t.Fatalf("metadata events = %d, want %d", meta, 1+len(kindLanes))
-	}
-	if inst != len(events) {
-		t.Fatalf("instant events = %d, want %d", inst, len(events))
-	}
-	// The kernel event lands at 1.5s = 1.5e6 us on the sim lane.
-	first := tf.TraceEvents[meta]
-	if first.Name != "tick" || first.TS != 1.5e6 || first.TID != 1 {
-		t.Fatalf("kernel event = %+v, want tick at ts=1.5e6 on tid 1", first)
-	}
-	if first.Args["queue_depth"] != 2.0 {
-		t.Fatalf("kernel args = %v", first.Args)
-	}
-}
-
 func TestWriteJSONLRoundTrips(t *testing.T) {
 	events := []Event{
 		{T: sim.Second, Kind: KindSimEvent, Name: "tick", V0: 1},
@@ -326,25 +267,6 @@ func TestWriteJSONLRoundTrips(t *testing.T) {
 	}
 	if lines != 2 {
 		t.Fatalf("jsonl lines = %d, want 2", lines)
-	}
-}
-
-func TestWriteTextLegacyFormat(t *testing.T) {
-	events := []Event{
-		{T: sim.Time(1500 * sim.Millisecond), Kind: KindSimEvent, Name: "meter.accrue"},
-		{T: 2 * sim.Second, Kind: KindBattery, Name: "battery", V0: 0.5, V1: 99.5},
-	}
-	var buf bytes.Buffer
-	if err := WriteText(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	// Kernel events keep the exact legacy "-trace" stdout shape.
-	if lines[0] != "T+1.5s meter.accrue" {
-		t.Fatalf("legacy line = %q, want %q", lines[0], "T+1.5s meter.accrue")
-	}
-	if !strings.Contains(lines[1], "[battery]") {
-		t.Fatalf("battery line missing kind tag: %q", lines[1])
 	}
 }
 

@@ -11,10 +11,12 @@
 // index order with virtual-ns timestamps only — so the Chrome trace a
 // job artifact carries is byte-identical for every workers × shards
 // combination, and cacheable under the jobs plane's content addressing.
-// Wall-clock timing lives on the other side of the split: lifecycle
-// stages (queued, running, artifact-write, cache-hit) are measured in
-// wall time and surfaced on the live /trace feed, which — like fleet
-// progress — is a live view, not a determinism surface.
+// The Chrome trace-event encoding is obsv.WriteChromeSpans, which
+// shares one writer with the CLIs' event traces. Wall-clock timing
+// lives on the other side of the split: lifecycle stages (queued,
+// running, artifact-write, cache-hit) are measured in wall time and
+// surfaced on the live /trace feed, which — like fleet progress — is a
+// live view, not a determinism surface.
 //
 // Sampling is head-based and pure: whether device i is traced is a
 // function of (root ID, i) alone, decided before the device runs.
@@ -319,7 +321,8 @@ func (t *Tracer) Spans() []Span {
 		}
 	}
 	// Wall endpoints on the structural request span only — exporters
-	// that must stay deterministic strip them (see WriteChrome).
+	// that must stay deterministic strip them (see
+	// obsv.WriteChromeSpans).
 	out[0].WallStart, out[0].WallEnd = t.wall0, t.wall1
 	return out
 }

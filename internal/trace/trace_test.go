@@ -203,37 +203,3 @@ func TestDisabledTracesControlPlaneOnly(t *testing.T) {
 		t.Fatalf("rollup end = %d, want 200", spans[0].End)
 	}
 }
-
-func TestWriteChromeParses(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteChrome(&buf, buildTree()); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("chrome trace does not parse: %v\n%s", err, buf.String())
-	}
-	var x, meta int
-	for _, ev := range events {
-		switch ev["ph"] {
-		case "X":
-			x++
-		case "M":
-			meta++
-		}
-	}
-	if x != 15 {
-		t.Fatalf("chrome trace has %d X events, want 15", x)
-	}
-	if meta < 4 { // control plane + 3 devices
-		t.Fatalf("chrome trace has %d metadata events, want >= 4", meta)
-	}
-	// Byte-identical on re-export.
-	var buf2 bytes.Buffer
-	if err := WriteChrome(&buf2, buildTree()); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("chrome export not byte-stable")
-	}
-}
