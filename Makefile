@@ -74,9 +74,14 @@ obsv-bench:
 # SSE tick, clean shutdown) plus the readiness rule (200 from Start
 # until Shutdown begins) and an index with no route that cannot answer,
 # plus the batch exports: ExportFiles's three files must be byte-equal
-# to the Chrome, JSONL and Prometheus encoders behind a job's artifacts.
+# to the Chrome, JSONL and Prometheus encoders behind a job's artifacts,
+# plus the observers' allocation pins: a steady-state watchdog window
+# close under an active collateral attack
+# (TestWatchdogWindowCloseAllocatesNothing) and a flame Accrue over an
+# unchanged demand set (TestFlameAccrueAllocatesNothing) allocate
+# nothing.
 obsv-smoke:
-	$(GO) test -run 'TestServerSmoke|TestReadyzFollowsServing|TestExportFilesWritesAllOutputs' -count=1 -v ./internal/obsv
+	$(GO) test -run 'TestServerSmoke|TestReadyzFollowsServing|TestExportFilesWritesAllOutputs|TestWatchdogWindowCloseAllocatesNothing|TestFlameAccrueAllocatesNothing' -count=1 -v ./internal/obsv
 
 # Regenerate the BENCH_trace.json causal-span tracing overhead artifact
 # (and enforce the trace-off <= 1% / every-device-traced <= 10% gates).
@@ -113,9 +118,11 @@ corpus-smoke:
 # HTTP submit/scrape with enforced 429 backpressure, cache byte-identity
 # over HTTP, and mid-job cancellation (the heavy load tests), server
 # shutdown closing the manager and leaving no goroutines behind, plus
-# the eandroid-serve daemon.
+# the eandroid-serve daemon, plus the pinned artifact digest
+# (TestFleetArtifactDigest): the SHA-256 of all 96 artifacts of 16
+# fleet jobs, one per corpus cell, must equal the committed value.
 jobs-smoke:
-	$(GO) test -race -count=1 -run 'TestLoad|TestJobSSEStream|TestQueueCancelWhileQueued|TestServerShutdownClosesManager|TestPlaneShutdownLeavesNoGoroutines' -v ./internal/jobs
+	$(GO) test -race -count=1 -run 'TestLoad|TestJobSSEStream|TestQueueCancelWhileQueued|TestServerShutdownClosesManager|TestPlaneShutdownLeavesNoGoroutines|TestFleetArtifactDigest' -v ./internal/jobs
 	$(GO) test -count=1 -run 'TestServeAndStop' ./cmd/eandroid-serve
 
 # Regenerate the BENCH_jobs.json cache-study artifact: one scenario job

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/app"
@@ -149,42 +151,43 @@ type chargePair struct{ g, d app.UID }
 // CollateralMap returns the driving app's collateral energy map entries,
 // sorted by descending energy then driven UID.
 func (m *Monitor) CollateralMap(driving app.UID) []MapEntry {
-	mp := m.maps[driving]
-	out := make([]MapEntry, 0, len(mp))
-	for _, e := range mp {
-		out = append(out, *e)
+	es := m.sortedEntries(driving)
+	out := make([]MapEntry, len(es))
+	for i, e := range es {
+		out[i] = *e
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].EnergyJ != out[j].EnergyJ {
-			return out[i].EnergyJ > out[j].EnergyJ
-		}
-		return out[i].Driven < out[j].Driven
-	})
 	return out
 }
 
-// CollateralJ reports the total collateral energy charged to driving.
+// CollateralJ reports the total collateral energy charged to driving,
+// summed in CollateralMap's order, so the two agree bit for bit.
 func (m *Monitor) CollateralJ(driving app.UID) float64 {
 	var t float64
-	for _, e := range m.maps[driving] {
+	for _, e := range m.sortedEntries(driving) {
 		t += e.EnergyJ
 	}
 	return t
 }
 
-// Drivers returns every app that currently owns a non-empty collateral
-// map, in ascending UID order. The observability watchdog polls this to
-// enumerate divergence candidates without touching the accrual path.
-func (m *Monitor) Drivers() []app.UID {
-	out := make([]app.UID, 0, len(m.maps))
-	for uid, mp := range m.maps {
-		if len(mp) > 0 {
-			out = append(out, uid)
-		}
+// sortedEntries returns driving's map entries by descending energy then
+// driven UID, in a reused buffer valid until the next call.
+func (m *Monitor) sortedEntries(driving app.UID) []*MapEntry {
+	es := m.entryScratch[:0]
+	for _, e := range m.maps[driving] {
+		es = append(es, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.SortFunc(es, func(a, b *MapEntry) int {
+		return cmp.Or(cmp.Compare(b.EnergyJ, a.EnergyJ), cmp.Compare(a.Driven, b.Driven))
+	})
+	m.entryScratch = es
+	return es
 }
+
+// Drivers returns every app that owns a collateral map, in ascending
+// UID order. The slice is borrowed and must not be modified; it stays
+// valid until the monitor next charges a new driver. The observability
+// watchdog walks it at every window close.
+func (m *Monitor) Drivers() []app.UID { return m.drivers }
 
 // OwnJ reports the raw hardware energy uid's own components drew
 // (excluding screen), as tracked by the monitor.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/activity"
@@ -58,6 +59,9 @@ type Monitor struct {
 	// maps is the per-app collateral energy map: driving -> driven ->
 	// entry.
 	maps map[app.UID]map[app.UID]*MapEntry
+	// drivers lists the keys of maps in ascending order. Maps are never
+	// removed, so it only grows (see ensureEntry).
+	drivers []app.UID
 
 	// ownJ tracks each app's raw hardware energy and the screen total so
 	// the revised battery interface can render breakdowns.
@@ -92,6 +96,9 @@ type Monitor struct {
 	orderScratch   []app.UID
 	chargedScratch map[chargePair]bool
 	benefScratch   map[app.UID]bool
+	// entryScratch is sortedEntries' buffer: the watchdog sums every
+	// driver's map at every window close.
+	entryScratch []*MapEntry
 }
 
 // NewMonitor builds an E-Android monitor in the given mode. Wire it with
@@ -308,6 +315,8 @@ func (m *Monitor) ensureEntry(driving, driven app.UID) {
 	if mp == nil {
 		mp = make(map[app.UID]*MapEntry)
 		m.maps[driving] = mp
+		i, _ := slices.BinarySearch(m.drivers, driving)
+		m.drivers = slices.Insert(m.drivers, i, driving)
 	}
 	if mp[driven] == nil {
 		mp[driven] = &MapEntry{Driven: driven}

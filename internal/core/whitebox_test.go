@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -202,6 +203,28 @@ func TestEntriesWithActiveLinks(t *testing.T) {
 	got = m.entriesWithActiveLinks(a)
 	if len(got) != 1 || got[0] != b {
 		t.Fatalf("entries after end = %v", got)
+	}
+}
+
+// TestCollateralJMatchesCollateralMap: the total sums in the map view's
+// order (energy descending, then driven UID), never in Go's randomized
+// map order. With entries {1e16, 1, 1} the two orders round apart:
+// (1e16+1)+1 is 1e16, 1+1+1e16 is 1e16+2.
+func TestCollateralJMatchesCollateralMap(t *testing.T) {
+	_, _, m, u := wbFixture(t)
+	a := u[0]
+	for d, j := range map[app.UID]float64{u[1]: 1e16, u[2]: 1, app.UIDScreen: 1} {
+		m.ensureEntry(a, d)
+		m.maps[a][d].EnergyJ = j
+	}
+	var want float64
+	for _, e := range m.CollateralMap(a) {
+		want += e.EnergyJ
+	}
+	for i := 0; i < 100; i++ {
+		if got := m.CollateralJ(a); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: CollateralJ = %v, CollateralMap sums to %v", i, got, want)
+		}
 	}
 }
 

@@ -35,6 +35,8 @@ type Aggregator struct {
 	// lifecycle-rate, not per-interval, so the linear delete in Clear is
 	// cheap relative to the transitions it rides on.
 	order []any
+	// gen counts entry changes: every successful Set or Clear.
+	gen uint64
 }
 
 // NewAggregator returns an aggregator driving the given meter.
@@ -79,6 +81,7 @@ func (g *Aggregator) Set(key any, uid app.UID, d Demand) error {
 	if !existed {
 		g.order = append(g.order, key)
 	}
+	g.gen++
 	g.recomputeCPU(uid)
 	g.mustApplyHolds(uid, prev.demand, d)
 	return nil
@@ -101,6 +104,7 @@ func (g *Aggregator) Clear(key any) error {
 			break
 		}
 	}
+	g.gen++
 	g.recomputeCPU(prev.uid)
 	g.mustApplyHolds(prev.uid, prev.demand, Demand{})
 	return nil
@@ -189,6 +193,11 @@ func (g *Aggregator) Has(key any) bool {
 	_, ok := g.entries[key]
 	return ok
 }
+
+// Generation reports how many times Set or Clear has changed the
+// entries. Between two equal readings EachEntry yields the same keys,
+// UIDs and demands, so a consumer can cache what it derives from them.
+func (g *Aggregator) Generation() uint64 { return g.gen }
 
 // Entries reports the number of live demand entries.
 func (g *Aggregator) Entries() int { return len(g.entries) }

@@ -123,6 +123,42 @@ func TestAggregatorClearAbsentKeyNoop(t *testing.T) {
 	}
 }
 
+// TestAggregatorGeneration: every Set or Clear that changes the entries
+// advances the generation; a rejected call or a no-op Clear does not.
+func TestAggregatorGeneration(t *testing.T) {
+	_, m, g := aggFixture(t)
+	k, cam := new(int), new(int)
+	steps := []struct {
+		what         string
+		do           func() error
+		fails, moves bool
+	}{
+		{"set", func() error { return g.Set(k, 1, Demand{CPUUtil: 0.5}) }, false, true},
+		{"replace", func() error { return g.Set(k, 1, Demand{CPUUtil: 0.2}) }, false, true},
+		{"rejected migration", func() error { return g.Set(k, 2, Demand{}) }, true, false},
+		{"clear", func() error { return g.Clear(k) }, false, true},
+		{"clear absent", func() error { return g.Clear(k) }, false, false},
+		{"hold camera", func() error { return g.Set(cam, 1, Demand{Camera: true}) }, false, true},
+		{"rejected release", func() error {
+			// Drop the meter hold behind the aggregator's back, so the
+			// release Clear implies has nothing to release.
+			if err := m.Release(Camera, 1); err != nil {
+				t.Fatal(err)
+			}
+			return g.Clear(cam)
+		}, true, false},
+	}
+	for _, s := range steps {
+		before := g.Generation()
+		if err := s.do(); (err != nil) != s.fails {
+			t.Fatalf("%s: err = %v", s.what, err)
+		}
+		if moved := g.Generation() != before; moved != s.moves {
+			t.Fatalf("%s: generation moved = %v, want %v", s.what, moved, s.moves)
+		}
+	}
+}
+
 func TestAggregatorClampsNegativeDemand(t *testing.T) {
 	_, m, g := aggFixture(t)
 	k := new(int)

@@ -2,8 +2,14 @@ package jobs
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
+	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/corpus"
 )
 
 // cheapSpec is the test workhorse: one device, the corpus's minimum
@@ -118,6 +124,53 @@ func TestGoldenWorkerIndependence(t *testing.T) {
 	a1, _ := submitAndWait(t, m1, spec).Artifacts()
 	a8, _ := submitAndWait(t, m8, spec).Artifacts()
 	assertSameArtifacts(t, a1, a8, "workers 1 vs 8")
+}
+
+// fleetDigest pins every artifact of 16 fleet jobs, one per corpus cell
+// (seed 100+i, 8 devices x 4 h): SHA-256 over "cell/name\n" followed by
+// the artifact bytes, in sorted cell/name order.
+const fleetDigest = "8e17f9ae8fec1e22c85d8e4256ec8e0a5eecd7eabd048f67a858c8bff1eceed2"
+
+// TestFleetArtifactDigest pins the bytes of all 96 artifacts across the
+// corpus grid, so a change to any observer, encoder or simulation path
+// that moves one float bit fails here. The digest holds for amd64 only:
+// elsewhere Go may fuse a multiply and an add into one instruction,
+// which rounds once instead of twice.
+func TestFleetArtifactDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digest pinned on amd64; Go may fuse multiply-add on %s, changing float rounding", runtime.GOARCH)
+	}
+	m := NewManager(Options{Runners: 1})
+	defer m.Close()
+	files := map[string][]byte{}
+	for i, c := range corpus.Cells() {
+		a, _ := submitAndWait(t, m, Spec{
+			Kind:    KindFleet,
+			Cell:    c.String(),
+			Seed:    int64(100 + i),
+			Devices: 8,
+			Horizon: Duration(4 * time.Hour),
+		}).Artifacts()
+		for name, b := range a.Files {
+			files[c.String()+"/"+name] = b
+		}
+	}
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, name := range names {
+		h.Write([]byte(name + "\n"))
+		h.Write(files[name])
+	}
+	if len(names) != 96 {
+		t.Fatalf("%d artifacts, want 96", len(names))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != fleetDigest {
+		t.Fatalf("artifact digest %s, want %s", got, fleetDigest)
+	}
 }
 
 // TestCorpusJobArtifacts: the corpus kind runs the replay harness and

@@ -45,9 +45,14 @@ type FlameCollector struct {
 	frames  map[any]string     // per-entity frame cache
 	labels  map[app.UID]string // per-UID frame cache
 
-	// ents is the per-flush scratch snapshot of the aggregator's
-	// entries, rebuilt on every Accrue.
+	// ents snapshots the aggregator's entries, with their frames, as of
+	// aggregator generation gen. The demand set changes at lifecycle
+	// rate, while the meter flushes at least once per watchdog window,
+	// so most intervals reuse the snapshot. A new collector's zero gen
+	// matches an aggregator that was never changed, whose snapshot is
+	// empty.
 	ents []entityRef
+	gen  uint64
 }
 
 // stackKey identifies one accumulation bucket without building its
@@ -89,10 +94,13 @@ func NewFlameCollector(agg *hw.Aggregator, pm *app.PackageManager) *FlameCollect
 
 // Accrue implements hw.Sink.
 func (c *FlameCollector) Accrue(iv hw.Interval) {
-	c.ents = c.ents[:0]
-	c.agg.EachEntry(func(key any, uid app.UID, d hw.Demand) {
-		c.ents = append(c.ents, entityRef{uid: uid, frame: c.frameFor(key), demand: d})
-	})
+	if gen := c.agg.Generation(); gen != c.gen {
+		c.ents = c.ents[:0]
+		c.agg.EachEntry(func(key any, uid app.UID, d hw.Demand) {
+			c.ents = append(c.ents, entityRef{uid: uid, frame: c.frameFor(key), demand: d})
+		})
+		c.gen = gen
+	}
 	iv.EachApp(func(uid app.UID, u *hw.UsageRow) {
 		for _, comp := range hw.Components() {
 			if j := u.J(comp); j != 0 {

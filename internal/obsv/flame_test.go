@@ -2,14 +2,19 @@ package obsv
 
 import (
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/accounting"
+	"repro/internal/app"
 	"repro/internal/device"
+	"repro/internal/hw"
+	"repro/internal/manifest"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // flameWorld runs scene #1 with a collector attached and returns the
@@ -153,5 +158,83 @@ func TestFlameSplitsCPUByUtil(t *testing.T) {
 	}
 	if victimCPU <= 0 {
 		t.Fatalf("no victim CPU energy in flame: %v", f.Stacks)
+	}
+}
+
+// entity is a demand key with a stack frame name.
+type entity string
+
+func (e *entity) FullName() string { return string(*e) }
+
+// TestFlameSnapshotFollowsDemand: the collector reuses its entity
+// snapshot only while the aggregator is unchanged. A new entry, a
+// replaced demand and a cleared entry each re-split the next interval.
+func TestFlameSnapshotFollowsDemand(t *testing.T) {
+	b, err := hw.NewBattery(hw.NexusBatteryJ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := sim.NewEngine(1)
+	m, err := hw.NewMeter(e.Now, hw.Nexus4(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := hw.NewAggregator(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm := app.NewPackageManager()
+	uid := pm.MustInstall(manifest.NewBuilder("com.example.a", "A").Activity("Main", true).MustBuild()).UID
+	fc := NewFlameCollector(g, pm)
+	iv := hw.NewInterval(0, 0)
+	iv.Row(uid).Add(hw.CPU, 1)
+	one, two := entity("one"), entity("two")
+	for _, step := range []func() error{
+		func() error { return g.Set(&one, uid, hw.Demand{CPUUtil: 0.5}) }, // one: 1
+		func() error { return g.Set(&two, uid, hw.Demand{CPUUtil: 0.5}) }, // one, two: 0.5 each
+		func() error { return g.Set(&one, uid, hw.Demand{}) },             // two: 1
+		func() error { return g.Clear(&two) },                             // (self): 1
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+		fc.Accrue(iv)
+	}
+	got := fc.Fold().Stacks
+	cpu := "cpu;A#" + strconv.Itoa(int(uid)) + ";"
+	want := map[string]float64{cpu + "one": 1.5, cpu + "two": 1.5, cpu + "(self)": 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("stacks = %v, want %v", got, want)
+	}
+}
+
+// TestFlameAccrueAllocatesNothing pins FlameCollector.Accrue at zero
+// allocations while the aggregator's demand set is unchanged and every
+// stack bucket already exists.
+func TestFlameAccrueAllocatesNothing(t *testing.T) {
+	w, err := scenario.NewWorld(device.Config{EAndroid: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := AttachFlame(w.Dev)
+	if err := w.Attack3ServicePin(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if w.Dev.Aggregator.Entries() == 0 {
+		t.Fatal("aggregator holds no demand entries")
+	}
+	iv := hw.NewInterval(0, 0)
+	w.Dev.Aggregator.EachEntry(func(_ any, uid app.UID, _ hw.Demand) {
+		for _, c := range hw.Components() {
+			iv.Row(uid).Add(c, 1e-3)
+		}
+	})
+	iv.ScreenJ, iv.SystemJ = 1e-3, 1e-3
+	gen := w.Dev.Aggregator.Generation()
+	if allocs := testing.AllocsPerRun(100, func() { fc.Accrue(iv) }); allocs != 0 {
+		t.Fatalf("Accrue allocated %.1f times per interval, want 0", allocs)
+	}
+	if w.Dev.Aggregator.Generation() != gen || fc.gen != gen {
+		t.Fatalf("generation moved: aggregator %d, snapshot %d, want %d", w.Dev.Aggregator.Generation(), fc.gen, gen)
 	}
 }

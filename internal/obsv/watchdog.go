@@ -2,7 +2,7 @@ package obsv
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/accounting"
@@ -146,12 +146,21 @@ type Watchdog struct {
 	finished bool
 
 	winStart sim.Time
-	direct   map[app.UID]float64 // joules attributed this window
-	drainJ   float64             // battery joules drained this window
+	drainJ   float64 // battery joules drained this window
 
-	hist    map[app.UID][]float64 // closed-window rates, newest last
+	// Per-UID state lives in dense columns parallel to uids, the
+	// ascending list of every UID seen so far: credited by the meter or
+	// listed by the monitor as a collateral driver. A new UID shifts the
+	// columns once; the window close walks them in order with no map,
+	// no sort and no allocation.
+	uids   []app.UID
+	direct []float64 // joules attributed this window
+	// hist holds closed-window rates, newest last, in a slice of
+	// capacity Baseline. It is nil until the UID is first credited: a
+	// driver seen only through its collateral map is never spike-judged.
+	hist    [][]float64
+	lastCol []float64 // cumulative collateral at last close
 	devHist []float64
-	lastCol map[app.UID]float64 // cumulative collateral at last close
 
 	findings []Finding
 	dropped  int
@@ -190,13 +199,7 @@ func NewWatchdog(dev *device.Device, opts WatchdogOptions) (*Watchdog, error) {
 		return nil, fmt.Errorf("obsv: nil device")
 	}
 	opts.fill()
-	return &Watchdog{
-		dev:     dev,
-		opts:    opts,
-		direct:  make(map[app.UID]float64),
-		hist:    make(map[app.UID][]float64),
-		lastCol: make(map[app.UID]float64),
-	}, nil
+	return &Watchdog{dev: dev, opts: opts, devHist: make([]float64, 0, opts.Baseline)}, nil
 }
 
 // Start adds the watchdog to the device's meter sinks and starts the
@@ -251,23 +254,45 @@ func (w *Watchdog) Accrue(iv hw.Interval) {
 		return
 	}
 	for _, uid := range iv.UIDs() {
-		w.direct[uid] += iv.App(uid).Total()
+		w.credit(uid, iv.App(uid).Total())
 	}
 	if iv.ScreenJ > 0 {
 		uid := app.UIDScreen
 		if acct := w.dev.Android; acct.Policy() == accounting.PowerTutor && acct.Foreground() != app.UIDNone {
 			uid = acct.Foreground()
 		}
-		w.direct[uid] += iv.ScreenJ
+		w.credit(uid, iv.ScreenJ)
 	}
 	if iv.SystemJ > 0 {
-		w.direct[app.UIDSystem] += iv.SystemJ
+		w.credit(app.UIDSystem, iv.SystemJ)
 	}
 	// Summed in the meter's own order (apps, then screen plus system),
 	// so the drain equals the battery's debit bit for bit.
 	drain := iv.AppsTotalJ()
 	drain += iv.ScreenJ + iv.SystemJ
 	w.drainJ += drain
+}
+
+// credit adds j joules to uid's window total.
+func (w *Watchdog) credit(uid app.UID, j float64) {
+	i := w.column(uid)
+	w.direct[i] += j
+	if w.hist[i] == nil {
+		w.hist[i] = make([]float64, 0, w.opts.Baseline)
+	}
+}
+
+// column returns uid's index in the columns, inserting it on first
+// sight.
+func (w *Watchdog) column(uid app.UID) int {
+	i, ok := slices.BinarySearch(w.uids, uid)
+	if !ok {
+		w.uids = slices.Insert(w.uids, i, uid)
+		w.direct = slices.Insert(w.direct, i, 0)
+		w.hist = slices.Insert(w.hist, i, nil)
+		w.lastCol = slices.Insert(w.lastCol, i, 0)
+	}
+	return i
 }
 
 // tick fires once per window on the virtual clock.
@@ -298,24 +323,16 @@ func (w *Watchdog) closeWindow(now sim.Time) {
 	}
 	preFindings := len(w.findings) + w.dropped
 
-	// Per-UID spikes, judged and appended to history in sorted UID
-	// order over the union of current and historical UIDs, so
-	// baselines decay deterministically when an app goes quiet.
-	uids := make([]app.UID, 0, len(w.direct)+len(w.hist))
-	seen := make(map[app.UID]bool, cap(uids))
-	for uid := range w.direct {
-		uids = append(uids, uid)
-		seen[uid] = true
-	}
-	for uid := range w.hist {
-		if !seen[uid] {
-			uids = append(uids, uid)
+	// Per-UID spikes, judged and appended to history in ascending UID
+	// order over every UID ever credited, so baselines decay
+	// deterministically when an app goes quiet.
+	for i, uid := range w.uids {
+		h := w.hist[i]
+		if h == nil {
+			continue
 		}
-	}
-	sort.Slice(uids, func(i, j int) bool { return uids[i] < uids[j] })
-	for _, uid := range uids {
-		rate := w.direct[uid] / secs * 1000 // mW
-		if h := w.hist[uid]; quiet && len(h) >= w.opts.Warmup {
+		rate := w.direct[i] / secs * 1000 // mW
+		if quiet && len(h) >= w.opts.Warmup {
 			base := mean(h)
 			if rate >= w.opts.MinRateMW && rate > w.opts.SpikeFactor*base {
 				w.record(Finding{
@@ -326,7 +343,7 @@ func (w *Watchdog) closeWindow(now sim.Time) {
 				})
 			}
 		}
-		w.hist[uid] = pushRate(w.hist[uid], rate, w.opts.Baseline)
+		w.hist[i] = pushRate(h, rate)
 	}
 
 	// Whole-device spike against its own rolling baseline.
@@ -341,23 +358,26 @@ func (w *Watchdog) closeWindow(now sim.Time) {
 			})
 		}
 	}
-	w.devHist = pushRate(w.devHist, devRate, w.opts.Baseline)
+	w.devHist = pushRate(w.devHist, devRate)
 
 	// Collateral divergence: energy landing in an app's collateral map
 	// much faster than in its own ledger. This is the esDiagnose
 	// signal — every one of the paper's attacks sustains it through
 	// user-quiet windows; the benign scenes' camera delegation is
 	// collateral too, but always inside an interactive window.
+	//
+	// The delta is the difference of two CollateralJ totals, each summed
+	// in CollateralMap order. That arithmetic fixes the findings' float
+	// bits: a per-window delta kept by the monitor would round
+	// differently.
 	if mon := w.dev.EAndroid; mon != nil {
 		for _, uid := range mon.Drivers() {
-			var col float64
-			for _, e := range mon.CollateralMap(uid) {
-				col += e.EnergyJ
-			}
-			delta := col - w.lastCol[uid]
-			w.lastCol[uid] = col
+			i := w.column(uid)
+			col := mon.CollateralJ(uid)
+			delta := col - w.lastCol[i]
+			w.lastCol[i] = col
 			colRate := delta / secs * 1000
-			directJ := w.direct[uid]
+			directJ := w.direct[i]
 			if quiet && colRate >= w.opts.MinCollateralMW && delta > w.opts.DivergenceRatio*directJ {
 				directRate := directJ / secs * 1000
 				w.record(Finding{
@@ -380,9 +400,7 @@ func (w *Watchdog) closeWindow(now sim.Time) {
 	w.dev.Trace.Phase(trace.PhaseWatchdogWindow, w.winStart, now,
 		float64(len(w.findings)+w.dropped-preFindings))
 
-	for uid := range w.direct {
-		delete(w.direct, uid)
-	}
+	clear(w.direct)
 	w.drainJ = 0
 	w.winStart = now
 }
@@ -408,11 +426,12 @@ func mean(xs []float64) float64 {
 	return t / float64(len(xs))
 }
 
-// pushRate appends r, keeping at most limit entries (newest last).
-func pushRate(h []float64, r float64, limit int) []float64 {
-	h = append(h, r)
-	if len(h) > limit {
-		h = h[len(h)-limit:]
+// pushRate appends r to a history of fixed capacity, dropping the
+// oldest rate once it is full, so it never allocates.
+func pushRate(h []float64, r float64) []float64 {
+	if len(h) == cap(h) {
+		copy(h, h[1:])
+		h = h[:len(h)-1]
 	}
-	return h
+	return append(h, r)
 }

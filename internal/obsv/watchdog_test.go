@@ -2,13 +2,16 @@ package obsv
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/accounting"
 	"repro/internal/app"
+	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/hw"
 	"repro/internal/manifest"
 	"repro/internal/power"
 	"repro/internal/scenario"
@@ -146,6 +149,18 @@ func TestWatchdogUserWindowsSuppressed(t *testing.T) {
 	}
 }
 
+// rateHistory maps every credited UID to its closed-window rates, as the
+// columns hold them.
+func rateHistory(w *Watchdog) map[app.UID][]float64 {
+	out := map[app.UID][]float64{}
+	for i, uid := range w.uids {
+		if w.hist[i] != nil {
+			out[uid] = w.hist[i]
+		}
+	}
+	return out
+}
+
 // TestWatchdogFinishIdempotent: Finish twice returns the same findings,
 // and the sink ignores every interval after the first Finish.
 func TestWatchdogFinishIdempotent(t *testing.T) {
@@ -160,6 +175,7 @@ func TestWatchdogFinishIdempotent(t *testing.T) {
 	}
 	a := wd.Finish()
 	st := wd.Stats()
+	uids := slices.Clone(wd.uids)
 	if err := dev.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +184,10 @@ func TestWatchdogFinishIdempotent(t *testing.T) {
 	if len(a) != len(b) || wd.Stats() != st {
 		t.Fatalf("Finish not idempotent: %d vs %d findings, stats %+v vs %+v", len(a), len(b), st, wd.Stats())
 	}
-	if len(wd.direct) != 0 || wd.drainJ != 0 {
-		t.Fatalf("finished watchdog folded later intervals: direct %v, drain %v J", wd.direct, wd.drainJ)
+	folded := slices.ContainsFunc(wd.direct, func(j float64) bool { return j != 0 })
+	if folded || !slices.Equal(wd.uids, uids) || wd.drainJ != 0 {
+		t.Fatalf("finished watchdog folded later intervals: uids %v (was %v), direct %v, drain %v J",
+			wd.uids, uids, wd.direct, wd.drainJ)
 	}
 }
 
@@ -220,8 +238,8 @@ func TestWatchdogsOnSharedRecorder(t *testing.T) {
 		if !reflect.DeepEqual(got.devHist, solo.devHist) {
 			t.Errorf("world %d: device rate history %v, solo %v", i, got.devHist, solo.devHist)
 		}
-		if !reflect.DeepEqual(got.hist, solo.hist) {
-			t.Errorf("world %d: per-UID rate history %v, solo %v", i, got.hist, solo.hist)
+		if gh, sh := rateHistory(got), rateHistory(solo); !reflect.DeepEqual(gh, sh) {
+			t.Errorf("world %d: per-UID rate history %v, solo %v", i, gh, sh)
 		}
 		if got.Stats() != solo.Stats() || !reflect.DeepEqual(got.Findings(), solo.Findings()) {
 			t.Errorf("world %d: stats %+v and %d findings, solo %+v and %d",
@@ -310,17 +328,68 @@ func TestWatchdogMatchesAccountantAttribution(t *testing.T) {
 				}
 				wantDev = append(wantDev, drain[k]/secs*1000)
 			}
-			if !reflect.DeepEqual(wd.hist, wantHist) {
-				t.Fatalf("per-UID window rates:\nwatchdog   %v\naccountant %v", wd.hist, wantHist)
+			hist := rateHistory(wd)
+			if !reflect.DeepEqual(hist, wantHist) {
+				t.Fatalf("per-UID window rates:\nwatchdog   %v\naccountant %v", hist, wantHist)
 			}
 			if !reflect.DeepEqual(wd.devHist, wantDev) {
 				t.Fatalf("device window rates:\nwatchdog %v\nbattery  %v", wd.devHist, wantDev)
 			}
 			// The scene must exercise the policy's screen routing: only
 			// BatteryStats keeps a Screen row.
-			if _, ok := wd.hist[app.UIDScreen]; ok != (policy == accounting.BatteryStats) {
+			if _, ok := hist[app.UIDScreen]; ok != (policy == accounting.BatteryStats) {
 				t.Fatalf("%s: UIDScreen in the watchdog's history = %v", policy, ok)
 			}
 		})
+	}
+}
+
+// TestWatchdogWindowCloseAllocatesNothing pins a steady-state window
+// close at zero allocations on a device with an active collateral
+// attack: the columns, rate histories and the monitor's driver list and
+// entry buffer are reused. Each window credits every seen UID a little
+// energy and closes user-quiet, so every judgement runs and none fires.
+func TestWatchdogWindowCloseAllocatesNothing(t *testing.T) {
+	w, err := scenario.NewWorld(device.Config{EAndroid: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wd, err := NewWatchdog(w.Dev, WatchdogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wd.Start()
+	if err := w.Attack3ServicePin(5 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	wd.ticker.Stop()
+	if !slices.ContainsFunc(w.Dev.EAndroid.Attacks(), func(a *core.Attack) bool { return a.Active }) {
+		t.Fatal("no active collateral attack")
+	}
+	if len(w.Dev.EAndroid.Drivers()) == 0 {
+		t.Fatal("monitor lists no collateral driver")
+	}
+	iv := hw.NewInterval(0, 0)
+	for _, uid := range wd.uids {
+		if uid >= app.FirstAppUID {
+			iv.Row(uid).Add(hw.CPU, 1e-3)
+		}
+	}
+	iv.SystemJ = 1e-3
+	now := w.Dev.Engine.Now()
+	findings, judged := len(wd.Findings()), wd.Stats().Judged
+	allocs := testing.AllocsPerRun(100, func() {
+		now += sim.Time(DefaultWindow)
+		wd.Accrue(iv)
+		wd.closeWindow(now)
+	})
+	if allocs != 0 {
+		t.Fatalf("window close allocated %.1f times per window, want 0", allocs)
+	}
+	if got := len(wd.Findings()); got != findings {
+		t.Fatalf("steady-state windows recorded %d findings", got-findings)
+	}
+	if got := wd.Stats().Judged - judged; got != 101 {
+		t.Fatalf("%d judged windows, want 101", got)
 	}
 }
