@@ -55,7 +55,7 @@ fleet-mem:
 	$(GO) run ./cmd/benchsuite -fleet-mem 100000
 
 # Regenerate the BENCH_telemetry.json overhead artifact (and enforce the
-# enabled <= 10% / disabled <= 1% gates).
+# recording-recorder <= 10% gate).
 telemetry-bench:
 	$(GO) run ./cmd/benchsuite -telemetry
 
@@ -65,7 +65,8 @@ check-bench:
 	$(GO) run ./cmd/benchsuite -check
 
 # Regenerate the BENCH_obsv.json observability overhead artifact (and
-# enforce the obsv-off <= 1% gate).
+# enforce the gate on what every job device carries: recorder + watchdog
+# + flame collector <= 120%).
 obsv-bench:
 	$(GO) run ./cmd/benchsuite -obsv
 
@@ -84,7 +85,7 @@ obsv-smoke:
 	$(GO) test -run 'TestServerSmoke|TestReadyzFollowsServing|TestExportFilesWritesAllOutputs|TestWatchdogWindowCloseAllocatesNothing|TestFlameAccrueAllocatesNothing' -count=1 -v ./internal/obsv
 
 # Regenerate the BENCH_trace.json causal-span tracing overhead artifact
-# (and enforce the trace-off <= 1% / every-device-traced <= 10% gates).
+# (and enforce the every-device-traced <= 10% gate).
 trace-bench:
 	$(GO) run ./cmd/benchsuite -trace
 
@@ -93,12 +94,14 @@ trace-bench:
 # trace JSON and forms a single rooted span tree whose root threads
 # through the job status, the live /trace feed, and the /metrics RED
 # exemplars; /metrics must keep one # TYPE line per family, the RED
-# exemplar line shape and the process hygiene gauges — plus, under
-# -race, the stalled-subscriber drop test on the live trace stream and
-# the SSE regression test (a frame published while a stream flushes its
-# initial frames still reaches the subscriber).
+# exemplar line shape and the process hygiene gauges, and POST /jobs
+# bodies with unknown kinds must add no kind label to /metrics
+# (TestRejectedKindsAddNoSeries) — plus, under -race, the
+# stalled-subscriber drop test on the live trace stream and the SSE
+# regression test (a frame published while a stream flushes its initial
+# frames still reaches the subscriber).
 trace-smoke:
-	$(GO) test -run 'TestTraceSmoke|TestGoldenWorkerIndependence|TestMetricsExposition' -count=1 -v ./internal/jobs
+	$(GO) test -run 'TestTraceSmoke|TestGoldenWorkerIndependence|TestMetricsExposition|TestRejectedKindsAddNoSeries' -count=1 -v ./internal/jobs
 	$(GO) test -race -run 'TestTraceStreamStalledSubscriber|TestServeKeepsFrameDuringInitialFlush' -count=1 ./internal/obsv
 
 # Regenerate the BENCH_corpus.json scenario-corpus artifact: every

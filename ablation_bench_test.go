@@ -27,7 +27,7 @@ import (
 func BenchmarkMeterAccrue(b *testing.B) {
 	for _, nUIDs := range []int{1, 8, 32} {
 		b.Run(fmt.Sprintf("uids=%d", nUIDs), func(b *testing.B) {
-			e := sim.NewEngine(1)
+			e := sim.NewEngine()
 			bat, err := hw.NewBattery(1e18)
 			if err != nil {
 				b.Fatal(err)

@@ -49,13 +49,17 @@ func TestSameSeedByteIdentical(t *testing.T) {
 
 // fleetViews runs a 2-device fleet at the given worker count and
 // returns the aggregate render plus each device's full E-Android view.
+// Each device's Scenario runs the horizon itself and keeps its view in
+// a slice indexed by device.
 func fleetViews(t *testing.T, workers int) string {
 	t.Helper()
+	const devices = 2
+	views := make([]string, devices)
 	fr, err := eandroid.RunFleet(context.Background(), eandroid.FleetSpec{
-		Devices:       2,
+		Devices:       devices,
 		Workers:       workers,
 		Seed:          99,
-		RetainResults: true, // the view concatenation reads Result.Custom
+		RetainResults: true, // the render lists every device
 		Config:        eandroid.Config{EAndroid: true},
 		Scenario: func(i int, dev *eandroid.Device) error {
 			mal, err := dev.Packages.Install(
@@ -75,23 +79,25 @@ func fleetViews(t *testing.T, workers int) string {
 			if _, err := dev.Activities.UserStartApp("com.det.mal"); err != nil {
 				return err
 			}
-			_, err = dev.BindService(mal.UID, "com.det.victim/Work")
-			return err
-		},
-		Horizon: 30 * time.Second,
-		Collect: func(i int, dev *eandroid.Device) (any, error) {
-			return dev.EAndroidView(), nil
+			if _, err := dev.BindService(mal.UID, "com.det.victim/Work"); err != nil {
+				return err
+			}
+			if err := dev.Run(30 * time.Second); err != nil {
+				return err
+			}
+			views[i] = dev.EAndroidView()
+			return nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, f := range fr.Summary.Failures {
+		t.Fatalf("device %d: %s", f.Index, f.Err)
+	}
 	out := fr.Render()
-	for _, r := range fr.Results {
-		if r.Err != nil {
-			t.Fatalf("device %d: %v", r.Index, r.Err)
-		}
-		out += r.Custom.(string)
+	for _, v := range views {
+		out += v
 	}
 	return out
 }

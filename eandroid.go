@@ -22,8 +22,6 @@ import (
 	"repro/internal/accounting"
 	"repro/internal/activity"
 	"repro/internal/app"
-	"repro/internal/broadcast"
-	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/display"
@@ -36,7 +34,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/service"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Core device types.
@@ -62,8 +59,6 @@ type (
 	App = app.App
 	// Workload is a component's hardware demand profile.
 	Workload = app.Workload
-	// Manifest describes an application's components and permissions.
-	Manifest = manifest.Manifest
 	// ManifestBuilder assembles manifests fluently.
 	ManifestBuilder = manifest.Builder
 	// IntentFilter declares implicit-intent matching rules.
@@ -77,12 +72,8 @@ func NewManifest(pkg, label string) *ManifestBuilder {
 	return manifest.NewBuilder(pkg, label)
 }
 
-// Pseudo-UIDs used in battery views.
-const (
-	UIDNone   = app.UIDNone
-	UIDScreen = app.UIDScreen
-	UIDSystem = app.UIDSystem
-)
+// UIDSystem is the pseudo-UID battery views charge platform energy to.
+const UIDSystem = app.UIDSystem
 
 // Permission strings.
 const (
@@ -90,89 +81,47 @@ const (
 	PermWriteSettings = manifest.PermWriteSettings
 )
 
-// Accounting policies.
-const (
-	// BatteryStats reports screen energy as a separate entry (Android's
-	// official interface).
-	BatteryStats = accounting.BatteryStats
-	// PowerTutor charges screen energy to the foreground app.
-	PowerTutor = accounting.PowerTutor
-)
+// PowerTutor is the accounting policy that charges screen energy to the
+// foreground app; the zero Policy is Android's BatteryStats, which
+// reports it as a separate entry.
+const PowerTutor = accounting.PowerTutor
 
-// E-Android monitor modes.
-const (
-	// FrameworkOnly records collateral events without the accounting
-	// module.
-	FrameworkOnly = core.FrameworkOnly
-	// Complete enables full collateral accounting.
-	Complete = core.Complete
-)
+// FrameworkOnly is the E-Android monitor mode that records collateral
+// events without the accounting module; the zero MonitorMode is the
+// complete monitor.
+const FrameworkOnly = core.FrameworkOnly
 
-// Wakelock types.
-const (
-	PartialWakeLock      = power.Partial
-	ScreenDimWakeLock    = power.ScreenDim
-	ScreenBrightWakeLock = power.ScreenBright
-	FullWakeLock         = power.Full
-)
+// ScreenBrightWakeLock keeps the screen on at full brightness.
+const ScreenBrightWakeLock = power.ScreenBright
 
-// Display modes and change sources.
+// Display brightness change sources.
 const (
-	BrightnessManual = display.Manual
-	BrightnessAuto   = display.Auto
-	SourceApp        = display.SourceApp
-	SourceSystemUI   = display.SourceSystemUI
+	SourceApp      = display.SourceApp
+	SourceSystemUI = display.SourceSystemUI
 )
 
 // Attack vectors reported by the monitor.
 const (
-	VectorActivity     = core.VectorActivity
-	VectorInterrupt    = core.VectorInterrupt
-	VectorServiceStart = core.VectorServiceStart
-	VectorServiceBind  = core.VectorServiceBind
-	VectorScreen       = core.VectorScreen
-	VectorWakelock     = core.VectorWakelock
-	// VectorBroadcast is this reproduction's extension vector for
-	// cross-app broadcasts (see DESIGN.md).
-	VectorBroadcast = core.VectorBroadcast
+	VectorActivity    = core.VectorActivity
+	VectorInterrupt   = core.VectorInterrupt
+	VectorServiceBind = core.VectorServiceBind
+	VectorWakelock    = core.VectorWakelock
 	// VectorProvider is the extension vector for cross-app
 	// content-provider queries (see DESIGN.md).
 	VectorProvider = core.VectorProvider
 )
 
-// Collateral charge policies.
-const (
-	// ChargeFullToEach charges every driver the driven party's full
-	// energy (the paper's policy).
-	ChargeFullToEach = core.ChargeFullToEach
-	// ChargeSplit divides the driven party's energy among the drivers.
-	ChargeSplit = core.ChargeSplit
-)
-
-// Monitor-facing types.
-type (
-	// Attack is one collateral attack lifecycle record.
-	Attack = core.Attack
-	// MapEntry is one element of a collateral energy map.
-	MapEntry = core.MapEntry
-	// Breakdown is one revised-battery-interface row.
-	Breakdown = core.Breakdown
-)
+// ChargeSplit is the collateral charge policy that divides the driven
+// party's energy among the drivers; the zero policy charges every
+// driver the full energy (the paper's policy).
+const ChargeSplit = core.ChargeSplit
 
 // TransparentActivity marks a started activity as transparent (the
 // overlay trick used by the paper's malware #4).
 func TransparentActivity() activity.StartOption { return activity.Transparent() }
 
-// Hardware profile helpers.
-var (
-	// Nexus4Profile is the default power model (linear CPU).
-	Nexus4Profile = hw.Nexus4
-	// Nexus4DVFSProfile enables the DVFS CPU ladder.
-	Nexus4DVFSProfile = hw.Nexus4DVFS
-)
-
-// NexusBatteryJ is the default battery capacity in joules.
-const NexusBatteryJ = hw.NexusBatteryJ
+// Nexus4Profile is the default power model (linear CPU).
+var Nexus4Profile = hw.Nexus4
 
 // Fleet API: run many independent devices concurrently (one
 // single-threaded engine per goroutine) with per-device seeds derived
@@ -188,29 +137,13 @@ type (
 	// FleetResult is a completed fleet run: the merged summary, plus
 	// per-device results sorted by index when RetainResults was set.
 	FleetResult = fleet.FleetResult
-	// FleetDeviceResult is the harvest of one device in the fleet.
-	FleetDeviceResult = fleet.Result
-	// FleetSummary is the fleet-level merge of all device results.
-	FleetSummary = fleet.Summary
-	// FleetProgress is one live per-device completion tick (fed to
-	// FleetSpec.Progress from worker goroutines).
-	FleetProgress = fleet.Progress
-	// FleetFailure is one sampled device failure in a streaming
-	// summary (FleetSummary.Failures keeps the first few).
-	FleetFailure = fleet.Failure
 )
 
 // RunFleet executes spec's devices on a bounded worker pool. Per-device
-// failures (including panics) are captured in the matching
-// FleetDeviceResult.Err; ctx cancels dispatch and in-flight horizons.
+// failures (including panics) are captured in the matching result's
+// Err; ctx cancels dispatch and in-flight horizons.
 func RunFleet(ctx context.Context, spec FleetSpec) (*FleetResult, error) {
 	return fleet.Run(ctx, spec)
-}
-
-// FleetDeviceSeed reports the engine seed device i of a fleet would
-// run with (splitmix64 derivation from the fleet seed).
-func FleetDeviceSeed(fleetSeed int64, i int) int64 {
-	return fleet.DeviceSeed(fleetSeed, i)
 }
 
 // Telemetry API: structured event tracing and metrics. Attach a
@@ -221,40 +154,14 @@ func FleetDeviceSeed(fleetSeed int64, i int) int64 {
 type (
 	// TelemetryRecorder is the typed event tracer + metrics registry.
 	TelemetryRecorder = telemetry.Recorder
-	// TelemetryOptions configures a recorder (ring capacity, gating).
+	// TelemetryOptions configures a recorder (ring capacity).
 	TelemetryOptions = telemetry.Options
-	// TelemetryEvent is one structured record.
-	TelemetryEvent = telemetry.Event
-	// TelemetryMetrics is a live instrument registry.
-	TelemetryMetrics = telemetry.Metrics
 	// TelemetrySnapshot is an order-stable freeze of a registry.
 	TelemetrySnapshot = telemetry.Snapshot
 )
 
 // NewTelemetry builds a recorder for Config.Telemetry.
 func NewTelemetry(opts TelemetryOptions) *TelemetryRecorder { return telemetry.New(opts) }
-
-// Runtime invariant checking: set Config.Checks to attach a checker
-// that validates energy conservation, battery bounds, lifecycle
-// legality and aggregator consistency on every metering interval, with
-// an optional differential oracle (a shadow sampled accountant checked
-// against the exact ledger). Leave Config.Checks nil to let the
-// EANDROID_CHECK environment variable decide. After a run, call
-// Device.FinishChecks for the final audit and the violation list.
-type (
-	// CheckOptions configures the invariant checker.
-	CheckOptions = check.Options
-	// CheckViolation is one recorded invariant violation.
-	CheckViolation = check.Violation
-	// CheckInvariant identifies which invariant family a violation
-	// belongs to.
-	CheckInvariant = check.Invariant
-)
-
-// WriteTrace exports recorded events as Chrome trace-event JSON
-// (loadable in Perfetto or chrome://tracing): the encoder behind the
-// CLIs' -trace-out, a JSON array with one event per line.
-var WriteTrace = obsv.WriteChromeEvents
 
 // Observability API: the live plane layered over telemetry. ObsvServer
 // is the stdlib-only HTTP surface the eandroid-serve daemon runs
@@ -265,23 +172,12 @@ var WriteTrace = obsv.WriteChromeEvents
 type (
 	// ObsvServer is the live observability HTTP server.
 	ObsvServer = obsv.Server
-	// Flame is a folded energy flame graph (collapsed stacks).
-	Flame = obsv.Flame
 	// FlameCollector accumulates one device's attribution stream.
 	FlameCollector = obsv.FlameCollector
 	// Watchdog is the rolling-window drain-anomaly detector.
 	Watchdog = obsv.Watchdog
-	// WatchdogOptions configures a Watchdog (window, thresholds).
+	// WatchdogOptions configures a Watchdog (window, history).
 	WatchdogOptions = obsv.WatchdogOptions
-	// WatchdogFinding is one anomaly the watchdog flagged.
-	WatchdogFinding = obsv.Finding
-)
-
-// Watchdog finding signal names.
-const (
-	SignalDrainSpike  = obsv.SignalDrainSpike
-	SignalDeviceSpike = obsv.SignalDeviceSpike
-	SignalDivergence  = obsv.SignalDivergence
 )
 
 // NewObsvServer builds an (unstarted) observability server; register
@@ -290,11 +186,8 @@ const (
 func NewObsvServer() *ObsvServer { return obsv.NewServer() }
 
 // AttachFlame subscribes a flame collector to a device's meter; Fold it
-// after the run (or merge several with MergeFlames).
+// after the run.
 func AttachFlame(dev *Device) *FlameCollector { return obsv.AttachFlame(dev) }
-
-// MergeFlames sums several folded flames into one.
-func MergeFlames(flames ...*Flame) *Flame { return obsv.MergeFlames(flames...) }
 
 // NewWatchdog builds a drain-anomaly watchdog over a device. Start
 // attaches it to the device's meter as an interval sink (no telemetry
@@ -308,19 +201,8 @@ func NewWatchdog(dev *Device, opts WatchdogOptions) (*Watchdog, error) {
 // metrics.prom and the CLIs' -metrics-out.
 var WritePrometheus = obsv.WritePrometheus
 
-// Service-facing aliases used by advanced callers.
-type (
-	// Service is one live service component instance.
-	Service = service.Service
-	// ServiceConnection is one live bindService link.
-	ServiceConnection = service.Connection
-	// Wakelock is a held wakelock registration.
-	Wakelock = power.Wakelock
-	// Activity is one live activity record.
-	Activity = activity.Activity
-	// BroadcastDelivery is one receiver invocation.
-	BroadcastDelivery = broadcast.Delivery
-)
+// ServiceConnection is one live bindService link.
+type ServiceConnection = service.Connection
 
 // Jobs API: the simulation-as-a-service control plane layered over the
 // fleet runner and scenario corpus. A JobManager owns a bounded queue
@@ -332,24 +214,13 @@ type (
 	JobManager = jobs.Manager
 	// JobManagerOptions sizes the runner pool, queue and cache.
 	JobManagerOptions = jobs.Options
-	// JobSpec describes what one job simulates (kind, cell, seed, shape).
-	JobSpec = jobs.Spec
-	// JobLimits are the server-side per-job resource bounds.
-	JobLimits = jobs.Limits
-	// Job is one submitted job (status, SSE events, artifacts).
-	Job = jobs.Job
 	// JobStatus is a job's JSON-renderable state.
 	JobStatus = jobs.Status
-	// JobArtifacts is a completed job's named output files.
-	JobArtifacts = jobs.Artifacts
 )
 
-// Job kinds accepted in JobSpec.Kind.
-const (
-	JobKindScenario = jobs.KindScenario
-	JobKindFleet    = jobs.KindFleet
-	JobKindCorpus   = jobs.KindCorpus
-)
+// JobKindScenario is the single-device job kind; the others are
+// "fleet" and "corpus".
+const JobKindScenario = jobs.KindScenario
 
 // NewJobManager builds a running job manager; Close it when done.
 func NewJobManager(opts JobManagerOptions) *JobManager { return jobs.NewManager(opts) }
@@ -358,39 +229,3 @@ func NewJobManager(opts JobManagerOptions) *JobManager { return jobs.NewManager(
 // observability server, wires its counters and RED request series into
 // /metrics, and closes the manager on server shutdown.
 var AttachJobs = jobs.Attach
-
-// Causal tracing API: deterministic span trees across the whole stack
-// (HTTP request → job → fleet shard → device → engine phases). Span
-// IDs derive from splitmix64 seed chains rooted at a job's content
-// address, so the exported tree is byte-identical across worker and
-// shard counts; RED request metrics carry root span IDs as exemplars.
-type (
-	// Span is one unit of causal work (virtual-ns window, derived ID).
-	Span = trace.Span
-	// SpanID is a 64-bit derived span identifier (hex in JSON).
-	SpanID = trace.SpanID
-	// Tracer assembles one operation's span tree.
-	Tracer = trace.Tracer
-	// TraceConfig tunes sampling (SampleRate, Disabled).
-	TraceConfig = trace.Config
-	// TraceSummary is the live wall-clock view of one finished trace.
-	TraceSummary = trace.Summary
-	// FleetTrace threads a tracer through a fleet run (fleet.Spec.Trace).
-	FleetTrace = trace.FleetTrace
-	// DeviceTracer collects one sampled device's engine-phase spans.
-	DeviceTracer = trace.DeviceTracer
-)
-
-// NewTracer builds a tracer rooted at a seed string (a job's content
-// address); rootName labels the request span.
-func NewTracer(seed, rootName string, cfg TraceConfig) *Tracer {
-	return trace.New(seed, rootName, cfg)
-}
-
-// WriteChromeTrace exports a span tree as Chrome trace-event JSON
-// (virtual-time only; loadable in chrome://tracing or Perfetto): the
-// encoder behind a job's trace.json.
-var WriteChromeTrace = obsv.WriteChromeSpans
-
-// TraceRootID derives an operation's root span ID from its seed string.
-var TraceRootID = trace.RootID

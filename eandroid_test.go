@@ -146,13 +146,15 @@ func TestTransparentOverlayPublicAPI(t *testing.T) {
 
 func TestConfigOverrides(t *testing.T) {
 	dev := eandroid.MustNew(eandroid.Config{
-		EAndroid:      true,
-		MonitorMode:   eandroid.FrameworkOnly,
-		Policy:        eandroid.PowerTutor,
-		BatteryJ:      1000,
-		Profile:       eandroid.Nexus4Profile(),
-		ScreenTimeout: 5 * time.Second,
+		EAndroid:    true,
+		MonitorMode: eandroid.FrameworkOnly,
+		Policy:      eandroid.PowerTutor,
+		BatteryJ:    1000,
+		Profile:     eandroid.Nexus4Profile(),
 	})
+	if err := dev.Power.SetScreenTimeout(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
 	if dev.EAndroid.Mode() != eandroid.FrameworkOnly {
 		t.Fatal("mode override lost")
 	}

@@ -103,7 +103,7 @@ func (a *Accountant) Foreground() app.UID { return a.foreground }
 
 // Accrue implements hw.Sink.
 func (a *Accountant) Accrue(iv hw.Interval) {
-	if a.tel.Enabled() {
+	if a.tel != nil {
 		a.observeInterval(iv)
 	}
 	if a.foreground != app.UIDNone {

@@ -12,7 +12,7 @@ import (
 
 func run(t *testing.T, policy Policy, script func(e *sim.Engine, m *hw.Meter, a *Accountant)) *Accountant {
 	t.Helper()
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	b, err := hw.NewBattery(hw.NexusBatteryJ)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestSystemBucket(t *testing.T) {
 }
 
 func TestTotalMatchesBattery(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	b, _ := hw.NewBattery(hw.NexusBatteryJ)
 	m, _ := hw.NewMeter(e.Now, hw.Nexus4(), b)
 	a, _ := New(BatteryStats)

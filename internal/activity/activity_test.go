@@ -41,7 +41,7 @@ type fx struct {
 
 func newFx(t *testing.T) *fx {
 	t.Helper()
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	b, err := hw.NewBattery(hw.NexusBatteryJ)
 	if err != nil {
 		t.Fatal(err)

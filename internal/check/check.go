@@ -152,9 +152,6 @@ type Options struct {
 	// at Finish. Off by default because the sampling ticker adds events
 	// to the engine's stream, which changes event-level goldens.
 	Differential bool
-	// MaxViolations bounds the stored violation slice; zero means
-	// DefaultMaxViolations.
-	MaxViolations int
 }
 
 // Ledger is the cumulative total the conservation checker compares
@@ -207,9 +204,6 @@ func New(opts Options, deps Deps) (*Checker, error) {
 		deps.Aggregator == nil || deps.Ledger == nil {
 		return nil, fmt.Errorf("check: nil dependency")
 	}
-	if opts.MaxViolations <= 0 {
-		opts.MaxViolations = DefaultMaxViolations
-	}
 	c := &Checker{
 		opts:        opts,
 		deps:        deps,
@@ -257,7 +251,7 @@ func (c *Checker) report(inv Invariant, detail string, got, want, eps float64) {
 		Want:      want,
 		Epsilon:   eps,
 	}
-	if len(c.violations) < c.opts.MaxViolations {
+	if len(c.violations) < DefaultMaxViolations {
 		c.violations = append(c.violations, v)
 	} else {
 		c.dropped++
@@ -279,8 +273,8 @@ func (c *Checker) Violations() []Violation {
 	return out
 }
 
-// Dropped reports how many violations exceeded MaxViolations and were
-// counted but not stored.
+// Dropped reports how many violations exceeded DefaultMaxViolations and
+// were counted but not stored.
 func (c *Checker) Dropped() int {
 	if c == nil {
 		return 0

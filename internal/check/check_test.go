@@ -328,17 +328,17 @@ func TestServiceRunningMismatchDetected(t *testing.T) {
 }
 
 func TestMaxViolationsBoundsStorage(t *testing.T) {
-	w := checkedWorld(t, &check.Options{MaxViolations: 2})
+	w := checkedWorld(t, &check.Options{})
 	ck := w.Dev.Checker
 	a, err := w.Dev.Activities.UserStartApp(scenario.PkgVictim)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < check.DefaultMaxViolations+3; i++ {
 		ck.Lifecycle(w.Dev.Engine.Now(), a, activity.Destroyed, activity.Resumed)
 	}
-	if got := len(ck.Violations()); got != 2 {
-		t.Fatalf("stored %d violations, want the MaxViolations bound 2", got)
+	if got := len(ck.Violations()); got != check.DefaultMaxViolations {
+		t.Fatalf("stored %d violations, want the bound %d", got, check.DefaultMaxViolations)
 	}
 	if ck.Dropped() == 0 {
 		t.Fatal("overflow violations were not counted as dropped")

@@ -15,7 +15,7 @@ import (
 // manipulation of attack state.
 func wbFixture(t *testing.T) (*sim.Engine, *app.PackageManager, *Monitor, [3]app.UID) {
 	t.Helper()
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	pm := app.NewPackageManager()
 	var uids [3]app.UID
 	for i, pkg := range []string{"com.a", "com.b", "com.c"} {

@@ -35,7 +35,9 @@ import (
 // builds a stock-Android Nexus 4-like device with BatteryStats
 // accounting and no E-Android monitor.
 type Config struct {
-	// Seed seeds the simulation's random source.
+	// Seed is not read: the simulation draws no random numbers of its
+	// own. It stays only because the repo benchmark (perfbench) sets
+	// it, and goes with the next change to that benchmark.
 	Seed int64
 	// Profile is the hardware power model; zero means hw.Nexus4().
 	Profile hw.Profile
@@ -53,8 +55,6 @@ type Config struct {
 	// CollateralPolicy selects the monitor's superimposition rule; zero
 	// means core.ChargeFullToEach (the paper's policy).
 	CollateralPolicy core.ChargePolicy
-	// ScreenTimeout overrides the 30 s screen auto-off timeout.
-	ScreenTimeout time.Duration
 	// Telemetry, when non-nil, is instrumented into the kernel, meter,
 	// activity manager and accountant. A recorder is single-goroutine
 	// like the device itself: give every device its own (fleet runs
@@ -150,7 +150,7 @@ func New(cfg Config) (*Device, error) {
 		cfg.MonitorMode = core.Complete
 	}
 
-	engine := sim.NewEngine(cfg.Seed)
+	engine := sim.NewEngine()
 	if cfg.Events != nil {
 		engine.SetEventPool(cfg.Events)
 	}
@@ -299,12 +299,6 @@ func New(cfg Config) (*Device, error) {
 		am.AddHooks(ck)
 		svm.AddHooks(ck)
 		dev.Checker = ck
-	}
-
-	if cfg.ScreenTimeout != 0 {
-		if err := pwm.SetScreenTimeout(cfg.ScreenTimeout); err != nil {
-			return nil, err
-		}
 	}
 	return dev, nil
 }

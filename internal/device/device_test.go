@@ -45,9 +45,6 @@ func TestInvalidConfigRejected(t *testing.T) {
 	if _, err := New(Config{Profile: bad}); err == nil {
 		t.Fatal("invalid profile accepted")
 	}
-	if _, err := New(Config{ScreenTimeout: -time.Second}); err == nil {
-		t.Fatal("negative timeout accepted")
-	}
 }
 
 func TestMustNewPanics(t *testing.T) {

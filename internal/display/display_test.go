@@ -25,7 +25,7 @@ func (r *recorder) ModeChanged(t sim.Time, by app.UID, source Source, old, new M
 
 func fixture(t *testing.T) (*sim.Engine, *hw.Meter, *app.PackageManager, *Display, *recorder) {
 	t.Helper()
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	b, err := hw.NewBattery(hw.NexusBatteryJ)
 	if err != nil {
 		t.Fatal(err)

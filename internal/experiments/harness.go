@@ -27,19 +27,20 @@ import (
 //     (the mean of the middle half) of the per-pair wall-time ratios:
 //     host drift slower than one pair cancels in the ratio, alternation
 //     cancels ordering bias, and trimming drops scheduler outliers. A
-//     1% gate needs that — a min-over-reps comparison of two
-//     near-identical workloads cannot resolve 1% when the host drifts
-//     by more between reps. Separate blocks keep an allocation-heavy
-//     mode's churn out of every other mode's pairs.
+//     gate a few percent wide needs that — a min-over-reps comparison
+//     cannot resolve a few percent when the host drifts by more between
+//     reps. Separate blocks keep an allocation-heavy mode's churn out
+//     of every other mode's pairs.
 //   - Each mode's min-over-reps wall time (its floor) is reported
 //     alongside, for the absolute wall-time comparison of benchsuite
 //     -benchcmp.
 //   - A study is attempted up to gateAttempts times and judged on the
 //     attempt whose worst gate is best, stopping at the first attempt
-//     where every gate passes: the true disabled-path costs sit close
-//     enough to their 1% limits that one drifty attempt must not fail
-//     CI, and the smallest attempt is the noise-floor estimate, the
-//     same rationale as a min-over-reps floor.
+//     where every gate passes: the recorder's and the checker's true
+//     costs (about +8% against 10%, +4% against 5%) sit close enough
+//     to their limits that one drifty attempt must not fail CI, and the
+//     smallest attempt is the noise-floor estimate, the same rationale
+//     as a min-over-reps floor.
 
 // pairsPerRep is how many (baseline, mode) pairs each rep buys every
 // non-baseline mode.

@@ -17,18 +17,18 @@ func pairs(pct float64) []float64 {
 
 func near(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
-// syntheticStudy has the telemetry study's gates and no workload: the
+// syntheticStudy has a tight and a wide gate and no workload: the
 // judge tests feed it fixed samples.
 func syntheticStudy() *OverheadStudy {
 	return &OverheadStudy{
 		Name:  "synthetic",
-		Modes: []Mode{{Name: "baseline"}, {Name: "disabled"}, {Name: "enabled"}},
-		Gates: []Gate{{"disabled", 1}, {"enabled", 10}},
+		Modes: []Mode{{Name: "baseline"}, {Name: "tight"}, {Name: "wide"}},
+		Gates: []Gate{{"tight", 1}, {"wide", 10}},
 	}
 }
 
 // serve returns a measure function handing out one attempt per call —
-// attempts[i] holds the (disabled, enabled) overheads in percent — and
+// attempts[i] holds the (tight, wide) overheads in percent — and
 // counts the calls.
 func serve(calls *int, counts Counts, attempts ...[2]float64) func() (*sample, error) {
 	return func() (*sample, error) {
@@ -52,7 +52,7 @@ func TestJudgePassesJustUnderLimit(t *testing.T) {
 		t.Fatalf("err %v after %d calls (%d tried), want a pass on the first", r.Err, calls, len(r.Tried))
 	}
 	if got := r.Modes[1].OverheadPct; !near(got, 0.99) {
-		t.Fatalf("disabled overhead = %v, want the trimmed 0.99", got)
+		t.Fatalf("tight overhead = %v, want the trimmed 0.99", got)
 	}
 	for _, g := range r.Gates {
 		if !g.Pass || g.Op != "<=" {
@@ -135,10 +135,10 @@ func TestSanityRejectsBrokenCounts(t *testing.T) {
 // 0% and never bind.
 func TestOverheadGatesPinned(t *testing.T) {
 	want := map[string]map[string]float64{
-		"telemetry": {"disabled": 1, "enabled": 10},
+		"telemetry": {"enabled": 10},
 		"check":     {"enabled": 5},
-		"obsv":      {"disabled": 1},
-		"trace":     {"disabled": 1, "full": 10},
+		"obsv":      {"enabled": 120},
+		"trace":     {"full": 10},
 	}
 	for _, s := range []*OverheadStudy{TelemetryStudy, CheckStudy, ObsvStudy, TraceStudy} {
 		if s.Modes[0].Name != "baseline" || s.Reps <= 0 {

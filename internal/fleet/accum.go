@@ -51,7 +51,7 @@ type accBlock struct {
 // folder is the fleet's streaming accumulator: blockSize-wide fold
 // blocks, sharded mutexes, and a permit semaphore that bounds how many
 // results can be finished-but-unfolded (plus in flight) at once — the
-// backpressure that keeps the pending maps O(MaxPending) instead of
+// backpressure that keeps the pending maps O(window) instead of
 // O(devices).
 type folder struct {
 	spec    *Spec

@@ -5,8 +5,9 @@
 // whole device: one engine per goroutine, never two goroutines in one
 // engine. A bounded worker pool (default GOMAXPROCS) pulls device
 // indices from a queue, builds each device from the shared Config
-// template with a per-device seed derived from the fleet seed via
-// splitmix64, runs its scenario plus horizon, and harvests a Result.
+// template, runs its scenario plus horizon, and harvests a Result
+// labelled with a per-device seed derived from the fleet seed via
+// splitmix64.
 //
 // Execution is streaming and memory-bounded by default: finished
 // devices fold into a sharded accumulator (see accum.go) and are
@@ -50,18 +51,16 @@ type Spec struct {
 	// shards × workers combination. Zero means Workers; values above
 	// the block count are clamped.
 	Shards int
-	// Seed is the fleet seed. Device i runs with DeviceSeed(Seed, i),
-	// so the whole fleet is reproducible from one number.
+	// Seed is the fleet seed, from which scenarios derive their own
+	// random streams, so the whole fleet is reproducible from one
+	// number. Device i's Result carries DeviceSeed(Seed, i).
 	Seed int64
-	// Config is the device template. Its Seed field is overridden per
-	// device; everything else is shared.
+	// Config is the device template, shared by every device.
 	Config device.Config
 	// Configure, when non-nil, customizes device i's config after the
-	// template copy and per-device seed assignment but before device
-	// construction — the population layer's hardware-cohort hook. It
-	// runs on worker goroutines and must be pure: the same i must
-	// always produce the same mutation. The per-device Seed it sees is
-	// the fleet's derivation and cannot be overridden.
+	// template copy but before device construction — the population
+	// layer's hardware-cohort hook. It runs on worker goroutines and
+	// must be pure: the same i must always produce the same mutation.
 	Configure func(i int, cfg *device.Config)
 	// Scenario scripts device i. It may drive the device's virtual
 	// clock itself (dev.Run) or rely on Horizon; a nil Scenario runs an
@@ -70,8 +69,8 @@ type Spec struct {
 	// RetainResults keeps every per-device Result in
 	// FleetResult.Results (the pre-streaming behaviour). Off by
 	// default: a streaming fleet folds each finished device into the
-	// bounded accumulator and drops it, so memory stays O(MaxPending)
-	// instead of O(Devices).
+	// bounded accumulator and drops it, so memory stays bounded by the
+	// dispatch window instead of O(Devices).
 	RetainResults bool
 	// Stream, when non-nil, receives every finished Result exactly
 	// once, from the worker goroutine that ran it (or the dispatcher,
@@ -80,17 +79,8 @@ type Spec struct {
 	// Result.Index. The Result must not be mutated: the accumulator
 	// reads it after Stream returns.
 	Stream func(Result)
-	// MaxPending bounds how many dispatched devices may be unfolded
-	// (in flight or parked out-of-order) at once — the streaming
-	// path's memory high-water mark. Zero means max(4×Workers, 8);
-	// values below Workers are raised to Workers so the pool never
-	// starves.
-	MaxPending int
 	// Horizon is additional virtual time to run after Scenario returns.
 	Horizon time.Duration
-	// Collect, when non-nil, extracts a scenario-specific payload from
-	// device i after the run; it lands in Result.Custom.
-	Collect func(i int, dev *device.Device) (any, error)
 	// Telemetry, when non-nil, builds one recorder per device with these
 	// options (a recorder is single-goroutine, like the engine it
 	// observes). Each device's metrics snapshot lands in Result.Metrics
@@ -138,12 +128,12 @@ type Progress struct {
 }
 
 // Result is the harvest of one device's run. The standard energy and
-// attack summaries are always populated on success; Custom holds
-// whatever Spec.Collect returned.
+// attack summaries are always populated on success; a scenario keeps
+// anything else it needs itself, in a slice indexed by device.
 type Result struct {
 	// Index is the device's position in the fleet, 0-based.
 	Index int
-	// Seed is the derived per-device seed the run used.
+	// Seed is the device's derived seed, DeviceSeed(Spec.Seed, Index).
 	Seed int64
 	// Err is non-nil when the device failed: build error, scenario
 	// error, captured panic, or context cancellation. All other fields
@@ -177,8 +167,6 @@ type Result struct {
 	// unless the device template enables Config.Checks (or the
 	// EANDROID_CHECK environment variable does) and something broke.
 	Violations []check.Violation
-	// Custom is Spec.Collect's payload, if any.
-	Custom any
 	// Metrics is the device's telemetry snapshot; nil unless
 	// Spec.Telemetry was set and the device succeeded.
 	Metrics *telemetry.Snapshot
@@ -244,9 +232,9 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// DeviceSeed derives device i's engine seed from the fleet seed. The
-// derivation is pure, so any subset of the fleet can be re-run in
-// isolation and still see the same random stream.
+// DeviceSeed derives device i's seed, the label its Result and the
+// fleet render carry, from the fleet seed. The derivation is pure, so
+// the label does not depend on which other devices run.
 func DeviceSeed(fleetSeed int64, i int) int64 {
 	return int64(splitmix64(uint64(fleetSeed) + uint64(i)*0x9e3779b97f4a7c15))
 }
@@ -279,18 +267,10 @@ func Run(ctx context.Context, spec Spec) (*FleetResult, error) {
 	if shards <= 0 {
 		shards = workers
 	}
-	window := spec.MaxPending
-	if window <= 0 {
-		window = 4 * workers
-		if window < 8 {
-			window = 8
-		}
-	}
-	if window < workers {
-		window = workers
-	}
-
-	f := newFolder(&spec, shards, window)
+	// The dispatch window bounds how many dispatched devices may be
+	// unfolded (in flight or parked out of order) at once: the
+	// streaming path's memory high-water mark.
+	f := newFolder(&spec, shards, max(4*workers, 8))
 	stats := make([]WorkerStat, workers)
 	var done atomic.Int64
 	poolStart := time.Now()
@@ -416,10 +396,8 @@ func runDevice(ctx context.Context, spec Spec, i int, pool *sim.EventPool) (res 
 	}
 
 	cfg := spec.Config
-	cfg.Seed = res.Seed
 	if spec.Configure != nil {
 		spec.Configure(i, &cfg)
-		cfg.Seed = res.Seed // seed derivation is the fleet's, not the hook's
 	}
 	cfg.Events = pool
 	if spec.Telemetry != nil {
@@ -465,21 +443,13 @@ func runDevice(ctx context.Context, spec Spec, i int, pool *sim.EventPool) (res 
 		}
 		spec.Trace.Finish(i, dt, res.SimEnd)
 	}
-	if spec.Collect != nil {
-		custom, err := spec.Collect(i, dev)
-		if err != nil {
-			res.Err = fmt.Errorf("fleet: device %d collect: %w", i, err)
-			return res
-		}
-		res.Custom = custom
-	}
 	return res
 }
 
 // horizonChecks is how many times a horizon run polls for cancellation.
 // Running to an absolute target in slices is behaviour-identical to one
-// RunUntil call — the event stream and random draws are untouched — so
-// chunking costs nothing in determinism.
+// RunUntil call — the event stream is untouched — so chunking costs
+// nothing in determinism.
 const horizonChecks = 32
 
 func runHorizon(ctx context.Context, dev *device.Device, horizon time.Duration) error {

@@ -3,10 +3,8 @@ package fleet
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -293,41 +291,50 @@ func TestCancellationProgressReachesTotal(t *testing.T) {
 }
 
 // The dispatch-permit window must bound how many devices can be
-// dispatched while nothing folds: with the block head stalled, at most
-// MaxPending devices may start.
+// dispatched while nothing folds. With the block head stalled until the
+// other permitted devices have finished, and then for long enough that
+// an unbounded dispatcher would start more, exactly the window of
+// max(4×workers, 8) devices may have started: 8 at 2 workers.
 func TestMaxPendingBoundsDispatch(t *testing.T) {
-	const window = 6
-	release := make(chan struct{})
-	var started, finished, startedBeforeRelease atomic.Int64
-	var once sync.Once
+	const window, devices = 8, 32
+	var started, startedWhileStalled atomic.Int64
+	finished := make(chan struct{}, devices) // one send per device
 	spec := Spec{
-		Devices:    32,
-		Workers:    2,
-		Seed:       7,
-		MaxPending: window,
+		Devices: devices,
+		Workers: 2,
+		Seed:    7,
 		Scenario: func(i int, dev *device.Device) error {
 			started.Add(1)
-			if i == 0 {
-				<-release // stall the block head: nothing can fold
+			if i != 0 {
+				finished <- struct{}{}
 				return nil
 			}
-			if finished.Add(1) == 4 {
-				once.Do(func() {
-					startedBeforeRelease.Store(started.Load())
-					close(release)
-				})
+			// Stall the block head, so nothing can fold, until the rest
+			// of the window has finished; the timeout only keeps a
+			// smaller window from hanging the test.
+			timeout := time.After(5 * time.Second)
+		stall:
+			for k := 1; k < window; k++ {
+				select {
+				case <-finished:
+				case <-timeout:
+					break stall
+				}
 			}
+			// Give an unbounded dispatcher time to start more devices.
+			time.Sleep(100 * time.Millisecond)
+			startedWhileStalled.Store(started.Load())
 			return nil
 		},
 	}
 	if _, err := Run(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
-	if got := startedBeforeRelease.Load(); got > window {
-		t.Fatalf("%d devices started while the fold was stalled, want <= MaxPending (%d)", got, window)
+	if got := startedWhileStalled.Load(); got != window {
+		t.Fatalf("%d devices started while the fold was stalled, want the window (%d)", got, window)
 	}
-	if got := started.Load(); got != 32 {
-		t.Fatalf("started = %d, want 32", got)
+	if got := started.Load(); got != devices {
+		t.Fatalf("started = %d, want %d", got, devices)
 	}
 }
 
@@ -422,22 +429,6 @@ func TestContextCancellation(t *testing.T) {
 	}
 	if fr.Summary.Failed != cancelled {
 		t.Fatalf("summary failed = %d, want %d", fr.Summary.Failed, cancelled)
-	}
-}
-
-func TestCollectPayload(t *testing.T) {
-	spec := attackSpec(3, 0, 11)
-	spec.Collect = func(i int, dev *device.Device) (any, error) {
-		return fmt.Sprintf("device-%d", i), nil
-	}
-	fr, err := Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range fr.Results {
-		if r.Custom != fmt.Sprintf("device-%d", i) {
-			t.Fatalf("device %d custom = %v", i, r.Custom)
-		}
 	}
 }
 

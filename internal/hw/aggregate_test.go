@@ -11,7 +11,7 @@ import (
 
 func aggFixture(t *testing.T) (*sim.Engine, *Meter, *Aggregator) {
 	t.Helper()
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	b, err := NewBattery(NexusBatteryJ)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 // and reused verbatim afterwards. This is the pin for the dense-table
 // rework — a regression here is the old per-flush map churn coming back.
 func TestFlushSteadyStateAllocs(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	b, err := NewBattery(1e12)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestFlushSteadyStateAllocs(t *testing.T) {
 // reused table, so a sink that retains it without Clone() watches its
 // rows change under the next flush, while a Clone() stays stable.
 func TestSinkRetentionRequiresClone(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	b, err := NewBattery(1e12)
 	if err != nil {
 		t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 // arrays) state table exists for: CPU attribution, peripheral hold
 // shares and a live WiFi tail, all walked as dense columns.
 func BenchmarkAccrueColumnar(b *testing.B) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	bat, err := NewBattery(1e15)
 	if err != nil {
 		b.Fatal(err)

@@ -75,7 +75,7 @@ func TestLinearModelUnchangedWithoutLadder(t *testing.T) {
 }
 
 func TestDVFSEnergyIntegration(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	b, err := NewBattery(NexusBatteryJ)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestDVFSSecondAppRaisesFrequencyForBoth(t *testing.T) {
 	// When a second app pushes the total load past a capacity step, the
 	// governor raises the frequency and everyone's marginal cost rises —
 	// the coupling a linear model cannot express.
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	b, _ := NewBattery(NexusBatteryJ)
 	m, _ := NewMeter(e.Now, Nexus4DVFS(), b)
 	per := map[int]float64{}

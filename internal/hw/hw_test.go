@@ -12,7 +12,7 @@ import (
 
 func testMeter(t *testing.T) (*sim.Engine, *Meter, *Battery) {
 	t.Helper()
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	b, err := NewBattery(NexusBatteryJ)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestMeterConstructorValidation(t *testing.T) {
 	if _, err := NewMeter(nil, Nexus4(), b); err == nil {
 		t.Fatal("nil clock accepted")
 	}
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	bad := Nexus4()
 	bad.CPUFull = -1
 	if _, err := NewMeter(e.Now, bad, b); err == nil {
@@ -367,7 +367,7 @@ func TestUsageHelpers(t *testing.T) {
 // sinks, for arbitrary interleavings of state changes.
 func TestPropertyBatteryMatchesSinkTotal(t *testing.T) {
 	prop := func(ops []uint8) bool {
-		e := sim.NewEngine(9)
+		e := sim.NewEngine()
 		b, _ := NewBattery(1e12)
 		m, _ := NewMeter(e.Now, Nexus4(), b)
 		var sunk float64
@@ -409,7 +409,7 @@ func TestPropertyBatteryMatchesSinkTotal(t *testing.T) {
 // Property: energy over any interval is non-negative for every bucket.
 func TestPropertyNonNegativeEnergy(t *testing.T) {
 	prop := func(bright uint8, util float64, secs uint8) bool {
-		e := sim.NewEngine(4)
+		e := sim.NewEngine()
 		b, _ := NewBattery(1e12)
 		m, _ := NewMeter(e.Now, Nexus4(), b)
 		ok := true

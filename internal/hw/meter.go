@@ -514,7 +514,7 @@ func (m *Meter) accrueSegment(t sim.Time) {
 		panic(err) // unreachable: total is a sum of non-negative terms
 	}
 
-	if m.tel.Enabled() {
+	if m.tel != nil {
 		m.observeSegment(iv, secs, total)
 	}
 

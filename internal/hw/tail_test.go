@@ -11,7 +11,7 @@ import (
 
 func tailFixture(t *testing.T) (*sim.Engine, *Meter, map[app.UID]float64) {
 	t.Helper()
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	b, err := NewBattery(NexusBatteryJ)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestTailVisibleInInstantPower(t *testing.T) {
 }
 
 func TestZeroTailProfileSkipsTail(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	b, _ := NewBattery(NexusBatteryJ)
 	prof := Nexus4()
 	prof.WiFiTail = 0

@@ -85,7 +85,12 @@ func Register(mux *http.ServeMux, m *Manager) {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad spec: %v", err))
 			return
 		}
-		annotate(r, spec.Kind, 0)
+		// Only a job kind becomes a label: any other string a client
+		// sends would add a series to /metrics for the daemon's life.
+		switch spec.Kind {
+		case KindScenario, KindFleet, KindCorpus:
+			annotate(r, spec.Kind, 0)
+		}
 		j, err := m.Submit(spec)
 		switch {
 		case errors.Is(err, ErrQueueFull):

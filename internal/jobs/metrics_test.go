@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"regexp"
@@ -139,5 +140,38 @@ func TestMetricsExposition(t *testing.T) {
 		if err != nil || v < 0 || (name != "eandroid_process_uptime_seconds" && v == 0) {
 			t.Errorf("hygiene gauge %s = %q (err %v)", name, raw, err)
 		}
+	}
+}
+
+// TestRejectedKindsAddNoSeries: the kind of a POST /jobs body becomes a
+// RED label only when it names a job kind. Requests with unknown kinds
+// are answered 400 and counted with no kind, so a client cannot add a
+// /metrics series for every string it sends.
+func TestRejectedKindsAddNoSeries(t *testing.T) {
+	base, _, stop := startPlane(t, Options{Runners: 1})
+	defer stop()
+	const rejected = 3
+	for i := 0; i < rejected; i++ {
+		spec := cheapSpec(1)
+		spec.Kind = fmt.Sprintf("bogus-%d-%s", i, strings.Repeat("x", 64))
+		if code, _ := postSpec(t, base, spec); code != http.StatusBadRequest {
+			t.Fatalf("kind %q: HTTP %d, want 400", spec.Kind, code)
+		}
+	}
+
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	text := string(body)
+	for _, m := range regexp.MustCompile(`kind="([^"]*)"`).FindAllStringSubmatch(text, -1) {
+		if m[1] != KindScenario && m[1] != KindFleet && m[1] != KindCorpus {
+			t.Fatalf("/metrics carries kind %q:\n%s", m[1], text)
+		}
+	}
+	if want := fmt.Sprintf(`eandroid_jobs_requests_total{endpoint="POST /jobs"} %d`, rejected); !strings.Contains(text, want) {
+		t.Fatalf("/metrics missing %q:\n%s", want, text)
 	}
 }

@@ -174,7 +174,7 @@ func TestFlameSnapshotFollowsDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	m, err := hw.NewMeter(e.Now, hw.Nexus4(), b)
 	if err != nil {
 		t.Fatal(err)

@@ -16,23 +16,22 @@ import (
 
 // obsvFleetExports runs a 4-device stealth fleet on the given worker
 // count and renders the two live-export surfaces: the merged Prometheus
-// text and the merged collapsed flame. Per-device flames ride from
-// Scenario (attach) to Collect (fold) through a worker-owned slice —
-// workers own disjoint indices, so the slice needs no lock — and merge
-// in device-index order.
+// text and the merged collapsed flame. Each device's Scenario runs the
+// horizon itself and folds its flame into a slice indexed by device —
+// workers own disjoint indices, so the slice needs no lock — and the
+// flames merge in device-index order.
 func obsvFleetExports(t *testing.T, workers int) (string, string) {
 	t.Helper()
 	const devices = 4
-	collectors := make([]*FlameCollector, devices)
+	flames := make([]*Flame, devices)
 	fr, err := fleet.Run(context.Background(), fleet.Spec{
-		Devices:       devices,
-		Workers:       workers,
-		Seed:          42,
-		RetainResults: true, // the flame fold reads Result.Custom below
-		Config:        device.Config{EAndroid: true, Policy: accounting.BatteryStats},
-		Telemetry:     &telemetry.Options{},
+		Devices:   devices,
+		Workers:   workers,
+		Seed:      42,
+		Config:    device.Config{EAndroid: true, Policy: accounting.BatteryStats},
+		Telemetry: &telemetry.Options{},
 		Scenario: func(i int, dev *device.Device) error {
-			collectors[i] = AttachFlame(dev)
+			fc := AttachFlame(dev)
 			w, err := scenario.Populate(dev)
 			if err != nil {
 				return err
@@ -45,22 +44,21 @@ func obsvFleetExports(t *testing.T, workers int) (string, string) {
 			if err := w.ForceScreenOn(); err != nil {
 				return err
 			}
-			return w.StealthAutoLaunch(60 * time.Second)
-		},
-		Horizon: 5 * time.Minute,
-		Collect: func(i int, dev *device.Device) (any, error) {
-			return collectors[i].Fold(), nil
+			if err := w.StealthAutoLaunch(60 * time.Second); err != nil {
+				return err
+			}
+			if err := dev.Run(5 * time.Minute); err != nil {
+				return err
+			}
+			flames[i] = fc.Fold()
+			return nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flames := make([]*Flame, devices)
-	for _, r := range fr.Results {
-		if r.Err != nil {
-			t.Fatalf("device %d: %v", r.Index, r.Err)
-		}
-		flames[r.Index] = r.Custom.(*Flame)
+	for _, f := range fr.Summary.Failures {
+		t.Fatalf("device %d: %s", f.Index, f.Err)
 	}
 
 	var prom strings.Builder

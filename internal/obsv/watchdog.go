@@ -13,9 +13,11 @@ import (
 	"repro/internal/trace"
 )
 
-// Watchdog defaults. The spike thresholds are deliberately double-gated
-// (a relative jump AND an absolute floor) so quiet apps waking up and
-// noisy-but-steady apps both stay under the bar.
+// Watchdog defaults: the window and history length, which
+// WatchdogOptions may override, and the thresholds, which are fixed.
+// The spike thresholds are deliberately double-gated (a relative jump
+// AND an absolute floor) so quiet apps waking up and noisy-but-steady
+// apps both stay under the bar.
 const (
 	// DefaultWindow is the rolling detection window.
 	DefaultWindow = 30 * time.Second
@@ -42,17 +44,11 @@ const (
 	DefaultMaxFindings = 512
 )
 
-// WatchdogOptions tunes the detector; zero fields take the defaults
-// above.
+// WatchdogOptions tunes the detector's window and history; zero fields
+// take the defaults above.
 type WatchdogOptions struct {
-	Window          time.Duration
-	Baseline        int
-	Warmup          int
-	SpikeFactor     float64
-	MinRateMW       float64
-	DivergenceRatio float64
-	MinCollateralMW float64
-	MaxFindings     int
+	Window   time.Duration
+	Baseline int
 }
 
 func (o *WatchdogOptions) fill() {
@@ -61,24 +57,6 @@ func (o *WatchdogOptions) fill() {
 	}
 	if o.Baseline <= 0 {
 		o.Baseline = DefaultBaseline
-	}
-	if o.Warmup <= 0 {
-		o.Warmup = DefaultWarmup
-	}
-	if o.SpikeFactor <= 0 {
-		o.SpikeFactor = DefaultSpikeFactor
-	}
-	if o.MinRateMW <= 0 {
-		o.MinRateMW = DefaultMinRateMW
-	}
-	if o.DivergenceRatio <= 0 {
-		o.DivergenceRatio = DefaultDivergenceRatio
-	}
-	if o.MinCollateralMW <= 0 {
-		o.MinCollateralMW = DefaultMinCollateralMW
-	}
-	if o.MaxFindings <= 0 {
-		o.MaxFindings = DefaultMaxFindings
 	}
 }
 
@@ -237,7 +215,7 @@ func (w *Watchdog) Findings() []Finding {
 	return out
 }
 
-// Dropped reports findings discarded beyond MaxFindings.
+// Dropped reports findings discarded beyond DefaultMaxFindings.
 func (w *Watchdog) Dropped() int { return w.dropped }
 
 // Stats reports the closed-window counters accumulated so far.
@@ -332,9 +310,9 @@ func (w *Watchdog) closeWindow(now sim.Time) {
 			continue
 		}
 		rate := w.direct[i] / secs * 1000 // mW
-		if quiet && len(h) >= w.opts.Warmup {
+		if quiet && len(h) >= DefaultWarmup {
 			base := mean(h)
-			if rate >= w.opts.MinRateMW && rate > w.opts.SpikeFactor*base {
+			if rate >= DefaultMinRateMW && rate > DefaultSpikeFactor*base {
 				w.record(Finding{
 					T: now, Signal: SignalDrainSpike, UID: uid,
 					Label: w.dev.Packages.Label(uid), RateMW: rate, BaselineMW: base,
@@ -348,9 +326,9 @@ func (w *Watchdog) closeWindow(now sim.Time) {
 
 	// Whole-device spike against its own rolling baseline.
 	devRate := w.drainJ / secs * 1000
-	if quiet && len(w.devHist) >= w.opts.Warmup {
+	if quiet && len(w.devHist) >= DefaultWarmup {
 		base := mean(w.devHist)
-		if devRate >= w.opts.MinRateMW && devRate > w.opts.SpikeFactor*base {
+		if devRate >= DefaultMinRateMW && devRate > DefaultSpikeFactor*base {
 			w.record(Finding{
 				T: now, Signal: SignalDeviceSpike, UID: app.UIDNone,
 				Label: "device", RateMW: devRate, BaselineMW: base,
@@ -378,7 +356,7 @@ func (w *Watchdog) closeWindow(now sim.Time) {
 			w.lastCol[i] = col
 			colRate := delta / secs * 1000
 			directJ := w.direct[i]
-			if quiet && colRate >= w.opts.MinCollateralMW && delta > w.opts.DivergenceRatio*directJ {
+			if quiet && colRate >= DefaultMinCollateralMW && delta > DefaultDivergenceRatio*directJ {
 				directRate := directJ / secs * 1000
 				w.record(Finding{
 					T: now, Signal: SignalDivergence, UID: uid,
@@ -407,7 +385,7 @@ func (w *Watchdog) closeWindow(now sim.Time) {
 
 // record stores and exports one finding.
 func (w *Watchdog) record(f Finding) {
-	if len(w.findings) < w.opts.MaxFindings {
+	if len(w.findings) < DefaultMaxFindings {
 		w.findings = append(w.findings, f)
 	} else {
 		w.dropped++

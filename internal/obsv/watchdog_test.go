@@ -35,8 +35,11 @@ func TestWatchdogRejectsNilDevice(t *testing.T) {
 // full CPU from burstAt (never, when zero).
 func burnerDevice(t *testing.T, rec *telemetry.Recorder, util float64, burstAt time.Duration) (*device.Device, app.UID) {
 	t.Helper()
-	dev, err := device.New(device.Config{Telemetry: rec, ScreenTimeout: time.Second})
+	dev, err := device.New(device.Config{Telemetry: rec})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Power.SetScreenTimeout(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	a, err := dev.Packages.Install(manifest.NewBuilder("com.example.burner", "Burner").

@@ -35,7 +35,7 @@ func (r *recorder) ScreenChanged(t sim.Time, on bool, cause ScreenCause) {
 
 func fixture(t *testing.T) (*sim.Engine, *hw.Meter, *app.PackageManager, *Manager, *recorder) {
 	t.Helper()
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	b, err := hw.NewBattery(hw.NexusBatteryJ)
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +299,7 @@ func TestNoSleepBugDrainsEnergy(t *testing.T) {
 	drainWith := meter.Battery().DrainedJ()
 
 	// Same hour without the lock.
-	e2 := sim.NewEngine(1)
+	e2 := sim.NewEngine()
 	b2, _ := hw.NewBattery(hw.NexusBatteryJ)
 	m2, _ := hw.NewMeter(e2.Now, hw.Nexus4(), b2)
 	pm2 := app.NewPackageManager()

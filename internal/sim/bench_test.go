@@ -11,7 +11,7 @@ import (
 // placement, not just the level-0 fast path, is what's measured.
 
 func BenchmarkSchedule(b *testing.B) {
-	e := NewEngine(1)
+	e := NewEngine()
 	delays := [...]Duration{
 		Duration(500 * time.Millisecond), // level 0
 		Duration(90 * time.Second),       // level 1
@@ -37,7 +37,7 @@ func BenchmarkSchedule(b *testing.B) {
 }
 
 func BenchmarkCancel(b *testing.B) {
-	e := NewEngine(1)
+	e := NewEngine()
 	delays := [...]Duration{
 		Duration(500 * time.Millisecond),
 		Duration(90 * time.Second),

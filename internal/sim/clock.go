@@ -4,8 +4,8 @@
 // power models, ...) are driven by a single Engine that owns a virtual
 // clock and an event heap. Determinism is a hard requirement: the same
 // scenario script must produce bit-identical energy ledgers on every run,
-// so the kernel never consults the wall clock and all randomness flows
-// through a seeded source.
+// so the kernel never consults the wall clock and draws no random
+// numbers; scenario randomness comes from seeded sources outside it.
 package sim
 
 import (

@@ -19,7 +19,7 @@ func TestEngineEdgeCases(t *testing.T) {
 			// live work.
 			name: "ticker stop from inside own callback",
 			run: func(t *testing.T) {
-				e := NewEngine(1)
+				e := NewEngine()
 				n := 0
 				var tk *Ticker
 				tk = e.Every(time.Second, "tick", func() {
@@ -42,7 +42,7 @@ func TestEngineEdgeCases(t *testing.T) {
 			// panic, no heap corruption, later events unaffected.
 			name: "cancel of an already-fired event",
 			run: func(t *testing.T) {
-				e := NewEngine(1)
+				e := NewEngine()
 				fired := 0
 				ev := e.Schedule(Second, "first", func() { fired++ })
 				if !e.Step() {
@@ -64,7 +64,7 @@ func TestEngineEdgeCases(t *testing.T) {
 			// and another Drain must be an immediate no-op.
 			name: "pending after drain",
 			run: func(t *testing.T) {
-				e := NewEngine(1)
+				e := NewEngine()
 				for i := 1; i <= 5; i++ {
 					e.Schedule(Time(i)*Second, "x", func() {})
 				}
@@ -89,7 +89,7 @@ func TestEngineEdgeCases(t *testing.T) {
 			// clock lands exactly on it either way.
 			name: "schedule exactly at the horizon",
 			run: func(t *testing.T) {
-				e := NewEngine(1)
+				e := NewEngine()
 				fired := false
 				e.Schedule(5*Second, "at-horizon", func() { fired = true })
 				if err := e.RunUntil(5 * Second); err != nil {

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 )
 
 // ErrStopped is returned by Run variants when the engine was halted by a
@@ -139,7 +138,6 @@ type Engine struct {
 	// predecessor's warm arenas (see EventPool and Recycle).
 	wheel   *wheel
 	seq     uint64
-	rng     *rand.Rand
 	stopped bool
 	pool    *EventPool
 
@@ -151,10 +149,9 @@ type Engine struct {
 	failErr error
 }
 
-// NewEngine returns an engine whose clock reads T+0 and whose random
-// source is seeded with seed.
-func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), pool: NewEventPool()}
+// NewEngine returns an engine whose clock reads T+0.
+func NewEngine() *Engine {
+	return &Engine{pool: NewEventPool()}
 }
 
 // SetEventPool replaces the engine's event pool (never nil). Call it
@@ -169,9 +166,6 @@ func (e *Engine) SetEventPool(p *EventPool) {
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Rand exposes the engine's deterministic random source.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // QueueLen reports the number of live queued events in O(1). Cancelled
 // events are reclaimed immediately by the wheel, so QueueLen and

@@ -7,14 +7,14 @@ import (
 )
 
 func TestClockStartsAtZero(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	if e.Now() != 0 {
 		t.Fatalf("Now() = %v, want 0", e.Now())
 	}
 }
 
 func TestScheduleOrdering(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	var got []string
 	e.Schedule(3*Second, "c", func() { got = append(got, "c") })
 	e.Schedule(1*Second, "a", func() { got = append(got, "a") })
@@ -34,7 +34,7 @@ func TestScheduleOrdering(t *testing.T) {
 }
 
 func TestTieBreakFIFO(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	var got []int
 	for i := 0; i < 5; i++ {
 		i := i
@@ -51,7 +51,7 @@ func TestTieBreakFIFO(t *testing.T) {
 }
 
 func TestSchedulePastPanics(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	e.Schedule(Second, "x", func() {})
 	e.Step()
 	defer func() {
@@ -63,7 +63,7 @@ func TestSchedulePastPanics(t *testing.T) {
 }
 
 func TestAfterNegativePanics(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for negative delay")
@@ -73,7 +73,7 @@ func TestAfterNegativePanics(t *testing.T) {
 }
 
 func TestCancel(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	fired := false
 	ev := e.Schedule(Second, "x", func() { fired = true })
 	ev.Cancel()
@@ -89,7 +89,7 @@ func TestCancel(t *testing.T) {
 }
 
 func TestRunUntilStopsAtHorizon(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	fired := 0
 	e.Schedule(1*Second, "in", func() { fired++ })
 	e.Schedule(5*Second, "out", func() { fired++ })
@@ -112,7 +112,7 @@ func TestRunUntilStopsAtHorizon(t *testing.T) {
 }
 
 func TestRunUntilBackwardErrors(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	e.Schedule(Second, "x", func() {})
 	e.Step()
 	if err := e.RunUntil(0); err == nil {
@@ -121,7 +121,7 @@ func TestRunUntilBackwardErrors(t *testing.T) {
 }
 
 func TestRunFor(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	if err := e.RunFor(90 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestRunFor(t *testing.T) {
 }
 
 func TestStopMidRun(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	e.Schedule(Second, "stop", func() { e.Stop() })
 	e.Schedule(2*Second, "never", func() { t.Fatal("should not fire") })
 	if err := e.RunUntil(10 * Second); err != ErrStopped {
@@ -143,7 +143,7 @@ func TestStopMidRun(t *testing.T) {
 // RunUntil/RunFor/Drain returned ErrStopped forever. A stop must only
 // halt the run in flight; the next run call resumes.
 func TestStopIsNotSticky(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	fired := 0
 	e.Schedule(Second, "stop", func() { e.Stop() })
 	e.Schedule(2*Second, "later", func() { fired++ })
@@ -173,7 +173,7 @@ func TestStopIsNotSticky(t *testing.T) {
 }
 
 func TestDrainGuard(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	var reschedule func()
 	reschedule = func() { e.After(time.Second, "loop", reschedule) }
 	reschedule()
@@ -183,7 +183,7 @@ func TestDrainGuard(t *testing.T) {
 }
 
 func TestTicker(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	n := 0
 	tk := e.Every(time.Second, "tick", func() { n++ })
 	if err := e.RunUntil(Time(3500 * time.Millisecond)); err != nil {
@@ -202,7 +202,7 @@ func TestTicker(t *testing.T) {
 }
 
 func TestTickerStopInsideCallback(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	n := 0
 	var tk *Ticker
 	tk = e.Every(time.Second, "tick", func() {
@@ -220,7 +220,7 @@ func TestTickerStopInsideCallback(t *testing.T) {
 }
 
 func TestEveryNonPositivePanics(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -232,7 +232,7 @@ func TestEveryNonPositivePanics(t *testing.T) {
 // TestTraceSeesEvents: the inline trace log sees every dispatched
 // event in firing order, with the queue depth just after its pop.
 func TestTraceSeesEvents(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	tl := &TraceLog{Buf: make([]TraceRecord, 4)}
 	e.SetTraceLog(tl)
 	e.Schedule(Second, "a", func() {})
@@ -250,7 +250,7 @@ func TestTraceSeesEvents(t *testing.T) {
 }
 
 func TestQueueLen(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	if e.QueueLen() != 0 {
 		t.Fatalf("QueueLen = %d, want 0", e.QueueLen())
 	}
@@ -262,15 +262,6 @@ func TestQueueLen(t *testing.T) {
 	e.Step()
 	if e.QueueLen() != 1 {
 		t.Fatalf("QueueLen after step = %d, want 1", e.QueueLen())
-	}
-}
-
-func TestDeterministicRand(t *testing.T) {
-	a, b := NewEngine(42), NewEngine(42)
-	for i := 0; i < 100; i++ {
-		if a.Rand().Int63() != b.Rand().Int63() {
-			t.Fatal("same seed produced different streams")
-		}
 	}
 }
 
@@ -300,7 +291,7 @@ func TestTimeHelpers(t *testing.T) {
 // whatever order they were scheduled in.
 func TestPropertyMonotonicFiring(t *testing.T) {
 	prop := func(offsets []uint16) bool {
-		e := NewEngine(7)
+		e := NewEngine()
 		var fired []Time
 		for _, o := range offsets {
 			at := Time(time.Duration(o) * time.Millisecond)
@@ -324,7 +315,7 @@ func TestPropertyMonotonicFiring(t *testing.T) {
 // Property: the clock never moves backwards across any run pattern.
 func TestPropertyClockMonotonic(t *testing.T) {
 	prop := func(delays []uint8) bool {
-		e := NewEngine(3)
+		e := NewEngine()
 		last := e.Now()
 		for _, d := range delays {
 			e.After(time.Duration(d)*time.Millisecond, "p", func() {})
@@ -342,7 +333,7 @@ func TestPropertyClockMonotonic(t *testing.T) {
 }
 
 func TestEventAccessors(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	ev := e.Schedule(5*Second, "named", func() {})
 	if ev.At() != 5*Second || ev.Name() != "named" {
 		t.Fatalf("accessors: at=%v name=%q", ev.At(), ev.Name())
@@ -350,7 +341,7 @@ func TestEventAccessors(t *testing.T) {
 }
 
 func TestCancelAfterFireIsNoop(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	fired := 0
 	ev := e.Schedule(Second, "x", func() { fired++ })
 	if err := e.Drain(4); err != nil {

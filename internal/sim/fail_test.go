@@ -6,7 +6,7 @@ import (
 )
 
 func TestFailSurfacesFromRunInFlight(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	boom := errors.New("boom")
 	fired := false
 	e.Schedule(1*Second, "fail", func() { e.Fail(boom) })
@@ -30,7 +30,7 @@ func TestFailSurfacesFromRunInFlight(t *testing.T) {
 }
 
 func TestFailBetweenRunsSurfacesAtNextEntry(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	boom := errors.New("boom")
 	e.Fail(boom)
 	if err := e.RunFor(Duration(Second)); !errors.Is(err, boom) {
@@ -42,7 +42,7 @@ func TestFailBetweenRunsSurfacesAtNextEntry(t *testing.T) {
 }
 
 func TestFailSurfacesFromDrain(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	boom := errors.New("boom")
 	e.Schedule(1*Second, "fail", func() { e.Fail(boom) })
 	if err := e.Drain(100); !errors.Is(err, boom) {
@@ -51,7 +51,7 @@ func TestFailSurfacesFromDrain(t *testing.T) {
 }
 
 func TestFailFirstWins(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	first, second := errors.New("first"), errors.New("second")
 	e.Fail(first)
 	e.Fail(second)
@@ -61,7 +61,7 @@ func TestFailFirstWins(t *testing.T) {
 }
 
 func TestFailNilIsNoop(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	e.Fail(nil)
 	if err := e.RunFor(Duration(Second)); err != nil {
 		t.Fatalf("RunFor after Fail(nil) = %v, want nil", err)

@@ -9,7 +9,7 @@ import (
 // reuses it; the handle from the first schedule must have gone stale so
 // its Cancel cannot reach the recycled event.
 func TestHandleStaleAfterFireDoesNotCancelRecycledEvent(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	fired := 0
 	h1 := e.After(time.Second, "first", func() { fired++ })
 	if !h1.Scheduled() {
@@ -45,7 +45,7 @@ func TestHandleStaleAfterFireDoesNotCancelRecycledEvent(t *testing.T) {
 }
 
 func TestCancelledEventRecyclesThroughPool(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	h := e.After(time.Second, "doomed", func() { t.Fatal("cancelled event fired") })
 	h.Cancel()
 	if h.Scheduled() {
@@ -66,7 +66,7 @@ func TestCancelledEventRecyclesThroughPool(t *testing.T) {
 func TestEventPoolSharedAcrossSequentialEngines(t *testing.T) {
 	pool := NewEventPool()
 	for run := 0; run < 3; run++ {
-		e := NewEngine(int64(run))
+		e := NewEngine()
 		e.SetEventPool(pool)
 		ticks := 0
 		tk := e.Every(time.Second, "tick", func() { ticks++ })
@@ -90,7 +90,7 @@ func TestEventPoolSharedAcrossSequentialEngines(t *testing.T) {
 // closure and its pooled Event exist: the self-rescheduling path reuses
 // the Event it just popped.
 func TestTickerSteadyStateAllocs(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	n := 0
 	tk := e.Every(time.Second, "tick", func() { n++ })
 	defer tk.Stop()

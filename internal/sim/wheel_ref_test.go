@@ -24,7 +24,7 @@ type refEvent struct {
 func TestWheelMatchesReferenceModel(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		rng := rand.New(rand.NewSource(int64(round + 1)))
-		e := NewEngine(1)
+		e := NewEngine()
 
 		var pending []*refEvent
 		var fired, want []int

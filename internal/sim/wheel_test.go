@@ -9,7 +9,7 @@ import (
 // top wheel level's span parks in the overflow list and still fires at
 // the right instant once the cursor gets there.
 func TestFarFutureEventLandsInOverflow(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	far := 3 * 365 * 24 * time.Hour // ~3 years, past the level-3 window
 	fired := Time(0)
 	e.After(Duration(far), "far", func() { fired = e.Now() })
@@ -28,7 +28,7 @@ func TestFarFutureEventLandsInOverflow(t *testing.T) {
 // events in scrambled order plus a near one, and checks global (at,
 // seq) dispatch order across the overflow re-deal.
 func TestOverflowReDealPreservesOrder(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	year := 365 * 24 * time.Hour
 	var got []int
 	note := func(id int) func() { return func() { got = append(got, id) } }
@@ -54,7 +54,7 @@ func TestOverflowReDealPreservesOrder(t *testing.T) {
 // wrap level 0 many times and cross a level-1 slot boundary, checking
 // that no tick is lost or displaced.
 func TestTickerSpansWheelRollover(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	ticks := 0
 	var last Time
 	e.Every(time.Second, "tick", func() {
@@ -81,7 +81,7 @@ func TestTickerSpansWheelRollover(t *testing.T) {
 // An event then scheduled for an earlier granule must not be filed
 // behind the cursor's scan position — it fires first, on time.
 func TestScheduleBehindAdvancedCursorStillFires(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	var got []int
 	e.After(Duration(26*time.Hour), "far", func() { got = append(got, 1) })
 	// Probe: nothing due, but the cursor advances to the 26h granule.
@@ -109,7 +109,7 @@ func TestScheduleBehindAdvancedCursorStillFires(t *testing.T) {
 // (no tombstone waiting to be popped), and QueueLen and Pending agree
 // on the live count throughout.
 func TestCancelReclaimsWheelSlot(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	var hs []Handle
 	for i := 0; i < 100; i++ {
 		hs = append(hs, e.After(Duration(time.Duration(i+1)*time.Minute), "ev", func() {}))
@@ -160,7 +160,7 @@ func TestCancelReclaimsWheelSlot(t *testing.T) {
 // event that lands in the same wheel slot; the old handle's Cancel must
 // not touch the new occupant.
 func TestCancelAfterFireAcrossSlotReuse(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	h1 := e.After(Duration(time.Second), "first", func() {})
 	if err := e.RunFor(Duration(2 * time.Second)); err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestCancelAfterFireAcrossSlotReuse(t *testing.T) {
 // once the pool and wheel arenas are warm, a schedule/cancel pair
 // allocates nothing.
 func TestScheduleCancelSteadyStateAllocs(t *testing.T) {
-	e := NewEngine(1)
+	e := NewEngine()
 	// Warm the pool and the slots the loop will touch.
 	for i := 0; i < 8; i++ {
 		e.After(Duration(time.Duration(i+1)*time.Second), "warm", func() {}).Cancel()

@@ -1,11 +1,9 @@
 package telemetry
 
-// Per-event cost of the kernel tracer hook, in three states: no
-// recorder (the engine's no-tracers fast branch), a disabled recorder
-// (which attaches no tracer, so it should match the first), and a fully
-// enabled recorder (ring append + counter/gauge updates). The
-// benchsuite -telemetry study measures the same three states end to
-// end; this isolates the engine dispatch itself.
+// Per-event cost of the kernel tracer hook, in two states: no recorder
+// (the engine's no-tracers fast branch) and a recorder (ring append +
+// counter/gauge updates). The benchsuite -telemetry study measures the
+// same two states end to end; this isolates the engine dispatch itself.
 
 import (
 	"testing"
@@ -14,7 +12,7 @@ import (
 )
 
 func benchEngine(b *testing.B, rec *Recorder) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	if rec != nil {
 		InstrumentEngine(e, rec)
 	}
@@ -26,5 +24,4 @@ func benchEngine(b *testing.B, rec *Recorder) {
 }
 
 func BenchmarkStepNoTracer(b *testing.B) { benchEngine(b, nil) }
-func BenchmarkStepDisabled(b *testing.B) { benchEngine(b, New(Options{Disabled: true})) }
 func BenchmarkStepEnabled(b *testing.B)  { benchEngine(b, New(Options{})) }

@@ -10,23 +10,20 @@
 // proving that the instrumentation is cheap. This package is the repro's
 // analog: every subsystem (sim kernel, activity manager, hardware meter,
 // accountant) emits structured events through nil-checked hooks, and
-// `benchsuite` measures the enabled/disabled overhead the same way the
-// paper measures E-Android against stock Android.
+// `benchsuite` measures the recording overhead the same way the paper
+// measures E-Android against stock Android.
 //
 // Concurrency: a Recorder is single-goroutine, exactly like the engine
 // it observes. The fleet runner gives each device its own Recorder and
 // merges the per-device metric snapshots in device-index order, which
 // keeps the merged snapshot byte-identical for any worker count.
 //
-// Cost model: a nil *Recorder is the "not built" state and every method
-// no-ops on it, so call sites can hook unconditionally; a built-but-
-// disabled Recorder additionally measures the gate cost itself (one
-// branch per emission), which is what the overhead study's "disabled"
-// configuration reports. Kernel event firings — the highest-volume
-// record kind by far — skip the callback layer entirely: an enabled
-// recorder hands the engine a compact sim.TraceLog that dispatch fills
-// inline, and Events() merges it with the general ring by a shared
-// emission sequence.
+// Cost model: a nil *Recorder is the off state and every method no-ops
+// on it, so call sites can hook unconditionally; there is no other off
+// state. Kernel event firings — the highest-volume record kind by far —
+// skip the callback layer entirely: a recorder hands the engine a
+// compact sim.TraceLog that dispatch fills inline, and Events() merges
+// it with the general ring by a shared emission sequence.
 package telemetry
 
 import (
@@ -116,10 +113,6 @@ type Options struct {
 	// DefaultEventCapacity; negative disables event recording entirely
 	// while keeping metrics live.
 	EventCapacity int
-	// Disabled builds the recorder in the disabled state: every emission
-	// takes the one-branch gate path and records nothing. Used by the
-	// overhead study's "disabled" configuration.
-	Disabled bool
 }
 
 // DefaultEventCapacity is the ring size used when Options.EventCapacity
@@ -131,10 +124,9 @@ const DefaultEventCapacity = 1 << 12
 // events plus the standard metric instruments every subsystem feeds.
 // A nil Recorder is valid and records nothing (the zero-cost path).
 type Recorder struct {
-	enabled bool
-	buf     []Event
-	w       int    // next ring slot to write; wraps at len(buf)
-	total   uint64 // events ever appended
+	buf   []Event
+	w     int    // next ring slot to write; wraps at len(buf)
+	total uint64 // events ever appended
 
 	// simLog holds every kernel event firing: a compact ring the
 	// engine fills inline from its dispatch loop (no callback, no
@@ -174,7 +166,6 @@ func New(opts Options) *Recorder {
 		capacity = DefaultEventCapacity
 	}
 	r := &Recorder{
-		enabled: !opts.Disabled,
 		simLog:  &sim.TraceLog{},
 		metrics: NewMetrics(),
 		hMW:     make(map[string]*Histogram),
@@ -199,9 +190,6 @@ func New(opts Options) *Recorder {
 	r.gRingCap.Set(float64(len(r.buf)))
 	return r
 }
-
-// Enabled reports whether the recorder exists and is recording.
-func (r *Recorder) Enabled() bool { return r != nil && r.enabled }
 
 // Metrics returns the recorder's registry, nil for a nil recorder. The
 // queue-depth gauges are synced from their shadow fields here — every
@@ -243,7 +231,7 @@ func (r *Recorder) slot() *Event {
 // trace log inline from dispatch; this entry point serves manual
 // recording (tests, replay tooling) and lands in the same log.
 func (r *Recorder) RecordSimEvent(t sim.Time, name string, queueDepth int) {
-	if r == nil || !r.enabled {
+	if r == nil {
 		return
 	}
 	r.simLog.Log(t, name, queueDepth)
@@ -251,7 +239,7 @@ func (r *Recorder) RecordSimEvent(t sim.Time, name string, queueDepth int) {
 
 // RecordLifecycle records an activity lifecycle transition.
 func (r *Recorder) RecordLifecycle(t sim.Time, uid app.UID, component, from, to string) {
-	if r == nil || !r.enabled {
+	if r == nil {
 		return
 	}
 	r.cLifecycle.Inc()
@@ -271,7 +259,7 @@ func (r *Recorder) RecordLifecycle(t sim.Time, uid app.UID, component, from, to 
 // name (old and new are the numeric state, e.g. 0/1 for off/on or a
 // brightness level).
 func (r *Recorder) RecordPowerState(t sim.Time, uid app.UID, name string, old, new float64) {
-	if r == nil || !r.enabled {
+	if r == nil {
 		return
 	}
 	r.cPower.Inc()
@@ -290,7 +278,7 @@ func (r *Recorder) RecordPowerState(t sim.Time, uid app.UID, name string, old, n
 // RecordBattery records one accrued battery interval: drainedJ joules
 // drained, leaving the battery at pct percent.
 func (r *Recorder) RecordBattery(t sim.Time, drainedJ, pct float64) {
-	if r == nil || !r.enabled {
+	if r == nil {
 		return
 	}
 	r.cBattery.Inc()
@@ -309,7 +297,7 @@ func (r *Recorder) RecordBattery(t sim.Time, drainedJ, pct float64) {
 // RecordAttribution records joules landing in uid's ledger over one
 // accrued interval and feeds the per-UID energy distribution.
 func (r *Recorder) RecordAttribution(t sim.Time, uid app.UID, joules float64) {
-	if r == nil || !r.enabled {
+	if r == nil {
 		return
 	}
 	r.cAttr.Inc()
@@ -336,7 +324,7 @@ func (r *Recorder) RecordAttribution(t sim.Time, uid app.UID, joules float64) {
 // breach, got/want carry the compared quantities (zero when the breach
 // is structural rather than numeric).
 func (r *Recorder) RecordViolation(t sim.Time, invariant, detail string, got, want float64) {
-	if r == nil || !r.enabled {
+	if r == nil {
 		return
 	}
 	r.cViolation.Inc()
@@ -357,7 +345,7 @@ func (r *Recorder) RecordViolation(t sim.Time, invariant, detail string, got, wa
 // subject, rateMW is the offending rate and baselineMW the reference it
 // was judged against (the direct rate for divergence findings).
 func (r *Recorder) RecordAnomaly(t sim.Time, uid app.UID, signal, detail string, rateMW, baselineMW float64) {
-	if r == nil || !r.enabled {
+	if r == nil {
 		return
 	}
 	r.cAnomaly.Inc()
@@ -376,7 +364,7 @@ func (r *Recorder) RecordAnomaly(t sim.Time, uid app.UID, signal, detail string,
 // ObserveComponentMW feeds one accrued interval's mean power draw for a
 // hardware component into that component's mW distribution.
 func (r *Recorder) ObserveComponentMW(component string, mw float64) {
-	if r == nil || !r.enabled {
+	if r == nil {
 		return
 	}
 	h := r.hMW[component]
@@ -499,14 +487,13 @@ func (r *Recorder) ForEachKernelBatch(fn func(KernelBatch)) {
 
 // InstrumentEngine wires r to e: every fired kernel event lands in the
 // recorder's trace log (a KindSimEvent record in Events()) and feeds
-// the events-fired counter and queue-depth gauges. Only an enabled
-// recorder installs the log — a disabled one leaves the engine
-// untraced, so event dispatch keeps its fast path. One recorder may
-// instrument several engines run one after another (the CLIs' serial
-// experiment worlds): each gets the same log, so the counters cover
-// every engine. Reports whether the log was installed.
+// the events-fired counter and queue-depth gauges. A nil recorder
+// leaves the engine untraced, so event dispatch keeps its fast path.
+// One recorder may instrument several engines run one after another
+// (the CLIs' serial experiment worlds): each gets the same log, so the
+// counters cover every engine. Reports whether the log was installed.
 func InstrumentEngine(e *sim.Engine, r *Recorder) bool {
-	if e == nil || !r.Enabled() {
+	if e == nil || r == nil {
 		return false
 	}
 	e.SetTraceLog(r.simLog)

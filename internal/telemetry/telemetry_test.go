@@ -12,9 +12,6 @@ import (
 
 func TestNilRecorderIsSafe(t *testing.T) {
 	var r *Recorder
-	if r.Enabled() {
-		t.Fatal("nil recorder claims enabled")
-	}
 	r.RecordSimEvent(0, "x", 1)
 	r.RecordLifecycle(0, 1, "c", "a", "b")
 	r.RecordPowerState(0, 1, "screen", 0, 1)
@@ -41,21 +38,6 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	}
 	if s := m.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
 		t.Fatal("nil registry snapshot not empty")
-	}
-}
-
-func TestDisabledRecorderRecordsNothing(t *testing.T) {
-	r := New(Options{Disabled: true})
-	if r.Enabled() {
-		t.Fatal("disabled recorder claims enabled")
-	}
-	r.RecordSimEvent(0, "x", 1)
-	r.RecordBattery(0, 1, 99)
-	if r.Total() != 0 || len(r.Events()) != 0 {
-		t.Fatal("disabled recorder recorded events")
-	}
-	if v := r.Metrics().Counter("sim.events_fired").Value(); v != 0 {
-		t.Fatalf("disabled recorder bumped counters: %v", v)
 	}
 }
 
@@ -271,7 +253,7 @@ func TestWriteJSONLRoundTrips(t *testing.T) {
 }
 
 func TestInstrumentEngineRecordsKernelEvents(t *testing.T) {
-	e := sim.NewEngine(1)
+	e := sim.NewEngine()
 	r := New(Options{})
 	if !InstrumentEngine(e, r) {
 		t.Fatal("InstrumentEngine did not attach the trace log")
@@ -293,28 +275,13 @@ func TestInstrumentEngineRecordsKernelEvents(t *testing.T) {
 	}
 }
 
-func TestDisabledRecorderLeavesEngineUntraced(t *testing.T) {
-	e := sim.NewEngine(1)
-	r := New(Options{Disabled: true})
-	if InstrumentEngine(e, r) {
-		t.Fatal("disabled recorder attached a trace log")
-	}
-	e.Schedule(sim.Second, "a", func() {})
-	if err := e.Drain(10); err != nil {
-		t.Fatal(err)
-	}
-	if r.Total() != 0 {
-		t.Fatal("disabled recorder saw kernel events")
-	}
-}
-
 // TestRecorderSharedAcrossEngines: one recorder instrumenting several
 // engines run one after another (the CLIs' serial experiment worlds)
 // counts every engine's firings, not just the first engine's.
 func TestRecorderSharedAcrossEngines(t *testing.T) {
 	r := New(Options{})
 	for i, name := range []string{"first", "second"} {
-		e := sim.NewEngine(int64(i))
+		e := sim.NewEngine()
 		if !InstrumentEngine(e, r) {
 			t.Fatalf("engine %d: trace log not installed", i)
 		}

@@ -113,26 +113,17 @@ type Config struct {
 	// tracing (1 = every device, 0 = DefaultSampleRate). Control-plane
 	// spans are always collected.
 	SampleRate int
-	// Disabled turns per-device tracing off entirely: Device() returns
-	// nil for every index and only control-plane spans are kept.
-	Disabled bool
-	// MaxSpansPerDevice caps each sampled device's span buffer; 0 means
-	// DefaultMaxSpansPerDevice.
-	MaxSpansPerDevice int
 }
 
 func (c *Config) fill() {
 	if c.SampleRate <= 0 {
 		c.SampleRate = DefaultSampleRate
 	}
-	if c.MaxSpansPerDevice <= 0 {
-		c.MaxSpansPerDevice = DefaultMaxSpansPerDevice
-	}
 }
 
 // splitmix64 is the SplitMix64 finalizer — the same derivation the
 // fleet uses for per-device seeds, reused here so span identity and
-// random streams hang off one chain discipline.
+// device seeds hang off one chain discipline.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -425,14 +416,13 @@ type FleetTrace struct {
 // Device returns device i's tracer, or nil when i is unsampled (the
 // common case — callers nil-check, and a nil DeviceTracer is inert).
 func (ft *FleetTrace) Device(i int) *DeviceTracer {
-	if ft == nil || ft.t.cfg.Disabled || !Sampled(ft.t.root, i, ft.t.cfg.SampleRate) {
+	if ft == nil || !Sampled(ft.t.root, i, ft.t.cfg.SampleRate) {
 		return nil
 	}
 	shardID := Derive(ft.t.jobID, uint64(i/shardBlock))
 	id := Derive(shardID, uint64(i))
 	return &DeviceTracer{
-		id:  id,
-		max: ft.t.cfg.MaxSpansPerDevice,
+		id: id,
 		span: Span{
 			ID: id, Parent: shardID, Kind: KindDevice,
 			Name: fmt.Sprintf("device-%d", i), Dev: i,
@@ -481,7 +471,6 @@ type DeviceTracer struct {
 	next    uint64
 	runs    []phaseRun
 	count   int
-	max     int
 	dropped uint64
 }
 
@@ -522,7 +511,7 @@ func (d *DeviceTracer) Phase(name string, start, end sim.Time, n float64) {
 	if d == nil {
 		return
 	}
-	if d.count >= d.max {
+	if d.count >= DefaultMaxSpansPerDevice {
 		d.dropped++
 		return
 	}

@@ -130,16 +130,16 @@ func TestSpanTreeDeterministicAndNested(t *testing.T) {
 }
 
 func TestDeviceTracerCapDropsNew(t *testing.T) {
-	tr := New("cap", "POST /jobs", Config{SampleRate: 1, MaxSpansPerDevice: 4})
+	tr := New("cap", "POST /jobs", Config{SampleRate: 1})
 	ft := tr.Fleet(1)
 	dt := ft.Device(0)
-	for k := 0; k < 10; k++ {
+	for k := 0; k < DefaultMaxSpansPerDevice+6; k++ {
 		dt.Phase(PhaseMeterFlush, sim.Time(k), sim.Time(k+1), 0)
 	}
 	if dt.Dropped() != 6 {
 		t.Fatalf("dropped = %d, want 6", dt.Dropped())
 	}
-	ft.Finish(0, dt, 10)
+	ft.Finish(0, dt, DefaultMaxSpansPerDevice+6)
 	if got := tr.Dropped(); got != 6 {
 		t.Fatalf("tracer dropped = %d, want 6", got)
 	}
@@ -187,17 +187,17 @@ func TestNilDeviceTracerIsInert(t *testing.T) {
 	ft.Finish(3, nil, 0)
 }
 
-func TestDisabledTracesControlPlaneOnly(t *testing.T) {
-	tr := New("off", "POST /jobs", Config{Disabled: true, SampleRate: 1})
+// TestUnsampledDevicesTraceControlPlaneOnly: a fleet whose devices all
+// finish with nil tracers (the unsampled path) still yields the
+// control-plane tree, with the job window rolled up to the last device.
+func TestUnsampledDevicesTraceControlPlaneOnly(t *testing.T) {
+	tr := New("off", "POST /jobs", Config{})
 	ft := tr.Fleet(2)
-	if ft.Device(0) != nil || ft.Device(1) != nil {
-		t.Fatal("disabled config sampled a device")
-	}
 	ft.Finish(0, nil, 100)
 	ft.Finish(1, nil, 200)
 	spans := tr.Spans()
 	if len(spans) != 3 { // request, job, shard-0
-		t.Fatalf("disabled tree has %d spans, want 3", len(spans))
+		t.Fatalf("unsampled tree has %d spans, want 3", len(spans))
 	}
 	if spans[0].End != 200 {
 		t.Fatalf("rollup end = %d, want 200", spans[0].End)
