@@ -66,7 +66,11 @@ check-bench:
 
 # Regenerate the BENCH_obsv.json observability overhead artifact (and
 # enforce the gate on what every job device carries: recorder + watchdog
-# + flame collector <= 120%).
+# + flame collector <= 120%). The gate fails today: best-of-3 read
+# +154…+170% in four runs on a shared 2-CPU host, against +87…+99%
+# before the detector's steady ticks became free. The observers cost
+# what they did; the stealth-detector baseline they are measured
+# against got about 40% cheaper.
 obsv-bench:
 	$(GO) run ./cmd/benchsuite -obsv
 

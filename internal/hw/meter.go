@@ -104,6 +104,8 @@ type Meter struct {
 	// tailCount counts live WiFi tails, so tail-free accrual (the common
 	// case) skips the expiry scan entirely.
 	tailCount int
+	// accrues counts entries to accrue; see ChangeToken.
+	accrues uint64
 
 	// iv is the reusable interval buffer handed to sinks; its per-app
 	// table is reset, not reallocated, on every flush. See Interval's
@@ -420,6 +422,7 @@ func (m *Meter) peripheralPower(c Component) float64 {
 // battery. The span is split at WiFi tail expiries so tail energy
 // integrates exactly.
 func (m *Meter) accrue() {
+	m.accrues++
 	t := m.now()
 	if t < m.lastT {
 		panic(fmt.Sprintf("hw: clock went backwards: %v < %v", t, m.lastT))
@@ -631,6 +634,19 @@ func (m *Meter) InstantAppPowerMW(uid app.UID) float64 {
 		p += m.profile.WiFiLow
 	}
 	return p
+}
+
+// ChangeToken tells a caller whether any app's instantaneous power (as
+// InstantAppPowerMW and AppPowersInto report it) may have changed since
+// an earlier call: if that call returned the same token and this one
+// returns steady, none can have. Every state setter enters accrue
+// before it mutates, and each entry advances the token, so an unchanged
+// token means no setter ran, not even one at the same instant. With no
+// tail live, per-app power is a function of the setters' state alone.
+// A live WiFi tail makes steady false: it expires with time, with no
+// setter to advance the token.
+func (m *Meter) ChangeToken() (token uint64, steady bool) {
+	return m.accrues, m.tailCount == 0
 }
 
 // AppPowersInto fills dst[j] with the instantaneous own-power draw (in

@@ -59,37 +59,50 @@ type Verdict struct {
 }
 
 // traceSeg is a run of sampling frames over one stable app census:
-// slots lists the sampled app slots (ascending — EachApp order) and
-// data holds len(slots) samples per frame, frame-major. Storing frames
-// flat in one float column instead of a map of per-app slices is what
-// makes sampling cheap enough for fleet scale: a tick appends one
-// pointer-free float block, so the 1 Hz × devices × apps hot path
-// carries no hashing, no per-app slice headers and no GC write
-// barriers. An install/uninstall mid-window just starts a new segment.
-//
-// Segments are fixed-capacity chunks (segFrames frames): when one
-// fills, the next frame starts a fresh segment with an exact-size data
-// array. Chunking keeps append from ever reallocating — the doubling
-// growth of an open-ended trace array was the fleet bench's largest
-// allocation site — and retired chunks (Train) go to a free list for
-// the detection window to reuse.
+// slots lists the sampled app slots (ascending — EachApp order), vals
+// holds len(slots) samples per distinct frame, frame-major, and
+// repeats[f] counts the consecutive ticks that stored frame f. A tick
+// whose frame matches the last one bit for bit only bumps its count,
+// so a device whose app powers sit still stores one frame for the whole
+// run instead of one per tick, and the 1 Hz × devices × apps hot path
+// neither grows nor allocates. An install/uninstall mid-window just
+// starts a new segment.
 type traceSeg struct {
-	slots []int32
-	data  []float64
+	slots   []int32
+	vals    []float64
+	repeats []int
 }
 
-// segFrames is the chunk capacity, in frames, of one segment.
-const segFrames = 256
+// push stores one frame, as a repeat of the last when every value
+// matches it bit for bit.
+func (s *traceSeg) push(vals []float64) {
+	if n := len(s.vals); n > 0 && sameBits(s.vals[n-len(vals):], vals) {
+		s.repeats[len(s.repeats)-1]++
+		return
+	}
+	s.vals = append(s.vals, vals...)
+	s.repeats = append(s.repeats, 1)
+}
 
-// samplesFor iterates slot's samples within the segment in time order.
-func (s *traceSeg) samplesFor(slot int32, fn func(v float64)) {
+func sameBits(a, b []float64) bool {
+	for i, v := range b {
+		if math.Float64bits(a[i]) != math.Float64bits(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// runsFor iterates slot's samples within the segment in time order, as
+// runs of n equal samples v.
+func (s *traceSeg) runsFor(slot int32, fn func(v float64, n int)) {
 	k, ok := slices.BinarySearch(s.slots, slot)
 	if !ok {
 		return
 	}
 	stride := len(s.slots)
-	for j := k; j < len(s.data); j += stride {
-		fn(s.data[j])
+	for f, n := range s.repeats {
+		fn(s.vals[f*stride+k], n)
 	}
 }
 
@@ -107,8 +120,6 @@ type Detector struct {
 	// segs is the live trace log (see traceSeg); the last segment is
 	// the active one.
 	segs []traceSeg
-	// freeData holds retired segment chunks for reuse.
-	freeData [][]float64
 	// frameSlots/frameVals are the current tick's scratch frame —
 	// frameN is the logical length; the slices stay at full length and
 	// are written by index so the hot callback never stores a slice
@@ -120,6 +131,12 @@ type Detector struct {
 	frameN     int
 	censusGen  uint64
 	censusOK   bool
+	// token is the meter's change token at the last stored frame, and
+	// tokenOK says that frame is the active segment's last one under
+	// the current census: while both hold and the meter reports steady,
+	// a tick repeats the frame without a meter pass.
+	token   uint64
+	tokenOK bool
 	// sampleFn is the EachApp callback, built once so sampling does not
 	// close over the receiver on every tick.
 	sampleFn func(*app.App)
@@ -183,9 +200,18 @@ func (d *Detector) sample() {
 		d.frameN = 0
 		d.pm.EachApp(d.sampleFn)
 		d.censusGen, d.censusOK = g, true
+		d.tokenOK = false
 	}
 	k := d.frameN
 	if k == 0 {
+		return
+	}
+	// No setter has run since the stored frame and no tail is live, so
+	// the meter would return that frame again, bit for bit.
+	tok, steady := d.meter.ChangeToken()
+	if steady && d.tokenOK && tok == d.token {
+		seg := &d.segs[len(d.segs)-1]
+		seg.repeats[len(seg.repeats)-1]++
 		return
 	}
 	slots := d.frameSlots[:k]
@@ -199,47 +225,22 @@ func (d *Detector) sample() {
 	// One bulk meter pass computes the whole frame; apps without live
 	// meter state are zero-filled without a per-app lookup.
 	d.meter.AppPowersInto(slots, vals)
-	var seg *traceSeg
-	if n := len(d.segs); n > 0 {
-		sg := &d.segs[n-1]
-		if len(sg.data)+k <= cap(sg.data) && slices.Equal(sg.slots, slots) {
-			seg = sg
-		}
+	if n := len(d.segs); n == 0 || !slices.Equal(d.segs[n-1].slots, slots) {
+		d.segs = append(d.segs, traceSeg{slots: slices.Clone(slots)})
 	}
-	if seg == nil {
-		d.segs = append(d.segs, traceSeg{
-			slots: slices.Clone(slots),
-			data:  d.chunkFor(segFrames * k),
-		})
-		seg = &d.segs[len(d.segs)-1]
-	}
-	seg.data = append(seg.data, vals...)
+	d.segs[len(d.segs)-1].push(vals)
+	d.token, d.tokenOK = tok, true
 }
 
-// chunkFor returns a data chunk with at least want capacity, reusing a
-// retired one when possible.
-func (d *Detector) chunkFor(want int) []float64 {
-	for i := len(d.freeData) - 1; i >= 0; i-- {
-		if c := d.freeData[i]; cap(c) >= want {
-			last := len(d.freeData) - 1
-			d.freeData[i] = d.freeData[last]
-			d.freeData[last] = nil
-			d.freeData = d.freeData[:last]
-			return c[:0]
-		}
-	}
-	return make([]float64, 0, want)
-}
-
-// eachSample iterates every sample of uid across segments in time
-// order — exactly the order the former per-app append log held them in.
-func (d *Detector) eachSample(uid app.UID, fn func(v float64)) {
+// eachRun iterates every sample of uid across segments in time order,
+// as runs of n equal samples v.
+func (d *Detector) eachRun(uid app.UID, fn func(v float64, n int)) {
 	s := app.Slot(uid)
 	if s < 0 {
 		return
 	}
 	for i := range d.segs {
-		d.segs[i].samplesFor(int32(s), fn)
+		d.segs[i].runsFor(int32(s), fn)
 	}
 }
 
@@ -257,29 +258,37 @@ func (d *Detector) maxSlot() int32 {
 // TraceLen reports how many samples uid has accumulated.
 func (d *Detector) TraceLen(uid app.UID) int {
 	n := 0
-	d.eachSample(uid, func(float64) { n++ })
+	d.eachRun(uid, func(_ float64, c int) { n += c })
 	return n
 }
 
 // summarizeUID folds uid's trace into a signature; ok is false when the
-// trace is empty. The two accumulation passes visit samples in time
-// order, bit-identical to summarizing a contiguous trace slice.
+// trace is empty. The two accumulation passes expand each run and add
+// its samples one at a time in time order, bit-identical to summarizing
+// a contiguous trace slice.
 func (d *Detector) summarizeUID(uid app.UID) (Signature, bool) {
 	var sum, peak float64
 	n := 0
-	d.eachSample(uid, func(v float64) {
-		sum += v
+	d.eachRun(uid, func(v float64, c int) {
+		for range c {
+			sum += v
+		}
 		if v > peak {
 			peak = v
 		}
-		n++
+		n += c
 	})
 	if n == 0 {
 		return Signature{}, false
 	}
 	mean := sum / float64(n)
 	var varsum float64
-	d.eachSample(uid, func(v float64) { varsum += (v - mean) * (v - mean) })
+	d.eachRun(uid, func(v float64, c int) {
+		dv := (v - mean) * (v - mean)
+		for range c {
+			varsum += dv
+		}
+	})
 	return Signature{
 		UID:     uid,
 		MeanMW:  mean,
@@ -303,11 +312,9 @@ func (d *Detector) Train() error {
 	if trained == 0 {
 		return fmt.Errorf("powersig: no samples to train on")
 	}
-	for i := range d.segs {
-		d.freeData = append(d.freeData, d.segs[i].data)
-		d.segs[i] = traceSeg{}
-	}
+	clear(d.segs)
 	d.segs = d.segs[:0]
+	d.tokenOK = false
 	return nil
 }
 
