@@ -11,11 +11,14 @@ package eandroid_test
 // asserted by the test suite and recorded in EXPERIMENTS.md.
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"repro/internal/antutu"
 	"repro/internal/experiments"
+	"repro/internal/fleet"
+	"repro/internal/fleet/population"
 )
 
 func requireNoErr(b *testing.B, err error) {
@@ -153,3 +156,23 @@ func BenchmarkFleet64(b *testing.B) { benchFleet(b, 64, 0, 0) }
 
 func BenchmarkFleet64Workers1(b *testing.B) { benchFleet(b, 64, 1, 1) }
 func BenchmarkFleet64Workers8(b *testing.B) { benchFleet(b, 64, 8, 8) }
+
+// BenchmarkFleetPopulation256 runs the default population fleet (the
+// cohort mixture of the default fleet path, checker on every device)
+// over 256 devices for the population's 1 h horizon on the default
+// worker count. Its devices fire a few kernel events per simulated
+// hour, so device construction, scenario population and the checker's
+// lifecycle audits dominate, where BenchmarkFleet64's stealth-detector
+// devices are dominated by the engine and the detector.
+func BenchmarkFleetPopulation256(b *testing.B) {
+	pop := population.Default()
+	spec, err := pop.FleetSpec(256, 0, 0, 42)
+	requireNoErr(b, err)
+	for i := 0; i < b.N; i++ {
+		fr, err := fleet.Run(context.Background(), spec)
+		requireNoErr(b, err)
+		if fr.Summary.Failed != 0 {
+			b.Fatalf("%d devices failed", fr.Summary.Failed)
+		}
+	}
+}

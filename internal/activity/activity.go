@@ -101,6 +101,8 @@ type Activity struct {
 	component   string
 	transparent bool
 	state       State
+	// fullName caches FullName: a record's component never changes.
+	fullName string
 }
 
 // App returns the owning application.
@@ -116,9 +118,13 @@ func (a *Activity) State() State { return a.state }
 // beneath it.
 func (a *Activity) Transparent() bool { return a.transparent }
 
-// FullName returns "package/Component".
+// FullName returns "package/Component". It is built on the first call
+// and reused after, so a lifecycle transition pays no concatenation.
 func (a *Activity) FullName() string {
-	return manifest.FullComponentName(a.app.Package(), a.component)
+	if a.fullName == "" {
+		a.fullName = manifest.FullComponentName(a.app.Package(), a.component)
+	}
+	return a.fullName
 }
 
 // Hooks receive activity manager events; both the accounting layer (for

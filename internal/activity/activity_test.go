@@ -501,3 +501,25 @@ func TestNewManagerNilDeps(t *testing.T) {
 		t.Fatal("nil deps accepted")
 	}
 }
+
+// fullNameSink keeps FullName's result escaping, as it does when a
+// recorder stores it, so the pin below measures a heap string.
+var fullNameSink string
+
+// A record's full name is built once: lifecycle transitions pass it to
+// the recorder (nil or not) and must not concatenate it every time.
+func TestFullNameAllocatesNothingAfterFirstCall(t *testing.T) {
+	f := newFx(t)
+	a := f.mgr.Top()
+	want := manifest.FullComponentName(a.App().Package(), a.Component())
+	if got := a.FullName(); got != want {
+		t.Fatalf("FullName = %q, want %q", got, want)
+	}
+	avg := testing.AllocsPerRun(100, func() { fullNameSink = a.FullName() })
+	if avg != 0 {
+		t.Fatalf("FullName allocates %.1f objects after its first call, want 0", avg)
+	}
+	if fullNameSink != want {
+		t.Fatalf("cached FullName = %q, want %q", fullNameSink, want)
+	}
+}

@@ -1,9 +1,10 @@
 package corpus
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/activity"
@@ -141,7 +142,7 @@ func Generate(cell Cell, seed int64, p Params) (*Script, error) {
 	default:
 		return nil, fmt.Errorf("corpus: unknown variant %q", cell.Variant)
 	}
-	sort.SliceStable(s.Steps, func(i, j int) bool { return s.Steps[i].At < s.Steps[j].At })
+	slices.SortStableFunc(s.Steps, func(a, b Step) int { return cmp.Compare(a.At, b.At) })
 	return s, nil
 }
 

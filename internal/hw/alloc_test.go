@@ -105,3 +105,57 @@ func TestSinkRetentionRequiresClone(t *testing.T) {
 		t.Fatal("retained borrowed interval kept its values across a flush — the contract test is vacuous")
 	}
 }
+
+// warmAggregator fills an aggregator with 12 entries over five UIDs
+// (several keys per UID, peripheral holds, sums past 1) and runs each
+// scratch buffer once, the shape of a busy population device.
+func warmAggregator(t *testing.T) (*Aggregator, []*int) {
+	t.Helper()
+	_, _, g := aggFixture(t)
+	keys := make([]*int, 12)
+	for i := range keys {
+		keys[i] = new(int)
+		d := Demand{CPUUtil: 0.15 * float64(i%7), Camera: i == 3, GPS: i == 8}
+		if err := g.Set(keys[i], app.UID(10001+i%5), d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	return g, keys
+}
+
+// The checker audits the aggregator on every lifecycle transition; a
+// warmed audit walks reused scratch and allocates nothing.
+func TestAggregatorAuditAllocatesNothing(t *testing.T) {
+	g, _ := warmAggregator(t)
+	avg := testing.AllocsPerRun(100, func() {
+		if err := g.Audit(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("Audit on a warmed 12-entry table allocates %.1f objects, want 0", avg)
+	}
+}
+
+// Replacing a live key's demand (a lifecycle transition of a live
+// record) re-sums its UID in reused scratch and allocates nothing.
+func TestAggregatorSetLiveKeyAllocatesNothing(t *testing.T) {
+	g, keys := warmAggregator(t)
+	utils := [2]float64{0.2, 0.4}
+	n := 0
+	avg := testing.AllocsPerRun(100, func() {
+		n++
+		if err := g.Set(keys[5], 10001, Demand{CPUUtil: utils[n%2]}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("Set on a live key allocates %.1f objects, want 0", avg)
+	}
+	if err := g.Audit(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -140,6 +140,9 @@ type Manager struct {
 	screenOn      bool
 	screenTimeout sim.Duration
 	timeoutEvent  sim.Handle
+	// onTimeout is screenTimeoutFired bound once, so re-arming the
+	// timeout on every user touch allocates no closure.
+	onTimeout func()
 
 	lastUser sim.Time
 }
@@ -161,6 +164,7 @@ func NewManager(engine *sim.Engine, meter *hw.Meter, pm *app.PackageManager) (*M
 		locks:         make(map[*Wakelock]struct{}),
 		screenTimeout: DefaultScreenTimeout,
 	}
+	m.onTimeout = m.screenTimeoutFired
 	m.setScreen(true, ScreenUserActivity)
 	m.lastUser = engine.Now()
 	return m, nil
@@ -313,22 +317,25 @@ func (m *Manager) setScreen(on bool, cause ScreenCause) {
 
 func (m *Manager) armTimeout() {
 	m.disarmTimeout()
-	m.timeoutEvent = m.engine.After(m.screenTimeout, "power.screen-timeout", func() {
-		m.timeoutEvent = sim.Handle{}
-		if m.AnyScreenLock() {
-			// A screen wakelock holds the display on — but if only dim
-			// locks remain, the display drops to its dim state (the
-			// SCREEN_DIM_WAKE_LOCK contract). Check again later.
-			if m.onlyDimLocks() {
-				m.meter.SetScreenDim(true)
-			}
-			m.armTimeout()
-			return
+	m.timeoutEvent = m.engine.After(m.screenTimeout, "power.screen-timeout", m.onTimeout)
+}
+
+// screenTimeoutFired is the screen-timeout event's callback.
+func (m *Manager) screenTimeoutFired() {
+	m.timeoutEvent = sim.Handle{}
+	if m.AnyScreenLock() {
+		// A screen wakelock holds the display on — but if only dim
+		// locks remain, the display drops to its dim state (the
+		// SCREEN_DIM_WAKE_LOCK contract). Check again later.
+		if m.onlyDimLocks() {
+			m.meter.SetScreenDim(true)
 		}
-		if m.screenOn {
-			m.setScreen(false, ScreenTimeout)
-		}
-	})
+		m.armTimeout()
+		return
+	}
+	if m.screenOn {
+		m.setScreen(false, ScreenTimeout)
+	}
 }
 
 func (m *Manager) disarmTimeout() {

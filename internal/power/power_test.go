@@ -427,3 +427,22 @@ func TestDimStateReducesScreenPower(t *testing.T) {
 		t.Fatalf("dim power %v should be in (0, %v)", dim, bright)
 	}
 }
+
+// A user touch with the screen on re-arms the screen timeout with the
+// callback bound once per manager, so it allocates nothing.
+func TestUserActivityScreenOnAllocatesNothing(t *testing.T) {
+	e, _, _, mgr, _ := fixture(t)
+	mgr.UserActivity() // warm the engine's event pool
+	avg := testing.AllocsPerRun(100, func() {
+		if err := e.RunFor(sim.Duration(time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		mgr.UserActivity()
+	})
+	if avg != 0 {
+		t.Fatalf("UserActivity with the screen on allocates %.1f objects, want 0", avg)
+	}
+	if !mgr.ScreenOn() {
+		t.Fatal("screen went off between touches 1 s apart")
+	}
+}
