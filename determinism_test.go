@@ -48,19 +48,19 @@ func TestSameSeedByteIdentical(t *testing.T) {
 }
 
 // fleetViews runs a 2-device fleet at the given worker count and
-// returns the aggregate render plus each device's full E-Android view.
-// Each device's Scenario runs the horizon itself and keeps its view in
-// a slice indexed by device.
+// returns the aggregate render, one line per device, and each device's
+// full E-Android view. Each device's Scenario runs the horizon itself
+// and keeps its view in a slice indexed by device; CollectFleet keeps
+// each device's result the same way.
 func fleetViews(t *testing.T, workers int) string {
 	t.Helper()
 	const devices = 2
 	views := make([]string, devices)
-	fr, err := eandroid.RunFleet(context.Background(), eandroid.FleetSpec{
-		Devices:       devices,
-		Workers:       workers,
-		Seed:          99,
-		RetainResults: true, // the render lists every device
-		Config:        eandroid.Config{EAndroid: true},
+	spec := eandroid.FleetSpec{
+		Devices: devices,
+		Workers: workers,
+		Seed:    99,
+		Config:  eandroid.Config{EAndroid: true},
 		Scenario: func(i int, dev *eandroid.Device) error {
 			mal, err := dev.Packages.Install(
 				eandroid.NewManifest("com.det.mal", "Mal").Activity("Main", true).MustBuild())
@@ -88,14 +88,16 @@ func fleetViews(t *testing.T, workers int) string {
 			views[i] = dev.EAndroidView()
 			return nil
 		},
-	})
+	}
+	results := eandroid.CollectFleet(&spec)
+	fr, err := eandroid.RunFleet(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range fr.Summary.Failures {
 		t.Fatalf("device %d: %s", f.Index, f.Err)
 	}
-	out := fr.Render()
+	out := fr.Render() + eandroid.RenderFleetDevices(results)
 	for _, v := range views {
 		out += v
 	}

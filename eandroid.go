@@ -128,16 +128,25 @@ var Nexus4Profile = hw.Nexus4
 // from a fleet seed and order-stable aggregation. Execution streams:
 // finished devices fold into a bounded sharded accumulator and are
 // dropped, so fleet memory is O(workers + window), not O(devices).
-// Set FleetSpec.RetainResults to keep the per-device slice, or
-// FleetSpec.Stream to consume each result exactly once as it finishes.
+// Set FleetSpec.Stream to consume each result exactly once as it
+// finishes, or let CollectFleet keep them all.
 type (
 	// FleetSpec describes a fleet run: device count, worker and shard
 	// bounds, fleet seed, config template, scenario func and horizon.
 	FleetSpec = fleet.Spec
-	// FleetResult is a completed fleet run: the merged summary, plus
-	// per-device results sorted by index when RetainResults was set.
+	// FleetResult is a completed fleet run: the merged summary.
 	FleetResult = fleet.FleetResult
+	// FleetDeviceResult is one device's result, as FleetSpec.Stream
+	// receives it.
+	FleetDeviceResult = fleet.Result
 )
+
+// CollectFleet sets spec.Stream to keep every device's result in the
+// returned slice, indexed by device; read it after RunFleet returns.
+func CollectFleet(spec *FleetSpec) []FleetDeviceResult { return fleet.Collect(spec) }
+
+// RenderFleetDevices prints one line per device of results.
+func RenderFleetDevices(results []FleetDeviceResult) string { return fleet.RenderDevices(results) }
 
 // RunFleet executes spec's devices on a bounded worker pool. Per-device
 // failures (including panics) are captured in the matching result's

@@ -13,8 +13,9 @@
 package accounting
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/app"
@@ -47,7 +48,6 @@ func (p Policy) String() string {
 // attributed energy.
 type Entry struct {
 	UID    app.UID
-	Usage  hw.Usage
 	TotalJ float64
 }
 
@@ -101,6 +101,16 @@ func (a *Accountant) SetForeground(uid app.UID) { a.foreground = uid }
 // Foreground reports the last recorded foreground app.
 func (a *Accountant) Foreground() app.UID { return a.foreground }
 
+// ScreenOwner reports who is charged for screen energy right now: the
+// foreground app under PowerTutor when one is set, and the UIDScreen
+// pseudo-entry otherwise.
+func (a *Accountant) ScreenOwner() app.UID {
+	if a.policy == PowerTutor && a.foreground != app.UIDNone {
+		return a.foreground
+	}
+	return app.UIDScreen
+}
+
 // Accrue implements hw.Sink.
 func (a *Accountant) Accrue(iv hw.Interval) {
 	if a.tel != nil {
@@ -119,15 +129,10 @@ func (a *Accountant) Accrue(iv hw.Interval) {
 	if iv.ScreenJ == 0 {
 		return
 	}
-	switch a.policy {
-	case BatteryStats:
+	if owner := a.ScreenOwner(); owner != app.UIDScreen {
+		a.own.Row(owner).Add(hw.Screen, iv.ScreenJ)
+	} else {
 		a.screenJ += iv.ScreenJ
-	case PowerTutor:
-		if a.foreground == app.UIDNone {
-			a.screenJ += iv.ScreenJ
-			return
-		}
-		a.own.Row(a.foreground).Add(hw.Screen, iv.ScreenJ)
 	}
 }
 
@@ -140,11 +145,7 @@ func (a *Accountant) observeInterval(iv hw.Interval) {
 		a.tel.RecordAttribution(iv.To, uid, row.Total())
 	})
 	if iv.ScreenJ > 0 {
-		screenUID := app.UIDScreen
-		if a.policy == PowerTutor && a.foreground != app.UIDNone {
-			screenUID = a.foreground
-		}
-		a.tel.RecordAttribution(iv.To, screenUID, iv.ScreenJ)
+		a.tel.RecordAttribution(iv.To, a.ScreenOwner(), iv.ScreenJ)
 	}
 	if iv.SystemJ > 0 {
 		a.tel.RecordAttribution(iv.To, app.UIDSystem, iv.SystemJ)
@@ -160,13 +161,13 @@ func (a *Accountant) AppJ(uid app.UID) float64 {
 	return row.Total()
 }
 
-// AppUsage returns a copy of the per-component energy attributed to uid.
-func (a *Accountant) AppUsage(uid app.UID) hw.Usage {
-	row := a.own.Get(uid)
-	if row == nil {
-		return hw.Usage{}
+// AppRow returns a copy of the per-component energy attributed to uid
+// (the zero row when nothing was).
+func (a *Accountant) AppRow(uid app.UID) hw.UsageRow {
+	if row := a.own.Get(uid); row != nil {
+		return *row
 	}
-	return row.Usage()
+	return hw.UsageRow{}
 }
 
 // ForegroundTime reports how long uid has held the foreground.
@@ -198,27 +199,16 @@ func (a *Accountant) TotalJ() float64 {
 func (a *Accountant) Entries() []Entry {
 	out := make([]Entry, 0, a.own.Len()+2)
 	a.own.Each(func(uid app.UID, row *hw.UsageRow) {
-		out = append(out, Entry{UID: uid, Usage: row.Usage(), TotalJ: row.Total()})
+		out = append(out, Entry{UID: uid, TotalJ: row.Total()})
 	})
 	if a.screenJ > 0 {
-		out = append(out, Entry{
-			UID:    app.UIDScreen,
-			Usage:  hw.Usage{hw.Screen: a.screenJ},
-			TotalJ: a.screenJ,
-		})
+		out = append(out, Entry{UID: app.UIDScreen, TotalJ: a.screenJ})
 	}
 	if a.systemJ > 0 {
-		out = append(out, Entry{
-			UID:    app.UIDSystem,
-			Usage:  hw.Usage{hw.CPU: a.systemJ},
-			TotalJ: a.systemJ,
-		})
+		out = append(out, Entry{UID: app.UIDSystem, TotalJ: a.systemJ})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TotalJ != out[j].TotalJ {
-			return out[i].TotalJ > out[j].TotalJ
-		}
-		return out[i].UID < out[j].UID
+	slices.SortFunc(out, func(x, y Entry) int {
+		return cmp.Or(cmp.Compare(y.TotalJ, x.TotalJ), cmp.Compare(x.UID, y.UID))
 	})
 	return out
 }

@@ -66,7 +66,7 @@ func TestBatteryStatsKeepsScreenSeparate(t *testing.T) {
 	p := hw.Nexus4()
 	approx(t, a.ScreenJ(), p.ScreenPower(255)/1000*10, "screen bucket")
 	approx(t, a.AppJ(100), 0.5*p.CPUFull/1000*10, "app energy excludes screen")
-	if a.AppUsage(100)[hw.Screen] != 0 {
+	if row := a.AppRow(100); row.J(hw.Screen) != 0 {
 		t.Fatal("BatteryStats must not charge screen to app")
 	}
 }
@@ -87,8 +87,9 @@ func TestPowerTutorChargesForeground(t *testing.T) {
 	})
 	p := hw.Nexus4()
 	perSec := p.ScreenPower(255) / 1000
-	approx(t, a.AppUsage(100)[hw.Screen], perSec*10, "fg app 1 screen")
-	approx(t, a.AppUsage(200)[hw.Screen], perSec*5, "fg app 2 screen")
+	fg1, fg2 := a.AppRow(100), a.AppRow(200)
+	approx(t, fg1.J(hw.Screen), perSec*10, "fg app 1 screen")
+	approx(t, fg2.J(hw.Screen), perSec*5, "fg app 2 screen")
 	approx(t, a.ScreenJ(), 0, "no separate bucket")
 }
 
@@ -170,20 +171,40 @@ func TestShares(t *testing.T) {
 	}
 }
 
-func TestAppUsageCopies(t *testing.T) {
+func TestAppRowCopies(t *testing.T) {
 	a := run(t, BatteryStats, func(e *sim.Engine, m *hw.Meter, a *Accountant) {
 		m.SetCPUUtil(1, 0.5)
 		if err := e.RunFor(time.Second); err != nil {
 			t.Fatal(err)
 		}
 	})
-	u := a.AppUsage(1)
-	u[hw.CPU] = 99999
-	if a.AppUsage(1)[hw.CPU] == 99999 {
-		t.Fatal("AppUsage must return a copy")
+	u := a.AppRow(1)
+	u.Add(hw.CPU, 99999)
+	if again := a.AppRow(1); again.J(hw.CPU) >= 99999 {
+		t.Fatal("AppRow must return a copy")
 	}
-	if got := a.AppUsage(42); len(got) != 0 {
-		t.Fatal("unknown app usage should be empty")
+	if got := a.AppRow(42); got != (hw.UsageRow{}) {
+		t.Fatal("unknown app row should be zero")
+	}
+}
+
+// Entries allocates only the returned slice: rows carry no per-component
+// map and the sort needs no reflection.
+func TestEntriesAllocatesOnlyItsSlice(t *testing.T) {
+	a := run(t, BatteryStats, func(e *sim.Engine, m *hw.Meter, a *Accountant) {
+		m.SetScreen(true)
+		for uid := app.UID(100); uid < 105; uid++ {
+			m.SetCPUUtil(uid, 0.1*float64(uid-99))
+		}
+		if err := e.RunFor(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n := len(a.Entries()); n != 7 { // 5 apps + screen + system
+		t.Fatalf("entries = %d, want 7", n)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = a.Entries() }); allocs > 1 {
+		t.Fatalf("Entries allocated %v times on a 7-row ledger, want at most 1", allocs)
 	}
 }
 

@@ -65,18 +65,13 @@ func (m *Monitor) ChargePolicy() ChargePolicy {
 // chain (the paper's hybrid attack: "it is reasonable to charge the
 // energy drained by C and the screen to A").
 //
-// A (beneficiary, driven) pair is charged at most once per interval, so
-// multi-collateral attacks (Fig. 6: start + bind + interrupt on the same
-// victim) never double-charge the same driving app.
+// A (beneficiary, driven) pair is charged at most once per interval:
+// the driven parties are distinct keys of the active index and each
+// one's beneficiaries form a set, so multi-collateral attacks (Fig. 6:
+// start + bind + interrupt on the same victim) never double-charge the
+// same driving app. The monitor keeps no energy ledger of its own; the
+// revised views take original energy from the baseline accountant.
 func (m *Monitor) Accrue(iv hw.Interval) {
-	// Raw own-energy bookkeeping for the revised battery views runs in
-	// every mode that has the sink attached. Nothing from the borrowed
-	// interval is retained.
-	iv.EachApp(func(uid app.UID, row *hw.UsageRow) {
-		m.ownJ[uid] += row.Total()
-	})
-	m.screenJ += iv.ScreenJ
-
 	if m.mode != Complete || len(m.activeByDriven) == 0 {
 		return
 	}
@@ -90,13 +85,6 @@ func (m *Monitor) Accrue(iv hw.Interval) {
 	}
 	sort.Slice(drivens, func(i, j int) bool { return drivens[i] < drivens[j] })
 	m.drivenScratch = drivens
-
-	if m.chargedScratch == nil {
-		m.chargedScratch = make(map[chargePair]bool)
-	} else {
-		clear(m.chargedScratch)
-	}
-	charged := m.chargedScratch
 
 	for _, d := range drivens {
 		var delta float64
@@ -135,18 +123,11 @@ func (m *Monitor) Accrue(iv hw.Interval) {
 			share = delta / float64(len(order))
 		}
 		for _, g := range order {
-			if charged[chargePair{g, d}] {
-				continue
-			}
-			charged[chargePair{g, d}] = true
 			m.ensureEntry(g, d)
 			m.maps[g][d].EnergyJ += share
 		}
 	}
 }
-
-// chargePair keys the per-interval (beneficiary, driven) dedup set.
-type chargePair struct{ g, d app.UID }
 
 // CollateralMap returns the driving app's collateral energy map entries,
 // sorted by descending energy then driven UID.
@@ -188,13 +169,6 @@ func (m *Monitor) sortedEntries(driving app.UID) []*MapEntry {
 // valid until the monitor next charges a new driver. The observability
 // watchdog walks it at every window close.
 func (m *Monitor) Drivers() []app.UID { return m.drivers }
-
-// OwnJ reports the raw hardware energy uid's own components drew
-// (excluding screen), as tracked by the monitor.
-func (m *Monitor) OwnJ(uid app.UID) float64 { return m.ownJ[uid] }
-
-// ScreenTotalJ reports total screen energy observed.
-func (m *Monitor) ScreenTotalJ() float64 { return m.screenJ }
 
 // Breakdown is one row of the revised battery interface: the app's
 // original (policy-attributed) energy plus its collateral inventory.

@@ -405,6 +405,7 @@ func TestNoAccrualAfterAttackEnds(t *testing.T) {
 	// charged to the malware.
 	w := world(t, device.Config{})
 	mon := w.Dev.EAndroid
+	raw := attachRawLedger(w.Dev)
 	if err := w.ForceScreenOn(); err != nil {
 		t.Fatal(err)
 	}
@@ -425,14 +426,14 @@ func TestNoAccrualAfterAttackEnds(t *testing.T) {
 	if svc.Running() {
 		t.Fatal("service should stop once the malicious bind drops")
 	}
-	victimBefore := mon.OwnJ(w.Victim.UID)
+	victimBefore := raw.appJ[w.Victim.UID]
 	if err := w.Dev.Run(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	w.Dev.Flush()
 	// The victim itself keeps draining (its activity is alive and the
 	// screen is forced on), so the check is not vacuous...
-	if mon.OwnJ(w.Victim.UID) <= victimBefore {
+	if raw.appJ[w.Victim.UID] <= victimBefore {
 		t.Fatal("victim should keep draining after the attack ends")
 	}
 	// ...but none of that post-attack energy lands on the malware.
@@ -447,6 +448,7 @@ func TestMultiCollateralNoDoubleCharge(t *testing.T) {
 	// energy is superimposed on the malware exactly once.
 	w := world(t, device.Config{})
 	mon := w.Dev.EAndroid
+	raw := attachRawLedger(w.Dev)
 	if err := w.MultiCollateral(); err != nil {
 		t.Fatal(err)
 	}
@@ -454,8 +456,8 @@ func TestMultiCollateralNoDoubleCharge(t *testing.T) {
 	charged := entryJ(mon, w.Malware.UID, w.Victim.UID)
 	// The victim's raw own energy across the whole scenario is an upper
 	// bound; double-charging would exceed it.
-	if charged > mon.OwnJ(w.Victim.UID)+1e-9 {
-		t.Fatalf("charged %v exceeds victim's own energy %v — double charged", charged, mon.OwnJ(w.Victim.UID))
+	if charged > raw.appJ[w.Victim.UID]+1e-9 {
+		t.Fatalf("charged %v exceeds victim's own energy %v — double charged", charged, raw.appJ[w.Victim.UID])
 	}
 	if charged == 0 {
 		t.Fatal("multi-collateral should charge something")

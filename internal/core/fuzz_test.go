@@ -21,6 +21,7 @@ import (
 // service, used to drive random event streams at the monitor.
 type fuzzWorld struct {
 	dev  *device.Device
+	raw  *rawLedger
 	apps []*app.App
 
 	// live resources the random driver can release later.
@@ -41,7 +42,7 @@ func newFuzzWorld(t testing.TB, nApps int) *fuzzWorld {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &fuzzWorld{dev: dev}
+	w := &fuzzWorld{dev: dev, raw: attachRawLedger(dev)}
 	for i := 0; i < nApps; i++ {
 		pkg := fmt.Sprintf("com.fuzz.app%d", i)
 		a := dev.Packages.MustInstall(manifest.NewBuilder(pkg, fmt.Sprintf("Fuzz%d", i)).
@@ -197,9 +198,9 @@ func runFuzz(t testing.TB, seed int64, steps int) fuzzOutcome {
 		for d, j := range m {
 			var limit float64
 			if d == app.UIDScreen {
-				limit = w.dev.EAndroid.ScreenTotalJ()
+				limit = w.raw.screenJ
 			} else {
-				limit = w.dev.EAndroid.OwnJ(d)
+				limit = w.raw.appJ[d]
 			}
 			if j > limit+1e-6 {
 				t.Fatalf("seed %d: map[%d][%d] = %.6f exceeds driven total %.6f",

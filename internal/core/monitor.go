@@ -63,11 +63,6 @@ type Monitor struct {
 	// removed, so it only grows (see ensureEntry).
 	drivers []app.UID
 
-	// ownJ tracks each app's raw hardware energy and the screen total so
-	// the revised battery interface can render breakdowns.
-	ownJ    map[app.UID]float64
-	screenJ float64
-
 	// heldScreenLocks tracks live screen-type wakelocks for the Fig. 5e
 	// state machine.
 	heldScreenLocks map[*power.Wakelock]bool
@@ -92,10 +87,9 @@ type Monitor struct {
 	// the superimposition pass runs on every integrated interval, and
 	// rebuilding these from scratch each time dominated the monitor's
 	// allocation profile.
-	drivenScratch  []app.UID
-	orderScratch   []app.UID
-	chargedScratch map[chargePair]bool
-	benefScratch   map[app.UID]bool
+	drivenScratch []app.UID
+	orderScratch  []app.UID
+	benefScratch  map[app.UID]bool
 	// entryScratch is sortedEntries' buffer: the watchdog sums every
 	// driver's map at every window close.
 	entryScratch []*MapEntry
@@ -118,7 +112,6 @@ func NewMonitor(engine *sim.Engine, pm *app.PackageManager, mode Mode) (*Monitor
 		foreground:      app.UIDNone,
 		activeByDriven:  make(map[app.UID][]*Attack),
 		maps:            make(map[app.UID]map[app.UID]*MapEntry),
-		ownJ:            make(map[app.UID]float64),
 		heldScreenLocks: make(map[*power.Wakelock]bool),
 	}, nil
 }

@@ -58,7 +58,7 @@ func (s *Script) overlayIntermittent(rng *rand.Rand, idles []segment) {
 // collateral that keeps trickling is part of this variant's signature.
 func (s *Script) overlayCoordinated(rng *rand.Rand, idles []segment) {
 	g := chargingSegment(idles)
-	t0 := maxDur(g.start, s.ChargeStart) + 5*time.Minute + sampleDur(rng, 0, 5*time.Minute)
+	t0 := max(g.start, s.ChargeStart) + 5*time.Minute + sampleDur(rng, 0, 5*time.Minute)
 	t1 := t0 + sampleDur(rng, 20*time.Minute, 30*time.Minute)
 	if limit := s.ChargeEnd - 2*time.Minute; t1 > limit {
 		t1 = limit
@@ -103,11 +103,4 @@ func chargingSegment(idles []segment) segment {
 		}
 	}
 	return longest
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

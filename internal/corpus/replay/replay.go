@@ -208,12 +208,9 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 				return err
 			}
 			o := &outcomes[i]
-			for _, f := range wd.Finish() {
-				o.findings++
-				if f.Signal == obsv.SignalDivergence && f.UID == w.Malware.UID {
-					o.detected = true
-				}
-			}
+			findings := wd.Finish()
+			o.findings = len(findings)
+			o.detected = obsv.Detected(findings, w.Malware.UID)
 			o.stats = wd.Stats()
 			return nil
 		},

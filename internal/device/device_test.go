@@ -71,7 +71,7 @@ func TestForegroundFeedsAccountant(t *testing.T) {
 	}
 	dev.Flush()
 	// Under PowerTutor the foreground app (A) is charged the screen.
-	if dev.Android.AppUsage(a.UID)[hw.Screen] <= 0 {
+	if row := dev.Android.AppRow(a.UID); row.J(hw.Screen) <= 0 {
 		t.Fatal("foreground screen attribution missing")
 	}
 }
@@ -100,8 +100,8 @@ func TestScreenAttributionSplitsAtForegroundChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.Flush()
-	sa := dev.Android.AppUsage(a.UID)[hw.Screen]
-	sb := dev.Android.AppUsage(b.UID)[hw.Screen]
+	ra, rb := dev.Android.AppRow(a.UID), dev.Android.AppRow(b.UID)
+	sa, sb := ra.J(hw.Screen), rb.J(hw.Screen)
 	if sa <= 0 || sb <= 0 {
 		t.Fatalf("screen split missing: a=%v b=%v", sa, sb)
 	}

@@ -30,15 +30,23 @@ func checkedCfg(cfg device.Config) device.Config {
 	return cfg
 }
 
+// runStudy runs spec, keeping every device's Result with
+// fleet.Collect.
+func runStudy(spec fleet.Spec) (*fleet.FleetResult, []fleet.Result, error) {
+	results := fleet.Collect(&spec)
+	fr, err := fleet.Run(context.Background(), spec)
+	return fr, results, err
+}
+
 // FleetStealthStudy runs the §V stealth auto-launch attack on a fleet
-// of `devices` devices using `workers` workers (0 = GOMAXPROCS).
-func FleetStealthStudy(devices, workers int, seed int64) (*fleet.FleetResult, error) {
-	return fleet.Run(context.Background(), fleet.Spec{
-		Devices:       devices,
-		Workers:       workers,
-		Seed:          seed,
-		RetainResults: true, // ExtFleet renders per-device lines
-		Config:        checkedCfg(worldCfg(accounting.BatteryStats)),
+// of `devices` devices using `workers` workers (0 = GOMAXPROCS). It
+// returns the fleet run and every device's Result, indexed by device.
+func FleetStealthStudy(devices, workers int, seed int64) (*fleet.FleetResult, []fleet.Result, error) {
+	return runStudy(fleet.Spec{
+		Devices: devices,
+		Workers: workers,
+		Seed:    seed,
+		Config:  checkedCfg(worldCfg(accounting.BatteryStats)),
 		Scenario: func(i int, dev *device.Device) error {
 			w, err := scenario.Populate(dev)
 			if err != nil {
@@ -94,6 +102,8 @@ type FleetDrainResult struct {
 	Window   time.Duration
 	Replicas int
 	Fleet    *fleet.FleetResult
+	// Devices holds every device's Result, indexed by device.
+	Devices []fleet.Result
 	// MeanJ maps config name to mean drained joules over the window,
 	// in DrainConfigs order.
 	MeanJ map[string]float64
@@ -106,7 +116,8 @@ func (r *FleetDrainResult) Render() string {
 	for _, name := range DrainConfigs() {
 		fmt.Fprintf(&b, "%-16s mean drain %10.3f J\n", name, r.MeanJ[name])
 	}
-	b.WriteString(r.Fleet.Render())
+	b.WriteString(r.Fleet.Summary.Render(r.Fleet.Seed))
+	b.WriteString(fleet.RenderDevices(r.Devices))
 	return b.String()
 }
 
@@ -122,12 +133,11 @@ func FleetDrainStudy(replicas, workers int, seed int64, window time.Duration) (*
 		return nil, fmt.Errorf("experiments: non-positive window %v", window)
 	}
 	configs := DrainConfigs()
-	fr, err := fleet.Run(context.Background(), fleet.Spec{
-		Devices:       replicas * len(configs),
-		Workers:       workers,
-		Seed:          seed,
-		RetainResults: true, // per-config means index into Results below
-		Config:        checkedCfg(device.Config{Policy: accounting.BatteryStats}),
+	fr, results, err := runStudy(fleet.Spec{
+		Devices: replicas * len(configs),
+		Workers: workers,
+		Seed:    seed,
+		Config:  checkedCfg(device.Config{Policy: accounting.BatteryStats}),
 		Scenario: func(i int, dev *device.Device) error {
 			w, err := scenario.Populate(dev)
 			if err != nil {
@@ -144,9 +154,10 @@ func FleetDrainStudy(replicas, workers int, seed int64, window time.Duration) (*
 		Window:   window,
 		Replicas: replicas,
 		Fleet:    fr,
+		Devices:  results,
 		MeanJ:    make(map[string]float64),
 	}
-	for _, r := range fr.Results {
+	for _, r := range results {
 		if r.Err != nil {
 			return nil, fmt.Errorf("experiments: fleet drain device %d: %w", r.Index, r.Err)
 		}
@@ -193,8 +204,9 @@ func Fig3WithStepWorkers(step time.Duration, workers int) (*Fig3Result, error) {
 
 // ExtFleetResult bundles the two fleet-backed studies for the registry.
 type ExtFleetResult struct {
-	Stealth *fleet.FleetResult
-	Drain   *FleetDrainResult
+	Stealth        *fleet.FleetResult
+	StealthDevices []fleet.Result
+	Drain          *FleetDrainResult
 }
 
 // Render prints both fleet reports.
@@ -202,7 +214,8 @@ func (r *ExtFleetResult) Render() string {
 	var b strings.Builder
 	b.WriteString("=== Extension: fleet-parallel studies ===\n")
 	b.WriteString("--- stealth auto-launch fleet ---\n")
-	b.WriteString(r.Stealth.Render())
+	b.WriteString(r.Stealth.Summary.Render(r.Stealth.Seed))
+	b.WriteString(fleet.RenderDevices(r.StealthDevices))
 	b.WriteString("--- bounded-window drain fleet ---\n")
 	b.WriteString(r.Drain.Render())
 	return b.String()
@@ -210,11 +223,11 @@ func (r *ExtFleetResult) Render() string {
 
 // ExtFleet runs small fleets of the stealth and drain studies.
 func ExtFleet() (*ExtFleetResult, error) {
-	st, err := FleetStealthStudy(8, 0, 42)
+	st, stDevices, err := FleetStealthStudy(8, 0, 42)
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range st.Results {
+	for _, r := range stDevices {
 		if r.Err != nil {
 			return nil, fmt.Errorf("experiments: fleet stealth device %d: %w", r.Index, r.Err)
 		}
@@ -223,5 +236,5 @@ func ExtFleet() (*ExtFleetResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ExtFleetResult{Stealth: st, Drain: dr}, nil
+	return &ExtFleetResult{Stealth: st, StealthDevices: stDevices, Drain: dr}, nil
 }

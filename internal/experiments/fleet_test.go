@@ -7,7 +7,7 @@ import (
 )
 
 func TestFleetStealthStudy(t *testing.T) {
-	fr, err := FleetStealthStudy(4, 2, 42)
+	fr, _, err := FleetStealthStudy(4, 2, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestFleetDrainStudy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(res.Fleet.Results); got != 2*len(DrainConfigs()) {
+	if got := len(res.Devices); got != 2*len(DrainConfigs()) {
 		t.Fatalf("devices = %d, want %d", got, 2*len(DrainConfigs()))
 	}
 	for _, name := range DrainConfigs() {

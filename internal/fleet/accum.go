@@ -59,7 +59,6 @@ type folder struct {
 	mus     []sync.Mutex // shard s guards blocks b with b%shards == s
 	blocks  []accBlock
 	permits chan struct{} // acquire = dispatch one device; release = fold one
-	results []Result      // non-nil only when Spec.RetainResults
 }
 
 func newFolder(spec *Spec, shards, window int) *folder {
@@ -81,9 +80,6 @@ func newFolder(spec *Spec, shards, window int) *folder {
 	for b := range f.blocks {
 		f.blocks[b].next = b * blockSize
 		f.blocks[b].end = min((b+1)*blockSize, n)
-	}
-	if spec.RetainResults {
-		f.results = make([]Result, n)
 	}
 	return f
 }
@@ -109,9 +105,6 @@ func (f *folder) unacquire() { <-f.permits }
 // released one per folded dispatched result, which is what unblocks
 // the dispatcher.
 func (f *folder) complete(i int, res Result, dispatched bool) {
-	if f.results != nil {
-		f.results[i] = res
-	}
 	b := i / blockSize
 	mu := &f.mus[b%f.shards]
 	mu.Lock()
@@ -152,8 +145,8 @@ func (f *folder) complete(i int, res Result, dispatched bool) {
 
 // fold reduces one result into the block's partial summary (and, when
 // telemetry is on, its pairwise-merged snapshot — MergeSnapshots is a
-// left fold, so incremental pairwise merging is bit-identical to the
-// one-shot merge the retained path used).
+// left fold, so incremental pairwise merging is bit-identical to one
+// merge over every snapshot in index order).
 func (blk *accBlock) fold(spec *Spec, res *Result) {
 	blk.sum.fold(res)
 	if spec.Telemetry != nil && res.Metrics != nil && blk.merr == nil {
@@ -192,11 +185,4 @@ func (f *folder) finalize() (Summary, *telemetry.Snapshot, error) {
 		metrics = m
 	}
 	return sum, metrics, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -48,13 +48,13 @@ type Summary struct {
 	// ViolationsByInvariant counts violations per checker family.
 	ViolationsByInvariant map[check.Invariant]int
 	// Failures samples the first maxFailures failed devices in index
-	// order, so a streaming run (no retained []Result) can still report
-	// which devices broke and why. Failed is the authoritative count.
+	// order, so a run can report which devices broke and why without
+	// keeping every Result. Failed is the authoritative count.
 	Failures []Failure
 }
 
 // Failure is one failed device's identity and error, sampled into
-// Summary.Failures for streaming runs.
+// Summary.Failures.
 type Failure struct {
 	Index int    `json:"index"`
 	Seed  int64  `json:"seed"`
@@ -232,23 +232,6 @@ func (s *Summary) backfillLabels() {
 	}
 }
 
-// summarize merges retained results through the same fold tree the
-// streaming runner uses, so both paths are byte-identical by
-// construction (and, for fleets of at most blockSize devices,
-// identical to the original sequential merge).
-func summarize(results []Result) Summary {
-	var final Summary
-	for start := 0; start < len(results); start += blockSize {
-		var bs Summary
-		for i := start; i < min(start+blockSize, len(results)); i++ {
-			bs.fold(&results[i])
-		}
-		final.merge(&bs)
-	}
-	final.backfillLabels()
-	return final
-}
-
 // sortedUIDs returns m's keys in ascending UID order.
 func sortedUIDs(m map[app.UID]float64) []app.UID {
 	uids := make([]app.UID, 0, len(m))
@@ -260,8 +243,7 @@ func sortedUIDs(m map[app.UID]float64) []app.UID {
 }
 
 // renderTo writes the merged report (outcome counts, ledgers, attack
-// totals) without per-device lines — the part of the render both the
-// streaming and retained paths share byte-for-byte.
+// totals) without per-device lines.
 func (s *Summary) renderTo(b *strings.Builder, seed int64) {
 	fmt.Fprintf(b, "=== Fleet: %d devices, seed %d ===\n", s.Devices, seed)
 	fmt.Fprintf(b, "outcome:   %d ok, %d failed\n", s.Devices-s.Failed, s.Failed)
@@ -306,45 +288,56 @@ func (s *Summary) renderTo(b *strings.Builder, seed int64) {
 	}
 }
 
-// Render prints the shared merged report for a fleet run with the
-// given seed. Byte-identical between the streaming and retained paths
-// for the same spec, which is the acceptance surface the shard goldens
-// pin.
+// Render prints the merged report for a fleet run with the given seed.
+// Byte-identical for any shards × workers combination of the same spec,
+// which is the acceptance surface the shard goldens pin.
 func (s *Summary) Render(seed int64) string {
 	var b strings.Builder
 	s.renderTo(&b, seed)
 	return b.String()
 }
 
-// Render prints the fleet report: the merged summary, then — when
-// per-device results were retained — per-device one-liners, or — when
-// streaming dropped them — the sampled failure list. All output is in
-// deterministic order.
+// Render prints the fleet report: the merged summary, then the sampled
+// failure list. All output is in deterministic order.
 func (fr *FleetResult) Render() string {
 	var b strings.Builder
 	s := fr.Summary
 	s.renderTo(&b, fr.Seed)
-	if fr.Results != nil {
-		b.WriteString("devices:\n")
-		for _, r := range fr.Results {
-			if r.Err != nil {
-				fmt.Fprintf(&b, "  #%03d seed=%-20d FAILED: %v\n", r.Index, r.Seed, firstLine(r.Err.Error()))
-				continue
-			}
-			line := fmt.Sprintf("  #%03d seed=%-20d drained %10.3f J  battery %6.2f%%  attacks %d",
-				r.Index, r.Seed, r.DrainedJ, r.BatteryPct, r.Attacks)
-			if n := len(r.Violations); n > 0 {
-				line += fmt.Sprintf("  VIOLATIONS %d (first: %s)", n, firstLine(r.Violations[0].String()))
-			}
-			b.WriteString(line + "\n")
-		}
-		return b.String()
-	}
 	if len(s.Failures) > 0 {
 		fmt.Fprintf(&b, "failures (first %d of %d):\n", len(s.Failures), s.Failed)
 		for _, f := range s.Failures {
 			fmt.Fprintf(&b, "  #%03d seed=%-20d FAILED: %s\n", f.Index, f.Seed, firstLine(f.Err))
 		}
+	}
+	return b.String()
+}
+
+// Collect sets spec.Stream, replacing any sink already there, to keep
+// every device's Result in the returned slice at its Index. Read the
+// slice after Run returns.
+func Collect(spec *Spec) []Result {
+	results := make([]Result, max(spec.Devices, 0))
+	spec.Stream = func(r Result) { results[r.Index] = r }
+	return results
+}
+
+// RenderDevices prints one line per device, in the order given: a
+// caller that kept its fleet's results with Collect appends these to
+// the summary render.
+func RenderDevices(results []Result) string {
+	var b strings.Builder
+	b.WriteString("devices:\n")
+	for _, r := range results {
+		if r.Err != nil {
+			fmt.Fprintf(&b, "  #%03d seed=%-20d FAILED: %v\n", r.Index, r.Seed, firstLine(r.Err.Error()))
+			continue
+		}
+		fmt.Fprintf(&b, "  #%03d seed=%-20d drained %10.3f J  battery %6.2f%%  attacks %d",
+			r.Index, r.Seed, r.DrainedJ, r.BatteryPct, r.Attacks)
+		if n := len(r.Violations); n > 0 {
+			fmt.Fprintf(&b, "  VIOLATIONS %d (first: %s)", n, firstLine(r.Violations[0].String()))
+		}
+		b.WriteString("\n")
 	}
 	return b.String()
 }

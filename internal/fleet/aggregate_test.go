@@ -33,8 +33,7 @@ func TestSummarizeLabelFallback(t *testing.T) {
 	if got := s.Labels[12]; got != "uid:12" {
 		t.Fatalf("Labels[12] = %q, want the uid fallback for collateral-only UIDs", got)
 	}
-	fr := &FleetResult{Results: rs, Summary: s}
-	for i, line := range strings.Split(fr.Render(), "\n") {
+	for i, line := range strings.Split(s.Render(0), "\n") {
 		if strings.Contains(line, " J") && strings.HasPrefix(strings.TrimSpace(line), "J") {
 			t.Fatalf("render line %d has an empty label: %q", i, line)
 		}
@@ -60,7 +59,7 @@ func TestSummarizeCountsViolations(t *testing.T) {
 		s.ViolationsByInvariant[check.InvLifecycle] != 1 {
 		t.Fatalf("ViolationsByInvariant = %v", s.ViolationsByInvariant)
 	}
-	out := (&FleetResult{Results: rs, Summary: s}).Render()
+	out := s.Render(0) + RenderDevices(rs)
 	if !strings.Contains(out, "checks:    3 invariant violations") {
 		t.Fatalf("render missing fleet violation total:\n%s", out)
 	}
@@ -76,7 +75,8 @@ func TestSummarizeCountsViolations(t *testing.T) {
 // no "checks:" line, no per-device VIOLATIONS suffix.
 func TestRenderOmitsCheckLinesWhenClean(t *testing.T) {
 	rs := []Result{{Index: 0, DrainedJ: 1}}
-	out := (&FleetResult{Results: rs, Summary: summarize(rs)}).Render()
+	s := summarize(rs)
+	out := s.Render(0) + RenderDevices(rs)
 	if strings.Contains(out, "checks:") || strings.Contains(out, "VIOLATIONS") {
 		t.Fatalf("clean fleet render mentions checks:\n%s", out)
 	}
@@ -118,15 +118,14 @@ func TestSummaryMapsAllocatedLazily(t *testing.T) {
 	}
 }
 
-// Streaming renders list the sampled failures in place of the dropped
-// per-device lines.
+// The fleet render lists the sampled failures; per-device lines are the
+// caller's, through RenderDevices.
 func TestRenderFailuresSampleWithoutResults(t *testing.T) {
 	rs := make([]Result, 12)
 	for i := range rs {
 		rs[i] = Result{Index: i, Seed: int64(i), Err: errForTest("boom")}
 	}
-	fr := &FleetResult{Summary: summarize(rs)} // Results nil: streaming run
-	out := fr.Render()
+	out := (&FleetResult{Summary: summarize(rs)}).Render()
 	if !strings.Contains(out, "failures (first 8 of 12):") {
 		t.Fatalf("streaming render missing failure sample header:\n%s", out)
 	}
@@ -136,6 +135,22 @@ func TestRenderFailuresSampleWithoutResults(t *testing.T) {
 	if got := strings.Count(out, "FAILED: boom"); got != 8 {
 		t.Fatalf("failure lines = %d, want maxFailures (8)", got)
 	}
+}
+
+// summarize folds results through the same tree the streaming runner
+// uses (index order within a blockSize block, blocks merged in order):
+// the reference fold the accumulator tests compare against.
+func summarize(results []Result) Summary {
+	var final Summary
+	for start := 0; start < len(results); start += blockSize {
+		var bs Summary
+		for i := start; i < min(start+blockSize, len(results)); i++ {
+			bs.fold(&results[i])
+		}
+		final.merge(&bs)
+	}
+	final.backfillLabels()
+	return final
 }
 
 type errForTest string

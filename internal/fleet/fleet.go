@@ -9,14 +9,14 @@
 // labelled with a per-device seed derived from the fleet seed via
 // splitmix64.
 //
-// Execution is streaming and memory-bounded by default: finished
-// devices fold into a sharded accumulator (see accum.go) and are
-// dropped, with a dispatch-permit window bounding how many results can
-// be in flight or parked at once. Per-device retention is opt-in via
-// Spec.RetainResults, and Spec.Stream hands every Result to a caller-
-// owned sink exactly once. Aggregation is order-stable — the fold tree
-// is fixed by the fleet size — so the merged summary and metrics are
-// byte-identical for any shards × workers combination.
+// Execution is streaming and memory-bounded: finished devices fold into
+// a sharded accumulator (see accum.go) and are dropped, with a
+// dispatch-permit window bounding how many results can be in flight or
+// parked at once. Spec.Stream hands every Result to a caller-owned sink
+// exactly once; a caller that needs per-device results keeps them
+// there. Aggregation is order-stable — the fold tree is fixed by the
+// fleet size — so the merged summary and metrics are byte-identical for
+// any shards × workers combination.
 package fleet
 
 import (
@@ -66,18 +66,14 @@ type Spec struct {
 	// clock itself (dev.Run) or rely on Horizon; a nil Scenario runs an
 	// idle device. It must not retain dev past its return.
 	Scenario func(i int, dev *device.Device) error
-	// RetainResults keeps every per-device Result in
-	// FleetResult.Results (the pre-streaming behaviour). Off by
-	// default: a streaming fleet folds each finished device into the
-	// bounded accumulator and drops it, so memory stays bounded by the
-	// dispatch window instead of O(Devices).
-	RetainResults bool
 	// Stream, when non-nil, receives every finished Result exactly
 	// once, from the worker goroutine that ran it (or the dispatcher,
 	// for devices cancelled before dispatch). Delivery order is
 	// scheduling-dependent — consumers needing order can index by
 	// Result.Index. The Result must not be mutated: the accumulator
-	// reads it after Stream returns.
+	// reads it after Stream returns. The fleet itself keeps no
+	// per-device results, so memory stays bounded by the dispatch
+	// window instead of O(Devices).
 	Stream func(Result)
 	// Horizon is additional virtual time to run after Scenario returns.
 	Horizon time.Duration
@@ -172,19 +168,14 @@ type Result struct {
 	Metrics *telemetry.Snapshot
 }
 
-// FleetResult is a completed fleet run: the merged summary, plus —
-// only when Spec.RetainResults was set — the per-device results in
-// index order.
+// FleetResult is a completed fleet run: the merged summary. Per-device
+// results reach callers only through Spec.Stream.
 type FleetResult struct {
 	Seed    int64
 	Workers int
 	// Shards is the effective accumulator shard count the run used
 	// (after clamping to the fold-block count).
-	Shards int
-	// Results holds every per-device result in index order; nil unless
-	// Spec.RetainResults. Streaming runs consume results via
-	// Spec.Stream and keep only the Summary.
-	Results []Result
+	Shards  int
 	Summary Summary
 	// Metrics merges the per-device telemetry snapshots in device-index
 	// order; nil unless Spec.Telemetry was set. Byte-identical across
@@ -333,7 +324,6 @@ dispatch:
 		Seed:        spec.Seed,
 		Workers:     workers,
 		Shards:      f.shards,
-		Results:     f.results, // nil unless spec.RetainResults
 		Summary:     summary,
 		Metrics:     metrics,
 		WorkerStats: stats,

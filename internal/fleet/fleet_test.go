@@ -18,15 +18,13 @@ import (
 
 // attackSpec is the canonical test fleet: every device installs the
 // demo cast and mounts the service-pin attack, so the monitor has real
-// collateral energy and attacks to aggregate. Tests that read
-// fr.Results rely on the RetainResults here; streaming tests clear it.
+// collateral energy and attacks to aggregate.
 func attackSpec(devices, workers int, seed int64) Spec {
 	return Spec{
-		Devices:       devices,
-		Workers:       workers,
-		Seed:          seed,
-		RetainResults: true,
-		Config:        device.Config{EAndroid: true},
+		Devices: devices,
+		Workers: workers,
+		Seed:    seed,
+		Config:  device.Config{EAndroid: true},
 		Scenario: func(i int, dev *device.Device) error {
 			w, err := scenario.Populate(dev)
 			if err != nil {
@@ -41,6 +39,31 @@ func attackSpec(devices, workers int, seed int64) Spec {
 	}
 }
 
+// runCollect runs spec under ctx, keeping every device's Result with
+// Collect, and fails the test unless each device's Result reached the
+// sink exactly once: a device the sink missed would read as a zero
+// Result.
+func runCollect(t *testing.T, ctx context.Context, spec Spec) (*FleetResult, []Result) {
+	t.Helper()
+	results := Collect(&spec)
+	keep := spec.Stream
+	var delivered atomic.Int64
+	spec.Stream = func(r Result) { keep(r); delivered.Add(1) }
+	fr, err := Run(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := delivered.Load(); n != int64(spec.Devices) {
+		t.Fatalf("stream sink saw %d results, want %d", n, spec.Devices)
+	}
+	for i, r := range results {
+		if want := DeviceSeed(spec.Seed, i); r.Index != i || r.Seed != want {
+			t.Fatalf("results[%d] holds device %d seed %d, want device %d seed %d", i, r.Index, r.Seed, i, want)
+		}
+	}
+	return fr, results
+}
+
 func TestRunRejectsBadSpec(t *testing.T) {
 	if _, err := Run(context.Background(), Spec{Devices: 0}); err == nil {
 		t.Fatal("expected error for zero devices")
@@ -51,14 +74,9 @@ func TestRunRejectsBadSpec(t *testing.T) {
 }
 
 func TestFleetRunsEveryDevice(t *testing.T) {
-	fr, err := Run(context.Background(), attackSpec(6, 3, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fr.Results) != 6 {
-		t.Fatalf("results = %d, want 6", len(fr.Results))
-	}
-	for i, r := range fr.Results {
+	spec := attackSpec(6, 3, 42)
+	fr, results := runCollect(t, context.Background(), spec)
+	for i, r := range results {
 		if r.Index != i {
 			t.Fatalf("results not index-ordered: results[%d].Index = %d", i, r.Index)
 		}
@@ -107,21 +125,18 @@ func TestDeviceSeedsDifferAndAreStable(t *testing.T) {
 	}
 }
 
-// The acceptance gate: the rendered aggregate must be byte-identical
-// for any worker × shard combination, because per-device seeds depend
-// only on the fleet seed and the accumulator's fold tree is fixed by
-// the fleet size.
+// The acceptance gate: the rendered aggregate and every device's line
+// must be byte-identical for any worker × shard combination, because
+// per-device seeds depend only on the fleet seed and the accumulator's
+// fold tree is fixed by the fleet size.
 func TestAggregateByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	var golden string
 	for _, workers := range []int{1, 4, 8} {
 		for _, shards := range []int{1, 8} {
 			spec := attackSpec(9, workers, 1234)
 			spec.Shards = shards
-			fr, err := Run(context.Background(), spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := fr.Render()
+			fr, results := runCollect(t, context.Background(), spec)
+			got := fr.Render() + RenderDevices(results)
 			if golden == "" {
 				golden = got
 				continue
@@ -134,46 +149,34 @@ func TestAggregateByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// The streaming acceptance gate: with retention off, every
-// shards × workers combination must produce a summary render
-// byte-identical to the retained-results path on the same seed, and
-// the Stream sink must see every device exactly once.
+// The streaming acceptance gate: for every shards × workers
+// combination the folded summary must render byte-identically to the
+// reference fold (summarize) over the results the Stream sink kept and
+// to the single-worker run, and the sink must see every device exactly
+// once.
 func TestStreamingMatchesRetainedAcrossShardCounts(t *testing.T) {
-	retained, err := Run(context.Background(), attackSpec(9, 1, 1234))
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := retained.Summary.Render(retained.Seed)
+	var golden string
 	for _, workers := range []int{1, 8} {
 		for _, shards := range []int{1, 8} {
 			spec := attackSpec(9, workers, 1234)
-			spec.RetainResults = false
-			var streamed atomic.Int64
-			spec.Stream = func(r Result) {
-				if r.Err == nil && r.DrainedJ > 0 {
-					streamed.Add(1)
+			spec.Shards = shards
+			fr, kept := runCollect(t, context.Background(), spec)
+			for _, r := range kept {
+				if r.Err != nil || r.DrainedJ <= 0 {
+					t.Fatalf("device %d at workers=%d shards=%d: err %v, drained %v J", r.Index, workers, shards, r.Err, r.DrainedJ)
 				}
 			}
-			spec.Shards = shards
-			fr, err := Run(context.Background(), spec)
-			if err != nil {
-				t.Fatal(err)
+			got := fr.Summary.Render(fr.Seed)
+			ref := summarize(kept)
+			if want := ref.Render(fr.Seed); got != want {
+				t.Fatalf("streaming summary differs from the fold of the kept results at workers=%d shards=%d:\n--- kept ---\n%s\n--- got ---\n%s",
+					workers, shards, want, got)
 			}
-			if fr.Results != nil {
-				t.Fatal("streaming run retained results")
-			}
-			if got := fr.Summary.Render(fr.Seed); got != golden {
+			if golden == "" {
+				golden = got
+			} else if got != golden {
 				t.Fatalf("streaming summary differs at workers=%d shards=%d:\n--- golden ---\n%s\n--- got ---\n%s",
 					workers, shards, golden, got)
-			}
-			if n := streamed.Load(); n != 9 {
-				t.Fatalf("stream sink saw %d successful devices, want 9", n)
-			}
-			// The full streaming render is the summary plus the sampled
-			// failure list — for a clean run, exactly the shared prefix of
-			// the retained render.
-			if !strings.HasPrefix(retained.Render(), fr.Render()) {
-				t.Fatalf("streaming render is not a prefix of the retained render:\n%s", fr.Render())
 			}
 		}
 	}
@@ -348,19 +351,16 @@ func TestScenarioErrorIsIsolated(t *testing.T) {
 		}
 		return inner(i, dev)
 	}
-	fr, err := Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr.Results[2].Err == nil || !errors.Is(fr.Results[2].Err, boom) {
-		t.Fatalf("device 2 err = %v, want boom", fr.Results[2].Err)
+	fr, results := runCollect(t, context.Background(), spec)
+	if results[2].Err == nil || !errors.Is(results[2].Err, boom) {
+		t.Fatalf("device 2 err = %v, want boom", results[2].Err)
 	}
 	if fr.Summary.Failed != 1 {
 		t.Fatalf("failed = %d, want 1", fr.Summary.Failed)
 	}
 	for _, i := range []int{0, 1, 3} {
-		if fr.Results[i].Err != nil {
-			t.Fatalf("healthy device %d infected by failure: %v", i, fr.Results[i].Err)
+		if results[i].Err != nil {
+			t.Fatalf("healthy device %d infected by failure: %v", i, results[i].Err)
 		}
 	}
 }
@@ -374,11 +374,8 @@ func TestPanicIsCapturedPerDevice(t *testing.T) {
 		}
 		return inner(i, dev)
 	}
-	fr, err := Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := fr.Results[1].Err
+	fr, results := runCollect(t, context.Background(), spec)
+	got := results[1].Err
 	if got == nil || !strings.Contains(got.Error(), "scripted panic") {
 		t.Fatalf("device 1 err = %v, want captured panic", got)
 	}
@@ -388,7 +385,7 @@ func TestPanicIsCapturedPerDevice(t *testing.T) {
 	if fr.Summary.Failed != 1 {
 		t.Fatalf("failed = %d, want 1", fr.Summary.Failed)
 	}
-	if fr.Results[0].Err != nil || fr.Results[2].Err != nil {
+	if results[0].Err != nil || results[2].Err != nil {
 		t.Fatal("panic leaked into sibling devices")
 	}
 	// The merge still covers the healthy devices.
@@ -401,10 +398,9 @@ func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 64)
 	spec := Spec{
-		Devices:       64,
-		Workers:       2,
-		Seed:          3,
-		RetainResults: true,
+		Devices: 64,
+		Workers: 2,
+		Seed:    3,
 		Scenario: func(i int, dev *device.Device) error {
 			started <- struct{}{}
 			if i == 0 {
@@ -414,12 +410,9 @@ func TestContextCancellation(t *testing.T) {
 		},
 		Horizon: time.Hour, // long horizon: cancellation must interrupt it
 	}
-	fr, err := Run(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr, results := runCollect(t, ctx, spec)
 	cancelled := 0
-	for _, r := range fr.Results {
+	for _, r := range results {
 		if errors.Is(r.Err, context.Canceled) {
 			cancelled++
 		}
@@ -433,11 +426,9 @@ func TestContextCancellation(t *testing.T) {
 }
 
 func TestNilScenarioIdleFleet(t *testing.T) {
-	fr, err := Run(context.Background(), Spec{Devices: 2, Seed: 1, Horizon: time.Second, RetainResults: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range fr.Results {
+	spec := Spec{Devices: 2, Seed: 1, Horizon: time.Second}
+	_, results := runCollect(t, context.Background(), spec)
+	for _, r := range results {
 		if r.Err != nil {
 			t.Fatal(r.Err)
 		}
@@ -464,14 +455,11 @@ func TestMetricsByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		spec := telemetrySpec(8, workers, 77)
 		spec.Horizon = time.Minute
-		fr, err := Run(context.Background(), spec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fr, results := runCollect(t, context.Background(), spec)
 		if fr.Metrics == nil {
 			t.Fatal("fleet metrics snapshot missing")
 		}
-		for i, r := range fr.Results {
+		for i, r := range results {
 			if r.Metrics == nil {
 				t.Fatalf("device %d metrics snapshot missing", i)
 			}
@@ -498,14 +486,12 @@ func TestMetricsByteIdenticalAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestNoTelemetryMeansNoSnapshots(t *testing.T) {
-	fr, err := Run(context.Background(), attackSpec(2, 2, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec := attackSpec(2, 2, 3)
+	fr, results := runCollect(t, context.Background(), spec)
 	if fr.Metrics != nil {
 		t.Fatal("fleet built a metrics snapshot without Spec.Telemetry")
 	}
-	for i, r := range fr.Results {
+	for i, r := range results {
 		if r.Metrics != nil {
 			t.Fatalf("device %d has a metrics snapshot without Spec.Telemetry", i)
 		}
@@ -533,13 +519,10 @@ func TestTracerPanicMarksDeviceFailed(t *testing.T) {
 		}
 		return nil
 	}
-	fr, err := Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr, results := runCollect(t, context.Background(), spec)
 	var pe *panicError
-	if fr.Results[1].Err == nil || !errors.As(fr.Results[1].Err, &pe) {
-		t.Fatalf("device 1 err = %v, want *panicError", fr.Results[1].Err)
+	if results[1].Err == nil || !errors.As(results[1].Err, &pe) {
+		t.Fatalf("device 1 err = %v, want *panicError", results[1].Err)
 	}
 	if !strings.Contains(pe.Error(), "tracer boom") {
 		t.Fatalf("panic error lost its value: %v", pe)
@@ -547,7 +530,7 @@ func TestTracerPanicMarksDeviceFailed(t *testing.T) {
 	if fr.Summary.Failed != 1 {
 		t.Fatalf("failed = %d, want 1", fr.Summary.Failed)
 	}
-	if fr.Results[0].Err != nil || fr.Results[2].Err != nil {
+	if results[0].Err != nil || results[2].Err != nil {
 		t.Fatal("tracer panic leaked into sibling devices")
 	}
 	// The merge still covers the healthy devices.

@@ -131,9 +131,8 @@ func (p *Population) Assign(seed int64, i int) int {
 // FleetSpec builds a streaming fleet.Spec over the population: device i
 // draws its cohort from Assign(seed, i), Configure installs the
 // cohort's hardware, and Scenario generates and applies the cohort
-// cell's corpus script from a per-device seed. The spec retains no
-// per-device results; callers wanting them set RetainResults or Stream
-// on the returned spec.
+// cell's corpus script from a per-device seed. Callers wanting
+// per-device results set Stream on the returned spec.
 func (p *Population) FleetSpec(devices, workers, shards int, seed int64) (fleet.Spec, error) {
 	if err := p.Validate(); err != nil {
 		return fleet.Spec{}, err

@@ -8,9 +8,8 @@ import (
 )
 
 // UsageRow is per-component energy in joules attributed to one app,
-// stored densely (index Component-1). It replaces the map[Component]
-// representation on the metering hot path: a row is a fixed-size value,
-// so accruing into one allocates nothing.
+// stored densely (index Component-1): a row is a fixed-size value, so
+// accruing into one allocates nothing.
 type UsageRow [numComponents]float64
 
 // J reports the energy recorded for component c.
@@ -22,8 +21,7 @@ func (r *UsageRow) J(c Component) float64 {
 }
 
 // Add accumulates j joules for component c. Components outside the
-// known range are dropped, mirroring what a map write to an invalid key
-// would have tracked (nothing the Total below ever read).
+// known range are dropped.
 func (r *UsageRow) Add(c Component, j float64) {
 	if c < CPU || c > Audio {
 		return
@@ -38,10 +36,8 @@ func (r *UsageRow) AddRow(other *UsageRow) {
 	}
 }
 
-// Total sums the row across components. Like Usage.Total, summation runs
-// in fixed component order, so results are bit-deterministic; the zero
-// entries a map would have omitted add exactly 0.0 and leave every
-// partial sum unchanged.
+// Total sums the row across components in fixed component order, so
+// results are bit-deterministic.
 func (r *UsageRow) Total() float64 {
 	var t float64
 	for i := range r {
@@ -50,27 +46,13 @@ func (r *UsageRow) Total() float64 {
 	return t
 }
 
-// Usage converts the row to the map representation used by cold-path
-// APIs, keeping only non-zero components (the keys a map-built row would
-// have held).
-func (r *UsageRow) Usage() Usage {
-	u := make(Usage)
-	for i, j := range r {
-		if j != 0 {
-			u[Component(i+1)] = j
-		}
-	}
-	return u
-}
-
-// UsageTable is a dense UID-indexed table of usage rows: the hot-path
-// replacement for map[app.UID]Usage. Rows live in one contiguous slice
-// indexed by uid-base (the small-int slot registry of internal/app maps
-// installed apps onto exactly this kind of dense range), and the active
-// UID set is maintained as a sorted slice, so per-interval consumers get
-// sorted deterministic iteration without re-collecting and re-sorting
-// keys. Reset keeps the backing storage, so a reused table allocates
-// nothing in steady state.
+// UsageTable is a dense UID-indexed table of usage rows. Rows live in
+// one contiguous slice indexed by uid-base (the small-int slot registry
+// of internal/app maps installed apps onto exactly this kind of dense
+// range), and the active UID set is maintained as a sorted slice, so
+// per-interval consumers get sorted deterministic iteration without
+// re-collecting and re-sorting keys. Reset keeps the backing storage,
+// so a reused table allocates nothing in steady state.
 type UsageTable struct {
 	base app.UID
 	rows []UsageRow
@@ -268,9 +250,6 @@ func (iv Interval) AppJ(uid app.UID) float64 {
 
 // UIDs returns the charged UIDs in ascending order (borrowed slice).
 func (iv Interval) UIDs() []app.UID { return iv.apps.UIDs() }
-
-// NumApps reports how many apps the interval charges.
-func (iv Interval) NumApps() int { return iv.apps.Len() }
 
 // EachApp calls fn for every charged app in ascending UID order.
 func (iv Interval) EachApp(fn func(uid app.UID, row *UsageRow)) { iv.apps.Each(fn) }

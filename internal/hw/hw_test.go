@@ -234,13 +234,13 @@ func TestBrightnessClamped(t *testing.T) {
 
 func TestPeripheralHolds(t *testing.T) {
 	e, m, _ := testMeter(t)
-	per := map[app.UID]Usage{}
+	per := map[app.UID]*UsageRow{}
 	m.AddSink(SinkFunc(func(iv Interval) {
 		iv.EachApp(func(uid app.UID, u *UsageRow) {
 			if per[uid] == nil {
-				per[uid] = make(Usage)
+				per[uid] = new(UsageRow)
 			}
-			per[uid].Add(u.Usage())
+			per[uid].AddRow(u)
 		})
 	}))
 	if err := m.Hold(Camera, 7); err != nil {
@@ -260,7 +260,7 @@ func TestPeripheralHolds(t *testing.T) {
 	}
 	m.Flush()
 	want := Nexus4().CameraOn / 1000 * 30
-	approx(t, per[7][Camera], want, 1e-9, "camera energy")
+	approx(t, per[7].J(Camera), want, 1e-9, "camera energy")
 }
 
 func TestPeripheralSharedHoldSplitsEnergy(t *testing.T) {
@@ -344,22 +344,6 @@ func TestUIDs(t *testing.T) {
 	got := m.UIDs()
 	if len(got) != 2 || got[0] != 10 || got[1] != 30 {
 		t.Fatalf("UIDs = %v", got)
-	}
-}
-
-func TestUsageHelpers(t *testing.T) {
-	u := Usage{CPU: 1, Screen: 2}
-	if u.Total() != 3 {
-		t.Fatalf("Total = %v", u.Total())
-	}
-	c := u.Clone()
-	c[CPU] = 100
-	if u[CPU] != 1 {
-		t.Fatal("Clone aliases source")
-	}
-	u.Add(Usage{CPU: 4})
-	if u[CPU] != 5 {
-		t.Fatalf("Add: cpu = %v", u[CPU])
 	}
 }
 

@@ -10,38 +10,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Usage is per-component energy in joules attributed to one app. It is
-// the cold-path (API/report) representation; the metering hot path works
-// on dense UsageRow values instead.
-type Usage map[Component]float64
-
-// Total sums the usage across components. Summation runs in fixed
-// component order so results are bit-deterministic across runs (Go map
-// iteration order would otherwise reorder floating-point additions).
-func (u Usage) Total() float64 {
-	var t float64
-	for _, c := range Components() {
-		t += u[c]
-	}
-	return t
-}
-
-// Clone returns an independent copy.
-func (u Usage) Clone() Usage {
-	c := make(Usage, len(u))
-	for k, v := range u {
-		c[k] = v
-	}
-	return c
-}
-
-// Add accumulates other into u.
-func (u Usage) Add(other Usage) {
-	for k, v := range other {
-		u[k] += v
-	}
-}
-
 // Sink consumes integrated intervals. The meter calls sinks in
 // registration order with the same Interval value, whose per-app table
 // is borrowed meter-owned storage: sinks must consume it before

@@ -133,11 +133,7 @@ func (m *Manager) runFleet(ctx context.Context, j *Job) (Artifacts, error) {
 			}
 			o := &outs[i]
 			o.findings = wd.Finish()
-			for _, f := range o.findings {
-				if f.Signal == obsv.SignalDivergence && f.UID == w.Malware.UID {
-					o.detected = true
-				}
-			}
+			o.detected = obsv.Detected(o.findings, w.Malware.UID)
 			o.stats = wd.Stats()
 			o.flame = fc.Fold()
 			return nil

@@ -80,7 +80,8 @@ func TestSendToBillsBothEndpoints(t *testing.T) {
 	}
 	dev.Flush()
 	// Radio energy split while both hold; both got WiFi energy.
-	if dev.Android.AppUsage(a.UID)[hw.WiFi] <= 0 || dev.Android.AppUsage(b.UID)[hw.WiFi] <= 0 {
+	ra, rb := dev.Android.AppRow(a.UID), dev.Android.AppRow(b.UID)
+	if ra.J(hw.WiFi) <= 0 || rb.J(hw.WiFi) <= 0 {
 		t.Fatal("both endpoints should be billed radio energy")
 	}
 }
@@ -155,7 +156,8 @@ func TestRepeatedRequestsKeepRadioWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.Flush()
-	bWiFi := dev.Android.AppUsage(b.UID)[hw.WiFi]
+	rb := dev.Android.AppRow(b.UID)
+	bWiFi := rb.J(hw.WiFi)
 	// Lower bound: the radio spent ≥55 of 60 s in (at least) the
 	// low-power state on the victim's account.
 	p := hw.Nexus4()
@@ -192,7 +194,8 @@ func TestEnergyPerTransferExact(t *testing.T) {
 	}
 	dev.Flush()
 	want := p.WiFiHigh/1000*window.Seconds() + p.WiFiLow/1000*p.WiFiTail.Seconds()
-	got := dev.Android.AppUsage(a.UID)[hw.WiFi]
+	ra := dev.Android.AppRow(a.UID)
+	got := ra.J(hw.WiFi)
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("transfer radio energy = %v, want %v", got, want)
 	}

@@ -76,7 +76,7 @@ func phaseLane(name string) int {
 // WriteChromeSpans writes a span tree as Chrome trace events. Process
 // 0 is the control plane (request/job/shard lanes); process i+1 is
 // device i, with one thread lane per phase kind. Timestamps and
-// durations are virtual microseconds: wall endpoints are not exported.
+// durations are virtual microseconds.
 func WriteChromeSpans(w io.Writer, spans []trace.Span) error {
 	records := []chromeEvent{{
 		Name: "process_name", Ph: "M", Pid: 0,

@@ -287,7 +287,6 @@ func (f *Flame) WriteCollapsed(w io.Writer) error {
 // flameNode is one frame of the HTML report's icicle tree.
 type flameNode struct {
 	name     string
-	selfJ    float64
 	totalJ   float64
 	children map[string]*flameNode
 	order    []string
@@ -321,7 +320,6 @@ func (f *Flame) WriteHTML(w io.Writer, title string) error {
 			n = n.child(frame)
 			n.totalJ += j
 		}
-		n.selfJ += j
 	}
 
 	var b strings.Builder

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/accounting"
 	"repro/internal/app"
 	"repro/internal/device"
 	"repro/internal/hw"
@@ -205,6 +204,18 @@ func (w *Watchdog) Finish() []Finding {
 	return w.Findings()
 }
 
+// Detected reports whether findings include a collateral-divergence
+// finding naming driver: the one rule by which a run counts as a
+// detection.
+func Detected(findings []Finding, driver app.UID) bool {
+	for _, f := range findings {
+		if f.Signal == SignalDivergence && f.UID == driver {
+			return true
+		}
+	}
+	return false
+}
+
 // Findings returns a copy of the recorded findings.
 func (w *Watchdog) Findings() []Finding {
 	if len(w.findings) == 0 {
@@ -235,11 +246,7 @@ func (w *Watchdog) Accrue(iv hw.Interval) {
 		w.credit(uid, iv.App(uid).Total())
 	}
 	if iv.ScreenJ > 0 {
-		uid := app.UIDScreen
-		if acct := w.dev.Android; acct.Policy() == accounting.PowerTutor && acct.Foreground() != app.UIDNone {
-			uid = acct.Foreground()
-		}
-		w.credit(uid, iv.ScreenJ)
+		w.credit(w.dev.Android.ScreenOwner(), iv.ScreenJ)
 	}
 	if iv.SystemJ > 0 {
 		w.credit(app.UIDSystem, iv.SystemJ)

@@ -396,3 +396,21 @@ func TestWatchdogWindowCloseAllocatesNothing(t *testing.T) {
 		t.Fatalf("%d judged windows, want 101", got)
 	}
 }
+
+// A run counts as detected only through a collateral-divergence finding
+// that names the driver: spikes, and divergence naming another app, do
+// not count.
+func TestDetectedNeedsDivergenceNamingDriver(t *testing.T) {
+	const driver app.UID = 10050
+	findings := []Finding{
+		{Signal: SignalDrainSpike, UID: driver},
+		{Signal: SignalDivergence, UID: driver + 1},
+	}
+	if Detected(nil, driver) || Detected(findings, driver) {
+		t.Fatal("detected without a divergence finding naming the driver")
+	}
+	findings = append(findings, Finding{Signal: SignalDivergence, UID: driver})
+	if !Detected(findings, driver) {
+		t.Fatal("divergence finding naming the driver not detected")
+	}
+}

@@ -42,9 +42,9 @@ func TestScene1EnergyFlow(t *testing.T) {
 	}
 	w.Dev.Flush()
 	// Camera ran for 30 s in the foreground holding the sensor.
-	if !withinPct(w.Dev.Android.AppUsage(w.Camera.UID)[hw.Camera],
-		hw.Nexus4().CameraOn/1000*30, 1) {
-		t.Fatalf("camera sensor energy = %v", w.Dev.Android.AppUsage(w.Camera.UID)[hw.Camera])
+	cam := w.Dev.Android.AppRow(w.Camera.UID)
+	if !withinPct(cam.J(hw.Camera), hw.Nexus4().CameraOn/1000*30, 1) {
+		t.Fatalf("camera sensor energy = %v", cam.J(hw.Camera))
 	}
 	// After the scene the camera activity is finished: message resumed.
 	if got := w.Dev.Activities.Foreground(); got != w.Message.UID {

@@ -70,9 +70,7 @@ const (
 
 // Span is one unit of causal work. Start/End are virtual nanoseconds
 // (the device's sim clock; control-plane spans roll their windows up
-// from their children). WallStart/WallEnd are wall-clock unix
-// nanoseconds on structural spans and zero on engine-phase spans; the
-// deterministic exporters never write them.
+// from their children).
 type Span struct {
 	ID     SpanID `json:"id"`
 	Parent SpanID `json:"parent,omitempty"`
@@ -85,9 +83,6 @@ type Span struct {
 	// N is an optional magnitude: dispatch batch size, window finding
 	// count, flush energy.
 	N float64 `json:"n,omitempty"`
-
-	WallStart int64 `json:"wall_start_ns,omitempty"`
-	WallEnd   int64 `json:"wall_end_ns,omitempty"`
 }
 
 // DefaultSampleRate: 1 in 64 devices carry full engine-phase tracing.
@@ -311,10 +306,6 @@ func (t *Tracer) Spans() []Span {
 			out = dt.appendMerged(out)
 		}
 	}
-	// Wall endpoints on the structural request span only — exporters
-	// that must stay deterministic strip them (see
-	// obsv.WriteChromeSpans).
-	out[0].WallStart, out[0].WallEnd = t.wall0, t.wall1
 	return out
 }
 
@@ -426,7 +417,6 @@ func (ft *FleetTrace) Device(i int) *DeviceTracer {
 		span: Span{
 			ID: id, Parent: shardID, Kind: KindDevice,
 			Name: fmt.Sprintf("device-%d", i), Dev: i,
-			WallStart: time.Now().UnixNano(),
 		},
 	}
 }
@@ -443,7 +433,6 @@ func (ft *FleetTrace) Finish(i int, dt *DeviceTracer, end sim.Time) {
 		return
 	}
 	dt.span.End = int64(end)
-	dt.span.WallEnd = time.Now().UnixNano()
 	ft.mu.Lock()
 	ft.devs[i] = dt
 	ft.mu.Unlock()
@@ -616,11 +605,4 @@ func less(a, b *Span) bool {
 		return a.Start < b.Start
 	}
 	return a.ID < b.ID
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

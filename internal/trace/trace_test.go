@@ -80,17 +80,8 @@ func buildTree() []Span {
 
 func TestSpanTreeDeterministicAndNested(t *testing.T) {
 	a, b := buildTree(), buildTree()
-	// Wall timestamps are the live side of the determinism split;
-	// everything else must be identical run to run.
-	stripWall := func(spans []Span) []Span {
-		out := append([]Span(nil), spans...)
-		for i := range out {
-			out[i].WallStart, out[i].WallEnd = 0, 0
-		}
-		return out
-	}
-	aj, _ := json.Marshal(stripWall(a))
-	bj, _ := json.Marshal(stripWall(b))
+	aj, _ := json.Marshal(a)
+	bj, _ := json.Marshal(b)
 	if !bytes.Equal(aj, bj) {
 		t.Fatalf("span trees differ:\n%s\n%s", aj, bj)
 	}
