@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -29,6 +30,9 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 )
+
+// stderr receives the run's notes; tests swap it.
+var stderr io.Writer = os.Stderr
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -84,6 +88,9 @@ func run(args []string) error {
 	if rec != nil {
 		if err := obsv.ExportFiles(rec, *traceOut, *eventsOut, *metricsOut); err != nil {
 			return err
+		}
+		if note := obsv.OverwriteNote(rec, *traceOut, *eventsOut); note != "" {
+			fmt.Fprintln(stderr, "drainsim:", note)
 		}
 	}
 	if *csv {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -55,5 +57,28 @@ func TestTelemetryExports(t *testing.T) {
 		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
 			t.Fatalf("export %s missing or empty (err=%v)", p, err)
 		}
+	}
+}
+
+// TestEventExportNotesOverwrites: a 15-minute-step sweep records more
+// events than the ring keeps; -events-out writes the retained ones and
+// the run says on stderr how many it kept, recorded and overwrote.
+func TestEventExportNotesOverwrites(t *testing.T) {
+	var notes strings.Builder
+	defer func(w io.Writer) { stderr = w }(stderr)
+	stderr = &notes
+	events := filepath.Join(t.TempDir(), "events.jsonl")
+	if err := run([]string{"-step", "15m", "-events-out", events}); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := strings.Count(string(blob), "\n")
+	want := fmt.Sprintf("drainsim: event export keeps %d of ", kept)
+	if got := notes.String(); !strings.HasPrefix(got, want) || strings.Count(got, "\n") != 1 ||
+		!strings.Contains(got, "the rings overwrote the oldest ") {
+		t.Fatalf("stderr = %q, want one line starting %q", got, want)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/check"
@@ -28,6 +29,9 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 )
+
+// stderr receives the run's notes; tests swap it.
+var stderr io.Writer = os.Stderr
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -130,27 +134,31 @@ func runExperiments(list *bool, exp *string, rec *telemetry.Recorder, traceOut, 
 		return nil
 	}
 
-	if *exp == "all" {
-		for _, s := range experiments.All() {
-			r, err := s.Run()
-			if err != nil {
-				return fmt.Errorf("%s: %w", s.ID, err)
-			}
-			fmt.Println(r.Render())
+	specs := experiments.All()
+	if *exp != "all" {
+		spec, err := experiments.ByID(*exp)
+		if err != nil {
+			return err
 		}
-		return obsv.ExportFiles(rec, traceOut, eventsOut, metricsOut)
+		specs = []experiments.Spec{spec}
 	}
-
-	spec, err := experiments.ByID(*exp)
-	if err != nil {
+	for _, s := range specs {
+		r, err := s.Run()
+		if err != nil {
+			if *exp == "all" {
+				err = fmt.Errorf("%s: %w", s.ID, err)
+			}
+			return err
+		}
+		fmt.Println(r.Render())
+	}
+	if err := obsv.ExportFiles(rec, traceOut, eventsOut, metricsOut); err != nil {
 		return err
 	}
-	r, err := spec.Run()
-	if err != nil {
-		return err
+	if note := obsv.OverwriteNote(rec, traceOut, eventsOut); note != "" {
+		fmt.Fprintln(stderr, "eandroid-sim:", note)
 	}
-	fmt.Println(r.Render())
-	return obsv.ExportFiles(rec, traceOut, eventsOut, metricsOut)
+	return nil
 }
 
 // exportFlames folds every world's flame, merges them and writes the

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,6 +75,39 @@ func TestTelemetryExports(t *testing.T) {
 	}
 	if st, err := os.Stat(events); err != nil || st.Size() == 0 {
 		t.Fatalf("export %s missing or empty (err=%v)", events, err)
+	}
+}
+
+// TestEventExportNotesOverwrites: fig3 records more events than the
+// ring keeps, so -events-out writes only the retained ones and the run
+// says on stderr how many it kept, recorded and overwrote.
+func TestEventExportNotesOverwrites(t *testing.T) {
+	var notes strings.Builder
+	defer func(w io.Writer) { stderr = w }(stderr)
+	stderr = &notes
+	events := filepath.Join(t.TempDir(), "events.jsonl")
+	if err := run([]string{"-exp", "fig3", "-events-out", events}); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := strings.Count(string(blob), "\n")
+	want := fmt.Sprintf("eandroid-sim: event export keeps %d of ", kept)
+	if got := notes.String(); !strings.HasPrefix(got, want) || strings.Count(got, "\n") != 1 ||
+		!strings.Contains(got, "the rings overwrote the oldest ") {
+		t.Fatalf("stderr = %q, want one line starting %q", got, want)
+	}
+
+	// Without an event export there is nothing to note.
+	notes.Reset()
+	metrics := filepath.Join(t.TempDir(), "metrics.prom")
+	if err := run([]string{"-exp", "fig3", "-metrics-out", metrics}); err != nil {
+		t.Fatal(err)
+	}
+	if notes.Len() != 0 {
+		t.Fatalf("metrics-only export wrote %q to stderr", notes.String())
 	}
 }
 

@@ -158,8 +158,9 @@ func RunFleet(ctx context.Context, spec FleetSpec) (*FleetResult, error) {
 // Telemetry API: structured event tracing and metrics. Attach a
 // recorder through Config.Telemetry (one per device — recorders are
 // single-goroutine, like the engine they observe), or set
-// FleetSpec.Telemetry to give every fleet device its own and read the
-// order-stable merge from FleetResult.Metrics.
+// FleetSpec.Telemetry to give every fleet device its own, sized to what
+// the fleet reads (metrics, plus the kernel log on a traced device),
+// and read the order-stable merge from FleetResult.Metrics.
 type (
 	// TelemetryRecorder is the typed event tracer + metrics registry.
 	TelemetryRecorder = telemetry.Recorder

@@ -85,8 +85,10 @@ func checked(opts check.Options, key string) func(Counts) error {
 
 // traced runs the trace study's fleet under tracer cfg (nil: no
 // tracer at all) and, when counted, records the span inventory. Every
-// device keeps telemetry and a watchdog on in every mode, so the only
-// variable is tracing.
+// device keeps a fleet recorder and a watchdog in every mode, so the
+// only variable is tracing, priced as a job device pays for it: a
+// traced device's recorder also keeps the kernel log its batch spans
+// fold from.
 func traced(cfg *trace.Config, counted bool) func(Counts) error {
 	return func(c Counts) error {
 		var tr *trace.Tracer
@@ -100,7 +102,7 @@ func traced(cfg *trace.Config, counted bool) func(Counts) error {
 			Workers:   1,
 			Seed:      42,
 			Config:    worldCfg(accounting.BatteryStats),
-			Telemetry: &telemetry.Options{},
+			Telemetry: true,
 			Trace:     ft,
 			Scenario: func(_ int, dev *device.Device) error {
 				w, err := scenario.Populate(dev)
@@ -136,9 +138,10 @@ func traced(cfg *trace.Config, counted bool) func(Counts) error {
 // The overhead-study table: each entry declares its workload, its
 // modes and its gates; OverheadStudy.Run does the rest.
 var (
-	// TelemetryStudy prices the telemetry recorder every job device
-	// carries. An uninstrumented device has no recorder at all (a nil
-	// recorder is the only off state), which is the baseline.
+	// TelemetryStudy prices a full recorder: both rings plus metrics,
+	// what the CLIs attach (a job device keeps metrics only). An
+	// uninstrumented device has no recorder at all (a nil recorder is
+	// the off state), which is the baseline.
 	TelemetryStudy = &OverheadStudy{
 		Name:     "telemetry",
 		Title:    "Telemetry overhead study (paper §VI-C analog)",
@@ -187,7 +190,8 @@ var (
 	}
 
 	// ObsvStudy prices the observers every job device carries: the
-	// watchdog and the flame collector on a recorder. On a 2-CPU host
+	// watchdog and the flame collector, here on a recorder with both
+	// rings, which job devices no longer keep. On a 2-CPU host
 	// the dense watchdog windows and the reused flame snapshot brought
 	// it from +131…+147% to +89…+105%; the gate sits between the two,
 	// so it catches a regression of that work.

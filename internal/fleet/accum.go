@@ -149,7 +149,7 @@ func (f *folder) complete(i int, res Result, dispatched bool) {
 // merge over every snapshot in index order).
 func (blk *accBlock) fold(spec *Spec, res *Result) {
 	blk.sum.fold(res)
-	if spec.Telemetry != nil && res.Metrics != nil && blk.merr == nil {
+	if spec.Telemetry && res.Metrics != nil && blk.merr == nil {
 		merged, err := telemetry.MergeSnapshots([]*telemetry.Snapshot{blk.metrics, res.Metrics})
 		if err != nil {
 			blk.merr = err
@@ -171,13 +171,13 @@ func (f *folder) finalize() (Summary, *telemetry.Snapshot, error) {
 			return Summary{}, nil, blk.merr
 		}
 		sum.merge(&blk.sum)
-		if f.spec.Telemetry != nil {
+		if f.spec.Telemetry {
 			snaps = append(snaps, blk.metrics) // nil for all-failed blocks
 		}
 	}
 	sum.backfillLabels()
 	var metrics *telemetry.Snapshot
-	if f.spec.Telemetry != nil {
+	if f.spec.Telemetry {
 		m, err := telemetry.MergeSnapshots(snaps)
 		if err != nil {
 			return Summary{}, nil, err

@@ -77,12 +77,14 @@ type Spec struct {
 	Stream func(Result)
 	// Horizon is additional virtual time to run after Scenario returns.
 	Horizon time.Duration
-	// Telemetry, when non-nil, builds one recorder per device with these
-	// options (a recorder is single-goroutine, like the engine it
-	// observes). Each device's metrics snapshot lands in Result.Metrics
-	// and the index-order merge in FleetResult.Metrics, which is
-	// byte-identical across worker counts.
-	Telemetry *telemetry.Options
+	// Telemetry builds one recorder per device (a recorder is
+	// single-goroutine, like the engine it observes), holding only what
+	// the fleet reads from it: metrics, plus the kernel log on a
+	// trace-sampled device, whose batch spans fold from it. Each
+	// device's metrics snapshot lands in Result.Metrics and the
+	// index-order merge in FleetResult.Metrics, which is byte-identical
+	// across worker counts.
+	Telemetry bool
 	// Progress, when non-nil, is called once per finished device, from
 	// the worker goroutine that ran it. It MUST be safe for concurrent
 	// calls (the jobs progress hook is); completion order is
@@ -390,14 +392,14 @@ func runDevice(ctx context.Context, spec Spec, i int, pool *sim.EventPool) (res 
 		spec.Configure(i, &cfg)
 	}
 	cfg.Events = pool
-	if spec.Telemetry != nil {
+	dt := spec.Trace.Device(i) // nil for unsampled indices
+	cfg.Trace = dt
+	if spec.Telemetry {
 		// One recorder per device: recorders are single-goroutine, and
 		// per-device registries are what make the merged snapshot
 		// independent of worker scheduling.
-		cfg.Telemetry = telemetry.New(*spec.Telemetry)
+		cfg.Telemetry = newRecorder(dt != nil)
 	}
-	dt := spec.Trace.Device(i) // nil for unsampled indices
-	cfg.Trace = dt
 	dev, err := device.New(cfg)
 	if err != nil {
 		res.Err = fmt.Errorf("fleet: device %d: %w", i, err)
@@ -425,15 +427,32 @@ func runDevice(ctx context.Context, spec Spec, i int, pool *sim.EventPool) (res 
 	if spec.Trace != nil {
 		// Fold same-instant wheel dispatch runs from the kernel trace
 		// log into batch spans. The fold lives here — not in the trace
-		// package — so trace never imports telemetry.
+		// package — so trace never imports telemetry. Counting the
+		// batches first lets the tracer hold them in one allocation;
+		// the log then goes back for the next traced device.
 		if dt != nil && dev.Telemetry != nil {
+			n := 0
+			dev.Telemetry.ForEachKernelBatch(func(telemetry.KernelBatch) { n++ })
+			dt.Reserve(trace.PhaseKernelBatch, n)
 			dev.Telemetry.ForEachKernelBatch(func(b telemetry.KernelBatch) {
 				dt.Phase(trace.PhaseKernelBatch, b.T, b.T, float64(b.N))
 			})
+			dev.Telemetry.ReleaseKernelLog()
 		}
 		spec.Trace.Finish(i, dt, res.SimEnd)
 	}
 	return res
+}
+
+// newRecorder builds a fleet device's recorder with what the fleet
+// reads from it: the metrics registry always, and the kernel log only
+// on a traced device. No fleet consumer reads the general event ring.
+func newRecorder(traced bool) *telemetry.Recorder {
+	rec := telemetry.New(telemetry.Options{EventCapacity: -1})
+	if traced {
+		rec.KeepKernelLog()
+	}
+	return rec
 }
 
 // horizonChecks is how many times a horizon run polls for cancellation.

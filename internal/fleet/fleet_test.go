@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -441,7 +442,7 @@ func TestNilScenarioIdleFleet(t *testing.T) {
 // telemetrySpec is attackSpec plus one recorder per device.
 func telemetrySpec(devices, workers int, seed int64) Spec {
 	spec := attackSpec(devices, workers, seed)
-	spec.Telemetry = &telemetry.Options{}
+	spec.Telemetry = true
 	return spec
 }
 
@@ -568,5 +569,91 @@ func TestWorkerStatsCoverFleet(t *testing.T) {
 	}
 	if devices != 6 {
 		t.Fatalf("worker device counts sum to %d, want 6", devices)
+	}
+}
+
+// TestRecorderKeepsWhatTheFleetReads: an untraced device's recorder
+// keeps metrics only, so its snapshot has no ring series; a traced
+// device's keeps the kernel log its batch spans fold from, reports that
+// log's capacity, and counts as dropped exactly the firings its spans
+// could not see.
+func TestRecorderKeepsWhatTheFleetReads(t *testing.T) {
+	spec := telemetrySpec(8, 2, 5)
+	inner := spec.Scenario
+	spec.Scenario = func(i int, dev *device.Device) error {
+		// A 1 Hz tick fires enough kernel events in the horizon to
+		// overflow a traced device's log.
+		dev.Engine.Every(time.Second, "tick", func() {})
+		return inner(i, dev)
+	}
+	spec.Horizon = 2 * time.Hour
+	tr := trace.New("ring-per-reader", "request", trace.Config{SampleRate: 2})
+	spec.Trace = tr.Fleet(spec.Devices)
+	_, results := runCollect(t, context.Background(), spec)
+	traced := map[int]bool{}
+	covered := map[int]float64{} // firings a device's batch spans cover
+	for _, sp := range tr.Spans() {
+		switch {
+		case sp.Kind == trace.KindDevice:
+			traced[sp.Dev] = true
+		case sp.Kind == trace.KindPhase && sp.Name == trace.PhaseKernelBatch:
+			covered[sp.Dev] += sp.N
+		}
+	}
+	if len(traced) == 0 || len(traced) == spec.Devices {
+		t.Fatalf("%d of %d devices traced; the test needs both kinds", len(traced), spec.Devices)
+	}
+	overflowed := false
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("device %d: %v", i, r.Err)
+		}
+		var fired, capacity, dropped float64
+		var rings int
+		for _, c := range r.Metrics.Counters {
+			if c.Name == "sim.events_fired" {
+				fired = c.Value
+			}
+		}
+		for _, g := range r.Metrics.Gauges {
+			switch g.Name {
+			case "telemetry.ring_capacity":
+				capacity, rings = g.Value, rings+1
+			case "telemetry.events_dropped":
+				dropped, rings = g.Value, rings+1
+			}
+		}
+		if !traced[i] {
+			if rings != 0 {
+				t.Fatalf("untraced device %d reports %d ring series", i, rings)
+			}
+			continue
+		}
+		if rings != 2 || capacity != telemetry.DefaultEventCapacity {
+			t.Fatalf("traced device %d: %d ring series, capacity %v, want 2 and %d",
+				i, rings, capacity, telemetry.DefaultEventCapacity)
+		}
+		if want := max(0, fired-capacity); dropped != want || covered[i] != fired-dropped {
+			t.Fatalf("traced device %d: %v fired, %v dropped (want %v), spans cover %v",
+				i, fired, dropped, want, covered[i])
+		}
+		overflowed = overflowed || dropped > 0
+	}
+	if !overflowed {
+		t.Fatal("no traced device overflowed its kernel log")
+	}
+}
+
+// TestUntracedRecorderAllocatesLittle pins what an untraced device's
+// recorder costs to build: a metrics registry, not the 557 KB of event
+// ring, sequence array and kernel log a full recorder allocates.
+func TestUntracedRecorderAllocatesLittle(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := newRecorder(false)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(rec)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<10 {
+		t.Fatalf("untraced recorder allocated %d bytes, want < 16 KiB", got)
 	}
 }

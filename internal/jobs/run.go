@@ -15,7 +15,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/obsv"
 	"repro/internal/scenario"
-	"repro/internal/telemetry"
 )
 
 // deviceOut is one device's harvest in a scenario/fleet job. Workers
@@ -95,7 +94,7 @@ func (m *Manager) runFleet(ctx context.Context, j *Job) (Artifacts, error) {
 			Policy:   accounting.BatteryStats,
 			Checks:   &check.Options{},
 		},
-		Telemetry: &telemetry.Options{},
+		Telemetry: true,
 		Progress:  j.progressHook(),
 		Trace:     j.tr.Fleet(n),
 		// Streaming: per-device Results fold into the bounded

@@ -14,8 +14,9 @@ import (
 // behind both mappers, WriteChromeSpans (a job's trace.json) and
 // WriteChromeEvents (the CLIs' -trace-out). The output is a JSON array
 // with one event per line, which chrome://tracing and Perfetto both
-// load. It is byte-deterministic: field order is fixed by the struct,
-// map-valued args marshal in sorted key order, floats use Go's
+// load. It is byte-deterministic: field order is fixed by the struct
+// (span args are structs whose fields sit in sorted key order, the
+// order map-valued event args marshal in), floats use Go's
 // shortest-exact formatting, and timestamps are virtual microseconds.
 
 // chromeEvent is one record of the Chrome trace-event format
@@ -23,16 +24,31 @@ import (
 // "X" complete events carry ts + dur, "i" instant events a category
 // and scope, "M" metadata events name processes and threads.
 type chromeEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat,omitempty"`
-	Ph    string         `json:"ph"`
-	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
-	Ts    float64        `json:"ts,omitempty"`
-	Dur   float64        `json:"dur,omitempty"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
+	Name  string  `json:"name"`
+	Cat   string  `json:"cat,omitempty"`
+	Ph    string  `json:"ph"`
+	Pid   int     `json:"pid"`
+	Tid   int     `json:"tid"`
+	Ts    float64 `json:"ts,omitempty"`
+	Dur   float64 `json:"dur,omitempty"`
+	Scope string  `json:"s,omitempty"`
+	Args  any     `json:"args,omitempty"`
 }
+
+// spanArgs are a span record's args, nameArgs a metadata record's.
+// Structs rather than maps: trace.json writes one per span, and a map
+// per span was its writer's largest allocation.
+type (
+	spanArgs struct {
+		ID     string  `json:"id"`
+		Kind   string  `json:"kind"`
+		N      float64 `json:"n,omitempty"`
+		Parent string  `json:"parent"`
+	}
+	nameArgs struct {
+		Name string `json:"name"`
+	}
+)
 
 // writeChrome writes records as the array, one per line.
 func writeChrome(w io.Writer, records []chromeEvent) error {
@@ -78,10 +94,11 @@ func phaseLane(name string) int {
 // device i, with one thread lane per phase kind. Timestamps and
 // durations are virtual microseconds.
 func WriteChromeSpans(w io.Writer, spans []trace.Span) error {
-	records := []chromeEvent{{
+	records := make([]chromeEvent, 0, 1+len(spans))
+	records = append(records, chromeEvent{
 		Name: "process_name", Ph: "M", Pid: 0,
-		Args: map[string]any{"name": "control-plane"},
-	}}
+		Args: nameArgs{"control-plane"},
+	})
 	// Control-plane thread lanes by span kind.
 	ctlTid := map[string]int{trace.KindRequest: 0, trace.KindJob: 1, trace.KindShard: 2}
 	named := map[int]bool{}
@@ -97,26 +114,18 @@ func WriteChromeSpans(w io.Writer, spans []trace.Span) error {
 				named[pid] = true
 				records = append(records, chromeEvent{
 					Name: "process_name", Ph: "M", Pid: pid,
-					Args: map[string]any{"name": s.Name},
+					Args: nameArgs{s.Name},
 				})
 			}
 		default:
 			tid = ctlTid[s.Kind]
 		}
-		ev := chromeEvent{
+		records = append(records, chromeEvent{
 			Name: s.Name, Ph: "X", Pid: pid, Tid: tid,
-			Ts:  float64(s.Start) / 1e3,
-			Dur: float64(s.End-s.Start) / 1e3,
-			Args: map[string]any{
-				"id":     s.ID.String(),
-				"parent": s.Parent.String(),
-				"kind":   s.Kind,
-			},
-		}
-		if s.N != 0 {
-			ev.Args["n"] = s.N
-		}
-		records = append(records, ev)
+			Ts:   float64(s.Start) / 1e3,
+			Dur:  float64(s.End-s.Start) / 1e3,
+			Args: spanArgs{ID: s.ID.String(), Kind: s.Kind, N: s.N, Parent: s.Parent.String()},
+		})
 	}
 	return writeChrome(w, records)
 }
@@ -146,12 +155,12 @@ func WriteChromeEvents(w io.Writer, pid int, events []telemetry.Event) error {
 	records := make([]chromeEvent, 0, 1+len(kindLanes)+len(events))
 	records = append(records, chromeEvent{
 		Name: "process_name", Ph: "M", Pid: pid,
-		Args: map[string]any{"name": fmt.Sprintf("device-%d", pid)},
+		Args: nameArgs{fmt.Sprintf("device-%d", pid)},
 	})
 	for i, k := range kindLanes {
 		records = append(records, chromeEvent{
 			Name: "thread_name", Ph: "M", Pid: pid, Tid: i + 1,
-			Args: map[string]any{"name": k.String()},
+			Args: nameArgs{k.String()},
 		})
 	}
 	for _, ev := range events {
@@ -169,8 +178,10 @@ func WriteChromeEvents(w io.Writer, pid int, events []telemetry.Event) error {
 	return writeChrome(w, records)
 }
 
-// eventArgs names an event's generic fields by kind.
-func eventArgs(ev telemetry.Event) map[string]any {
+// eventArgs names an event's generic fields by kind. They stay maps,
+// one key set per kind: every key prints even when its value is zero,
+// which a shared struct with omitempty fields would drop.
+func eventArgs(ev telemetry.Event) any {
 	switch ev.Kind {
 	case telemetry.KindSimEvent:
 		return map[string]any{"queue_depth": ev.V0}

@@ -71,3 +71,31 @@ func TestWriteChromeParses(t *testing.T) {
 		t.Fatal("chrome export not byte-stable")
 	}
 }
+
+// TestSpanArgsMarshalLikeSortedMaps: span and metadata args are structs
+// whose bytes match the sorted-key maps they replaced, with n present
+// only when it is non-zero.
+func TestSpanArgsMarshalLikeSortedMaps(t *testing.T) {
+	for _, s := range spanTree() {
+		got, err := json.Marshal(spanArgs{ID: s.ID.String(), Kind: s.Kind, N: s.N, Parent: s.Parent.String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := map[string]any{"id": s.ID.String(), "parent": s.Parent.String(), "kind": s.Kind}
+		if s.N != 0 {
+			m["n"] = s.N
+		}
+		want, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("span %s args = %s, want %s", s.Name, got, want)
+		}
+	}
+	got, _ := json.Marshal(nameArgs{`device-<0> & "x"`})
+	want, _ := json.Marshal(map[string]any{"name": `device-<0> & "x"`})
+	if !bytes.Equal(got, want) {
+		t.Fatalf("name args = %s, want %s", got, want)
+	}
+}

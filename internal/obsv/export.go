@@ -2,6 +2,7 @@ package obsv
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"os"
 
@@ -32,6 +33,21 @@ func ExportFiles(rec *telemetry.Recorder, traceOut, eventsOut, metricsOut string
 		}
 	}
 	return nil
+}
+
+// OverwriteNote is the line a CLI prints when an event export
+// (traceOut or eventsOut) is short of what rec recorded: the events
+// kept, the events recorded and how many the rings overwrote. It is ""
+// when neither export was asked for or nothing was overwritten; the
+// exported bytes are the same either way.
+func OverwriteNote(rec *telemetry.Recorder, traceOut, eventsOut string) string {
+	dropped := rec.Dropped()
+	if (traceOut == "" && eventsOut == "") || dropped == 0 {
+		return ""
+	}
+	total := rec.Total()
+	return fmt.Sprintf("event export keeps %d of %d recorded events; the rings overwrote the oldest %d",
+		total-dropped, total, dropped)
 }
 
 // writeFile buffers one export and keeps the FIRST error from any

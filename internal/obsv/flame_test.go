@@ -208,6 +208,24 @@ func TestFlameSnapshotFollowsDemand(t *testing.T) {
 	}
 }
 
+// TestHTMLEscapeAllocatesNothing pins the flame report's escaper: a
+// frame name with nothing to escape comes back as is, without
+// allocating (the replacer is built once, not per call), and the
+// special characters still escape.
+func TestHTMLEscapeAllocatesNothing(t *testing.T) {
+	const frame = "com.example.camera (uid 10003)"
+	var out string
+	if allocs := testing.AllocsPerRun(100, func() { out = htmlEscape(frame) }); allocs != 0 {
+		t.Fatalf("htmlEscape allocated %.1f times per plain frame, want 0", allocs)
+	}
+	if out != frame {
+		t.Fatalf("htmlEscape(%q) = %q", frame, out)
+	}
+	if got, want := htmlEscape(`a<b & "c">`), "a&lt;b &amp; &quot;c&quot;&gt;"; got != want {
+		t.Fatalf("htmlEscape = %q, want %q", got, want)
+	}
+}
+
 // TestFlameAccrueAllocatesNothing pins FlameCollector.Accrue at zero
 // allocations while the aggregator's demand set is unchanged and every
 // stack bucket already exists.

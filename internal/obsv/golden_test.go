@@ -11,7 +11,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/powersig"
 	"repro/internal/scenario"
-	"repro/internal/telemetry"
 )
 
 // obsvFleetExports runs a 4-device stealth fleet on the given worker
@@ -29,7 +28,7 @@ func obsvFleetExports(t *testing.T, workers int) (string, string) {
 		Workers:   workers,
 		Seed:      42,
 		Config:    device.Config{EAndroid: true, Policy: accounting.BatteryStats},
-		Telemetry: &telemetry.Options{},
+		Telemetry: true,
 		Scenario: func(i int, dev *device.Device) error {
 			fc := AttachFlame(dev)
 			w, err := scenario.Populate(dev)

@@ -60,14 +60,6 @@ func (tl *TraceLog) Log(t Time, name string, depth int) {
 	}
 }
 
-// Dropped reports how many logged firings the ring has overwritten.
-func (tl *TraceLog) Dropped() uint64 {
-	if n := uint64(len(tl.Buf)); tl.Total > n {
-		return tl.Total - n
-	}
-	return 0
-}
-
 // Records returns the retained firings, oldest first. The slice is a
 // copy.
 func (tl *TraceLog) Records() []TraceRecord {

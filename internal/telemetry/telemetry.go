@@ -19,15 +19,22 @@
 // keeps the merged snapshot byte-identical for any worker count.
 //
 // Cost model: a nil *Recorder is the off state and every method no-ops
-// on it, so call sites can hook unconditionally; there is no other off
-// state. Kernel event firings — the highest-volume record kind by far —
-// skip the callback layer entirely: a recorder hands the engine a
-// compact sim.TraceLog that dispatch fills inline, and Events() merges
-// it with the general ring by a shared emission sequence.
+// on it, so call sites can hook unconditionally. A live recorder always
+// keeps its metrics; what else it keeps is sized by what will read it.
+// New(Options{}) keeps both rings (the CLIs export them); a
+// metrics-only recorder (negative EventCapacity) keeps neither, which
+// is what an untraced fleet device carries, and KeepKernelLog lends one
+// the kernel log alone, for a traced fleet device whose batch spans
+// read it (ReleaseKernelLog hands it on to the next). Kernel event
+// firings — the highest-volume record kind by far — skip the callback
+// layer entirely: a recorder hands the engine a compact sim.TraceLog
+// that dispatch fills inline, and Events() merges it with the general
+// ring by a shared emission sequence.
 package telemetry
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/app"
 	"repro/internal/sim"
@@ -108,10 +115,10 @@ type Event struct {
 
 // Options configures a Recorder.
 type Options struct {
-	// EventCapacity bounds the event ring buffer; once full, the oldest
-	// events are overwritten (Dropped counts them). Zero means
-	// DefaultEventCapacity; negative disables event recording entirely
-	// while keeping metrics live.
+	// EventCapacity bounds the event ring buffer and the kernel trace
+	// log; once full, the oldest records are overwritten (Dropped counts
+	// them). Zero means DefaultEventCapacity; negative keeps neither
+	// ring, only the metrics, and registers no ring gauges.
 	EventCapacity int
 }
 
@@ -138,6 +145,10 @@ type Recorder struct {
 	simLog *sim.TraceLog
 	// seqs[i] is the emission sequence of buf[i], parallel to the ring.
 	seqs []uint64
+	// ring is the slot count of each ring kept (0: metrics only), and
+	// pooled the log KeepKernelLog lent, which ReleaseKernelLog returns.
+	ring   int
+	pooled *kernelLog
 
 	metrics *Metrics
 
@@ -152,8 +163,10 @@ type Recorder struct {
 	cAttr      *Counter
 	cViolation *Counter
 	cAnomaly   *Counter
-	gDropped   *Gauge
-	gRingCap   *Gauge
+	// The ring gauges exist only while the recorder keeps a ring: nil
+	// on a metrics-only recorder, which retains nothing to report on.
+	gDropped *Gauge
+	gRingCap *Gauge
 
 	hMW   map[string]*Histogram  // per-component mW distributions
 	hUIDJ map[app.UID]*Histogram // per-UID attributed-J distributions
@@ -171,11 +184,6 @@ func New(opts Options) *Recorder {
 		hMW:     make(map[string]*Histogram),
 		hUIDJ:   make(map[app.UID]*Histogram),
 	}
-	if capacity > 0 {
-		r.buf = make([]Event, capacity)
-		r.seqs = make([]uint64, capacity)
-		r.simLog.Buf = make([]sim.TraceRecord, capacity)
-	}
 	r.cSim = r.metrics.Counter("sim.events_fired")
 	r.gQueue = r.metrics.Gauge("sim.queue_depth")
 	r.gQueueMax = r.metrics.Gauge("sim.queue_depth_max")
@@ -185,10 +193,64 @@ func New(opts Options) *Recorder {
 	r.cAttr = r.metrics.Counter("acct.attributions")
 	r.cViolation = r.metrics.Counter("check.violations")
 	r.cAnomaly = r.metrics.Counter("obsv.anomalies")
+	if capacity > 0 {
+		r.buf = make([]Event, capacity)
+		r.seqs = make([]uint64, capacity)
+		r.keepLog(make([]sim.TraceRecord, capacity))
+	}
+	return r
+}
+
+// kernelLog is the log KeepKernelLog lends a traced fleet device.
+type kernelLog [DefaultEventCapacity]sim.TraceRecord
+
+// kernelLogs holds logs handed back by ReleaseKernelLog. Reuse spares
+// each traced device a fresh 160 KB allocation, which the tracing
+// overhead gate showed to cost more than the log's writes. A reused
+// log needs no clearing: only slots written since it was lent are
+// ever read.
+var kernelLogs sync.Pool
+
+// KeepKernelLog gives a metrics-only recorder a kernel trace log of
+// DefaultEventCapacity records, and no general event ring: the fleet
+// calls it for a traced device, whose batch spans ForEachKernelBatch
+// folds from that log. It must be called before the recorder
+// instruments an engine; on a recorder that already keeps a ring it
+// does nothing.
+func (r *Recorder) KeepKernelLog() {
+	if r == nil || r.ring > 0 {
+		return
+	}
+	r.pooled, _ = kernelLogs.Get().(*kernelLog)
+	if r.pooled == nil {
+		r.pooled = new(kernelLog)
+	}
+	r.keepLog(r.pooled[:])
+}
+
+// ReleaseKernelLog hands the log KeepKernelLog lent back for the next
+// traced device, once nothing will read it again: the fleet calls it
+// after folding the device's batches. The recorder goes on counting
+// (its ring gauges still describe the log it kept) but retains no
+// more firings.
+func (r *Recorder) ReleaseKernelLog() {
+	if r == nil || r.pooled == nil {
+		return
+	}
+	r.simLog.Buf = nil
+	kernelLogs.Put(r.pooled)
+	r.pooled = nil
+}
+
+// keepLog installs the kernel log and registers the ring gauges.
+// ring_capacity is the slot count of each ring the recorder keeps (the
+// event ring, when kept, is sized like the log).
+func (r *Recorder) keepLog(buf []sim.TraceRecord) {
+	r.simLog.Buf = buf
+	r.ring = len(buf)
 	r.gDropped = r.metrics.Gauge("telemetry.events_dropped")
 	r.gRingCap = r.metrics.Gauge("telemetry.ring_capacity")
-	r.gRingCap.Set(float64(len(r.buf)))
-	return r
+	r.gRingCap.Set(float64(r.ring))
 }
 
 // Metrics returns the recorder's registry, nil for a nil recorder. The
@@ -384,13 +446,19 @@ func (r *Recorder) Total() uint64 {
 	return r.total + r.simLog.Total
 }
 
-// Dropped reports how many events the rings overwrote.
+// Dropped reports how many records the rings the recorder keeps have
+// overwritten. A metrics-only recorder keeps no ring, so it overwrote
+// nothing; a kernel-log-only one counts the firings its log lost.
 func (r *Recorder) Dropped() uint64 {
-	if r == nil {
+	if r == nil || r.ring == 0 {
 		return 0
 	}
-	d := r.simLog.Dropped()
-	if n := uint64(len(r.buf)); r.total > n {
+	n := uint64(r.ring)
+	var d uint64
+	if r.simLog.Total > n {
+		d += r.simLog.Total - n
+	}
+	if len(r.buf) > 0 && r.total > n {
 		d += r.total - n
 	}
 	return d
@@ -451,7 +519,8 @@ type KernelBatch struct {
 // allocation-free form the fleet's tracer folds from after every
 // sampled device (a per-device []KernelBatch materialization showed
 // up in the tracing overhead gate). Only the retained ring window is
-// visible, so long runs see the tail.
+// visible, so long runs see the tail; the telemetry.events_dropped
+// gauge counts the firings that fell out of it.
 func (r *Recorder) ForEachKernelBatch(fn func(KernelBatch)) {
 	if r == nil {
 		return

@@ -18,6 +18,8 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	r.RecordBattery(0, 1, 99)
 	r.RecordAttribution(0, 1, 0.5)
 	r.ObserveComponentMW("cpu", 100)
+	r.KeepKernelLog()
+	r.ReleaseKernelLog()
 	if r.Total() != 0 || r.Dropped() != 0 || r.Events() != nil || r.Metrics() != nil {
 		t.Fatal("nil recorder accumulated state")
 	}

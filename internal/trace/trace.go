@@ -27,6 +27,7 @@ package trace
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -459,6 +460,7 @@ type DeviceTracer struct {
 	span    Span // the structural device span
 	next    uint64
 	runs    []phaseRun
+	last    int // index of the run the previous phase went to
 	count   int
 	dropped uint64
 }
@@ -482,15 +484,32 @@ type phaseRun struct {
 
 // run returns (creating on first use) the run for a phase name. The
 // scan is over at most a handful of names, and the compares are
-// pointer-equal for the package's own phase constants.
+// pointer-equal for the package's own phase constants; a producer that
+// emits one name many times in a row (the kernel-batch fold) skips it.
 func (d *DeviceTracer) run(name string) *phaseRun {
+	if d.last < len(d.runs) && d.runs[d.last].name == name {
+		return &d.runs[d.last]
+	}
 	for i := range d.runs {
 		if d.runs[i].name == name {
+			d.last = i
 			return &d.runs[i]
 		}
 	}
+	d.last = len(d.runs)
 	d.runs = append(d.runs, phaseRun{name: name, sorted: true})
-	return &d.runs[len(d.runs)-1]
+	return &d.runs[d.last]
+}
+
+// Reserve makes room for n more phases named name, so a producer that
+// can count its phases before it emits them (the kernel-batch fold)
+// appends them into one allocation instead of regrowing the run.
+func (d *DeviceTracer) Reserve(name string, n int) {
+	if d == nil || n <= 0 {
+		return
+	}
+	r := d.run(name)
+	r.recs = slices.Grow(r.recs, n)
 }
 
 // Phase appends one completed engine-phase span [start, end]. Over
