@@ -161,9 +161,12 @@ func BenchmarkFleet64Workers8(b *testing.B) { benchFleet(b, 64, 8, 8) }
 // cohort mixture of the default fleet path, checker on every device)
 // over 256 devices for the population's 1 h horizon on the default
 // worker count. Its devices fire a few kernel events per simulated
-// hour, so device construction, scenario population and the checker's
-// lifecycle audits dominate, where BenchmarkFleet64's stealth-detector
-// devices are dominated by the engine and the detector.
+// hour, where BenchmarkFleet64's stealth-detector devices are
+// dominated by the engine and the detector. With scripts generated
+// into pooled buffers and the demo cast shared, running the script
+// (engine, meter and checker) takes about half the CPU and device.New
+// about half the allocated bytes; reseeding math/rand's source for
+// each script is the largest single CPU leaf (~12%).
 func BenchmarkFleetPopulation256(b *testing.B) {
 	pop := population.Default()
 	spec, err := pop.FleetSpec(256, 0, 0, 42)

@@ -137,7 +137,10 @@ type (
 	// FleetResult is a completed fleet run: the merged summary.
 	FleetResult = fleet.FleetResult
 	// FleetDeviceResult is one device's result, as FleetSpec.Stream
-	// receives it.
+	// receives it: battery figures, the baseline ledger as one
+	// UID-ascending row per UID (Energy), and, on a device whose monitor
+	// recorded an attack, collateral rows per driving app and attack
+	// counts per vector. Each row carries its UID's label.
 	FleetDeviceResult = fleet.Result
 )
 

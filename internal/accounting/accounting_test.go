@@ -208,6 +208,38 @@ func TestEntriesAllocatesOnlyItsSlice(t *testing.T) {
 	}
 }
 
+// Entries has one row per UID, however many intervals charged it: the
+// fleet's harvest carries these rows as a device's ledger, and the
+// fleet total sums each UID once per device in device order, so a
+// second row for a UID would change that float-sum order.
+func TestEntriesOneRowPerUID(t *testing.T) {
+	for _, policy := range []Policy{BatteryStats, PowerTutor} {
+		a := run(t, policy, func(e *sim.Engine, m *hw.Meter, a *Accountant) {
+			m.SetScreen(true)
+			for step := 0; step < 12; step++ {
+				uid := app.UID(100 + step%4)
+				a.SetForeground(uid)
+				m.SetCPUUtil(uid, 0.2)
+				m.SetCPUUtil(app.UID(100+(step+1)%4), 0.05*float64(step%3))
+				if err := e.RunFor(5 * time.Second); err != nil {
+					t.Fatal(err)
+				}
+				m.SetScreen(step%3 != 0)
+			}
+		})
+		seen := make(map[app.UID]bool)
+		for _, e := range a.Entries() {
+			if seen[e.UID] {
+				t.Fatalf("%v: uid %d has more than one row: %+v", policy, e.UID, a.Entries())
+			}
+			seen[e.UID] = true
+		}
+		if len(seen) < 5 {
+			t.Fatalf("%v: %d rows, want the 4 apps and the system entry at least", policy, len(seen))
+		}
+	}
+}
+
 func TestTimeStats(t *testing.T) {
 	a := run(t, BatteryStats, func(e *sim.Engine, m *hw.Meter, a *Accountant) {
 		a.SetForeground(100)

@@ -195,6 +195,15 @@ const LauncherPackage = "android.launcher"
 // ResolverPackage is the built-in resolver activity's package name.
 const ResolverPackage = "android.resolver"
 
+// The launcher's and resolver's manifests, built once per process and
+// installed by pointer on every device: shared, so never changed.
+var (
+	launcherManifest = manifest.NewBuilder(LauncherPackage, "Launcher").
+				Activity("Home", true).MustBuild()
+	resolverManifest = manifest.NewBuilder(ResolverPackage, "Android System").
+				Activity("ResolverActivity", true).MustBuild()
+)
+
 // NewManager builds the activity manager, installing the launcher and
 // resolver system apps and putting the launcher's home activity at the
 // bottom of the stack.
@@ -209,13 +218,11 @@ func NewManager(engine *sim.Engine, pm *app.PackageManager, res *intent.Resolver
 		agg:          agg,
 		deathWatched: make(map[app.UID]bool),
 	}
-	launcher, err := pm.InstallSystem(manifest.NewBuilder(LauncherPackage, "Launcher").
-		Activity("Home", true).MustBuild())
+	launcher, err := pm.InstallSystem(launcherManifest)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := pm.InstallSystem(manifest.NewBuilder(ResolverPackage, "Android System").
-		Activity("ResolverActivity", true).MustBuild()); err != nil {
+	if _, err := pm.InstallSystem(resolverManifest); err != nil {
 		return nil, err
 	}
 	m.launcher = launcher

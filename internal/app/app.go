@@ -95,7 +95,9 @@ type App struct {
 	// sets to keep itself out of the recent-apps list.
 	HiddenFromRecents bool
 
-	workloads map[string]Workload // component name -> profile
+	// workloads holds each component's profile at its index in
+	// Manifest.Components; components past its end have none.
+	workloads []Workload
 
 	alive           bool
 	deathRecipients []func()
@@ -115,19 +117,24 @@ func (a *App) Label() string {
 // SetWorkload attaches a hardware demand profile to a declared component.
 // It returns an error if the component is not in the manifest.
 func (a *App) SetWorkload(component string, w Workload) error {
-	if a.Manifest.Component(component) == nil {
+	i := a.Manifest.Index(component)
+	if i < 0 {
 		return fmt.Errorf("app %s: no component %q", a.Package(), component)
 	}
-	if a.workloads == nil {
-		a.workloads = make(map[string]Workload)
+	if n := len(a.Manifest.Components); len(a.workloads) < n {
+		// First profile, or a component appended to the manifest since.
+		a.workloads = append(a.workloads, make([]Workload, n-len(a.workloads))...)
 	}
-	a.workloads[component] = w.Clamp()
+	a.workloads[i] = w.Clamp()
 	return nil
 }
 
 // Workload returns the profile for a component (zero value if unset).
 func (a *App) Workload(component string) Workload {
-	return a.workloads[component]
+	if i := a.Manifest.Index(component); i >= 0 && i < len(a.workloads) {
+		return a.workloads[i]
+	}
+	return Workload{}
 }
 
 // Alive reports whether the app's process is running.

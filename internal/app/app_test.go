@@ -126,6 +126,33 @@ func TestWorkloadAttachment(t *testing.T) {
 	}
 }
 
+// Workloads follow the manifest's component order: a component
+// appended after the first SetWorkload reads zero until it gets a
+// profile of its own, and profiling it leaves the others alone.
+func TestWorkloadForAppendedComponent(t *testing.T) {
+	pm := NewPackageManager()
+	a := pm.MustInstall(demoManifest("com.a", "A"))
+	main := Workload{CPUActive: 0.5}
+	if err := a.SetWorkload("Main", main); err != nil {
+		t.Fatal(err)
+	}
+	m := *a.Manifest
+	m.Components = append(m.Components[:len(m.Components):len(m.Components)],
+		manifest.Component{Kind: manifest.KindReceiver, Name: "Late"})
+	a.Manifest = &m
+	if got := a.Workload("Late"); got != (Workload{}) {
+		t.Fatalf("appended component workload = %+v, want zero", got)
+	}
+	late := Workload{CPUActive: 0.2, GPS: true}
+	if err := a.SetWorkload("Late", late); err != nil {
+		t.Fatal(err)
+	}
+	if a.Workload("Late") != late || a.Workload("Main") != main || a.Workload("Work") != (Workload{}) {
+		t.Fatalf("workloads Main %+v, Work %+v, Late %+v",
+			a.Workload("Main"), a.Workload("Work"), a.Workload("Late"))
+	}
+}
+
 func TestWorkloadClamp(t *testing.T) {
 	w := Workload{CPUActive: 1.5, CPUBackground: -0.2}.Clamp()
 	if w.CPUActive != 1 || w.CPUBackground != 0 {

@@ -14,6 +14,13 @@
 // always yields the byte-identical Script, so replayed populations are
 // reproducible and the statistical harness in corpus/replay can gate CI
 // on confidence intervals rather than single point estimates.
+//
+// Generate returns a script its caller keeps. Play generates the same
+// script into a pooled generator's reused buffers and applies it to a
+// world; fleet devices, jobs and the replay harness run scripts that
+// way, so a device allocates nothing for its script once the pool is
+// warm. The archetype models behind both are built once per process
+// and only read.
 package corpus
 
 import (

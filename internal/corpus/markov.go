@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/scenario"
@@ -82,7 +83,23 @@ func (m *Model) touchAll(min, max time.Duration) {
 	}
 }
 
-// ModelFor builds the named archetype's interaction model.
+// models returns every archetype's model, built on first use and then
+// shared by every generation in the process, which only reads them;
+// ModelFor builds a fresh one a caller may change.
+var models = sync.OnceValue(func() map[Archetype]*Model {
+	ms := make(map[Archetype]*Model)
+	for _, a := range Archetypes() {
+		m, err := ModelFor(a)
+		if err != nil {
+			panic(err)
+		}
+		ms[a] = m
+	}
+	return ms
+})
+
+// ModelFor builds the named archetype's interaction model. The model is
+// the caller's own: changing it changes no generated script.
 func ModelFor(a Archetype) (*Model, error) {
 	m := &Model{Archetype: a, States: baseStates(), Start: stIdle}
 	m.touchAll(3*time.Second, 8*time.Second)

@@ -199,12 +199,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 				return err
 			}
 			wd.Start()
-			script, err := corpus.Generate(cells[cellIdx],
-				corpus.ScriptSeed(opts.RootSeed, cellIdx, rep), params)
-			if err != nil {
-				return err
-			}
-			if err := script.Apply(w); err != nil {
+			if err := corpus.Play(w, cells[cellIdx], corpus.ScriptSeed(opts.RootSeed, cellIdx, rep), params); err != nil {
 				return err
 			}
 			o := &outcomes[i]

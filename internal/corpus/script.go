@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/activity"
@@ -111,39 +112,87 @@ func (g segment) dur() time.Duration { return g.end - g.start }
 // benign archetype walk is generated first; the cell's attack variant
 // then overlays malware steps into the walk's idle segments; the merged
 // list is sorted by time (stable, so the generation order breaks ties
-// deterministically).
+// deterministically). The returned script is the caller's; Play
+// generates the same script into reused buffers when the caller only
+// applies it.
 func Generate(cell Cell, seed int64, p Params) (*Script, error) {
+	var g generator
+	if err := g.generate(cell, seed, p); err != nil {
+		return nil, err
+	}
+	s := g.s
+	return &s, nil
+}
+
+// Play generates the script for (cell, seed, p) and applies it to w:
+// Generate followed by Script.Apply, with the script built in a pooled
+// generator's buffers instead of fresh ones. Apply keeps no reference
+// to the steps, so the generator goes back to the pool on return.
+func Play(w *scenario.World, cell Cell, seed int64, p Params) error {
+	g := generators.Get().(*generator)
+	defer generators.Put(g)
+	if err := g.generate(cell, seed, p); err != nil {
+		return err
+	}
+	return g.s.Apply(w)
+}
+
+// generators holds idle generators for Play; each fleet worker takes
+// one per device, so the pool stays about as large as the worker count.
+var generators = sync.Pool{New: func() any { return new(generator) }}
+
+// generator is the state of one script generation: the random stream,
+// the script whose step list it fills, and the benign walk's idle
+// segments. Every generate call resets all three, keeping only the
+// slices' capacity, so a reused generator allocates nothing once its
+// buffers have grown to a script's size.
+type generator struct {
+	rng   *rand.Rand
+	s     Script
+	idles []segment
+}
+
+// generate fills g.s with the script for (cell, seed, p). Reseeding a
+// math/rand source restarts it exactly as rand.NewSource(seed) would,
+// so a reused generator yields the same script as a fresh one.
+func (g *generator) generate(cell Cell, seed int64, p Params) error {
 	if err := p.fill(); err != nil {
-		return nil, err
+		return err
 	}
-	model, err := ModelFor(cell.Archetype)
-	if err != nil {
-		return nil, err
+	model := models()[cell.Archetype]
+	if model == nil {
+		return fmt.Errorf("corpus: unknown archetype %q", cell.Archetype)
 	}
-	s := &Script{
+	if g.rng == nil {
+		g.rng = rand.New(rand.NewSource(seed))
+	} else {
+		g.rng.Seed(seed)
+	}
+	g.s = Script{
 		Cell:          cell,
 		Seed:          seed,
 		Horizon:       p.Horizon,
 		ScreenTimeout: ScriptScreenTimeout,
 		ChargeStart:   quantizeSec(time.Duration(float64(p.Horizon) * chargeStartFrac)),
 		ChargeEnd:     quantizeSec(time.Duration(float64(p.Horizon) * chargeEndFrac)),
+		Steps:         g.s.Steps[:0],
 	}
-	rng := rand.New(rand.NewSource(seed))
-	idles := s.benignWalk(rng, model)
+	s, rng := &g.s, g.rng
+	g.idles = s.benignWalk(rng, model, g.idles[:0])
 	switch cell.Variant {
 	case VarBenign:
 		// nothing to overlay
 	case VarIntermittent:
-		s.overlayIntermittent(rng, idles)
+		s.overlayIntermittent(rng, g.idles)
 	case VarCoordinated:
-		s.overlayCoordinated(rng, idles)
+		s.overlayCoordinated(rng, g.idles)
 	case VarChargingAware:
-		s.overlayChargingAware(rng, idles)
+		s.overlayChargingAware(rng, g.idles)
 	default:
-		return nil, fmt.Errorf("corpus: unknown variant %q", cell.Variant)
+		return fmt.Errorf("corpus: unknown variant %q", cell.Variant)
 	}
 	slices.SortStableFunc(s.Steps, func(a, b Step) int { return cmp.Compare(a.At, b.At) })
-	return s, nil
+	return nil
 }
 
 func quantizeSec(d time.Duration) time.Duration { return d / time.Second * time.Second }
@@ -153,12 +202,11 @@ func (s *Script) step(at time.Duration, op Op, pkg string) {
 }
 
 // benignWalk runs the archetype's Markov chain over the horizon,
-// emitting user steps and returning the screen-off idle segments for
-// the overlays. The diurnal charge window is forced idle: sessions
-// running into it are cut short, and idle spans touching it extend
-// through its whole length.
-func (s *Script) benignWalk(rng *rand.Rand, m *Model) []segment {
-	var idles []segment
+// emitting user steps and appending the screen-off idle segments for
+// the overlays to idles. The diurnal charge window is forced idle:
+// sessions running into it are cut short, and idle spans touching it
+// extend through its whole length.
+func (s *Script) benignWalk(rng *rand.Rand, m *Model, idles []segment) []segment {
 	t := time.Duration(0)
 	state := m.Start
 	for t < s.Horizon {

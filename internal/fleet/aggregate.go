@@ -103,21 +103,19 @@ func (s *Summary) fold(r *Result) {
 	if r.Detected {
 		s.Detected++
 	}
-	if len(r.EnergyByUID) > 0 {
-		if s.EnergyByUID == nil {
-			s.EnergyByUID = make(map[app.UID]float64)
-		}
-		for uid, j := range r.EnergyByUID {
-			s.EnergyByUID[uid] += j
-		}
+	if len(r.Energy) > 0 && s.EnergyByUID == nil {
+		s.EnergyByUID = make(map[app.UID]float64)
 	}
-	if len(r.CollateralByUID) > 0 {
-		if s.CollateralByUID == nil {
-			s.CollateralByUID = make(map[app.UID]float64)
-		}
-		for uid, j := range r.CollateralByUID {
-			s.CollateralByUID[uid] += j
-		}
+	for _, row := range r.Energy {
+		s.EnergyByUID[row.UID] += row.J
+		s.label(row)
+	}
+	if len(r.Collateral) > 0 && s.CollateralByUID == nil {
+		s.CollateralByUID = make(map[app.UID]float64)
+	}
+	for _, row := range r.Collateral {
+		s.CollateralByUID[row.UID] += row.J
+		s.label(row)
 	}
 	if len(r.AttacksByVector) > 0 {
 		if s.AttacksByVector == nil {
@@ -125,21 +123,6 @@ func (s *Summary) fold(r *Result) {
 		}
 		for v, n := range r.AttacksByVector {
 			s.AttacksByVector[v] += n
-		}
-	}
-	// First non-empty label wins: a device can report a UID whose
-	// label it never learned (e.g. an app uninstalled before
-	// harvest), and taking that empty string first-come blinded
-	// Render for the whole fleet.
-	for uid, label := range r.Labels {
-		if label == "" {
-			continue
-		}
-		if s.Labels == nil {
-			s.Labels = make(map[app.UID]string)
-		}
-		if _, ok := s.Labels[uid]; !ok {
-			s.Labels[uid] = label
 		}
 	}
 	if len(r.Violations) > 0 {
@@ -150,6 +133,23 @@ func (s *Summary) fold(r *Result) {
 			s.Violations++
 			s.ViolationsByInvariant[v.Invariant]++
 		}
+	}
+}
+
+// label records row's label for its UID unless an earlier device gave
+// one. First non-empty label wins: a device can report a UID whose
+// label it never learned (e.g. an app uninstalled before harvest), and
+// taking that empty string first-come blinded Render for the whole
+// fleet.
+func (s *Summary) label(row LedgerRow) {
+	if row.Label == "" {
+		return
+	}
+	if s.Labels == nil {
+		s.Labels = make(map[app.UID]string)
+	}
+	if _, ok := s.Labels[row.UID]; !ok {
+		s.Labels[row.UID] = row.Label
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/app"
 	"repro/internal/check"
 )
 
@@ -15,13 +14,10 @@ import (
 // "uid:<n>" fallback when no device could name the UID.
 func TestSummarizeLabelFallback(t *testing.T) {
 	rs := []Result{
-		{Index: 0,
-			EnergyByUID: map[app.UID]float64{10: 5, 11: 2},
-			Labels:      map[app.UID]string{10: "", 11: ""}},
+		{Index: 0, Energy: []LedgerRow{{UID: 10, J: 5}, {UID: 11, J: 2}}},
 		{Index: 1,
-			EnergyByUID:     map[app.UID]float64{10: 3},
-			CollateralByUID: map[app.UID]float64{12: 1},
-			Labels:          map[app.UID]string{10: "Victim"}},
+			Energy:     []LedgerRow{{UID: 10, J: 3, Label: "Victim"}},
+			Collateral: []LedgerRow{{UID: 12, J: 1}}},
 	}
 	s := summarize(rs)
 	if got := s.Labels[10]; got != "Victim" {
@@ -102,9 +98,7 @@ func TestSummaryMapsAllocatedLazily(t *testing.T) {
 
 	// Monitor-off devices contribute ledgers and labels but no attack
 	// or collateral maps.
-	rs = []Result{{Index: 0, DrainedJ: 3,
-		EnergyByUID: map[app.UID]float64{10: 3},
-		Labels:      map[app.UID]string{10: "App"}}}
+	rs = []Result{{Index: 0, DrainedJ: 3, Energy: []LedgerRow{{UID: 10, J: 3, Label: "App"}}}}
 	s = summarize(rs)
 	if s.EnergyByUID == nil || s.Labels == nil {
 		t.Fatal("contributing maps not built")

@@ -20,10 +20,12 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -144,23 +146,22 @@ type Result struct {
 	DrainedJ float64
 	// BatteryPct is the remaining charge percentage.
 	BatteryPct float64
-	// EnergyByUID is the baseline accountant's per-UID ledger
-	// (including the screen and system pseudo-UIDs).
-	EnergyByUID map[app.UID]float64
-	// CollateralByUID is E-Android's per-driving-app collateral energy;
-	// nil when the monitor is disabled.
-	CollateralByUID map[app.UID]float64
+	// Energy is the baseline accountant's ledger, one row per UID
+	// (including the screen and system pseudo-UIDs), in ascending UID
+	// order.
+	Energy []LedgerRow
+	// Collateral is E-Android's collateral energy per driving app, one
+	// row per app that drove a recorded attack, in ascending UID order;
+	// nil unless the monitor recorded an attack.
+	Collateral []LedgerRow
 	// AttacksByVector counts the monitor's recorded attacks per vector;
-	// nil when the monitor is disabled.
+	// nil unless the monitor recorded an attack.
 	AttacksByVector map[core.Vector]int
 	// Attacks is the total attack count.
 	Attacks int
 	// Detected reports whether the monitor recorded at least one
 	// attack on this device.
 	Detected bool
-	// Labels maps every UID seen in this device's ledgers to its
-	// human-readable label.
-	Labels map[app.UID]string
 	// Violations holds the device's runtime invariant violations; nil
 	// unless the device template enables Config.Checks (or the
 	// EANDROID_CHECK environment variable does) and something broke.
@@ -168,6 +169,14 @@ type Result struct {
 	// Metrics is the device's telemetry snapshot; nil unless
 	// Spec.Telemetry was set and the device succeeded.
 	Metrics *telemetry.Snapshot
+}
+
+// LedgerRow is one UID's energy in a device's ledger, with the UID's
+// human-readable label on that device.
+type LedgerRow struct {
+	UID   app.UID
+	J     float64
+	Label string
 }
 
 // FleetResult is a completed fleet run: the merged summary. Per-device
@@ -489,28 +498,34 @@ func harvest(res *Result, dev *device.Device) {
 	res.SimEnd = dev.Engine.Now()
 	res.DrainedJ = dev.Battery.DrainedJ()
 	res.BatteryPct = dev.Battery.Percent()
-	res.EnergyByUID = make(map[app.UID]float64)
-	res.Labels = make(map[app.UID]string)
-	for _, e := range dev.Android.Entries() {
-		res.EnergyByUID[e.UID] += e.TotalJ
-		res.Labels[e.UID] = dev.Packages.Label(e.UID)
+	entries := dev.Android.Entries()
+	res.Energy = make([]LedgerRow, len(entries))
+	for i, e := range entries {
+		res.Energy[i] = LedgerRow{UID: e.UID, J: e.TotalJ, Label: dev.Packages.Label(e.UID)}
 	}
+	slices.SortFunc(res.Energy, compareUID)
 	if dev.EAndroid == nil {
 		return
 	}
-	res.AttacksByVector = make(map[core.Vector]int)
-	drivers := make(map[app.UID]bool)
-	for _, a := range dev.EAndroid.Attacks() {
-		res.AttacksByVector[a.Vector]++
-		res.Attacks++
-		drivers[a.Driving] = true
+	attacks := dev.EAndroid.Attacks()
+	if len(attacks) == 0 {
+		return
 	}
-	res.Detected = res.Attacks > 0
-	res.CollateralByUID = make(map[app.UID]float64)
-	for uid := range drivers {
-		res.CollateralByUID[uid] = dev.EAndroid.CollateralJ(uid)
-		if _, ok := res.Labels[uid]; !ok {
-			res.Labels[uid] = dev.Packages.Label(uid)
+	res.Attacks = len(attacks)
+	res.Detected = true
+	res.AttacksByVector = make(map[core.Vector]int)
+	for _, a := range attacks {
+		res.AttacksByVector[a.Vector]++
+		row := LedgerRow{UID: a.Driving}
+		if i, found := slices.BinarySearchFunc(res.Collateral, row, compareUID); !found {
+			res.Collateral = slices.Insert(res.Collateral, i, row)
 		}
 	}
+	for i := range res.Collateral {
+		r := &res.Collateral[i]
+		r.J = dev.EAndroid.CollateralJ(r.UID)
+		r.Label = dev.Packages.Label(r.UID)
+	}
 }
+
+func compareUID(a, b LedgerRow) int { return cmp.Compare(a.UID, b.UID) }

@@ -130,8 +130,8 @@ func (p *Population) Assign(seed int64, i int) int {
 
 // FleetSpec builds a streaming fleet.Spec over the population: device i
 // draws its cohort from Assign(seed, i), Configure installs the
-// cohort's hardware, and Scenario generates and applies the cohort
-// cell's corpus script from a per-device seed. Callers wanting
+// cohort's hardware, and Scenario plays the cohort cell's corpus
+// script from a per-device seed (corpus.Play). Callers wanting
 // per-device results set Stream on the returned spec.
 func (p *Population) FleetSpec(devices, workers, shards int, seed int64) (fleet.Spec, error) {
 	if err := p.Validate(); err != nil {
@@ -159,12 +159,7 @@ func (p *Population) FleetSpec(devices, workers, shards int, seed int64) (fleet.
 			if err != nil {
 				return err
 			}
-			script, err := corpus.Generate(p.Cohorts[ci].Cell,
-				corpus.ScriptSeed(seed, ci, i), params)
-			if err != nil {
-				return err
-			}
-			return script.Apply(w)
+			return corpus.Play(w, p.Cohorts[ci].Cell, corpus.ScriptSeed(seed, ci, i), params)
 		},
 	}, nil
 }

@@ -2,6 +2,7 @@ package population
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/corpus"
@@ -95,5 +96,44 @@ func TestFleetSpecStreamsByteIdentical(t *testing.T) {
 			t.Errorf("summary differs at workers=%d shards=%d:\n--- base ---\n%s\n--- got ---\n%s",
 				wc.workers, wc.shards, golden, got)
 		}
+	}
+}
+
+// raceEnabled reports a -race build (see race_test.go).
+var raceEnabled bool
+
+// A population device allocates only its own state: the demo cast's
+// manifests and workload tables and the archetype models are built
+// once per process, and each script is generated into a pooled
+// generator's buffers. Measured over a 64-device fleet on one worker,
+// after a warm-up run has filled the pools.
+func TestPopulationDeviceAllocationPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race, sync.Pool drops pooled items at random, so generators are rebuilt")
+	}
+	const devices = 64
+	pop := Default()
+	spec, err := pop.FleetSpec(devices, 1, 0, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		fr, err := fleet.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.Summary.Failed != 0 {
+			t.Fatalf("%d devices failed: %v", fr.Summary.Failed, fr.Summary.Failures)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	perDevice := float64(after.TotalAlloc-before.TotalAlloc) / devices
+	t.Logf("%.0f bytes allocated per device", perDevice)
+	if perDevice > 16<<10 {
+		t.Fatalf("a population device allocated %.0f bytes, want at most 16 KiB", perDevice)
 	}
 }

@@ -122,12 +122,7 @@ func (m *Manager) runFleet(ctx context.Context, j *Job) (Artifacts, error) {
 			}
 			wd.Start()
 			fc := obsv.AttachFlame(dev)
-			script, err := corpus.Generate(cell,
-				corpus.ScriptSeed(spec.Seed, cellIdx, i), params)
-			if err != nil {
-				return err
-			}
-			if err := script.Apply(w); err != nil {
+			if err := corpus.Play(w, cell, corpus.ScriptSeed(spec.Seed, cellIdx, i), params); err != nil {
 				return err
 			}
 			o := &outs[i]

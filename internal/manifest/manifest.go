@@ -128,12 +128,21 @@ func (m *Manifest) Validate() error {
 
 // Component returns the named component, or nil if not declared.
 func (m *Manifest) Component(name string) *Component {
-	for i := range m.Components {
-		if m.Components[i].Name == name {
-			return &m.Components[i]
-		}
+	if i := m.Index(name); i >= 0 {
+		return &m.Components[i]
 	}
 	return nil
+}
+
+// Index returns the position of the named component in Components, or
+// -1 if it is not declared.
+func (m *Manifest) Index(name string) int {
+	for i := range m.Components {
+		if m.Components[i].Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // HasPermission reports whether the app requests perm.

@@ -3,10 +3,16 @@
 // plus scripted drivers for the two normal scenes (Section VI-A), all
 // six collateral energy attacks (Section III-B), and the multi-collateral
 // and hybrid-chain cases (Figures 6 and 7).
+//
+// The cast's manifests are built once per process and installed by
+// pointer on every world, so an installed cast manifest is shared by
+// every device, on every goroutine: copy it before changing it, and
+// point the app at the copy.
 package scenario
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -108,91 +114,104 @@ func NewWorldWith(cfg device.Config, opts WorldOptions) (*World, error) {
 	return Populate(dev)
 }
 
-// Populate installs the demo cast on an existing device. Fleet runners
-// use this: the device is built elsewhere (with a derived seed) and
-// only the cast and scripted behaviour come from this package.
+// castApp is one app of the demo cast: its manifest and the workload
+// of each profiled component, in the order Populate sets them.
+type castApp struct {
+	manifest  *manifest.Manifest
+	workloads []componentWorkload
+}
+
+type componentWorkload struct {
+	component string
+	workload  app.Workload
+}
+
+// cast is the demo cast in install order (Message, Camera, Contacts,
+// Victim, Malware), built once per process and shared by every world
+// (see the package doc).
+var cast = [...]castApp{
+	{
+		manifest: manifest.NewBuilder(PkgMessage, "Message").
+			Category("Communication").
+			Activity("Main", true, manifest.IntentFilter{
+				Actions:    []string{intent.ActionSend},
+				Categories: []string{intent.CategoryDefault},
+			}).
+			MustBuild(),
+		workloads: []componentWorkload{
+			{"Main", app.Workload{CPUActive: 0.25, CPUBackground: 0.02}},
+		},
+	},
+	{
+		manifest: manifest.NewBuilder(PkgCamera, "Camera").
+			Category("Photography").
+			Permission(manifest.PermWriteSettings).
+			Activity("VideoActivity", true, manifest.IntentFilter{
+				Actions:    []string{intent.ActionVideoCapture},
+				Categories: []string{intent.CategoryDefault},
+			}).
+			MustBuild(),
+		workloads: []componentWorkload{
+			{"VideoActivity", app.Workload{CPUActive: 0.5, CPUBackground: 0.02, Camera: true}},
+		},
+	},
+	{
+		manifest: manifest.NewBuilder(PkgContacts, "Contacts").
+			Category("Communication").
+			Activity("Main", true).
+			MustBuild(),
+		workloads: []componentWorkload{
+			{"Main", app.Workload{CPUActive: 0.15, CPUBackground: 0.01}},
+		},
+	},
+	{
+		manifest: manifest.NewBuilder(PkgVictim, "Victim").
+			Category("Productivity").
+			Permission(manifest.PermWakeLock).
+			Activity("Main", true).
+			Service("Work", true).
+			MustBuild(),
+		workloads: []componentWorkload{
+			{"Main", app.Workload{CPUActive: 0.3, CPUBackground: 0.08}},
+			{"Work", app.Workload{CPUActive: 0.35}},
+		},
+	},
+	{
+		manifest: manifest.NewBuilder(PkgMalware, "FunGame").
+			Category("Game").
+			Permission(manifest.PermWakeLock, manifest.PermWriteSettings).
+			Activity("Main", true).
+			Activity("Overlay", true).
+			Service("Daemon", false).
+			MustBuild(),
+		// The malware itself is nearly idle — the whole point is that
+		// its own reading stays tiny while victims drain the battery.
+		workloads: []componentWorkload{
+			{"Main", app.Workload{CPUActive: 0.03, CPUBackground: 0.01}},
+			{"Daemon", app.Workload{CPUActive: 0.01}},
+		},
+	},
+}
+
+// Populate installs the demo cast, by pointer, on an existing device.
+// Fleet runners use this: the device is built elsewhere and only the
+// cast and scripted behaviour come from this package.
 func Populate(dev *device.Device) (*World, error) {
 	w := &World{Dev: dev}
-	var err error
-
-	w.Message, err = dev.Packages.Install(manifest.NewBuilder(PkgMessage, "Message").
-		Category("Communication").
-		Activity("Main", true, manifest.IntentFilter{
-			Actions:    []string{intent.ActionSend},
-			Categories: []string{intent.CategoryDefault},
-		}).
-		MustBuild())
-	if err != nil {
-		return nil, err
-	}
-	if err := w.Message.SetWorkload("Main", app.Workload{CPUActive: 0.25, CPUBackground: 0.02}); err != nil {
-		return nil, err
-	}
-
-	w.Camera, err = dev.Packages.Install(manifest.NewBuilder(PkgCamera, "Camera").
-		Category("Photography").
-		Permission(manifest.PermWriteSettings).
-		Activity("VideoActivity", true, manifest.IntentFilter{
-			Actions:    []string{intent.ActionVideoCapture},
-			Categories: []string{intent.CategoryDefault},
-		}).
-		MustBuild())
-	if err != nil {
-		return nil, err
-	}
-	if err := w.Camera.SetWorkload("VideoActivity", app.Workload{
-		CPUActive: 0.5, CPUBackground: 0.02, Camera: true,
-	}); err != nil {
-		return nil, err
-	}
-
-	w.Contacts, err = dev.Packages.Install(manifest.NewBuilder(PkgContacts, "Contacts").
-		Category("Communication").
-		Activity("Main", true).
-		MustBuild())
-	if err != nil {
-		return nil, err
-	}
-	if err := w.Contacts.SetWorkload("Main", app.Workload{CPUActive: 0.15, CPUBackground: 0.01}); err != nil {
-		return nil, err
-	}
-
-	w.Victim, err = dev.Packages.Install(manifest.NewBuilder(PkgVictim, "Victim").
-		Category("Productivity").
-		Permission(manifest.PermWakeLock).
-		Activity("Main", true).
-		Service("Work", true).
-		MustBuild())
-	if err != nil {
-		return nil, err
-	}
-	if err := w.Victim.SetWorkload("Main", app.Workload{CPUActive: 0.3, CPUBackground: 0.08}); err != nil {
-		return nil, err
-	}
-	if err := w.Victim.SetWorkload("Work", app.Workload{CPUActive: 0.35}); err != nil {
-		return nil, err
-	}
-
-	w.Malware, err = dev.Packages.Install(manifest.NewBuilder(PkgMalware, "FunGame").
-		Category("Game").
-		Permission(manifest.PermWakeLock, manifest.PermWriteSettings).
-		Activity("Main", true).
-		Activity("Overlay", true).
-		Service("Daemon", false).
-		MustBuild())
-	if err != nil {
-		return nil, err
-	}
-	// The malware itself is nearly idle — the whole point is that its
-	// own reading stays tiny while victims drain the battery.
-	if err := w.Malware.SetWorkload("Main", app.Workload{CPUActive: 0.03, CPUBackground: 0.01}); err != nil {
-		return nil, err
-	}
-	if err := w.Malware.SetWorkload("Daemon", app.Workload{CPUActive: 0.01}); err != nil {
-		return nil, err
+	slots := [len(cast)]**app.App{&w.Message, &w.Camera, &w.Contacts, &w.Victim, &w.Malware}
+	for i := range cast {
+		a, err := dev.Packages.Install(cast[i].manifest)
+		if err != nil {
+			return nil, err
+		}
+		for _, cw := range cast[i].workloads {
+			if err := a.SetWorkload(cw.component, cw.workload); err != nil {
+				return nil, err
+			}
+		}
+		*slots[i] = a
 	}
 	w.Malware.HiddenFromRecents = true
-
 	return w, nil
 }
 
@@ -450,13 +469,16 @@ func (w *World) Attack6WakelockScreen(dur time.Duration) error {
 // appears in the foreground at all.
 func (w *World) StealthAutoLaunch(dur time.Duration) error {
 	// The malware ships an unlock receiver. (The demo manifest gains it
-	// lazily so older scenarios are unaffected.)
+	// lazily so older scenarios are unaffected.) The installed manifest
+	// is the cast's shared one, so this world gets its own copy with
+	// the receiver appended to a fresh component list.
 	if w.Malware.Manifest.Component("Unlock") == nil {
-		w.Malware.Manifest.Components = append(w.Malware.Manifest.Components,
-			manifest.Component{
-				Kind: manifest.KindReceiver, Name: "Unlock", Exported: true,
-				Filters: []manifest.IntentFilter{{Actions: []string{intent.ActionUserPresent}}},
-			})
+		m := *w.Malware.Manifest
+		m.Components = append(slices.Clip(m.Components), manifest.Component{
+			Kind: manifest.KindReceiver, Name: "Unlock", Exported: true,
+			Filters: []manifest.IntentFilter{{Actions: []string{intent.ActionUserPresent}}},
+		})
+		w.Malware.Manifest = &m
 	}
 	var attackErr error
 	if err := w.Dev.Broadcasts.SetHandler(PkgMalware, "Unlock", time.Second,

@@ -343,3 +343,45 @@ func TestStealthAutoLaunch(t *testing.T) {
 		t.Fatal("stealth flag lost")
 	}
 }
+
+// The cast's manifests are shared by every world, so the receiver
+// StealthAutoLaunch adds must land on a copy: a world populated after
+// the stealth run, in the same process, still has no Unlock receiver.
+func TestStealthAutoLaunchLeavesSharedCastAlone(t *testing.T) {
+	w := newTestWorld(t)
+	if err := w.StealthAutoLaunch(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if w.Malware.Manifest.Component("Unlock") == nil {
+		t.Fatal("stealth world lacks its Unlock receiver")
+	}
+	if got := w.Malware.Workload("Unlock"); got != (app.Workload{}) {
+		t.Fatalf("Unlock receiver workload = %+v, want zero", got)
+	}
+	if got := w.Malware.Workload("Main"); got.CPUActive != 0.03 {
+		t.Fatalf("malware Main workload = %+v after the manifest copy", got)
+	}
+	fresh := newTestWorld(t)
+	if fresh.Malware.Manifest.Component("Unlock") != nil {
+		t.Fatal("a later world's malware has the Unlock receiver: StealthAutoLaunch changed the shared manifest")
+	}
+	if n := len(fresh.Malware.Manifest.Components); n != 3 {
+		t.Fatalf("a later world's malware declares %d components, want 3", n)
+	}
+}
+
+// Populate installs the cast by pointer: two worlds share each app's
+// manifest, and so do their launchers.
+func TestPopulateSharesCastManifests(t *testing.T) {
+	a, b := newTestWorld(t), newTestWorld(t)
+	pairs := [][2]*app.App{
+		{a.Message, b.Message}, {a.Camera, b.Camera}, {a.Contacts, b.Contacts},
+		{a.Victim, b.Victim}, {a.Malware, b.Malware},
+		{a.Dev.Activities.Launcher(), b.Dev.Activities.Launcher()},
+	}
+	for _, p := range pairs {
+		if p[0].Manifest != p[1].Manifest {
+			t.Fatalf("%s: two worlds hold different manifests", p[0].Package())
+		}
+	}
+}
