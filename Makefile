@@ -52,7 +52,7 @@ bench-gate:
 # Regenerate the BENCH_fleet.json scaling artifact (wall times,
 # bytes/device, device-sim-hours/sec).
 fleet-bench:
-	$(GO) run ./cmd/benchsuite -fleet 64 -workers 8 -shards 8
+	$(GO) run ./cmd/benchsuite -fleet 64 -workers 8
 
 # Memory-budget study: a 100k-device heterogeneous population fleet down
 # the streaming path must finish inside a constant peak-heap budget
@@ -93,9 +93,15 @@ obsv-bench:
 # (TestWatchdogWindowCloseAllocatesNothing) and a flame Accrue over an
 # unchanged demand set (TestFlameAccrueAllocatesNothing) allocate
 # nothing, and neither does escaping a plain frame name for the flame
-# report (TestHTMLEscapeAllocatesNothing).
+# report (TestHTMLEscapeAllocatesNothing), plus the E-Android monitor's
+# pins on the path both observers ride: a warm Accrue over a live
+# a->b->c chain plus a screen attack allocates nothing
+# (TestAccrueAllocatesNothing), and beginning an attack then ending it
+# through endWhere allocates only the new Attack
+# (TestBeginEndAllocatesOnlyTheAttack).
 obsv-smoke:
 	$(GO) test -run 'TestServerSmoke|TestReadyzFollowsServing|TestExportFilesWritesAllOutputs|TestWatchdogWindowCloseAllocatesNothing|TestFlameAccrueAllocatesNothing|TestHTMLEscapeAllocatesNothing' -count=1 -v ./internal/obsv
+	$(GO) test -run 'TestAccrueAllocatesNothing|TestBeginEndAllocatesOnlyTheAttack' -count=1 -v ./internal/core
 
 # Regenerate the BENCH_trace.json causal-span tracing overhead artifact
 # (and enforce the every-device-traced <= 10% gate).

@@ -138,10 +138,10 @@ func BenchmarkFig11AnTuTu(b *testing.B) {
 // records the size trajectory; the Workers pair records pool speedup
 // (meaningful only on multicore hardware — per-device engines stay
 // single-threaded, so parallelism is across devices).
-func benchFleet(b *testing.B, devices, workers, shards int) {
+func benchFleet(b *testing.B, devices, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		fr, err := experiments.FleetBenchStudy(devices, workers, shards, 42)
+		fr, err := experiments.FleetBenchStudy(devices, workers, 42)
 		requireNoErr(b, err)
 		if fr.Summary.Failed != 0 {
 			b.Fatalf("%d devices failed", fr.Summary.Failed)
@@ -149,13 +149,13 @@ func benchFleet(b *testing.B, devices, workers, shards int) {
 	}
 }
 
-func BenchmarkFleet1(b *testing.B)  { benchFleet(b, 1, 0, 0) }
-func BenchmarkFleet4(b *testing.B)  { benchFleet(b, 4, 0, 0) }
-func BenchmarkFleet16(b *testing.B) { benchFleet(b, 16, 0, 0) }
-func BenchmarkFleet64(b *testing.B) { benchFleet(b, 64, 0, 0) }
+func BenchmarkFleet1(b *testing.B)  { benchFleet(b, 1, 0) }
+func BenchmarkFleet4(b *testing.B)  { benchFleet(b, 4, 0) }
+func BenchmarkFleet16(b *testing.B) { benchFleet(b, 16, 0) }
+func BenchmarkFleet64(b *testing.B) { benchFleet(b, 64, 0) }
 
-func BenchmarkFleet64Workers1(b *testing.B) { benchFleet(b, 64, 1, 1) }
-func BenchmarkFleet64Workers8(b *testing.B) { benchFleet(b, 64, 8, 8) }
+func BenchmarkFleet64Workers1(b *testing.B) { benchFleet(b, 64, 1) }
+func BenchmarkFleet64Workers8(b *testing.B) { benchFleet(b, 64, 8) }
 
 // BenchmarkFleetPopulation256 runs the default population fleet (the
 // cohort mixture of the default fleet path, checker on every device)

@@ -11,7 +11,7 @@
 //	benchsuite -micro     # Figure 10 only
 //	benchsuite -antutu    # Figure 11 only
 //	benchsuite -energy    # energy-efficiency check only
-//	benchsuite -fleet 64 -workers 8 -shards 8   # fleet scaling study -> BENCH_fleet.json
+//	benchsuite -fleet 64 -workers 8   # fleet scaling study -> BENCH_fleet.json
 //	benchsuite -fleet-mem 100000      # streaming memory-budget study (peak heap + bytes/device)
 //	benchsuite -telemetry             # telemetry overhead study -> BENCH_telemetry.json
 //	benchsuite -check                 # invariant checker overhead study -> BENCH_check.json
@@ -64,7 +64,6 @@ func run(args []string) error {
 	reps := fs.Int("reps", 0, "repetitions of the micro benchmark or the selected study (0 = its default)")
 	fleetN := fs.Int("fleet", 0, "run an N-device fleet scaling study")
 	workers := fs.Int("workers", 0, "fleet and corpus worker count (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 0, "fleet accumulator shard count (0 = workers)")
 	fleetMem := fs.Int("fleet-mem", 0, "run the streaming memory-budget study over an N-device population fleet (CI uses >= 100k)")
 	fleetSeed := fs.Int64("fleet-seed", 42, "fleet seed (per-device seeds derive from it)")
 	telem := fs.Bool("telemetry", false, "run the telemetry overhead study")
@@ -128,7 +127,7 @@ func run(args []string) error {
 	case *fleetMem > 0:
 		return fleetMemStudy(*fleetMem, *workers, *fleetSeed)
 	case *fleetN > 0:
-		name, sh.Devices, sh.Workers, sh.Shards, sh.Seed = "fleet", *fleetN, *workers, *shards, *fleetSeed
+		name, sh.Devices, sh.Workers, sh.Seed = "fleet", *fleetN, *workers, *fleetSeed
 	}
 	if name != "" {
 		path := "BENCH_" + name + ".json"
@@ -172,7 +171,6 @@ type shape struct {
 	Reps    int           `json:"reps"`
 	Devices int           `json:"devices,omitempty"`
 	Workers int           `json:"workers,omitempty"`
-	Shards  int           `json:"shards,omitempty"`
 	Seed    int64         `json:"seed,omitempty"`
 	Cells   int           `json:"cells,omitempty"`
 	Horizon time.Duration `json:"horizon,omitempty"`
@@ -210,7 +208,6 @@ type mode struct {
 	WallMS      float64 `json:"wall_ms"`
 	OverheadPct float64 `json:"overhead_pct,omitempty"`
 	Workers     int     `json:"workers,omitempty"`
-	Shards      int     `json:"shards,omitempty"`
 }
 
 // metric returns a number -benchcmp compares: a mode's wall time by
@@ -390,7 +387,7 @@ func fleetSpeedupFloor(workers, cpus int) float64 {
 const defaultFleetReps = 5
 
 // fleetStudy runs the stealth-attack fleet serially and at the shape's
-// workers and shards, reps times each (keeping the minimum wall time
+// workers, reps times each (keeping the minimum wall time
 // and allocation delta), prints the aggregate, checks the renders
 // match byte for byte across reps and legs, and gates the speedup at
 // fleetSpeedupFloor. The fleet runs the streaming path — no per-device
@@ -401,18 +398,18 @@ func fleetStudy(sh shape) (*artifact, error) {
 		sh.Reps = defaultFleetReps
 	}
 	type leg struct {
-		workers, shards int // as requested; mode records what ran
-		mode            mode
-		render          string
-		summary         fleet.Summary
+		workers int // as requested; mode records what ran
+		mode    mode
+		render  string
+		summary fleet.Summary
 		// minAlloc is the smallest TotalAlloc delta across reps: GC
 		// timing only ever adds bytes to a sample, so the minimum is the
 		// honest per-run floor, same logic as the min wall time.
 		minAlloc float64
 	}
-	serial := &leg{workers: 1, shards: 1, mode: mode{Name: "serial"}}
-	parallel := &leg{workers: sh.Workers, shards: sh.Shards, mode: mode{Name: "parallel"}}
-	if _, err := experiments.FleetBenchStudy(sh.Devices, sh.Workers, sh.Shards, sh.Seed); err != nil { // untimed warm-up
+	serial := &leg{workers: 1, mode: mode{Name: "serial"}}
+	parallel := &leg{workers: sh.Workers, mode: mode{Name: "parallel"}}
+	if _, err := experiments.FleetBenchStudy(sh.Devices, sh.Workers, sh.Seed); err != nil { // untimed warm-up
 		return nil, err
 	}
 	// The legs alternate rep by rep, so a burst of host noise lands on
@@ -426,7 +423,7 @@ func fleetStudy(sh shape) (*artifact, error) {
 			runtime.GC() // every rep starts from the same heap, as in the overhead studies
 			runtime.ReadMemStats(&before)
 			start := time.Now()
-			fr, err := experiments.FleetBenchStudy(sh.Devices, l.workers, l.shards, sh.Seed)
+			fr, err := experiments.FleetBenchStudy(sh.Devices, l.workers, sh.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -441,7 +438,7 @@ func fleetStudy(sh shape) (*artifact, error) {
 			}
 			ms := float64(wall.Microseconds()) / 1000
 			if l.render == "" {
-				l.mode.WallMS, l.mode.Workers, l.mode.Shards = ms, fr.Workers, fr.Shards
+				l.mode.WallMS, l.mode.Workers = ms, fr.Workers
 				l.render, l.summary, l.minAlloc = fr.Render(), fr.Summary, alloc
 				continue
 			}
@@ -476,8 +473,8 @@ func fleetStudy(sh shape) (*artifact, error) {
 		},
 	}
 	gate := a.Gates[0]
-	fmt.Printf("fleet: %d devices, workers %d shards %d vs 1: %.1fms vs %.1fms (%.2fx, floor %.2fx on %d usable CPUs), deterministic=%v\n",
-		sh.Devices, parallel.mode.Workers, parallel.mode.Shards, parallel.mode.WallMS, serial.mode.WallMS,
+	fmt.Printf("fleet: %d devices, workers %d vs 1: %.1fms vs %.1fms (%.2fx, floor %.2fx on %d usable CPUs), deterministic=%v\n",
+		sh.Devices, parallel.mode.Workers, parallel.mode.WallMS, serial.mode.WallMS,
 		speedup, gate.Limit, cpus, deterministic)
 	fmt.Printf("fleet: %.0f B/device allocated (streaming), %.1f device-sim-hours/sec\n",
 		a.Counts["bytes_per_device"], a.Counts["device_sim_hours_per_sec"])
@@ -567,8 +564,8 @@ func fleetMemStudy(devices, workers int, seed int64) error {
 		peakGrowth = 0
 	}
 	bytesPerDevice := float64(after.TotalAlloc-before.TotalAlloc) / float64(devices)
-	fmt.Printf("fleet-mem: %d devices (%d cohorts), workers %d shards %d: %.1fs wall, %.1f device-sim-hours/sec\n",
-		devices, len(pop.Cohorts), fr.Workers, fr.Shards, wall.Seconds(),
+	fmt.Printf("fleet-mem: %d devices (%d cohorts), workers %d: %.1fs wall, %.1f device-sim-hours/sec\n",
+		devices, len(pop.Cohorts), fr.Workers, wall.Seconds(),
 		fr.Summary.TotalSimH/wall.Seconds())
 	fmt.Printf("fleet-mem: peak heap growth %.1f MiB (budget %.0f MiB), %.0f B/device allocated\n",
 		float64(peakGrowth)/(1<<20), float64(fleetMemBudgetBytes)/(1<<20), bytesPerDevice)

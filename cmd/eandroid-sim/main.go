@@ -10,7 +10,7 @@
 //	eandroid-sim -exp fig9a -events-out events.jsonl -metrics-out metrics.prom
 //	eandroid-sim -exp fig9a -events-out /dev/stdout     # event stream on the terminal
 //	eandroid-sim -exp fig9a -flame-out flame.txt -flame-html flame.html
-//	eandroid-sim -fleet 10000 -workers 8 -shards 8      # streaming population fleet, merged summary only
+//	eandroid-sim -fleet 10000 -workers 8                # streaming population fleet, merged summary only
 package main
 
 import (
@@ -52,7 +52,6 @@ func run(args []string) error {
 	checks := fs.Bool("check", true, "run the runtime invariant checker; any violation fails the run")
 	fleetN := fs.Int("fleet", 0, "run an N-device streaming population fleet (heterogeneous cohorts) and print the merged summary")
 	fleetWorkers := fs.Int("workers", 0, "with -fleet: worker count (0 = GOMAXPROCS)")
-	fleetShards := fs.Int("shards", 0, "with -fleet: accumulator shard count (0 = workers)")
 	fleetSeed := fs.Int64("seed", 42, "with -fleet: fleet seed (per-device seeds derive from it)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -63,7 +62,7 @@ func run(args []string) error {
 	// the bounded accumulator, so a 100k-device run fits in constant
 	// memory no matter what the other flags would retain.
 	if *fleetN > 0 {
-		return runPopulationFleet(*fleetN, *fleetWorkers, *fleetShards, *fleetSeed)
+		return runPopulationFleet(*fleetN, *fleetWorkers, *fleetSeed)
 	}
 
 	// Telemetry attaches to every serially-built experiment world, and
@@ -103,9 +102,9 @@ func run(args []string) error {
 // runPopulationFleet runs the default cohort mixture down the fleet's
 // streaming path and prints the merged summary (plus the failure sample
 // when devices failed). No per-device results are retained.
-func runPopulationFleet(devices, workers, shards int, seed int64) error {
+func runPopulationFleet(devices, workers int, seed int64) error {
 	pop := population.Default()
-	spec, err := pop.FleetSpec(devices, workers, shards, seed)
+	spec, err := pop.FleetSpec(devices, workers, 0, seed)
 	if err != nil {
 		return err
 	}

@@ -126,13 +126,13 @@ var Nexus4Profile = hw.Nexus4
 // Fleet API: run many independent devices concurrently (one
 // single-threaded engine per goroutine) with per-device seeds derived
 // from a fleet seed and order-stable aggregation. Execution streams:
-// finished devices fold into a bounded sharded accumulator and are
+// finished devices fold into a bounded block-locked accumulator and are
 // dropped, so fleet memory is O(workers + window), not O(devices).
 // Set FleetSpec.Stream to consume each result exactly once as it
 // finishes, or let CollectFleet keep them all.
 type (
-	// FleetSpec describes a fleet run: device count, worker and shard
-	// bounds, fleet seed, config template, scenario func and horizon.
+	// FleetSpec describes a fleet run: device count, worker bound,
+	// fleet seed, config template, scenario func and horizon.
 	FleetSpec = fleet.Spec
 	// FleetResult is a completed fleet run: the merged summary.
 	FleetResult = fleet.FleetResult

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/app"
 	"repro/internal/hw"
@@ -66,25 +65,22 @@ func (m *Monitor) ChargePolicy() ChargePolicy {
 // energy drained by C and the screen to A").
 //
 // A (beneficiary, driven) pair is charged at most once per interval:
-// the driven parties are distinct keys of the active index and each
-// one's beneficiaries form a set, so multi-collateral attacks (Fig. 6:
-// start + bind + interrupt on the same victim) never double-charge the
-// same driving app. The monitor keeps no energy ledger of its own; the
+// the driven parties are deduplicated and each one's beneficiaries are
+// its distinct ancestors, so multi-collateral attacks (Fig. 6: start +
+// bind + interrupt on the same victim) never double-charge the same
+// driving app. The monitor keeps no energy ledger of its own; the
 // revised views take original energy from the baseline accountant.
 func (m *Monitor) Accrue(iv hw.Interval) {
-	if m.mode != Complete || len(m.activeByDriven) == 0 {
+	if m.mode != Complete || len(m.active) == 0 {
 		return
 	}
-
-	// Deterministic driven order, via a reusable scratch slice — this
-	// path runs on every integrated interval for as long as any attack
-	// is active, which in the stealth fleet bench is most of the run.
-	drivens := m.drivenScratch[:0]
-	for d := range m.activeByDriven {
-		drivens = append(drivens, d)
+	drivens := m.drivens[:0]
+	for _, a := range m.active {
+		drivens = append(drivens, a.Driven)
 	}
-	sort.Slice(drivens, func(i, j int) bool { return drivens[i] < drivens[j] })
-	m.drivenScratch = drivens
+	slices.Sort(drivens)
+	drivens = slices.Compact(drivens)
+	m.drivens = drivens
 
 	for _, d := range drivens {
 		var delta float64
@@ -96,33 +92,14 @@ func (m *Monitor) Accrue(iv hw.Interval) {
 		if delta == 0 {
 			continue
 		}
-		// Every direct driver and every transitive ancestor is charged
-		// once.
-		if m.benefScratch == nil {
-			m.benefScratch = make(map[app.UID]bool)
-		} else {
-			clear(m.benefScratch)
-		}
-		beneficiaries := m.benefScratch
-		for _, a := range m.activeByDriven[d] {
-			beneficiaries[a.Driving] = true
-			for _, anc := range m.ancestorsOf(a.Driving) {
-				beneficiaries[anc] = true
-			}
-		}
-		order := m.orderScratch[:0]
-		for g := range beneficiaries {
-			if g != d {
-				order = append(order, g)
-			}
-		}
-		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-		m.orderScratch = order
+		// Every direct driver and every transitive ancestor, never d
+		// itself, is charged once.
+		beneficiaries := m.ancestorsOf(d)
 		share := delta
-		if m.ChargePolicy() == ChargeSplit && len(order) > 0 {
-			share = delta / float64(len(order))
+		if m.ChargePolicy() == ChargeSplit && len(beneficiaries) > 0 {
+			share = delta / float64(len(beneficiaries))
 		}
-		for _, g := range order {
+		for _, g := range beneficiaries {
 			m.ensureEntry(g, d)
 			m.maps[g][d].EnergyJ += share
 		}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -356,6 +357,62 @@ func TestWakelockAttackWhenHolderLeavesForeground(t *testing.T) {
 	w.Victim.Kill()
 	if activeVectors(mon)[core.VectorWakelock] != 0 {
 		t.Fatal("link-to-death release should end the attack")
+	}
+}
+
+// A holder leaving the foreground with several screen wakelocks begins
+// one wakelock attack per lock, in acquire order: the attack IDs, the
+// event log and every view built on them must not depend on map order.
+// Each run is a fresh world, so a map-ordered walk shows up as a
+// rotated order in most runs.
+func TestWakelockAttacksBeginInAcquireOrder(t *testing.T) {
+	tags := []string{"ui-a", "ui-b", "ui-c"}
+	for run := 0; run < 20; run++ {
+		w := world(t, device.Config{})
+		mon := w.Dev.EAndroid
+		if _, err := w.Dev.Activities.UserStartApp(scenario.PkgVictim); err != nil {
+			t.Fatal(err)
+		}
+		var locks []*power.Wakelock
+		for _, tag := range tags {
+			wl, err := w.Dev.Power.Acquire(w.Victim.UID, power.ScreenBright, tag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			locks = append(locks, wl)
+		}
+		w.Dev.Activities.Home(app.UIDSystem)
+
+		var events []string
+		for _, e := range mon.Events() {
+			if e.Kind == "wakelock-background" {
+				events = append(events, e.Detail)
+			}
+		}
+		if !slices.Equal(events, tags) {
+			t.Fatalf("run %d: wakelock-background events %v, want %v", run, events, tags)
+		}
+		var atks []*core.Attack
+		for _, a := range mon.Attacks() {
+			if a.Vector == core.VectorWakelock {
+				atks = append(atks, a)
+			}
+		}
+		if len(atks) != len(tags) {
+			t.Fatalf("run %d: %d wakelock attacks, want %d", run, len(atks), len(tags))
+		}
+		// Attack i must be lock i's: releasing the locks in acquire
+		// order ends the attacks in begin order.
+		for i, wl := range locks {
+			if err := wl.Release(); err != nil {
+				t.Fatal(err)
+			}
+			for j, a := range atks {
+				if a.Active != (j > i) {
+					t.Fatalf("run %d: after releasing %s, attack %d (#%d) active=%v", run, tags[i], j, a.ID, a.Active)
+				}
+			}
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/activity"
 	"repro/internal/app"
@@ -52,9 +51,9 @@ type Monitor struct {
 
 	nextAttackID int
 	attacks      []*Attack
-	// active indexes live attacks by driven party for the accrual
-	// traversal and end-condition checks.
-	activeByDriven map[app.UID][]*Attack
+	// active lists the live attacks in begin (ID) order: the accrual
+	// traversal and every end-condition check walk it.
+	active []*Attack
 
 	// maps is the per-app collateral energy map: driving -> driven ->
 	// entry.
@@ -63,9 +62,9 @@ type Monitor struct {
 	// removed, so it only grows (see ensureEntry).
 	drivers []app.UID
 
-	// heldScreenLocks tracks live screen-type wakelocks for the Fig. 5e
-	// state machine.
-	heldScreenLocks map[*power.Wakelock]bool
+	// screenLocks lists the live screen-type wakelocks in acquire order
+	// for the Fig. 5e state machine.
+	screenLocks []*power.Wakelock
 
 	events []Event
 
@@ -78,18 +77,11 @@ type Monitor struct {
 	// means ChargeFullToEach.
 	chargePolicy ChargePolicy
 
-	// historyLimit, when positive, bounds the retained event log and the
-	// ended-attack history (live attacks are never dropped). Zero keeps
-	// everything — fine for experiments, not for week-long soaks.
-	historyLimit int
-
-	// Accrue's reusable per-interval scratch: while attacks are active
-	// the superimposition pass runs on every integrated interval, and
-	// rebuilding these from scratch each time dominated the monitor's
-	// allocation profile.
-	drivenScratch []app.UID
-	orderScratch  []app.UID
-	benefScratch  map[app.UID]bool
+	// Reusable buffers: Accrue runs on every integrated interval while
+	// an attack is live, and endWhere on every lifecycle event.
+	drivens   []app.UID // Accrue's distinct driven parties
+	ancestors []app.UID // ancestorsOf's result
+	ending    []*Attack // endWhere's matches
 	// entryScratch is sortedEntries' buffer: the watchdog sums every
 	// driver's map at every window close.
 	entryScratch []*MapEntry
@@ -106,13 +98,11 @@ func NewMonitor(engine *sim.Engine, pm *app.PackageManager, mode Mode) (*Monitor
 		return nil, fmt.Errorf("core: invalid mode %d", int(mode))
 	}
 	return &Monitor{
-		engine:          engine,
-		pm:              pm,
-		mode:            mode,
-		foreground:      app.UIDNone,
-		activeByDriven:  make(map[app.UID][]*Attack),
-		maps:            make(map[app.UID]map[app.UID]*MapEntry),
-		heldScreenLocks: make(map[*power.Wakelock]bool),
+		engine:     engine,
+		pm:         pm,
+		mode:       mode,
+		foreground: app.UIDNone,
+		maps:       make(map[app.UID]map[app.UID]*MapEntry),
 	}, nil
 }
 
@@ -160,15 +150,7 @@ func (m *Monitor) Attacks() []*Attack {
 }
 
 // ActiveAttacks returns currently active attacks, begun order.
-func (m *Monitor) ActiveAttacks() []*Attack {
-	var out []*Attack
-	for _, a := range m.attacks {
-		if a.Active {
-			out = append(out, a)
-		}
-	}
-	return out
-}
+func (m *Monitor) ActiveAttacks() []*Attack { return slices.Clone(m.active) }
 
 // isCollateralApp reports whether uid belongs to an installed,
 // non-system app — the only parties E-Android puts on the attack list.
@@ -177,45 +159,10 @@ func (m *Monitor) isCollateralApp(uid app.UID) bool {
 	return a != nil && !a.System
 }
 
-// SetHistoryLimit bounds the retained event log and ended-attack history
-// to n entries each (0 = unlimited). Live attacks are never dropped.
-func (m *Monitor) SetHistoryLimit(n int) error {
-	if n < 0 {
-		return fmt.Errorf("core: negative history limit %d", n)
-	}
-	m.historyLimit = n
-	m.trimHistory()
-	return nil
-}
-
-func (m *Monitor) trimHistory() {
-	if m.historyLimit <= 0 {
-		return
-	}
-	if excess := len(m.events) - m.historyLimit; excess > 0 {
-		m.events = append([]Event(nil), m.events[excess:]...)
-	}
-	if len(m.attacks) <= m.historyLimit {
-		return
-	}
-	// Drop the oldest ended attacks first; live ones always survive.
-	kept := make([]*Attack, 0, m.historyLimit)
-	drop := len(m.attacks) - m.historyLimit
-	for _, a := range m.attacks {
-		if drop > 0 && !a.Active {
-			drop--
-			continue
-		}
-		kept = append(kept, a)
-	}
-	m.attacks = kept
-}
-
 func (m *Monitor) record(kind string, driving, driven app.UID, detail string) {
 	m.events = append(m.events, Event{
 		T: m.engine.Now(), Kind: kind, Driving: driving, Driven: driven, Detail: detail,
 	})
-	m.trimHistory()
 }
 
 // beginAttack starts a new lifecycle, first ending any identical active
@@ -223,8 +170,8 @@ func (m *Monitor) record(kind string, driving, driven app.UID, detail string) {
 // twice by the same mechanism and anchor.
 func (m *Monitor) beginAttack(v Vector, driving, driven app.UID, anchor any) *Attack {
 	m.flush()
-	for _, a := range m.activeByDriven[driven] {
-		if a.Vector == v && a.Driving == driving && a.anchor == anchor {
+	for _, a := range m.active {
+		if a.Driven == driven && a.Vector == v && a.Driving == driving && a.anchor == anchor {
 			m.endAttack(a)
 			break
 		}
@@ -240,13 +187,13 @@ func (m *Monitor) beginAttack(v Vector, driving, driven app.UID, anchor any) *At
 	}
 	m.nextAttackID++
 	m.attacks = append(m.attacks, atk)
-	m.activeByDriven[driven] = append(m.activeByDriven[driven], atk)
-	m.trimHistory()
+	m.active = append(m.active, atk)
 
 	// Algorithm 1: AddElement(driven) on the driving app's map and on
 	// every map that (transitively) contains the driving app.
+	parents := m.ancestorsOf(driving)
 	m.ensureEntry(driving, driven)
-	for _, parent := range m.ancestorsOf(driving) {
+	for _, parent := range parents {
 		m.ensureEntry(parent, driven)
 	}
 	// Service-related begin events also pull in the driven app's own
@@ -255,7 +202,7 @@ func (m *Monitor) beginAttack(v Vector, driving, driven app.UID, anchor any) *At
 	if v == VectorServiceStart || v == VectorServiceBind {
 		for _, elem := range m.entriesWithActiveLinks(driven) {
 			m.ensureEntry(driving, elem)
-			for _, parent := range m.ancestorsOf(driving) {
+			for _, parent := range parents {
 				m.ensureEntry(parent, elem)
 			}
 		}
@@ -270,32 +217,26 @@ func (m *Monitor) endAttack(a *Attack) {
 	m.flush()
 	a.Active = false
 	a.End = m.engine.Now()
-	list := m.activeByDriven[a.Driven]
-	for i, x := range list {
-		if x == a {
-			m.activeByDriven[a.Driven] = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(m.activeByDriven[a.Driven]) == 0 {
-		delete(m.activeByDriven, a.Driven)
+	if i := slices.Index(m.active, a); i >= 0 {
+		m.active = slices.Delete(m.active, i, i+1)
 	}
 }
 
-// endWhere ends every active attack matching pred. It scans only the
-// active index (never the all-time history), so per-event cost stays
-// proportional to the number of live attacks.
+// endWhere ends every active attack matching pred, in begin order. It
+// scans only the live list (never the all-time history), so per-event
+// cost stays proportional to the number of live attacks. The matches
+// are collected before any ends: each end flushes the meter, whose
+// sinks include Accrue, which walks the live list. No sink re-enters
+// the monitor's hooks, so one reused buffer serves every call.
 func (m *Monitor) endWhere(pred func(*Attack) bool) {
-	var toEnd []*Attack
-	for _, list := range m.activeByDriven {
-		for _, a := range list {
-			if pred(a) {
-				toEnd = append(toEnd, a)
-			}
+	ending := m.ending[:0]
+	for _, a := range m.active {
+		if pred(a) {
+			ending = append(ending, a)
 		}
 	}
-	sort.Slice(toEnd, func(i, j int) bool { return toEnd[i].ID < toEnd[j].ID })
-	for _, a := range toEnd {
+	m.ending = ending
+	for _, a := range ending {
 		m.endAttack(a)
 	}
 }
@@ -317,45 +258,37 @@ func (m *Monitor) ensureEntry(driving, driven app.UID) {
 }
 
 // ancestorsOf walks active attack links upstream from uid: every app
-// that currently drives uid, directly or through a chain. Cycle-safe.
+// that currently drives uid, directly or through a chain, in ascending
+// UID order and never uid itself. The walk is breadth-first with its
+// own output as the queue and the visited set, so it is cycle-safe.
+// The result is a reused buffer, valid until the next call.
 func (m *Monitor) ancestorsOf(uid app.UID) []app.UID {
-	visited := map[app.UID]bool{uid: true}
-	var out []app.UID
-	queue := []app.UID{uid}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, a := range m.activeByDriven[cur] {
-			if visited[a.Driving] {
-				continue
+	out := append(m.ancestors[:0], uid)
+	for i := 0; i < len(out); i++ {
+		for _, a := range m.active {
+			if a.Driven == out[i] && !slices.Contains(out, a.Driving) {
+				out = append(out, a.Driving)
 			}
-			visited[a.Driving] = true
-			out = append(out, a.Driving)
-			queue = append(queue, a.Driving)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	m.ancestors = out
+	out = out[1:]
+	slices.Sort(out)
 	return out
 }
 
 // entriesWithActiveLinks returns the driven parties that uid's map holds
-// live links to (i.e. uid is currently driving them). Only the active
-// index is scanned.
+// live links to (i.e. uid is currently driving them), in ascending UID
+// order. Only the live list is scanned.
 func (m *Monitor) entriesWithActiveLinks(uid app.UID) []app.UID {
-	set := map[app.UID]bool{}
-	for _, list := range m.activeByDriven {
-		for _, a := range list {
-			if a.Driving == uid {
-				set[a.Driven] = true
-			}
+	var out []app.UID
+	for _, a := range m.active {
+		if a.Driving == uid {
+			out = append(out, a.Driven)
 		}
 	}
-	out := make([]app.UID, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // --- activity.Hooks ---
@@ -418,7 +351,7 @@ func (m *Monitor) ForegroundChanged(t sim.Time, prev, cur app.UID, cause activit
 	}
 	// Wakelock attacks: prev left the foreground without releasing
 	// screen wakelocks.
-	for wl := range m.heldScreenLocks {
+	for _, wl := range m.screenLocks {
 		if wl.Owner == prev && m.isCollateralApp(prev) {
 			m.record("wakelock-background", prev, app.UIDScreen, wl.Tag)
 			m.beginAttack(VectorWakelock, prev, app.UIDScreen, wl)
@@ -515,7 +448,7 @@ func (m *Monitor) WakelockAcquired(t sim.Time, wl *power.Wakelock) {
 		return
 	}
 	m.record("wakelock-acquire", wl.Owner, app.UIDScreen, wl.Tag)
-	m.heldScreenLocks[wl] = true
+	m.screenLocks = append(m.screenLocks, wl)
 	if m.mode != Complete {
 		return
 	}
@@ -531,7 +464,9 @@ func (m *Monitor) WakelockReleased(t sim.Time, wl *power.Wakelock, cause power.R
 		return
 	}
 	m.record("wakelock-release", wl.Owner, app.UIDScreen, wl.Tag+" "+cause.String())
-	delete(m.heldScreenLocks, wl)
+	if i := slices.Index(m.screenLocks, wl); i >= 0 {
+		m.screenLocks = slices.Delete(m.screenLocks, i, i+1)
+	}
 	if m.mode != Complete {
 		return
 	}

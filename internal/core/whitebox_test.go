@@ -237,40 +237,50 @@ func entry(m *Monitor, g, d app.UID) float64 {
 	return 0
 }
 
-func TestHistoryLimit(t *testing.T) {
+// A warm Accrue over a live chain a→b→c plus a screen attack allocates
+// nothing: it walks the live list in place and reuses its buffers, and
+// this path runs on every integrated interval while any attack is live.
+func TestAccrueAllocatesNothing(t *testing.T) {
 	_, _, m, u := wbFixture(t)
-	a, b := u[0], u[1]
-	if err := m.SetHistoryLimit(-1); err == nil {
-		t.Fatal("negative limit accepted")
+	a, b, c := u[0], u[1], u[2]
+	m.beginAttack(VectorServiceBind, a, b, "ab")
+	m.beginAttack(VectorServiceBind, b, c, "bc")
+	m.beginAttack(VectorScreen, a, app.UIDScreen, nil)
+	iv := interval(map[app.UID]float64{a: 1, b: 2, c: 3}, 4)
+	m.Accrue(iv)
+	if allocs := testing.AllocsPerRun(100, func() { m.Accrue(iv) }); allocs != 0 {
+		t.Fatalf("Accrue allocated %.1f times per interval, want 0", allocs)
 	}
-	if err := m.SetHistoryLimit(3); err != nil {
-		t.Fatal(err)
-	}
-	// Churn: begin+end many attacks; history stays bounded.
-	for i := 0; i < 20; i++ {
-		atk := m.beginAttack(VectorActivity, a, b, nil)
-		m.endAttack(atk)
-		m.record("x", a, b, "churn")
-	}
-	if len(m.Attacks()) > 3 {
-		t.Fatalf("attack history = %d, want ≤3", len(m.Attacks()))
-	}
-	if len(m.Events()) > 3 {
-		t.Fatalf("event log = %d, want ≤3", len(m.Events()))
-	}
-	// A live attack survives trimming even when the cap is exceeded.
-	live := m.beginAttack(VectorServiceBind, a, b, "conn")
-	for i := 0; i < 10; i++ {
-		atk := m.beginAttack(VectorActivity, a, b, nil)
-		m.endAttack(atk)
-	}
-	found := false
-	for _, atk := range m.Attacks() {
-		if atk == live {
-			found = true
+	// 102 intervals: the first, AllocsPerRun's warm-up and 100 timed.
+	for _, w := range []struct {
+		g, d app.UID
+		j    float64
+	}{{a, b, 2 * 102}, {a, c, 3 * 102}, {b, c, 3 * 102}, {a, app.UIDScreen, 4 * 102}} {
+		if got := entry(m, w.g, w.d); got != w.j {
+			t.Fatalf("entry %d->%d = %v, want %v", w.g, w.d, got, w.j)
 		}
 	}
-	if !found || !live.Active {
-		t.Fatal("live attack dropped by history trim")
+}
+
+// Beginning an attack and ending it through endWhere allocates only the
+// new Attack record once the monitor is warm: every cross-app activity
+// start pays this.
+func TestBeginEndAllocatesOnlyTheAttack(t *testing.T) {
+	_, _, m, u := wbFixture(t)
+	a, b, c := u[0], u[1], u[2]
+	m.beginAttack(VectorServiceBind, a, b, "ab")
+	beginEnd := func() {
+		atk := m.beginAttack(VectorActivity, b, c, nil)
+		m.endWhere(func(x *Attack) bool { return x == atk })
+		if atk.Active {
+			t.Fatal("endWhere left the attack active")
+		}
+	}
+	beginEnd()
+	if allocs := testing.AllocsPerRun(100, beginEnd); allocs > 1 {
+		t.Fatalf("begin + endWhere allocated %.1f times, want at most 1", allocs)
+	}
+	if n := len(m.ActiveAttacks()); n != 1 {
+		t.Fatalf("%d live attacks, want the a->b one", n)
 	}
 }

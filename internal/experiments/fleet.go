@@ -65,14 +65,12 @@ func FleetStealthStudy(devices, workers int, seed int64) (*fleet.FleetResult, []
 // over a long window, so each device carries enough event load
 // (~thousands of fired events) for worker-pool speedup to be
 // measurable. Used by `benchsuite -fleet` and BenchmarkFleet*. It runs
-// the streaming path (no per-device retention) with `shards`
-// accumulator shards (0 = workers), so its bytes/device measurement is
-// the memory budget BENCH_fleet.json commits to.
-func FleetBenchStudy(devices, workers, shards int, seed int64) (*fleet.FleetResult, error) {
+// the streaming path (no per-device retention), so its bytes/device
+// measurement is the memory budget BENCH_fleet.json commits to.
+func FleetBenchStudy(devices, workers int, seed int64) (*fleet.FleetResult, error) {
 	return fleet.Run(context.Background(), fleet.Spec{
 		Devices: devices,
 		Workers: workers,
-		Shards:  shards,
 		Seed:    seed,
 		Config:  checkedCfg(worldCfg(accounting.BatteryStats)),
 		Scenario: func(i int, dev *device.Device) error {

@@ -8,11 +8,11 @@ import (
 
 // The streaming accumulator. Folding finished devices into a running
 // Summary instead of retaining []Result is what bounds fleet memory,
-// but a naive "each shard sums its own devices, merge at the end"
+// but a naive "each worker sums its own devices, merge at the end"
 // breaks the byte-determinism contract: float addition is not
-// associative, so different shard counts would produce different bit
+// associative, so different worker counts would produce different bit
 // patterns. The fix is a fold tree that depends only on the fleet
-// size, never on shards or workers:
+// size, never on workers or scheduling:
 //
 //   - Device indices are partitioned into fixed blocks of blockSize.
 //   - Within a block, results fold strictly in index order (a result
@@ -20,13 +20,12 @@ import (
 //     predecessor lands).
 //   - Finished blocks merge into the final Summary in block order.
 //
-// Shards only decide which mutex guards which block (block b belongs
-// to shard b % shards), i.e. they partition lock contention, not the
-// arithmetic. Any shards × workers combination therefore folds the
-// exact same float operation tree and renders byte-identically. For
-// fleets of at most blockSize devices the tree degenerates to one
-// sequential fold — bit-for-bit the order the pre-streaming runner
-// used, which is what keeps the committed goldens valid.
+// Each block has its own mutex, so workers finishing devices of
+// different blocks fold concurrently; the locks decide only who waits,
+// never the arithmetic. For fleets of at most blockSize devices the
+// tree degenerates to one sequential fold — bit-for-bit the order the
+// pre-streaming runner used, which is what keeps the committed goldens
+// valid.
 const blockSize = 1024
 
 // pendRes parks an out-of-order result until its block predecessor
@@ -38,8 +37,9 @@ type pendRes struct {
 }
 
 // accBlock is one fold block: a sequential reducer over a fixed index
-// range [start, end).
+// range [start, end), guarded by its own mutex.
 type accBlock struct {
+	mu      sync.Mutex
 	next    int // next index to fold
 	end     int
 	pending map[int]pendRes
@@ -49,32 +49,20 @@ type accBlock struct {
 }
 
 // folder is the fleet's streaming accumulator: blockSize-wide fold
-// blocks, sharded mutexes, and a permit semaphore that bounds how many
-// results can be finished-but-unfolded (plus in flight) at once — the
-// backpressure that keeps the pending maps O(window) instead of
-// O(devices).
+// blocks and a permit semaphore that bounds how many results can be
+// finished-but-unfolded (plus in flight) at once — the backpressure
+// that keeps the pending maps O(window) instead of O(devices).
 type folder struct {
 	spec    *Spec
-	shards  int
-	mus     []sync.Mutex // shard s guards blocks b with b%shards == s
 	blocks  []accBlock
 	permits chan struct{} // acquire = dispatch one device; release = fold one
 }
 
-func newFolder(spec *Spec, shards, window int) *folder {
+func newFolder(spec *Spec, window int) *folder {
 	n := spec.Devices
-	nb := (n + blockSize - 1) / blockSize
-	if shards > nb {
-		shards = nb
-	}
-	if shards < 1 {
-		shards = 1
-	}
 	f := &folder{
 		spec:    spec,
-		shards:  shards,
-		mus:     make([]sync.Mutex, shards),
-		blocks:  make([]accBlock, nb),
+		blocks:  make([]accBlock, (n+blockSize-1)/blockSize),
 		permits: make(chan struct{}, window),
 	}
 	for b := range f.blocks {
@@ -105,16 +93,14 @@ func (f *folder) unacquire() { <-f.permits }
 // released one per folded dispatched result, which is what unblocks
 // the dispatcher.
 func (f *folder) complete(i int, res Result, dispatched bool) {
-	b := i / blockSize
-	mu := &f.mus[b%f.shards]
-	mu.Lock()
-	blk := &f.blocks[b]
+	blk := &f.blocks[i/blockSize]
+	blk.mu.Lock()
 	if i != blk.next {
 		if blk.pending == nil {
 			blk.pending = make(map[int]pendRes)
 		}
 		blk.pending[i] = pendRes{res: res, dispatched: dispatched}
-		mu.Unlock()
+		blk.mu.Unlock()
 		return
 	}
 	released := 0
@@ -135,7 +121,7 @@ func (f *folder) complete(i int, res Result, dispatched bool) {
 		delete(blk.pending, blk.next)
 		cur = nxt
 	}
-	mu.Unlock()
+	blk.mu.Unlock()
 	// Every released permit matches a dispatched device whose acquire
 	// happened before its fold, so the receives cannot block.
 	for ; released > 0; released-- {

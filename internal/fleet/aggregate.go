@@ -155,7 +155,7 @@ func (s *Summary) label(row LedgerRow) {
 
 // merge absorbs a completed block partial. Blocks merge strictly in
 // block order, so cross-block float sums follow the same fixed tree
-// for every shard × worker combination.
+// for every worker count.
 func (s *Summary) merge(o *Summary) {
 	s.Devices += o.Devices
 	s.Failed += o.Failed
@@ -289,8 +289,8 @@ func (s *Summary) renderTo(b *strings.Builder, seed int64) {
 }
 
 // Render prints the merged report for a fleet run with the given seed.
-// Byte-identical for any shards × workers combination of the same spec,
-// which is the acceptance surface the shard goldens pin.
+// Byte-identical for any worker count of the same spec, which is the
+// acceptance surface the fleet goldens pin.
 func (s *Summary) Render(seed int64) string {
 	var b strings.Builder
 	s.renderTo(&b, seed)

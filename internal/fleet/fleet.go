@@ -10,13 +10,13 @@
 // splitmix64.
 //
 // Execution is streaming and memory-bounded: finished devices fold into
-// a sharded accumulator (see accum.go) and are dropped, with a
+// a block-locked accumulator (see accum.go) and are dropped, with a
 // dispatch-permit window bounding how many results can be in flight or
 // parked at once. Spec.Stream hands every Result to a caller-owned sink
 // exactly once; a caller that needs per-device results keeps them
 // there. Aggregation is order-stable — the fold tree is fixed by the
 // fleet size — so the merged summary and metrics are byte-identical for
-// any shards × workers combination.
+// any worker count.
 package fleet
 
 import (
@@ -46,13 +46,6 @@ type Spec struct {
 	Devices int
 	// Workers bounds concurrency; zero or negative means GOMAXPROCS.
 	Workers int
-	// Shards partitions the accumulator's fold blocks across
-	// independent mutexes (block b belongs to shard b % Shards). Shards
-	// tune lock contention only: the fold tree is fixed by the fleet
-	// size, so the merged summary is byte-identical for every
-	// shards × workers combination. Zero means Workers; values above
-	// the block count are clamped.
-	Shards int
 	// Seed is the fleet seed, from which scenarios derive their own
 	// random streams, so the whole fleet is reproducible from one
 	// number. Device i's Result carries DeviceSeed(Seed, i).
@@ -100,17 +93,15 @@ type Spec struct {
 	// dispatch batches are folded into spans from the telemetry trace
 	// log after each device finishes. The assembled tree is a pure
 	// function of the fleet's seed chain and per-device virtual
-	// behaviour — byte-identical across workers × shards.
+	// behaviour — byte-identical across worker counts.
 	Trace *trace.FleetTrace
 }
 
 // Progress is one device-completion tick of a fleet run: the live feed
 // behind the obsv server's /fleet endpoint.
 type Progress struct {
-	// Index is the finished device's position in the fleet; Shard is
-	// the accumulator shard its fold block belongs to.
+	// Index is the finished device's position in the fleet.
 	Index int `json:"index"`
-	Shard int `json:"shard"`
 	// Done is how many devices have finished so far (including this
 	// one); Total is the fleet size.
 	Done  int `json:"done"`
@@ -184,9 +175,6 @@ type LedgerRow struct {
 type FleetResult struct {
 	Seed    int64
 	Workers int
-	// Shards is the effective accumulator shard count the run used
-	// (after clamping to the fold-block count).
-	Shards  int
 	Summary Summary
 	// Metrics merges the per-device telemetry snapshots in device-index
 	// order; nil unless Spec.Telemetry was set. Byte-identical across
@@ -265,14 +253,10 @@ func Run(ctx context.Context, spec Spec) (*FleetResult, error) {
 	if workers > spec.Devices {
 		workers = spec.Devices
 	}
-	shards := spec.Shards
-	if shards <= 0 {
-		shards = workers
-	}
 	// The dispatch window bounds how many dispatched devices may be
 	// unfolded (in flight or parked out of order) at once: the
 	// streaming path's memory high-water mark.
-	f := newFolder(&spec, shards, max(4*workers, 8))
+	f := newFolder(&spec, max(4*workers, 8))
 	stats := make([]WorkerStat, workers)
 	var done atomic.Int64
 	poolStart := time.Now()
@@ -298,7 +282,7 @@ func Run(ctx context.Context, spec Spec) (*FleetResult, error) {
 					spec.Stream(res)
 				}
 				f.complete(i, res, true)
-				notifyProgress(&spec, &res, int(done.Add(1)), f.shards)
+				notifyProgress(&spec, &res, int(done.Add(1)))
 			}
 		}(w)
 	}
@@ -334,7 +318,6 @@ dispatch:
 	return &FleetResult{
 		Seed:        spec.Seed,
 		Workers:     workers,
-		Shards:      f.shards,
 		Summary:     summary,
 		Metrics:     metrics,
 		WorkerStats: stats,
@@ -353,19 +336,18 @@ func cancelTail(spec *Spec, f *folder, done *atomic.Int64, from int, cause error
 			spec.Stream(res)
 		}
 		f.complete(j, res, false)
-		notifyProgress(spec, &res, int(done.Add(1)), f.shards)
+		notifyProgress(spec, &res, int(done.Add(1)))
 	}
 }
 
 // notifyProgress feeds one finished device into the Progress hook.
 // done is the completion count including this device.
-func notifyProgress(spec *Spec, res *Result, done, shards int) {
+func notifyProgress(spec *Spec, res *Result, done int) {
 	if spec.Progress == nil {
 		return
 	}
 	p := Progress{
 		Index:      res.Index,
-		Shard:      (res.Index / blockSize) % shards,
 		Done:       done,
 		Total:      spec.Devices,
 		BatteryPct: res.BatteryPct,

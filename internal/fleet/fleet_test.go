@@ -127,74 +127,64 @@ func TestDeviceSeedsDifferAndAreStable(t *testing.T) {
 }
 
 // The acceptance gate: the rendered aggregate and every device's line
-// must be byte-identical for any worker × shard combination, because
-// per-device seeds depend only on the fleet seed and the accumulator's
-// fold tree is fixed by the fleet size.
+// must be byte-identical for any worker count, because per-device seeds
+// depend only on the fleet seed and the accumulator's fold tree is
+// fixed by the fleet size.
 func TestAggregateByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	var golden string
 	for _, workers := range []int{1, 4, 8} {
-		for _, shards := range []int{1, 8} {
-			spec := attackSpec(9, workers, 1234)
-			spec.Shards = shards
-			fr, results := runCollect(t, context.Background(), spec)
-			got := fr.Render() + RenderDevices(results)
-			if golden == "" {
-				golden = got
-				continue
-			}
-			if got != golden {
-				t.Fatalf("aggregate differs at workers=%d shards=%d:\n--- golden ---\n%s\n--- got ---\n%s",
-					workers, shards, golden, got)
-			}
+		fr, results := runCollect(t, context.Background(), attackSpec(9, workers, 1234))
+		got := fr.Render() + RenderDevices(results)
+		if golden == "" {
+			golden = got
+			continue
+		}
+		if got != golden {
+			t.Fatalf("aggregate differs at workers=%d:\n--- golden ---\n%s\n--- got ---\n%s",
+				workers, golden, got)
 		}
 	}
 }
 
-// The streaming acceptance gate: for every shards × workers
-// combination the folded summary must render byte-identically to the
-// reference fold (summarize) over the results the Stream sink kept and
-// to the single-worker run, and the sink must see every device exactly
-// once.
-func TestStreamingMatchesRetainedAcrossShardCounts(t *testing.T) {
+// The streaming acceptance gate: at every worker count the folded
+// summary must render byte-identically to the reference fold
+// (summarize) over the results the Stream sink kept and to the
+// single-worker run, and the sink must see every device exactly once.
+func TestStreamingMatchesRetainedAcrossWorkerCounts(t *testing.T) {
 	var golden string
 	for _, workers := range []int{1, 8} {
-		for _, shards := range []int{1, 8} {
-			spec := attackSpec(9, workers, 1234)
-			spec.Shards = shards
-			fr, kept := runCollect(t, context.Background(), spec)
-			for _, r := range kept {
-				if r.Err != nil || r.DrainedJ <= 0 {
-					t.Fatalf("device %d at workers=%d shards=%d: err %v, drained %v J", r.Index, workers, shards, r.Err, r.DrainedJ)
-				}
+		fr, kept := runCollect(t, context.Background(), attackSpec(9, workers, 1234))
+		for _, r := range kept {
+			if r.Err != nil || r.DrainedJ <= 0 {
+				t.Fatalf("device %d at workers=%d: err %v, drained %v J", r.Index, workers, r.Err, r.DrainedJ)
 			}
-			got := fr.Summary.Render(fr.Seed)
-			ref := summarize(kept)
-			if want := ref.Render(fr.Seed); got != want {
-				t.Fatalf("streaming summary differs from the fold of the kept results at workers=%d shards=%d:\n--- kept ---\n%s\n--- got ---\n%s",
-					workers, shards, want, got)
-			}
-			if golden == "" {
-				golden = got
-			} else if got != golden {
-				t.Fatalf("streaming summary differs at workers=%d shards=%d:\n--- golden ---\n%s\n--- got ---\n%s",
-					workers, shards, golden, got)
-			}
+		}
+		got := fr.Summary.Render(fr.Seed)
+		ref := summarize(kept)
+		if want := ref.Render(fr.Seed); got != want {
+			t.Fatalf("streaming summary differs from the fold of the kept results at workers=%d:\n--- kept ---\n%s\n--- got ---\n%s",
+				workers, want, got)
+		}
+		if golden == "" {
+			golden = got
+		} else if got != golden {
+			t.Fatalf("streaming summary differs at workers=%d:\n--- golden ---\n%s\n--- got ---\n%s",
+				workers, golden, got)
 		}
 	}
 }
 
 // Multi-block determinism: a fleet wider than one fold block (1024
-// devices) must still merge byte-identically across shard and worker
-// counts, with out-of-order completions parking in the pending maps.
-// Runs under -race in CI, which is what makes the concurrent shard
-// folding + Stream sink combination a satellite acceptance test.
+// devices) must still merge byte-identically across worker counts, with
+// out-of-order completions parking in the pending maps. Runs under
+// -race in CI, where its two blocks fold concurrently under their two
+// locks alongside the Stream sink.
 func TestStreamingMultiBlockByteIdentical(t *testing.T) {
 	const devices = blockSize + 137
-	build := func(workers, shards int) Spec {
+	build := func(workers int) Spec {
 		return Spec{
 			Devices: devices,
 			Workers: workers,
-			Shards:  shards,
 			Seed:    99,
 			Scenario: func(i int, dev *device.Device) error {
 				w, err := scenario.Populate(dev)
@@ -212,36 +202,34 @@ func TestStreamingMultiBlockByteIdentical(t *testing.T) {
 	var golden string
 	var outOfOrder atomic.Int64
 	for _, workers := range []int{1, 8} {
-		for _, shards := range []int{1, 8} {
-			spec := build(workers, shards)
-			var last atomic.Int64
-			last.Store(-1)
-			spec.Stream = func(r Result) {
-				// Record scheduling-dependent out-of-order delivery: the
-				// whole point of the fold tree is that it cannot leak into
-				// the summary.
-				if prev := last.Swap(int64(r.Index)); int64(r.Index) < prev {
-					outOfOrder.Add(1)
-				}
+		spec := build(workers)
+		var last atomic.Int64
+		last.Store(-1)
+		spec.Stream = func(r Result) {
+			// Record scheduling-dependent out-of-order delivery: the
+			// whole point of the fold tree is that it cannot leak into
+			// the summary.
+			if prev := last.Swap(int64(r.Index)); int64(r.Index) < prev {
+				outOfOrder.Add(1)
 			}
-			fr, err := Run(context.Background(), spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fr.Summary.Devices != devices || fr.Summary.Failed != 0 {
-				t.Fatalf("outcome %d/%d", fr.Summary.Devices-fr.Summary.Failed, fr.Summary.Devices)
-			}
-			if fr.Summary.TotalSimH <= 0 {
-				t.Fatal("TotalSimH not accumulated")
-			}
-			got := fr.Summary.Render(fr.Seed)
-			if golden == "" {
-				golden = got
-				continue
-			}
-			if got != golden {
-				t.Fatalf("multi-block summary differs at workers=%d shards=%d", workers, shards)
-			}
+		}
+		fr, err := Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr.Summary.Devices != devices || fr.Summary.Failed != 0 {
+			t.Fatalf("outcome %d/%d", fr.Summary.Devices-fr.Summary.Failed, fr.Summary.Devices)
+		}
+		if fr.Summary.TotalSimH <= 0 {
+			t.Fatal("TotalSimH not accumulated")
+		}
+		got := fr.Summary.Render(fr.Seed)
+		if golden == "" {
+			golden = got
+			continue
+		}
+		if got != golden {
+			t.Fatalf("multi-block summary differs at workers=%d", workers)
 		}
 	}
 	// Delivery order is scheduling-dependent, so the count is not

@@ -9,7 +9,7 @@
 // are heterogeneous the way a real install base is. Assignment is a
 // pure function of (fleet seed, device index), so any single device of
 // a population run can be re-created in isolation, and the fleet's
-// merged summary stays byte-identical across worker and shard counts.
+// merged summary stays byte-identical across worker counts.
 package population
 
 import (
@@ -133,6 +133,10 @@ func (p *Population) Assign(seed int64, i int) int {
 // cohort's hardware, and Scenario plays the cohort cell's corpus
 // script from a per-device seed (corpus.Play). Callers wanting
 // per-device results set Stream on the returned spec.
+//
+// shards is not read: the fleet locks each fold block on its own. It
+// stays only because the repo benchmark (perfbench) passes it, and goes
+// with the next change to that benchmark.
 func (p *Population) FleetSpec(devices, workers, shards int, seed int64) (fleet.Spec, error) {
 	if err := p.Validate(); err != nil {
 		return fleet.Spec{}, err
@@ -141,7 +145,6 @@ func (p *Population) FleetSpec(devices, workers, shards int, seed int64) (fleet.
 	return fleet.Spec{
 		Devices: devices,
 		Workers: workers,
-		Shards:  shards,
 		Seed:    seed,
 		Config: device.Config{
 			EAndroid: true,

@@ -65,12 +65,12 @@ func TestValidateRejectsBadPopulations(t *testing.T) {
 
 // A population fleet must run the streaming path end to end: no
 // retained results, every device folded, and the merged summary
-// byte-identical across worker and shard counts.
+// byte-identical across worker counts.
 func TestFleetSpecStreamsByteIdentical(t *testing.T) {
 	const devices = 12
-	run := func(workers, shards int) *fleet.FleetResult {
+	run := func(workers int) *fleet.FleetResult {
 		pop := Default()
-		spec, err := pop.FleetSpec(devices, workers, shards, 7)
+		spec, err := pop.FleetSpec(devices, workers, 0, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestFleetSpecStreamsByteIdentical(t *testing.T) {
 		}
 		return fr
 	}
-	base := run(1, 1)
+	base := run(1)
 	if base.Summary.Devices != devices || base.Summary.Failed != 0 {
 		t.Fatalf("summary devices=%d failed=%d, want %d/0 (failures: %v)",
 			base.Summary.Devices, base.Summary.Failed, devices, base.Summary.Failures)
@@ -90,12 +90,8 @@ func TestFleetSpecStreamsByteIdentical(t *testing.T) {
 			base.Summary.TotalDrainedJ, base.Summary.TotalSimH)
 	}
 	golden := base.Summary.Render(7)
-	for _, wc := range []struct{ workers, shards int }{{4, 1}, {4, 4}} {
-		fr := run(wc.workers, wc.shards)
-		if got := fr.Summary.Render(7); got != golden {
-			t.Errorf("summary differs at workers=%d shards=%d:\n--- base ---\n%s\n--- got ---\n%s",
-				wc.workers, wc.shards, golden, got)
-		}
+	if got := run(4).Summary.Render(7); got != golden {
+		t.Errorf("summary differs at workers=4:\n--- base ---\n%s\n--- got ---\n%s", golden, got)
 	}
 }
 

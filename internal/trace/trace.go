@@ -9,8 +9,8 @@
 // rooted in the job's content address, never from wall time or
 // scheduling order, and the exported span tree is assembled in device-
 // index order with virtual-ns timestamps only — so the Chrome trace a
-// job artifact carries is byte-identical for every workers × shards
-// combination, and cacheable under the jobs plane's content addressing.
+// job artifact carries is byte-identical for every worker count, and
+// cacheable under the jobs plane's content addressing.
 // The Chrome trace-event encoding is obsv.WriteChromeSpans, which
 // shares one writer with the CLIs' event traces. Wall-clock timing
 // lives on the other side of the split: lifecycle stages (queued,
@@ -97,9 +97,8 @@ const DefaultSampleRate = 64
 const DefaultMaxSpansPerDevice = 16384
 
 // shardBlock mirrors the fleet accumulator's fold-block width: trace
-// "shards" are the fixed index blocks, NOT the runtime accumulator
-// shards (whose count follows the worker count and would break the
-// byte-identity gate). Block b holds devices [b*shardBlock,
+// "shards" are the fixed index blocks, so they never depend on the
+// worker count. Block b holds devices [b*shardBlock,
 // (b+1)*shardBlock).
 const shardBlock = 1024
 
