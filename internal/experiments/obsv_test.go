@@ -78,3 +78,29 @@ func TestWatchdogStudyDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestObsvStudyAllocationPin: one "enabled" run of the obsv study —
+// the stealth device under a watchdog and a flame collector, on a
+// recorder keeping both rings — allocates at most 400 times. Nearly
+// every window raises findings; past DefaultMaxFindings they are only
+// counted, and each reaches the recorder's ring as numbers and a label.
+// When every finding's text was rendered as it was raised, the run
+// allocated 11,814 times.
+func TestObsvStudyAllocationPin(t *testing.T) {
+	var enabled Mode
+	for _, m := range ObsvStudy.Modes {
+		if m.Name == "enabled" {
+			enabled = m
+		}
+	}
+	c := Counts{}
+	allocs := testing.AllocsPerRun(1, func() {
+		if err := enabled.Run(c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per run, %.0f findings kept", allocs, c["findings"])
+	if allocs > 400 {
+		t.Fatalf("an enabled obsv study run allocated %.0f times, want at most 400", allocs)
+	}
+}

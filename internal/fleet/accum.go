@@ -129,19 +129,20 @@ func (f *folder) complete(i int, res Result, dispatched bool) {
 	}
 }
 
-// fold reduces one result into the block's partial summary (and, when
-// telemetry is on, its pairwise-merged snapshot — MergeSnapshots is a
-// left fold, so incremental pairwise merging is bit-identical to one
-// merge over every snapshot in index order).
+// fold reduces one result into the block's partial summary and, when
+// telemetry is on, adds its snapshot into the block's in place. That is
+// MergeSnapshots' left fold, one snapshot at a time, so the block's
+// snapshot is bit-identical to one merge over every device's in index
+// order. The first snapshot is added into an empty one, which copies
+// it: fleet.Collect keeps each Result, so the fold never writes into a
+// device's snapshot.
 func (blk *accBlock) fold(spec *Spec, res *Result) {
 	blk.sum.fold(res)
 	if spec.Telemetry && res.Metrics != nil && blk.merr == nil {
-		merged, err := telemetry.MergeSnapshots([]*telemetry.Snapshot{blk.metrics, res.Metrics})
-		if err != nil {
-			blk.merr = err
-			return
+		if blk.metrics == nil {
+			blk.metrics = &telemetry.Snapshot{}
 		}
-		blk.metrics = merged
+		blk.merr = blk.metrics.Add(res.Metrics)
 	}
 }
 

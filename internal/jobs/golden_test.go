@@ -221,3 +221,29 @@ func TestScenarioArtifactSet(t *testing.T) {
 		}
 	}
 }
+
+// TestArtifactsAreExactSize: every artifact of a traced fleet job on an
+// attack cell and of a corpus job sits in an array of exactly its
+// length, so the cache, which charges each file its len, is charged
+// what it holds.
+func TestArtifactsAreExactSize(t *testing.T) {
+	m := NewManager(Options{Runners: 1, TraceSampleRate: 1})
+	defer m.Close()
+	for _, spec := range []Spec{
+		{Kind: KindFleet, Cell: "gamer/coordinated-collateral", Seed: 7, Devices: 4, Horizon: Duration(4 * time.Hour)},
+		{Kind: KindCorpus, Cell: "idle-mostly/benign", Seed: 5, Reps: 2, Horizon: Duration(time.Hour)},
+	} {
+		a, _ := submitAndWait(t, m, spec).Artifacts()
+		var held int64
+		for _, name := range a.Names() {
+			b := a.Files[name]
+			if len(b) == 0 || cap(b) != len(b) {
+				t.Errorf("%s %s: len %d, cap %d", spec.Kind, name, len(b), cap(b))
+			}
+			held += int64(cap(b))
+		}
+		if a.Bytes() != held {
+			t.Errorf("%s: cache charged %d bytes for %d held", spec.Kind, a.Bytes(), held)
+		}
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"sync"
 	"time"
 
 	"repro/internal/accounting"
@@ -176,19 +178,15 @@ func (m *Manager) runFleet(ctx context.Context, j *Job) (Artifacts, error) {
 	if err != nil {
 		return Artifacts{}, err
 	}
+	arts := newArtifactSet()
+	arts.keep("summary.json", summaryJSON)
 
 	// watchdog.json: per-device findings, index order.
 	findings := make([][]obsv.Finding, n)
 	for i := range outs {
 		findings[i] = outs[i].findings
-		if findings[i] == nil {
-			findings[i] = []obsv.Finding{}
-		}
 	}
-	watchdogJSON, err := json.MarshalIndent(findings, "", "  ")
-	if err != nil {
-		return Artifacts{}, err
-	}
+	arts.write("watchdog.json", func(w io.Writer) error { return obsv.WriteFindingsJSON(w, findings) })
 
 	// Flame graph: merge in index order (MergeFlames is deterministic
 	// in argument order). The title carries the cell and content
@@ -201,21 +199,10 @@ func (m *Manager) runFleet(ctx context.Context, j *Job) (Artifacts, error) {
 		}
 	}
 	merged := obsv.MergeFlames(flames...)
-	var collapsed, html bytes.Buffer
-	if err := merged.WriteCollapsed(&collapsed); err != nil {
-		return Artifacts{}, err
-	}
+	arts.write("flame.txt", merged.WriteCollapsed)
 	title := fmt.Sprintf("%s %s [%s]", spec.Kind, spec.Cell, j.Key[:12])
-	if err := merged.WriteHTML(&html, title); err != nil {
-		return Artifacts{}, err
-	}
-
-	var prom bytes.Buffer
-	if fr.Metrics != nil {
-		if err := obsv.WritePrometheus(&prom, fr.Metrics); err != nil {
-			return Artifacts{}, err
-		}
-	}
+	arts.write("flame.html", func(w io.Writer) error { return merged.WriteHTML(w, title) })
+	arts.write("metrics.prom", func(w io.Writer) error { return obsv.WritePrometheus(w, fr.Metrics) })
 
 	// Fold the per-device watchdog window counters into the manager's
 	// /metrics totals (index order is irrelevant to a sum).
@@ -230,20 +217,59 @@ func (m *Manager) runFleet(ctx context.Context, j *Job) (Artifacts, error) {
 	// spec's content address, so the bytes — like every other artifact
 	// — are a pure function of the normalized spec. The wall-clock
 	// lifecycle stages live on the /trace feed instead.
-	var traceJSON bytes.Buffer
-	if err := obsv.WriteChromeSpans(&traceJSON, j.tr.Spans()); err != nil {
+	arts.write("trace.json", func(w io.Writer) error { return obsv.WriteChromeSpans(w, j.tr.Spans()) })
+	res, err := arts.done()
+	if err != nil {
 		return Artifacts{}, err
 	}
 	j.tr.AddStage("artifact-write", time.Since(artStart))
+	return res, nil
+}
 
-	return Artifacts{Files: map[string][]byte{
-		"summary.json":  summaryJSON,
-		"watchdog.json": watchdogJSON,
-		"flame.txt":     collapsed.Bytes(),
-		"flame.html":    html.Bytes(),
-		"metrics.prom":  prom.Bytes(),
-		"trace.json":    traceJSON.Bytes(),
-	}}, nil
+// scratchBufs lends each job one buffer to render its artifacts in,
+// reused from job to job as corpus.Play reuses its generators.
+var scratchBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// artifactSet collects a job's files. Each is rendered into one pooled
+// scratch buffer and kept as a copy of exactly its length: the cache
+// charges a file its len, so the array behind it must be no larger.
+// The first error sticks; done reports it.
+type artifactSet struct {
+	buf   *bytes.Buffer
+	files map[string][]byte
+	err   error
+}
+
+func newArtifactSet() *artifactSet {
+	return &artifactSet{buf: scratchBufs.Get().(*bytes.Buffer), files: make(map[string][]byte, 6)}
+}
+
+// write renders the file name with emit.
+func (a *artifactSet) write(name string, emit func(io.Writer) error) {
+	if a.err != nil {
+		return
+	}
+	a.buf.Reset()
+	if a.err = emit(a.buf); a.err == nil {
+		a.keep(name, a.buf.Bytes())
+	}
+}
+
+// keep stores a copy of b as the file name.
+func (a *artifactSet) keep(name string, b []byte) {
+	out := make([]byte, len(b))
+	copy(out, b)
+	a.files[name] = out
+}
+
+// done hands the scratch buffer back and returns the files.
+func (a *artifactSet) done() (Artifacts, error) {
+	scratchBufs.Put(a.buf)
+	a.buf = nil
+	if a.err != nil {
+		return Artifacts{}, a.err
+	}
+	return Artifacts{Files: a.files}, nil
 }
 
 // runCorpus executes corpus jobs: one cell × reps through the
@@ -278,13 +304,12 @@ func (m *Manager) runCorpus(ctx context.Context, j *Job) (Artifacts, error) {
 	// trace is the control-plane pair (request → job) over the corpus
 	// horizon.
 	j.tr.SetHorizon(spec.Horizon.std())
-	var traceJSON bytes.Buffer
-	if err := obsv.WriteChromeSpans(&traceJSON, j.tr.Spans()); err != nil {
-		return Artifacts{}, err
-	}
-	return Artifacts{Files: map[string][]byte{
-		"summary.json": cellsJSON,
-		"summary.txt":  []byte(res.Render()),
-		"trace.json":   traceJSON.Bytes(),
-	}}, nil
+	arts := newArtifactSet()
+	arts.keep("summary.json", cellsJSON)
+	arts.write("summary.txt", func(w io.Writer) error {
+		_, err := io.WriteString(w, res.Render())
+		return err
+	})
+	arts.write("trace.json", func(w io.Writer) error { return obsv.WriteChromeSpans(w, j.tr.Spans()) })
+	return arts.done()
 }

@@ -1,71 +1,91 @@
 package obsv
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
-// The Chrome trace-event encoder: one record type and one writer
-// behind both mappers, WriteChromeSpans (a job's trace.json) and
-// WriteChromeEvents (the CLIs' -trace-out). The output is a JSON array
-// with one event per line, which chrome://tracing and Perfetto both
-// load. It is byte-deterministic: field order is fixed by the struct
-// (span args are structs whose fields sit in sorted key order, the
-// order map-valued event args marshal in), floats use Go's
-// shortest-exact formatting, and timestamps are virtual microseconds.
+// The Chrome trace-event encoder: one record appender behind both
+// mappers, WriteChromeSpans (a job's trace.json) and WriteChromeEvents
+// (the CLIs' -trace-out). The output is a JSON array with one event per
+// line, which chrome://tracing and Perfetto both load. It is
+// byte-deterministic, and byte-identical to what encoding/json wrote
+// for the same records (the jsonw writer): fields in a fixed order,
+// args keys sorted as a marshalled map's are, floats in encoding/json's
+// shortest-exact form, timestamps in virtual microseconds.
 
 // chromeEvent is one record of the Chrome trace-event format
-// (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
-// "X" complete events carry ts + dur, "i" instant events a category
-// and scope, "M" metadata events name processes and threads.
+// (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU),
+// up to its args. "X" complete events carry ts + dur, "i" instant
+// events a category and scope, "M" metadata events name processes and
+// threads.
 type chromeEvent struct {
-	Name  string  `json:"name"`
-	Cat   string  `json:"cat,omitempty"`
-	Ph    string  `json:"ph"`
-	Pid   int     `json:"pid"`
-	Tid   int     `json:"tid"`
-	Ts    float64 `json:"ts,omitempty"`
-	Dur   float64 `json:"dur,omitempty"`
-	Scope string  `json:"s,omitempty"`
-	Args  any     `json:"args,omitempty"`
+	Name, Cat, Ph string
+	Pid, Tid      int
+	Ts, Dur       float64
+	Scope         string
 }
 
-// spanArgs are a span record's args, nameArgs a metadata record's.
-// Structs rather than maps: trace.json writes one per span, and a map
-// per span was its writer's largest allocation.
-type (
-	spanArgs struct {
-		ID     string  `json:"id"`
-		Kind   string  `json:"kind"`
-		N      float64 `json:"n,omitempty"`
-		Parent string  `json:"parent"`
-	}
-	nameArgs struct {
-		Name string `json:"name"`
-	}
-)
+// chromeArray appends records to the array, one per line.
+type chromeArray struct {
+	jsonw
+	n int // records appended
+}
 
-// writeChrome writes records as the array, one per line.
-func writeChrome(w io.Writer, records []chromeEvent) error {
-	bw := bufio.NewWriter(w)
-	sep := "[\n"
-	for _, ev := range records {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return err
-		}
-		// A write error sticks in bw and surfaces at Flush.
-		_, _ = bw.WriteString(sep)
-		_, _ = bw.Write(b)
-		sep = ",\n"
+// open appends a record's separator and ev's fields, in the format's
+// key order, leaving out cat, ts, dur and s when empty, as
+// encoding/json's omitempty did. The caller appends the args, if any,
+// and closes the record.
+func (a *chromeArray) open(ev chromeEvent) {
+	if a.n == 0 {
+		a.raw("[\n")
+	} else {
+		a.raw(",\n")
 	}
-	_, _ = bw.WriteString("\n]\n")
-	return bw.Flush()
+	a.n++
+	a.str(`{"name":`, ev.Name)
+	if ev.Cat != "" {
+		a.str(`,"cat":`, ev.Cat)
+	}
+	a.str(`,"ph":`, ev.Ph)
+	a.int(`,"pid":`, int64(ev.Pid))
+	a.int(`,"tid":`, int64(ev.Tid))
+	if ev.Ts != 0 {
+		a.float(`,"ts":`, ev.Ts)
+	}
+	if ev.Dur != 0 {
+		a.float(`,"dur":`, ev.Dur)
+	}
+	if ev.Scope != "" {
+		a.str(`,"s":`, ev.Scope)
+	}
+}
+
+// named appends a metadata record: ev with args {"name": name}.
+func (a *chromeArray) named(ev chromeEvent, name string) {
+	a.open(ev)
+	a.str(`,"args":{"name":`, name)
+	a.raw("}}")
+}
+
+// spanID appends pre, then id as its String() marshals: 16 hex digits,
+// quoted.
+func (a *chromeArray) spanID(pre string, id trace.SpanID) {
+	const digits = "0123456789abcdef"
+	a.b = append(append(a.b, pre...), '"')
+	for shift := 60; shift >= 0; shift -= 4 {
+		a.b = append(a.b, digits[id>>shift&0xf])
+	}
+	a.b = append(a.b, '"')
+}
+
+// flush closes the array and writes it to w.
+func (a *chromeArray) flush(w io.Writer) error {
+	a.raw("\n]\n")
+	return a.jsonw.flush(w)
 }
 
 // Thread lanes within a device process, one per phase kind so the
@@ -89,20 +109,27 @@ func phaseLane(name string) int {
 	return laneStructural
 }
 
+// controlLane is a control-plane span's thread lane, by span kind.
+func controlLane(kind string) int {
+	switch kind {
+	case trace.KindJob:
+		return 1
+	case trace.KindShard:
+		return 2
+	}
+	return 0
+}
+
 // WriteChromeSpans writes a span tree as Chrome trace events. Process
 // 0 is the control plane (request/job/shard lanes); process i+1 is
 // device i, with one thread lane per phase kind. Timestamps and
 // durations are virtual microseconds.
 func WriteChromeSpans(w io.Writer, spans []trace.Span) error {
-	records := make([]chromeEvent, 0, 1+len(spans))
-	records = append(records, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: 0,
-		Args: nameArgs{"control-plane"},
-	})
-	// Control-plane thread lanes by span kind.
-	ctlTid := map[string]int{trace.KindRequest: 0, trace.KindJob: 1, trace.KindShard: 2}
+	a := chromeArray{jsonw: jsonFor(w)}
+	a.named(chromeEvent{Name: "process_name", Ph: "M", Pid: 0}, "control-plane")
 	named := map[int]bool{}
-	for _, s := range spans {
+	for i := range spans {
+		s := &spans[i]
 		pid, tid := 0, 0
 		switch s.Kind {
 		case trace.KindDevice, trace.KindPhase:
@@ -112,22 +139,25 @@ func WriteChromeSpans(w io.Writer, spans []trace.Span) error {
 			}
 			if !named[pid] {
 				named[pid] = true
-				records = append(records, chromeEvent{
-					Name: "process_name", Ph: "M", Pid: pid,
-					Args: nameArgs{s.Name},
-				})
+				a.named(chromeEvent{Name: "process_name", Ph: "M", Pid: pid}, s.Name)
 			}
 		default:
-			tid = ctlTid[s.Kind]
+			tid = controlLane(s.Kind)
 		}
-		records = append(records, chromeEvent{
+		a.open(chromeEvent{
 			Name: s.Name, Ph: "X", Pid: pid, Tid: tid,
-			Ts:   float64(s.Start) / 1e3,
-			Dur:  float64(s.End-s.Start) / 1e3,
-			Args: spanArgs{ID: s.ID.String(), Kind: s.Kind, N: s.N, Parent: s.Parent.String()},
+			Ts:  float64(s.Start) / 1e3,
+			Dur: float64(s.End-s.Start) / 1e3,
 		})
+		a.spanID(`,"args":{"id":`, s.ID)
+		a.str(`,"kind":`, s.Kind)
+		if s.N != 0 {
+			a.float(`,"n":`, s.N)
+		}
+		a.spanID(`,"parent":`, s.Parent)
+		a.raw("}}")
 	}
-	return writeChrome(w, records)
+	return a.flush(w)
 }
 
 // kindLanes gives each telemetry event kind its own thread lane, so
@@ -152,19 +182,14 @@ func kindLane(k telemetry.Kind) int {
 // fleets; 0 for a single device); each event kind gets a named thread
 // lane.
 func WriteChromeEvents(w io.Writer, pid int, events []telemetry.Event) error {
-	records := make([]chromeEvent, 0, 1+len(kindLanes)+len(events))
-	records = append(records, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: pid,
-		Args: nameArgs{fmt.Sprintf("device-%d", pid)},
-	})
+	a := chromeArray{jsonw: jsonFor(w)}
+	a.named(chromeEvent{Name: "process_name", Ph: "M", Pid: pid}, "device-"+strconv.Itoa(pid))
 	for i, k := range kindLanes {
-		records = append(records, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: pid, Tid: i + 1,
-			Args: nameArgs{k.String()},
-		})
+		a.named(chromeEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: i + 1}, k.String())
 	}
-	for _, ev := range events {
-		records = append(records, chromeEvent{
+	for i := range events {
+		ev := &events[i]
+		a.open(chromeEvent{
 			Name:  ev.Name,
 			Cat:   ev.Kind.String(),
 			Ph:    "i",
@@ -172,31 +197,47 @@ func WriteChromeEvents(w io.Writer, pid int, events []telemetry.Event) error {
 			Tid:   kindLane(ev.Kind),
 			Ts:    float64(ev.T) / 1e3, // sim.Time is nanoseconds
 			Scope: "t",
-			Args:  eventArgs(ev),
 		})
+		a.eventArgs(ev)
 	}
-	return writeChrome(w, records)
+	return a.flush(w)
 }
 
-// eventArgs names an event's generic fields by kind. They stay maps,
-// one key set per kind: every key prints even when its value is zero,
-// which a shared struct with omitempty fields would drop.
-func eventArgs(ev telemetry.Event) any {
+// eventArgs appends an event's args and closes its record. Each kind
+// names its generic fields with its own key set, in sorted key order,
+// and every key prints even when its value is zero; an unknown kind
+// has no args.
+func (a *chromeArray) eventArgs(ev *telemetry.Event) {
+	uid := int64(ev.UID)
 	switch ev.Kind {
 	case telemetry.KindSimEvent:
-		return map[string]any{"queue_depth": ev.V0}
+		a.float(`,"args":{"queue_depth":`, ev.V0)
 	case telemetry.KindLifecycle:
-		return map[string]any{"uid": int64(ev.UID), "from": ev.From, "to": ev.To}
+		a.str(`,"args":{"from":`, ev.From)
+		a.str(`,"to":`, ev.To)
+		a.int(`,"uid":`, uid)
 	case telemetry.KindPowerState:
-		return map[string]any{"uid": int64(ev.UID), "old": ev.V0, "new": ev.V1}
+		a.float(`,"args":{"new":`, ev.V1)
+		a.float(`,"old":`, ev.V0)
+		a.int(`,"uid":`, uid)
 	case telemetry.KindBattery:
-		return map[string]any{"drained_j": ev.V0, "percent": ev.V1}
+		a.float(`,"args":{"drained_j":`, ev.V0)
+		a.float(`,"percent":`, ev.V1)
 	case telemetry.KindAttribution:
-		return map[string]any{"uid": int64(ev.UID), "joules": ev.V0}
+		a.float(`,"args":{"joules":`, ev.V0)
+		a.int(`,"uid":`, uid)
 	case telemetry.KindViolation:
-		return map[string]any{"detail": ev.To, "got": ev.V0, "want": ev.V1}
+		a.str(`,"args":{"detail":`, ev.To)
+		a.float(`,"got":`, ev.V0)
+		a.float(`,"want":`, ev.V1)
 	case telemetry.KindAnomaly:
-		return map[string]any{"uid": int64(ev.UID), "detail": ev.To, "rate_mw": ev.V0, "baseline_mw": ev.V1}
+		a.float(`,"args":{"baseline_mw":`, ev.V1)
+		a.str(`,"detail":`, ev.To)
+		a.float(`,"rate_mw":`, ev.V0)
+		a.int(`,"uid":`, uid)
+	default:
+		a.raw("}")
+		return
 	}
-	return nil
+	a.raw("}}")
 }

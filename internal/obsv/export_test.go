@@ -40,7 +40,7 @@ func exportRecorder() *telemetry.Recorder {
 	r := telemetry.New(telemetry.Options{})
 	r.RecordSimEvent(0, "boot", 1)
 	r.RecordAttribution(1e9, 10001, 2.5)
-	r.RecordAnomaly(2e9, 10001, "drain-spike", "x", 120, 20)
+	r.RecordAnomaly(2e9, 10001, SignalDrainSpike, "Burner & co", 120, 20)
 	r.Metrics().Histogram("hw.mw.cpu", telemetry.PowerBuckets).Observe(42)
 	return r
 }

@@ -2,6 +2,7 @@ package obsv
 
 import (
 	"fmt"
+	"io"
 	"slices"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/hw"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -59,33 +61,85 @@ func (o *WatchdogOptions) fill() {
 	}
 }
 
-// Finding signal names.
+// Finding signal names, defined once in telemetry, which records each
+// finding as an anomaly event.
 const (
 	// SignalDrainSpike is a per-UID direct drain-rate spike.
-	SignalDrainSpike = "drain-spike"
+	SignalDrainSpike = telemetry.SignalDrainSpike
 	// SignalDeviceSpike is a whole-device drain-rate spike.
-	SignalDeviceSpike = "device-drain-spike"
+	SignalDeviceSpike = telemetry.SignalDeviceSpike
 	// SignalDivergence is collateral-vs-direct energy divergence.
-	SignalDivergence = "collateral-divergence"
+	SignalDivergence = telemetry.SignalDivergence
 )
 
-// Finding is one watchdog detection.
+// Finding is one watchdog detection. It carries numbers and a label
+// only: its one-line text (telemetry.AppendAnomalyText) is rendered
+// where it is written out, as watchdog.json's "detail"
+// (WriteFindingsJSON) and an anomaly event's To.
 type Finding struct {
 	// T is the virtual instant the window closed.
-	T sim.Time `json:"t"`
+	T sim.Time
 	// Signal is one of the Signal* constants.
-	Signal string `json:"signal"`
+	Signal string
 	// UID is the flagged app (app.UIDNone for device-level findings).
-	UID app.UID `json:"uid"`
-	// Label is the app's human-readable label.
-	Label string `json:"label"`
+	UID app.UID
+	// Label is the app's human-readable label ("device" for
+	// device-level findings).
+	Label string
 	// RateMW is the offending rate over the closed window; BaselineMW
 	// is what it was judged against (history mean for spikes, the
 	// driver's direct rate for divergence).
-	RateMW     float64 `json:"rate_mw"`
-	BaselineMW float64 `json:"baseline_mw"`
-	// Detail is a rendered one-line description.
-	Detail string `json:"detail"`
+	RateMW     float64
+	BaselineMW float64
+}
+
+// WriteFindingsJSON writes per-device findings as a job's
+// watchdog.json: the bytes json.MarshalIndent(perDevice, "", "  ")
+// wrote when a Finding carried its text as a "detail" field, with []
+// for a device without findings. The detail is rendered here, straight
+// into the output.
+func WriteFindingsJSON(w io.Writer, perDevice [][]Finding) error {
+	j := jsonFor(w)
+	j.raw("[")
+	for i, fs := range perDevice {
+		if i > 0 {
+			j.raw(",")
+		}
+		if len(fs) == 0 {
+			j.raw("\n  []")
+			continue
+		}
+		j.raw("\n  [")
+		for k := range fs {
+			f := &fs[k]
+			if k > 0 {
+				j.raw(",")
+			}
+			j.int("\n    {\n      \"t\": ", int64(f.T))
+			j.str(",\n      \"signal\": ", f.Signal)
+			j.int(",\n      \"uid\": ", int64(f.UID))
+			j.str(",\n      \"label\": ", f.Label)
+			j.float(",\n      \"rate_mw\": ", f.RateMW)
+			j.float(",\n      \"baseline_mw\": ", f.BaselineMW)
+			j.raw(",\n      \"detail\": \"")
+			// Render the text in place; re-encode it only if encoding/json
+			// would escape some of it (the label's characters).
+			at := len(j.b)
+			j.b = telemetry.AppendAnomalyText(j.b, f.Signal, f.Label, f.RateMW, f.BaselineMW)
+			if text := j.b[at:]; !plain(text) {
+				j.b = appendString(j.b[:at-1], string(text))
+			} else {
+				j.raw(`"`)
+			}
+			j.raw("\n    }")
+		}
+		j.raw("\n  ]")
+	}
+	if len(perDevice) > 0 {
+		j.raw("\n")
+	}
+	j.raw("]")
+	return j.flush(w)
 }
 
 // Watchdog is the streaming drain-anomaly detector: a meter sink (the
@@ -192,8 +246,9 @@ func (w *Watchdog) Start() {
 }
 
 // Finish stops the detector, closes the partial final window, and
-// returns the findings; the meter keeps the sink, which ignores every
-// later interval. Idempotent.
+// returns the findings: the watchdog's own slice, which nothing changes
+// after Finish, so callers must not write to it. The meter keeps the
+// sink, which ignores every later interval. Idempotent.
 func (w *Watchdog) Finish() []Finding {
 	if w.started && !w.finished {
 		w.ticker.Stop()
@@ -201,7 +256,7 @@ func (w *Watchdog) Finish() []Finding {
 		w.closeWindow(w.dev.Engine.Now())
 		w.finished = true
 	}
-	return w.Findings()
+	return w.findings
 }
 
 // Detected reports whether findings include a collateral-divergence
@@ -320,12 +375,7 @@ func (w *Watchdog) closeWindow(now sim.Time) {
 		if quiet && len(h) >= DefaultWarmup {
 			base := mean(h)
 			if rate >= DefaultMinRateMW && rate > DefaultSpikeFactor*base {
-				w.record(Finding{
-					T: now, Signal: SignalDrainSpike, UID: uid,
-					Label: w.dev.Packages.Label(uid), RateMW: rate, BaselineMW: base,
-					Detail: fmt.Sprintf("%s draining %.0f mW against a %.0f mW baseline",
-						w.dev.Packages.Label(uid), rate, base),
-				})
+				w.record(now, SignalDrainSpike, uid, w.dev.Packages.Label(uid), rate, base)
 			}
 		}
 		w.hist[i] = pushRate(h, rate)
@@ -336,11 +386,7 @@ func (w *Watchdog) closeWindow(now sim.Time) {
 	if quiet && len(w.devHist) >= DefaultWarmup {
 		base := mean(w.devHist)
 		if devRate >= DefaultMinRateMW && devRate > DefaultSpikeFactor*base {
-			w.record(Finding{
-				T: now, Signal: SignalDeviceSpike, UID: app.UIDNone,
-				Label: "device", RateMW: devRate, BaselineMW: base,
-				Detail: fmt.Sprintf("device draining %.0f mW against a %.0f mW baseline", devRate, base),
-			})
+			w.record(now, SignalDeviceSpike, app.UIDNone, "device", devRate, base)
 		}
 	}
 	w.devHist = pushRate(w.devHist, devRate)
@@ -364,13 +410,7 @@ func (w *Watchdog) closeWindow(now sim.Time) {
 			colRate := delta / secs * 1000
 			directJ := w.direct[i]
 			if quiet && colRate >= DefaultMinCollateralMW && delta > DefaultDivergenceRatio*directJ {
-				directRate := directJ / secs * 1000
-				w.record(Finding{
-					T: now, Signal: SignalDivergence, UID: uid,
-					Label: w.dev.Packages.Label(uid), RateMW: colRate, BaselineMW: directRate,
-					Detail: fmt.Sprintf("%s drives %.0f mW of collateral energy while drawing %.0f mW itself",
-						w.dev.Packages.Label(uid), colRate, directRate),
-				})
+				w.record(now, SignalDivergence, uid, w.dev.Packages.Label(uid), colRate, directJ/secs*1000)
 			}
 		}
 	}
@@ -390,14 +430,18 @@ func (w *Watchdog) closeWindow(now sim.Time) {
 	w.winStart = now
 }
 
-// record stores and exports one finding.
-func (w *Watchdog) record(f Finding) {
+// record stores one finding, or only counts it past
+// DefaultMaxFindings, and hands its numbers to the device's recorder.
+// Neither builds a string.
+func (w *Watchdog) record(t sim.Time, signal string, uid app.UID, label string, rateMW, baselineMW float64) {
 	if len(w.findings) < DefaultMaxFindings {
-		w.findings = append(w.findings, f)
+		w.findings = append(w.findings, Finding{
+			T: t, Signal: signal, UID: uid, Label: label, RateMW: rateMW, BaselineMW: baselineMW,
+		})
 	} else {
 		w.dropped++
 	}
-	w.dev.Telemetry.RecordAnomaly(f.T, f.UID, f.Signal, f.Detail, f.RateMW, f.BaselineMW)
+	w.dev.Telemetry.RecordAnomaly(t, uid, signal, label, rateMW, baselineMW)
 }
 
 func mean(xs []float64) float64 {

@@ -96,15 +96,25 @@ func TestWatchdogSpikeDetection(t *testing.T) {
 	if uidSpike.RateMW < 400 || uidSpike.BaselineMW > 10 {
 		t.Fatalf("implausible spike rates: %+v", uidSpike)
 	}
-	// The findings surfaced as telemetry events too.
-	var anomalies int
+	// The findings surfaced as telemetry events too, in order, each
+	// reading back with its finding's text.
+	var anomalies []telemetry.Event
 	for _, ev := range dev.Telemetry.Events() {
 		if ev.Kind == telemetry.KindAnomaly {
-			anomalies++
+			anomalies = append(anomalies, ev)
 		}
 	}
-	if anomalies != len(findings) {
-		t.Fatalf("%d KindAnomaly events, want %d", anomalies, len(findings))
+	if len(anomalies) != len(findings) {
+		t.Fatalf("%d KindAnomaly events, want %d", len(anomalies), len(findings))
+	}
+	for i, ev := range anomalies {
+		f := findings[i]
+		if ev.Name != f.Signal || ev.UID != f.UID || ev.V0 != f.RateMW || ev.V1 != f.BaselineMW || ev.From != "" {
+			t.Fatalf("event %d = %+v, finding %+v", i, ev, f)
+		}
+		if want := refDetail(f); ev.To != want {
+			t.Fatalf("event %d text %q, want its finding's %q", i, ev.To, want)
+		}
 	}
 }
 
@@ -412,5 +422,56 @@ func TestDetectedNeedsDivergenceNamingDriver(t *testing.T) {
 	findings = append(findings, Finding{Signal: SignalDivergence, UID: driver})
 	if !Detected(findings, driver) {
 		t.Fatal("divergence finding naming the driver not detected")
+	}
+}
+
+// TestWatchdogDroppedFindingsAllocateNothing pins what a finding past
+// DefaultMaxFindings costs on a job device, whose recorder keeps
+// metrics only: nothing. Each window is made to spike against a reset
+// low baseline, so it raises findings; once the watchdog keeps
+// DefaultMaxFindings, they are only counted, and the recorder only
+// counts the anomalies. Rendering each finding's text as it was raised
+// cost one fmt.Sprintf per finding.
+func TestWatchdogDroppedFindingsAllocateNothing(t *testing.T) {
+	rec := telemetry.New(telemetry.Options{EventCapacity: -1})
+	dev, uid := burnerDevice(t, rec, 0.01, 0)
+	wd, err := NewWatchdog(dev, WatchdogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wd.Start()
+	if err := dev.Run(5 * time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	wd.ticker.Stop()
+	iv := hw.NewInterval(0, 0)
+	iv.Row(uid).Add(hw.CPU, 30)
+	iv.SystemJ = 30
+	now := dev.Engine.Now()
+	spike := func() {
+		for i := range wd.hist {
+			if wd.hist[i] != nil {
+				wd.hist[i] = append(wd.hist[i][:0], 1, 1, 1)
+			}
+		}
+		wd.devHist = append(wd.devHist[:0], 1, 1, 1)
+		now += sim.Time(DefaultWindow)
+		wd.Accrue(iv)
+		wd.closeWindow(now)
+	}
+	for len(wd.findings) < DefaultMaxFindings {
+		spike()
+	}
+	dropped := wd.Dropped()
+	if allocs := testing.AllocsPerRun(100, spike); allocs != 0 {
+		t.Fatalf("a window raising only dropped findings allocated %.1f times, want 0", allocs)
+	}
+	if got := wd.Dropped() - dropped; got < 101 {
+		t.Fatalf("%d findings dropped over 101 windows, want at least one a window", got)
+	}
+	kept, raised := len(wd.findings), rec.Metrics().Counter("obsv.anomalies").Value()
+	if kept != DefaultMaxFindings || raised != float64(kept+wd.Dropped()) {
+		t.Fatalf("%d findings kept and %.0f anomalies counted, want %d kept and %d counted",
+			kept, raised, DefaultMaxFindings, kept+wd.Dropped())
 	}
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -272,81 +273,92 @@ func (m *Metrics) Snapshot() *Snapshot {
 	return s
 }
 
-// MergeSnapshots folds snaps into one aggregate, in the given order,
-// series by series (name plus labels): counters and gauges sum (a
-// fleet gauge aggregate is the sum of per-device final values),
-// histograms add bucket counts and sums, and a later non-empty
-// exemplar replaces an earlier one. Because every float accumulation
-// follows the slice order, merging per-device snapshots in
-// device-index order yields byte-identical aggregates for any worker
-// count. Nil snapshots are skipped; mismatched histogram bounds are an
-// error.
+// MergeSnapshots folds snaps into one fresh aggregate, in the given
+// order: Add over each snapshot, starting from an empty one. Because
+// every float accumulation follows the slice order, merging per-device
+// snapshots in device-index order yields byte-identical aggregates for
+// any worker count. Nil snapshots are skipped; mismatched histogram
+// bounds are an error.
 func MergeSnapshots(snaps []*Snapshot) (*Snapshot, error) {
 	out := &Snapshot{}
-	// Position of each series in its output section.
-	counters := make(map[string]int)
-	gauges := make(map[string]int)
-	hists := make(map[string]int)
-	for _, s := range snaps {
-		if s == nil {
-			continue
-		}
-		for _, c := range s.Counters {
-			k := seriesKey(c.Name, c.Labels)
-			if i, ok := counters[k]; ok {
-				out.Counters[i].Value += c.Value
-			} else {
-				counters[k] = len(out.Counters)
-				out.Counters = append(out.Counters, c)
-			}
-		}
-		for _, g := range s.Gauges {
-			k := seriesKey(g.Name, g.Labels)
-			if i, ok := gauges[k]; ok {
-				out.Gauges[i].Value += g.Value
-			} else {
-				gauges[k] = len(out.Gauges)
-				out.Gauges = append(out.Gauges, g)
-			}
-		}
-		for _, h := range s.Histograms {
-			k := seriesKey(h.Name, h.Labels)
-			at, ok := hists[k]
-			if !ok {
-				h.Bounds = append([]float64(nil), h.Bounds...)
-				h.Counts = append([]uint64(nil), h.Counts...)
-				h.Exemplars = append([]string(nil), h.Exemplars...)
-				hists[k] = len(out.Histograms)
-				out.Histograms = append(out.Histograms, h)
-				continue
-			}
-			dst := &out.Histograms[at]
-			if len(dst.Bounds) != len(h.Bounds) {
-				return nil, fmt.Errorf("telemetry: merge %q: bucket count mismatch (%d vs %d)",
-					h.Name, len(dst.Bounds), len(h.Bounds))
-			}
-			for i, b := range h.Bounds {
-				if dst.Bounds[i] != b {
-					return nil, fmt.Errorf("telemetry: merge %q: bound %d mismatch (%g vs %g)",
-						h.Name, i, dst.Bounds[i], b)
-				}
-			}
-			dst.Count += h.Count
-			dst.Sum += h.Sum
-			for i, n := range h.Counts {
-				dst.Counts[i] += n
-			}
-			for i, ex := range h.Exemplars {
-				if ex == "" {
-					continue
-				}
-				if dst.Exemplars == nil {
-					dst.Exemplars = make([]string, len(h.Exemplars))
-				}
-				dst.Exemplars[i] = ex
-			}
+	for _, o := range snaps {
+		if err := out.Add(o); err != nil {
+			return nil, err
 		}
 	}
-	out.Sort()
 	return out, nil
+}
+
+// Add folds o into s in place, series by series (name plus labels):
+// counters and gauges sum (a fleet gauge aggregate is the sum of
+// per-device final values), histograms add bucket counts and sums, and
+// a later non-empty exemplar replaces an earlier one. A series s lacks
+// is inserted at its sorted position, its histogram slices copied, so s
+// never shares what it will write with o; s stays sorted if it was (an
+// empty snapshot is). It writes nothing into o, and folding in
+// label-free series s already holds, as a device registry's are,
+// allocates nothing. A nil o adds nothing; mismatched histogram bounds
+// are an error, and leave s part-folded.
+func (s *Snapshot) Add(o *Snapshot) error {
+	if o == nil {
+		return nil
+	}
+	for _, c := range o.Counters {
+		i, ok := slices.BinarySearchFunc(s.Counters, seriesKey(c.Name, c.Labels), func(x CounterSnapshot, k string) int {
+			return strings.Compare(seriesKey(x.Name, x.Labels), k)
+		})
+		if ok {
+			s.Counters[i].Value += c.Value
+		} else {
+			s.Counters = slices.Insert(s.Counters, i, c)
+		}
+	}
+	for _, g := range o.Gauges {
+		i, ok := slices.BinarySearchFunc(s.Gauges, seriesKey(g.Name, g.Labels), func(x GaugeSnapshot, k string) int {
+			return strings.Compare(seriesKey(x.Name, x.Labels), k)
+		})
+		if ok {
+			s.Gauges[i].Value += g.Value
+		} else {
+			s.Gauges = slices.Insert(s.Gauges, i, g)
+		}
+	}
+	for _, h := range o.Histograms {
+		at, ok := slices.BinarySearchFunc(s.Histograms, seriesKey(h.Name, h.Labels), func(x HistogramSnapshot, k string) int {
+			return strings.Compare(seriesKey(x.Name, x.Labels), k)
+		})
+		if !ok {
+			h.Bounds = append([]float64(nil), h.Bounds...)
+			h.Counts = append([]uint64(nil), h.Counts...)
+			h.Exemplars = append([]string(nil), h.Exemplars...)
+			s.Histograms = slices.Insert(s.Histograms, at, h)
+			continue
+		}
+		dst := &s.Histograms[at]
+		if len(dst.Bounds) != len(h.Bounds) {
+			return fmt.Errorf("telemetry: merge %q: bucket count mismatch (%d vs %d)",
+				h.Name, len(dst.Bounds), len(h.Bounds))
+		}
+		for i, b := range h.Bounds {
+			if dst.Bounds[i] != b {
+				return fmt.Errorf("telemetry: merge %q: bound %d mismatch (%g vs %g)",
+					h.Name, i, dst.Bounds[i], b)
+			}
+		}
+		dst.Count += h.Count
+		dst.Sum += h.Sum
+		for i, n := range h.Counts {
+			dst.Counts[i] += n
+		}
+		for i, ex := range h.Exemplars {
+			if ex == "" {
+				continue
+			}
+			if dst.Exemplars == nil {
+				dst.Exemplars = make([]string, len(h.Exemplars))
+			}
+			dst.Exemplars[i] = ex
+		}
+	}
+	return nil
 }

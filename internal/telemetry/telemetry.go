@@ -34,6 +34,7 @@ package telemetry
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/app"
@@ -61,8 +62,9 @@ const (
 	// check subsystem.
 	KindViolation
 	// KindAnomaly is one drain-anomaly finding flagged by the
-	// observability watchdog (internal/obsv): a per-UID drain-rate spike
-	// or a collateral-vs-direct energy divergence.
+	// observability watchdog (internal/obsv): a per-UID or whole-device
+	// drain-rate spike or a collateral-vs-direct energy divergence,
+	// recorded as numbers and a label (RecordAnomaly).
 	KindAnomaly
 )
 
@@ -100,7 +102,10 @@ func (k Kind) MarshalJSON() ([]byte, error) {
 //	KindBattery:     V0 = joules drained this interval, V1 = battery %
 //	KindAttribution: V0 = joules attributed to UID this interval
 //	KindViolation:   Name = invariant, To = detail, V0/V1 = got/want
-//	KindAnomaly:     Name = signal, To = detail, V0 = rate mW, V1 = baseline mW
+//	KindAnomaly:     Name = signal, To = the finding's text, V0 = rate mW, V1 = baseline mW
+//
+// An anomaly's ring slot keeps the finding's label in To; Events
+// renders the text from it (AppendAnomalyText).
 type Event struct {
 	T    sim.Time `json:"t"`
 	Kind Kind     `json:"kind"`
@@ -402,11 +407,44 @@ func (r *Recorder) RecordViolation(t sim.Time, invariant, detail string, got, wa
 	}
 }
 
+// Anomaly signals: the watchdog's three detectors. internal/obsv names
+// them SignalDrainSpike, SignalDeviceSpike and SignalDivergence.
+const (
+	// SignalDrainSpike is a per-UID direct drain-rate spike.
+	SignalDrainSpike = "drain-spike"
+	// SignalDeviceSpike is a whole-device drain-rate spike.
+	SignalDeviceSpike = "device-drain-spike"
+	// SignalDivergence is collateral-vs-direct energy divergence.
+	SignalDivergence = "collateral-divergence"
+)
+
+// AppendAnomalyText appends a watchdog finding's one-line text: what
+// its signal flagged about the subject named label, with both rates in
+// whole mW. It is the one renderer of that text, called where the text
+// is written out: watchdog.json's "detail" and Events().
+func AppendAnomalyText(b []byte, signal, label string, rateMW, baselineMW float64) []byte {
+	b = append(b, label...)
+	if signal == SignalDivergence {
+		b = append(b, " drives "...)
+		b = strconv.AppendFloat(b, rateMW, 'f', 0, 64)
+		b = append(b, " mW of collateral energy while drawing "...)
+		b = strconv.AppendFloat(b, baselineMW, 'f', 0, 64)
+		return append(b, " mW itself"...)
+	}
+	b = append(b, " draining "...)
+	b = strconv.AppendFloat(b, rateMW, 'f', 0, 64)
+	b = append(b, " mW against a "...)
+	b = strconv.AppendFloat(b, baselineMW, 'f', 0, 64)
+	return append(b, " mW baseline"...)
+}
+
 // RecordAnomaly records one watchdog finding: signal names the detector
-// ("drain-spike", "collateral-divergence"), detail describes the flagged
-// subject, rateMW is the offending rate and baselineMW the reference it
-// was judged against (the direct rate for divergence findings).
-func (r *Recorder) RecordAnomaly(t sim.Time, uid app.UID, signal, detail string, rateMW, baselineMW float64) {
+// (one of the Signal* constants), label the flagged subject (an app's
+// label, or "device"), rateMW the offending rate and baselineMW the
+// reference it was judged against (the direct rate for divergence
+// findings). It renders no text: the ring keeps the numbers and the
+// label, and Events() renders the event's To.
+func (r *Recorder) RecordAnomaly(t sim.Time, uid app.UID, signal, label string, rateMW, baselineMW float64) {
 	if r == nil {
 		return
 	}
@@ -417,7 +455,7 @@ func (r *Recorder) RecordAnomaly(t sim.Time, uid app.UID, signal, detail string,
 		ev.Name = signal
 		ev.UID = uid
 		ev.From = ""
-		ev.To = detail
+		ev.To = label
 		ev.V0 = rateMW
 		ev.V1 = baselineMW
 	}
@@ -466,7 +504,8 @@ func (r *Recorder) Dropped() uint64 {
 
 // Events returns the retained events, oldest first: the kernel trace
 // log and the general ring merged back into global recording order by
-// the shared emission sequence. The slice is a copy.
+// the shared emission sequence. The slice is a copy, and each anomaly's
+// To is rendered into it from the label its ring slot keeps.
 func (r *Recorder) Events() []Event {
 	if r == nil || r.total+r.simLog.Total == 0 {
 		return nil
@@ -490,10 +529,15 @@ func (r *Recorder) Events() []Event {
 	}
 	recs := r.simLog.Records()
 	out := make([]Event, 0, len(evs)+len(recs))
+	var text []byte
 	i, j := 0, 0
 	for i < len(evs) || j < len(recs) {
 		if j >= len(recs) || (i < len(evs) && seqs[i] < recs[j].Seq) {
 			out = append(out, evs[i])
+			if ev := &out[len(out)-1]; ev.Kind == KindAnomaly {
+				text = AppendAnomalyText(text[:0], ev.Name, ev.To, ev.V0, ev.V1)
+				ev.To = string(text)
+			}
 			i++
 			continue
 		}

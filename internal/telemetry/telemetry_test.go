@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -161,6 +162,41 @@ func TestSnapshotSortedAndStable(t *testing.T) {
 	}
 	if len(a.Histograms) != 3 || a.Histograms[0].Count != 1 {
 		t.Fatalf("histograms = %+v, want 3 with one sample each", a.Histograms)
+	}
+}
+
+// TestAnomalyEventsRenderTheirText: an anomaly is recorded as numbers
+// and a label, and Events reads it back with To holding the text the
+// watchdog once rendered with fmt.Sprintf, and From empty; the ring
+// itself keeps the label.
+func TestAnomalyEventsRenderTheirText(t *testing.T) {
+	r := New(Options{})
+	r.RecordSimEvent(0, "boot", 1)
+	r.RecordAnomaly(sim.Second, 10006, SignalDivergence, "FunGame", 389.99999999999994, 0.4)
+	r.RecordAnomaly(2*sim.Second, 10001, SignalDrainSpike, "Burner <b>", 412.5, -3.5)
+	r.RecordAnomaly(3*sim.Second, -1, SignalDeviceSpike, "device", 1e21, 2.5)
+	want := []string{
+		fmt.Sprintf("%s drives %.0f mW of collateral energy while drawing %.0f mW itself", "FunGame", 389.99999999999994, 0.4),
+		fmt.Sprintf("%s draining %.0f mW against a %.0f mW baseline", "Burner <b>", 412.5, -3.5),
+		fmt.Sprintf("device draining %.0f mW against a %.0f mW baseline", 1e21, 2.5),
+	}
+	for pass := 0; pass < 2; pass++ { // rendering leaves the ring as it was
+		var got []string
+		for _, ev := range r.Events() {
+			if ev.Kind != KindAnomaly {
+				continue
+			}
+			if ev.From != "" {
+				t.Fatalf("anomaly event From = %q, want empty", ev.From)
+			}
+			got = append(got, ev.To)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pass %d: anomaly texts\n%q\nwant\n%q", pass, got, want)
+		}
+	}
+	if labels := []string{r.buf[0].To, r.buf[1].To, r.buf[2].To}; labels[0] != "FunGame" || labels[2] != "device" {
+		t.Fatalf("ring slots keep %q, want the labels", labels)
 	}
 }
 
