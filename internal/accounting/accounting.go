@@ -66,8 +66,12 @@ type Accountant struct {
 	systemJ float64
 
 	// fgTime and screenOnTime are the usage-time statistics the real
-	// BatteryStats reports alongside energy.
+	// BatteryStats reports alongside energy. The current foreground's
+	// stretch runs in fgRun and is settled into fgTime when the
+	// foreground changes, so an interval adds to one integer instead
+	// of writing a map; integer durations sum exactly in any grouping.
 	fgTime       map[app.UID]time.Duration
+	fgRun        time.Duration
 	screenOnTime time.Duration
 
 	// tel receives per-interval attribution events and feeds the
@@ -96,7 +100,16 @@ func (a *Accountant) SetTelemetry(rec *telemetry.Recorder) { a.tel = rec }
 
 // SetForeground records the current foreground app (drive this from the
 // activity manager's ForegroundChanged hook).
-func (a *Accountant) SetForeground(uid app.UID) { a.foreground = uid }
+func (a *Accountant) SetForeground(uid app.UID) {
+	if uid == a.foreground {
+		return
+	}
+	if a.fgRun != 0 {
+		a.fgTime[a.foreground] += a.fgRun
+		a.fgRun = 0
+	}
+	a.foreground = uid
+}
 
 // Foreground reports the last recorded foreground app.
 func (a *Accountant) Foreground() app.UID { return a.foreground }
@@ -117,7 +130,7 @@ func (a *Accountant) Accrue(iv hw.Interval) {
 		a.observeInterval(iv)
 	}
 	if a.foreground != app.UIDNone {
-		a.fgTime[a.foreground] += iv.Duration()
+		a.fgRun += iv.Duration()
 	}
 	if iv.ScreenJ > 0 {
 		a.screenOnTime += iv.Duration()
@@ -172,7 +185,11 @@ func (a *Accountant) AppRow(uid app.UID) hw.UsageRow {
 
 // ForegroundTime reports how long uid has held the foreground.
 func (a *Accountant) ForegroundTime(uid app.UID) time.Duration {
-	return a.fgTime[uid]
+	t := a.fgTime[uid]
+	if uid == a.foreground {
+		t += a.fgRun
+	}
+	return t
 }
 
 // ScreenOnTime reports cumulative display-on time.

@@ -264,3 +264,42 @@ func TestTimeStats(t *testing.T) {
 		t.Fatalf("screen-on time = %v", got)
 	}
 }
+
+// TestForegroundTimeMatchesPerIntervalSum: the running foreground
+// stretch, settled when the foreground changes, reports what adding
+// every interval's duration to the foreground's total did, read in the
+// middle of a stretch, across a stretch with no foreground, and on a
+// return to an earlier foreground.
+func TestForegroundTimeMatchesPerIntervalSum(t *testing.T) {
+	a, err := New(PowerTutor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[app.UID]time.Duration{}
+	uids := []app.UID{app.UIDNone, 10001, 10002, 10003}
+	check := func(what string) {
+		t.Helper()
+		for _, uid := range uids {
+			if got := a.ForegroundTime(uid); got != want[uid] {
+				t.Fatalf("%s: ForegroundTime(%d) = %v, want %v", what, uid, got, want[uid])
+			}
+		}
+	}
+	var now sim.Time
+	accrue := func(d sim.Duration) {
+		iv := hw.NewInterval(now, now.Add(d))
+		now = iv.To
+		a.Accrue(iv)
+		if fg := a.Foreground(); fg != app.UIDNone {
+			want[fg] += iv.Duration()
+		}
+	}
+	for i, fg := range []app.UID{10001, 10002, app.UIDNone, 10001, 10003, 10003, 10002, 10001} {
+		a.SetForeground(fg)
+		check("after the switch")
+		for k := 1; k <= 3; k++ {
+			accrue(time.Duration(i*k) * 333 * time.Millisecond)
+			check("mid-stretch")
+		}
+	}
+}

@@ -100,8 +100,7 @@ func (m *Monitor) Accrue(iv hw.Interval) {
 			share = delta / float64(len(beneficiaries))
 		}
 		for _, g := range beneficiaries {
-			m.ensureEntry(g, d)
-			m.maps[g][d].EnergyJ += share
+			m.entryFor(g, d).EnergyJ += share
 		}
 	}
 }
@@ -111,9 +110,7 @@ func (m *Monitor) Accrue(iv hw.Interval) {
 func (m *Monitor) CollateralMap(driving app.UID) []MapEntry {
 	es := m.sortedEntries(driving)
 	out := make([]MapEntry, len(es))
-	for i, e := range es {
-		out[i] = *e
-	}
+	copy(out, es)
 	return out
 }
 
@@ -127,14 +124,16 @@ func (m *Monitor) CollateralJ(driving app.UID) float64 {
 	return t
 }
 
-// sortedEntries returns driving's map entries by descending energy then
-// driven UID, in a reused buffer valid until the next call.
-func (m *Monitor) sortedEntries(driving app.UID) []*MapEntry {
+// sortedEntries returns a copy of driving's map entries by descending
+// energy then driven UID, in a reused buffer valid until the next call.
+// A driver's driven UIDs are distinct, so that order is total: the
+// result does not depend on the order the entries are stored in.
+func (m *Monitor) sortedEntries(driving app.UID) []MapEntry {
 	es := m.entryScratch[:0]
-	for _, e := range m.maps[driving] {
-		es = append(es, e)
+	if i, ok := slices.BinarySearch(m.drivers, driving); ok {
+		es = append(es, m.colls[i]...)
 	}
-	slices.SortFunc(es, func(a, b *MapEntry) int {
+	slices.SortFunc(es, func(a, b MapEntry) int {
 		return cmp.Or(cmp.Compare(b.EnergyJ, a.EnergyJ), cmp.Compare(a.Driven, b.Driven))
 	})
 	m.entryScratch = es

@@ -786,3 +786,38 @@ func TestDefenseFlowUninstallMalware(t *testing.T) {
 		t.Fatal("drain should not grow after uninstall")
 	}
 }
+
+// A cross-app start keeps its flag and its target's cached FullName in
+// the monitor's history, and Events renders the Detail from them: the
+// launcher's explicit launch reads "explicit <name>", an implicit start
+// "implicit <name>". A warm launcher launch (a system caller, so it
+// begins no attack) builds no string: only the history's growth
+// allocates, which 100 starts average to nothing.
+func TestActivityStartDetailRenderedOnRead(t *testing.T) {
+	w := world(t, device.Config{})
+	act, err := w.Dev.Activities.UserStartApp(scenario.PkgVictim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := w.Dev.EAndroid
+	launcher := w.Dev.Activities.Launcher().UID
+	evs := mon.Events()
+	last := evs[len(evs)-1]
+	if want := "explicit " + act.FullName(); last.Kind != "activity-start" || last.Detail != want {
+		t.Fatalf("launch recorded %+v, want an activity-start with detail %q", last, want)
+	}
+	mon.ActivityStarted(w.Dev.Engine.Now(), w.Malware.UID, act, false)
+	evs = mon.Events()
+	if got, want := evs[len(evs)-1].Detail, "implicit "+act.FullName(); got != want {
+		t.Fatalf("implicit start detail %q, want %q", got, want)
+	}
+	n := len(evs)
+	start := func() { mon.ActivityStarted(w.Dev.Engine.Now(), launcher, act, true) }
+	if allocs := testing.AllocsPerRun(100, start); allocs != 0 {
+		t.Fatalf("a launcher launch allocated %.1f times, want 0 beyond the history's growth", allocs)
+	}
+	evs = mon.Events()
+	if len(evs) != n+101 || evs[n].Detail != "explicit "+act.FullName() || evs[n-1].Detail != "implicit "+act.FullName() {
+		t.Fatalf("history after 101 launches: %d events, details %q then %q", len(evs), evs[n-1].Detail, evs[n].Detail)
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -55,18 +56,24 @@ type Monitor struct {
 	// traversal and every end-condition check walk it.
 	active []*Attack
 
-	// maps is the per-app collateral energy map: driving -> driven ->
-	// entry.
-	maps map[app.UID]map[app.UID]*MapEntry
-	// drivers lists the keys of maps in ascending order. Maps are never
-	// removed, so it only grows (see ensureEntry).
+	// drivers lists every app that owns a collateral energy map, in
+	// ascending order, and colls[i] is drivers[i]'s map: its entries in
+	// ascending driven-UID order. Maps and entries are never removed,
+	// so both only grow (see entryFor).
 	drivers []app.UID
+	colls   [][]MapEntry
 
 	// screenLocks lists the live screen-type wakelocks in acquire order
 	// for the Fig. 5e state machine.
 	screenLocks []*power.Wakelock
 
-	events []Event
+	// events is the collateral event history. An activity start keeps
+	// its target's FullName (cached by the activity) as its Detail, and
+	// explicit holds the start's flag (bit i%64 of word i/64 for
+	// events[i]); Events renders the Detail "<flag> <name>" on read, so
+	// recording a start builds no string.
+	events   []Event
+	explicit []uint64
 
 	// flushFn, when set, settles the energy meter before any attack
 	// begins or ends, so intervals spanning an event boundary are
@@ -84,7 +91,7 @@ type Monitor struct {
 	ending    []*Attack // endWhere's matches
 	// entryScratch is sortedEntries' buffer: the watchdog sums every
 	// driver's map at every window close.
-	entryScratch []*MapEntry
+	entryScratch []MapEntry
 }
 
 // NewMonitor builds an E-Android monitor in the given mode. Wire it with
@@ -102,7 +109,6 @@ func NewMonitor(engine *sim.Engine, pm *app.PackageManager, mode Mode) (*Monitor
 		pm:         pm,
 		mode:       mode,
 		foreground: app.UIDNone,
-		maps:       make(map[app.UID]map[app.UID]*MapEntry),
 	}, nil
 }
 
@@ -139,6 +145,16 @@ func (m *Monitor) NoteUninstalled(uid app.UID) {
 func (m *Monitor) Events() []Event {
 	out := make([]Event, len(m.events))
 	copy(out, m.events)
+	for i := range out {
+		if out[i].Kind != kindActivityStart {
+			continue
+		}
+		flag := "implicit"
+		if w := i / 64; w < len(m.explicit) && m.explicit[w]&(1<<(i%64)) != 0 {
+			flag = "explicit"
+		}
+		out[i].Detail = flag + " " + out[i].Detail
+	}
 	return out
 }
 
@@ -241,20 +257,32 @@ func (m *Monitor) endWhere(pred func(*Attack) bool) {
 	}
 }
 
+// ensureEntry adds driven to driving's collateral map (Algorithm 1's
+// AddElement); an app never enters its own map.
 func (m *Monitor) ensureEntry(driving, driven app.UID) {
-	if driving == driven {
-		return
+	if driving != driven {
+		m.entryFor(driving, driven)
 	}
-	mp := m.maps[driving]
-	if mp == nil {
-		mp = make(map[app.UID]*MapEntry)
-		m.maps[driving] = mp
-		i, _ := slices.BinarySearch(m.drivers, driving)
+}
+
+// entryFor returns driving's map entry for driven, adding the map and
+// the entry as needed. Both are found by binary search. The pointer is
+// valid until the next entry is added to driving's map.
+func (m *Monitor) entryFor(driving, driven app.UID) *MapEntry {
+	i, ok := slices.BinarySearch(m.drivers, driving)
+	if !ok {
 		m.drivers = slices.Insert(m.drivers, i, driving)
+		m.colls = slices.Insert(m.colls, i, nil)
 	}
-	if mp[driven] == nil {
-		mp[driven] = &MapEntry{Driven: driven}
+	es := m.colls[i]
+	j, ok := slices.BinarySearchFunc(es, driven, func(e MapEntry, d app.UID) int {
+		return cmp.Compare(e.Driven, d)
+	})
+	if !ok {
+		es = slices.Insert(es, j, MapEntry{Driven: driven})
+		m.colls[i] = es
 	}
+	return &es[j]
 }
 
 // ancestorsOf walks active attack links upstream from uid: every app
@@ -291,6 +319,9 @@ func (m *Monitor) entriesWithActiveLinks(uid app.UID) []app.UID {
 	return slices.Compact(out)
 }
 
+// kindActivityStart is the Kind of a cross-app activity start.
+const kindActivityStart = "activity-start"
+
 // --- activity.Hooks ---
 
 var _ activity.Hooks = (*Monitor)(nil)
@@ -307,11 +338,14 @@ func (m *Monitor) ActivityStarted(t sim.Time, caller app.UID, target *activity.A
 		// immediately (the basis of Figure 10's "same app" bars).
 		return
 	}
-	detail := "implicit"
+	m.record(kindActivityStart, caller, driven, target.FullName())
 	if explicit {
-		detail = "explicit"
+		i := len(m.events) - 1
+		for len(m.explicit) <= i/64 {
+			m.explicit = append(m.explicit, 0)
+		}
+		m.explicit[i/64] |= 1 << (i % 64)
 	}
-	m.record("activity-start", caller, driven, detail+" "+target.FullName())
 	if m.mode != Complete {
 		return
 	}

@@ -6,51 +6,62 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // Steady-state flushes must not allocate: the interval table, the UID
 // registry rows and every scratch buffer are warmed by the first flush
 // and reused verbatim afterwards. This is the pin for the dense-table
 // rework — a regression here is the old per-flush map churn coming back.
+// It holds with a metrics-only recorder attached too: the meter feeds
+// power distributions it resolved on their first observation.
 func TestFlushSteadyStateAllocs(t *testing.T) {
-	e := sim.NewEngine()
-	b, err := NewBattery(1e12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMeter(e.Now, Nexus4(), b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sunk float64
-	m.AddSink(SinkFunc(func(iv Interval) {
-		iv.EachApp(func(_ app.UID, u *UsageRow) { sunk += u.Total() })
-		sunk += iv.ScreenJ + iv.SystemJ
-	}))
-	m.SetScreen(true)
-	m.SetCPUUtil(10001, 0.5)
-	m.SetCPUUtil(10002, 0.25)
-	if err := m.Hold(Camera, 10003); err != nil {
-		t.Fatal(err)
-	}
+	for _, rec := range []*telemetry.Recorder{nil, telemetry.New(telemetry.Options{EventCapacity: -1})} {
+		e := sim.NewEngine()
+		b, err := NewBattery(1e12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewMeter(e.Now, Nexus4(), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetTelemetry(rec)
+		var sunk float64
+		m.AddSink(SinkFunc(func(iv Interval) {
+			iv.EachApp(func(_ app.UID, u *UsageRow) { sunk += u.Total() })
+			sunk += iv.ScreenJ + iv.SystemJ
+		}))
+		m.SetScreen(true)
+		m.SetCPUUtil(10001, 0.5)
+		m.SetCPUUtil(10002, 0.25)
+		if err := m.Hold(Camera, 10003); err != nil {
+			t.Fatal(err)
+		}
 
-	// Warm-up: first flush grows the table, registry and scratch space.
-	if err := e.RunFor(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	m.Flush()
-
-	avg := testing.AllocsPerRun(100, func() {
+		// Warm-up: first flush grows the table, registry and scratch space.
 		if err := e.RunFor(time.Second); err != nil {
 			t.Fatal(err)
 		}
 		m.Flush()
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state flush allocates %.1f objects, want 0", avg)
-	}
-	if sunk == 0 {
-		t.Fatal("sink saw no energy — the flush loop measured nothing")
+
+		avg := testing.AllocsPerRun(100, func() {
+			if err := e.RunFor(time.Second); err != nil {
+				t.Fatal(err)
+			}
+			m.Flush()
+		})
+		if avg != 0 {
+			t.Fatalf("steady-state flush (recorder %v) allocates %.1f objects, want 0", rec != nil, avg)
+		}
+		if sunk == 0 {
+			t.Fatal("sink saw no energy — the flush loop measured nothing")
+		}
+		if rec != nil {
+			if n := rec.Metrics().Histogram("hw.mw.camera", telemetry.PowerBuckets).Count(); n != 102 {
+				t.Fatalf("camera power observed %d times, want 102", n)
+			}
+		}
 	}
 }
 

@@ -88,6 +88,10 @@ type Meter struct {
 	// tel receives power-state changes, battery updates and per-component
 	// power distributions; nil (the default) costs one branch per change.
 	tel *telemetry.Recorder
+	// mw holds tel's power distributions by component index
+	// (Component-1), the system draw last. Each is resolved on its first
+	// positive observation, so the recorder lists only sources that drew.
+	mw [numComponents + 1]*telemetry.Histogram
 }
 
 // NewMeter builds a meter over the given clock, profile and battery.
@@ -124,7 +128,10 @@ func NewMeter(now func() sim.Time, profile Profile, battery *Battery) (*Meter, e
 func (m *Meter) AddSink(s Sink) { m.sinks = append(m.sinks, s) }
 
 // SetTelemetry wires a telemetry recorder (nil detaches it).
-func (m *Meter) SetTelemetry(rec *telemetry.Recorder) { m.tel = rec }
+func (m *Meter) SetTelemetry(rec *telemetry.Recorder) {
+	m.tel = rec
+	m.mw = [len(m.mw)]*telemetry.Histogram{}
+}
 
 func b01(v bool) float64 {
 	if v {
@@ -495,27 +502,40 @@ func (m *Meter) accrueSegment(t sim.Time) {
 }
 
 // observeSegment feeds telemetry for one accrued segment: the battery
-// update event and the per-component mean-power distributions. Summation
-// follows the table's sorted UID order, so every float result is
-// order-stable and metric snapshots stay byte-identical across runs.
+// update event and the per-component mean-power distributions. One walk
+// over the rows sums every component, each in the table's sorted UID
+// order, so every float result is order-stable and metric snapshots
+// stay byte-identical across runs.
 func (m *Meter) observeSegment(iv *Interval, secs, totalJ float64) {
 	m.tel.RecordBattery(iv.To, totalJ, m.battery.Percent())
-	uids := iv.apps.UIDs()
-	for _, c := range Components() {
-		var j float64
-		for _, uid := range uids {
-			j += iv.apps.Get(uid).J(c)
-		}
-		if c == Screen {
-			j += iv.ScreenJ
-		}
+	var sums UsageRow
+	t := iv.apps
+	for _, uid := range t.uids {
+		sums.AddRow(&t.rows[uid-t.base])
+	}
+	sums[Screen-1] += iv.ScreenJ
+	for i, j := range sums {
 		if j > 0 {
-			m.tel.ObserveComponentMW(c.String(), j/secs*1000)
+			m.observeMW(i, j/secs*1000)
 		}
 	}
 	if iv.SystemJ > 0 {
-		m.tel.ObserveComponentMW("system", iv.SystemJ/secs*1000)
+		m.observeMW(numComponents, iv.SystemJ/secs*1000)
 	}
+}
+
+// observeMW feeds mw into power distribution i of m.mw.
+func (m *Meter) observeMW(i int, mw float64) {
+	h := m.mw[i]
+	if h == nil {
+		source := "system"
+		if i < numComponents {
+			source = Component(i + 1).String()
+		}
+		h = m.tel.PowerHistogram(source)
+		m.mw[i] = h
+	}
+	h.Observe(mw)
 }
 
 // InstantPowerMW reports current total platform draw in milliwatts; used

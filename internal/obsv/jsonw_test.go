@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strconv"
 	"testing"
 
 	"repro/internal/app"
@@ -54,18 +55,27 @@ func TestJSONAppendMatchesEncodingJSON(t *testing.T) {
 }
 
 // FuzzJSONAppend: for any string and float64, the appender writes
-// encoding/json's bytes, or both fail.
+// encoding/json's bytes, or both fail, and a finding's detail text
+// writes x in whole mW as strconv.FormatFloat(x, 'f', 0, 64) does.
 func FuzzJSONAppend(f *testing.F) {
 	for i, s := range edgeStrings {
 		f.Add(s, edgeFloats[i%len(edgeFloats)])
 	}
 	f.Add("nan", math.NaN())
+	for _, x := range []float64{0.5, 2.5, 0.49999999999999994, 74.5, 1<<53 - 1, 1 << 53, -2.5, math.Inf(1)} {
+		f.Add("whole", x)
+	}
 	f.Fuzz(func(t *testing.T, s string, x float64) {
 		want, err := json.Marshal(s)
 		mustEqualRef(t, "string", appendString(nil, s), nil, want, err)
 		got, gotErr := appendFloat([]byte("x"), x)
 		want, err = json.Marshal(x)
 		mustEqualRef(t, "float", got[1:], gotErr, want, err)
+		whole := strconv.FormatFloat(x, 'f', 0, 64)
+		text := string(telemetry.AppendAnomalyText(nil, SignalDrainSpike, "", x, x))
+		if text != " draining "+whole+" mW against a "+whole+" mW baseline" {
+			t.Fatalf("anomaly text for %v is %q, want %s in whole mW", x, text, whole)
+		}
 	})
 }
 

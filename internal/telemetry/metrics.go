@@ -74,8 +74,18 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.n++
 	h.sum += v
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
+	// sort.SearchFloat64s's search without its closure: the first bound
+	// >= v. NaN is >= no bound, so it lands in the overflow bucket.
+	lo, hi := 0, len(h.bounds)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if h.bounds[m] >= v {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	h.counts[lo]++
 }
 
 // Count reports the number of observations.
