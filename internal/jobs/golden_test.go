@@ -131,8 +131,9 @@ func TestGoldenWorkerIndependence(t *testing.T) {
 // the artifact bytes, in sorted cell/name order. Only a traced device
 // keeps a ring (its kernel log), so only idle-mostly/intermittent-drain's
 // metrics.prom carries the telemetry_ring_capacity and
-// telemetry_events_dropped series.
-const fleetDigest = "5f5a6a70a2e3222ecc6a9d141439f5e6834176225cf194eccc4081e90725ffde"
+// telemetry_events_dropped series. Every job's devices carry a
+// watchdog, so every metrics.prom carries obsv_findings_dropped.
+const fleetDigest = "c313c34ac8bd24fb4d3bcae6dbca3d7bf0c7bb2106ec490ffb7203f457c9e598"
 
 // TestFleetArtifactDigest pins the bytes of all 96 artifacts across the
 // corpus grid, so a change to any observer, encoder or simulation path
