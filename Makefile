@@ -105,10 +105,34 @@ obsv-bench:
 # (TestWatchdogDroppedFindingsAllocateNothing), and one "enabled" run of
 # the obsv study allocates at most 400 times
 # (TestObsvStudyAllocationPin; 11,814 when each finding's text was
-# rendered as it was raised).
+# rendered as it was raised), plus the pins on a meter interval that
+# costs only its additions: every sink adds by index into slots it
+# resolved when its inputs changed, and each agrees bit for bit with
+# the map-based version kept in a test file. The flame collector's
+# folds equal the old collector's over every corpus cell and over hand-
+# built edges (TestFlameMatchesReference*), and a demand change then
+# steady intervals allocate nothing once warm
+# (TestFlameAccrueAllocatesNothing); the monitor's per-driver slices
+# give the nested maps' CollateralMap and CollateralJ
+# (TestCollateralStoreMatchesReference, TestAccrueMatchesReference,
+# TestCollateralJMatchesCollateralMap); the recorder keeps one
+# attribution histogram per UID, slotted or not
+# (TestAttributionHistogramPerUID); Observe picks
+# sort.SearchFloat64s's bucket (TestObserveMatchesSearchFloat64s); the
+# whole-mW fast path writes FormatFloat's bytes
+# (TestAppendWholeMatchesFormatFloat); the running foreground stretch
+# reads as the per-interval sum did
+# (TestForegroundTimeMatchesPerIntervalSum); a steady flush with a
+# recorder allocates nothing (TestFlushSteadyStateAllocs); a finished
+# watchdog keeps its findings at their size and hands its buffer on
+# (TestWatchdogFindingsKeptAtTheirSize); and an activity start's
+# history entry builds no string (TestActivityStartDetailRenderedOnRead).
 obsv-smoke:
-	$(GO) test -run 'TestServerSmoke|TestReadyzFollowsServing|TestExportFilesWritesAllOutputs|TestWatchdogWindowCloseAllocatesNothing|TestWatchdogDroppedFindingsAllocateNothing|TestFlameAccrueAllocatesNothing|TestHTMLEscapeAllocatesNothing' -count=1 -v ./internal/obsv
-	$(GO) test -run 'TestAccrueAllocatesNothing|TestBeginEndAllocatesOnlyTheAttack' -count=1 -v ./internal/core
+	$(GO) test -run 'TestServerSmoke|TestReadyzFollowsServing|TestExportFilesWritesAllOutputs|TestWatchdogWindowCloseAllocatesNothing|TestWatchdogDroppedFindingsAllocateNothing|TestWatchdogFindingsKeptAtTheirSize|TestFlameAccrueAllocatesNothing|TestFlameMatchesReference|TestHTMLEscapeAllocatesNothing' -count=1 -v ./internal/obsv
+	$(GO) test -run 'TestAccrueAllocatesNothing|TestBeginEndAllocatesOnlyTheAttack|TestCollateralStoreMatchesReference|TestAccrueMatchesReference|TestCollateralJMatchesCollateralMap|TestActivityStartDetailRenderedOnRead' -count=1 -v ./internal/core
+	$(GO) test -run 'TestObserveMatchesSearchFloat64s|TestAppendWholeMatchesFormatFloat|TestAttributionHistogramPerUID' -count=1 -v ./internal/telemetry
+	$(GO) test -run 'TestForegroundTimeMatchesPerIntervalSum' -count=1 -v ./internal/accounting
+	$(GO) test -run 'TestFlushSteadyStateAllocs' -count=1 -v ./internal/hw
 	$(GO) test -run 'TestObsvStudyAllocationPin' -count=1 -v ./internal/experiments
 
 # Regenerate the BENCH_trace.json causal-span tracing overhead artifact
@@ -185,7 +209,9 @@ fuzz-corpus-short:
 
 # 15-second randomized hunt over the append-based JSON writer behind
 # watchdog.json and the Chrome trace encoder: for any (string, float64)
-# it must write encoding/json's bytes, or fail where encoding/json does.
+# it must write encoding/json's bytes, or fail where encoding/json does,
+# and a finding's detail must write the float in whole mW as
+# strconv.FormatFloat(x, 'f', 0, 64) does.
 fuzz-json-short:
 	$(GO) test -run NONE -fuzz FuzzJSONAppend -fuzztime 15s ./internal/obsv
 
