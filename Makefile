@@ -150,10 +150,15 @@ trace-bench:
 # (TestRejectedKindsAddNoSeries) — plus, under -race, the
 # stalled-subscriber drop test on the live trace stream and the SSE
 # regression test (a frame published while a stream flushes its initial
-# frames still reaches the subscriber).
+# frames still reaches the subscriber), plus the per-device span store:
+# a traced device keeps one monotone stream per phase kind, and their
+# merge must equal the sort it replaced, kept in trace_ref_test.go, over
+# interleaved streams that share starts and overrun the drop cap
+# (TestPhaseMergeMatchesSortReference).
 trace-smoke:
 	$(GO) test -run 'TestTraceSmoke|TestGoldenWorkerIndependence|TestMetricsExposition|TestRejectedKindsAddNoSeries' -count=1 -v ./internal/jobs
 	$(GO) test -race -run 'TestTraceStreamStalledSubscriber|TestServeKeepsFrameDuringInitialFlush' -count=1 ./internal/obsv
+	$(GO) test -run 'TestPhaseMergeMatchesSortReference' -count=1 -v ./internal/trace
 
 # Regenerate the BENCH_corpus.json scenario-corpus artifact: every
 # (archetype x attack-variant) cell over 40 seeded reps, and enforce the
@@ -180,10 +185,14 @@ corpus-smoke:
 # budget counts what it holds), plus the fleet's in-place telemetry
 # fold: it renders the bytes of the fresh-aggregate merge and leaves
 # each device's snapshot as it was (TestBlockFoldMatchesMerge), and a
-# warm fold allocates nothing (TestBlockFoldWarmAllocatesNothing).
+# warm fold allocates nothing (TestBlockFoldWarmAllocatesNothing), plus
+# the fleet summary's row ledgers: over three fold blocks of random
+# devices they render the map-based summary's bytes, kept in
+# aggregate_ref_test.go, and carry its joules bit for bit
+# (TestSummaryMatchesMapReference).
 jobs-smoke:
 	$(GO) test -race -count=1 -run 'TestLoad|TestJobSSEStream|TestQueueCancelWhileQueued|TestServerShutdownClosesManager|TestPlaneShutdownLeavesNoGoroutines|TestFleetArtifactDigest|TestArtifactsAreExactSize' -v ./internal/jobs
-	$(GO) test -race -count=1 -run 'TestBlockFoldMatchesMerge|TestBlockFoldWarmAllocatesNothing' -v ./internal/fleet
+	$(GO) test -race -count=1 -run 'TestBlockFoldMatchesMerge|TestBlockFoldWarmAllocatesNothing|TestSummaryMatchesMapReference' -v ./internal/fleet
 	$(GO) test -count=1 -run 'TestServeAndStop' ./cmd/eandroid-serve
 
 # Regenerate the BENCH_jobs.json cache-study artifact: one scenario job

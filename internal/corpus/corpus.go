@@ -26,6 +26,8 @@ package corpus
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // Archetype names a generated user behaviour model.
@@ -143,22 +145,13 @@ func (p *Params) fill() error {
 	return nil
 }
 
-// splitmix64 is the SplitMix64 finalizer — the same pure seed-derivation
-// pipeline the fleet runner uses for per-device seeds, so any cell/rep
-// subset of the corpus can be regenerated in isolation.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // ScriptSeed derives the generator seed for repetition rep of corpus
-// cell index cellIdx from the corpus root seed. Pure, so any cell of a
+// cell index cellIdx from the corpus root seed through the SplitMix64
+// chain the fleet uses for device seeds. Pure, so any cell of a
 // replayed population can be re-run alone with identical behaviour.
 func ScriptSeed(root int64, cellIdx, rep int) int64 {
-	x := splitmix64(uint64(root))
-	x = splitmix64(x + uint64(cellIdx)*0x9e3779b97f4a7c15)
-	x = splitmix64(x + uint64(rep)*0xbf58476d1ce4e5b9)
+	x := sim.SplitMix64(uint64(root))
+	x = sim.SplitMix64(x + uint64(cellIdx)*0x9e3779b97f4a7c15)
+	x = sim.SplitMix64(x + uint64(rep)*0xbf58476d1ce4e5b9)
 	return int64(x)
 }

@@ -162,7 +162,6 @@ func (f *folder) finalize() (Summary, *telemetry.Snapshot, error) {
 			snaps = append(snaps, blk.metrics) // nil for all-failed blocks
 		}
 	}
-	sum.backfillLabels()
 	var metrics *telemetry.Snapshot
 	if f.spec.Telemetry {
 		m, err := telemetry.MergeSnapshots(snaps)

@@ -2,24 +2,23 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
-	"repro/internal/app"
 	"repro/internal/check"
 	"repro/internal/core"
 )
 
 // Summary is the fleet-level merge of every successful device result.
-// All maps are keyed the same way as the per-device results; because
-// every device installs apps in the same order, a UID means the same
-// app on every device in the fleet.
+// Its ledgers are rows in ascending UID order, like each Result's;
+// because every device installs apps in the same order, a UID means the
+// same app on every device in the fleet.
 //
-// Maps are allocated lazily: a fleet where every device failed, or one
-// whose monitor is off, carries nil maps rather than five empty
+// The two count maps are allocated lazily: a fleet whose monitor is off
+// or whose checks all held carries nil maps rather than two empty
 // allocations per accumulator block. Nil and empty render identically
-// (every map section is length-guarded), so laziness is invisible in
-// the byte-determinism surface.
+// (both sections are length-guarded).
 type Summary struct {
 	// Devices and Failed count the fleet's outcomes; Detected counts
 	// devices whose monitor recorded at least one attack.
@@ -31,17 +30,16 @@ type Summary struct {
 	// TotalSimH sums simulated hours across successful devices — the
 	// numerator of the device-sim-hours/sec throughput stat.
 	TotalSimH float64
-	// EnergyByUID merges the baseline ledgers.
-	EnergyByUID map[app.UID]float64
-	// CollateralByUID merges E-Android's collateral maps.
-	CollateralByUID map[app.UID]float64
+	// Energy merges the baseline ledgers, one row per UID. A row's
+	// label is the first non-empty one any device gave it, in device
+	// order.
+	Energy []LedgerRow
+	// Collateral merges E-Android's collateral ledgers the same way.
+	Collateral []LedgerRow
 	// AttacksByVector merges the attack logs.
 	AttacksByVector map[core.Vector]int
 	// Attacks is the fleet-wide attack total.
 	Attacks int
-	// Labels maps each UID to its label (taken from the first device
-	// that reported a non-empty one; "uid:<n>" when none did).
-	Labels map[app.UID]string
 	// Violations is the fleet-wide invariant violation total; zero
 	// when checking is off or everything held.
 	Violations int
@@ -103,20 +101,8 @@ func (s *Summary) fold(r *Result) {
 	if r.Detected {
 		s.Detected++
 	}
-	if len(r.Energy) > 0 && s.EnergyByUID == nil {
-		s.EnergyByUID = make(map[app.UID]float64)
-	}
-	for _, row := range r.Energy {
-		s.EnergyByUID[row.UID] += row.J
-		s.label(row)
-	}
-	if len(r.Collateral) > 0 && s.CollateralByUID == nil {
-		s.CollateralByUID = make(map[app.UID]float64)
-	}
-	for _, row := range r.Collateral {
-		s.CollateralByUID[row.UID] += row.J
-		s.label(row)
-	}
+	s.Energy = addRows(s.Energy, r.Energy)
+	s.Collateral = addRows(s.Collateral, r.Collateral)
 	if len(r.AttacksByVector) > 0 {
 		if s.AttacksByVector == nil {
 			s.AttacksByVector = make(map[core.Vector]int)
@@ -136,23 +122,6 @@ func (s *Summary) fold(r *Result) {
 	}
 }
 
-// label records row's label for its UID unless an earlier device gave
-// one. First non-empty label wins: a device can report a UID whose
-// label it never learned (e.g. an app uninstalled before harvest), and
-// taking that empty string first-come blinded Render for the whole
-// fleet.
-func (s *Summary) label(row LedgerRow) {
-	if row.Label == "" {
-		return
-	}
-	if s.Labels == nil {
-		s.Labels = make(map[app.UID]string)
-	}
-	if _, ok := s.Labels[row.UID]; !ok {
-		s.Labels[row.UID] = row.Label
-	}
-}
-
 // merge absorbs a completed block partial. Blocks merge strictly in
 // block order, so cross-block float sums follow the same fixed tree
 // for every worker count.
@@ -164,36 +133,14 @@ func (s *Summary) merge(o *Summary) {
 	s.TotalSimH += o.TotalSimH
 	s.Attacks += o.Attacks
 	s.Violations += o.Violations
-	if len(o.EnergyByUID) > 0 {
-		if s.EnergyByUID == nil {
-			s.EnergyByUID = make(map[app.UID]float64)
-		}
-		for uid, j := range o.EnergyByUID {
-			s.EnergyByUID[uid] += j
-		}
-	}
-	if len(o.CollateralByUID) > 0 {
-		if s.CollateralByUID == nil {
-			s.CollateralByUID = make(map[app.UID]float64)
-		}
-		for uid, j := range o.CollateralByUID {
-			s.CollateralByUID[uid] += j
-		}
-	}
+	s.Energy = addRows(s.Energy, o.Energy)
+	s.Collateral = addRows(s.Collateral, o.Collateral)
 	if len(o.AttacksByVector) > 0 {
 		if s.AttacksByVector == nil {
 			s.AttacksByVector = make(map[core.Vector]int)
 		}
 		for v, n := range o.AttacksByVector {
 			s.AttacksByVector[v] += n
-		}
-	}
-	for uid, label := range o.Labels {
-		if s.Labels == nil {
-			s.Labels = make(map[app.UID]string)
-		}
-		if _, ok := s.Labels[uid]; !ok {
-			s.Labels[uid] = label
 		}
 	}
 	if len(o.ViolationsByInvariant) > 0 {
@@ -212,34 +159,41 @@ func (s *Summary) merge(o *Summary) {
 	}
 }
 
-// backfillLabels gives every ledger UID a printable name: Render
-// indexes Labels by every ledger UID, and a UID no device could label
-// must still print something identifiable. Runs once, after the final
-// block merge.
-func (s *Summary) backfillLabels() {
-	if len(s.EnergyByUID)+len(s.CollateralByUID) > 0 && s.Labels == nil {
-		s.Labels = make(map[app.UID]string)
-	}
-	for uid := range s.EnergyByUID {
-		if s.Labels[uid] == "" {
-			s.Labels[uid] = fmt.Sprintf("uid:%d", uid)
+// addRows adds src's rows into dst, both in ascending UID order, and
+// returns dst. A UID dst lacks is inserted as a zero row and then added
+// to: 0 + J, not a copy of J, since the two differ for -0. A row keeps
+// the first non-empty label it is given: a device can report a UID
+// whose label it never learned (e.g. an app uninstalled before
+// harvest), and that empty string must not blind the render for the
+// whole fleet.
+func addRows(dst, src []LedgerRow) []LedgerRow {
+	i := 0
+	for _, r := range src {
+		for i < len(dst) && dst[i].UID < r.UID {
+			i++
+		}
+		if i == len(dst) || dst[i].UID != r.UID {
+			dst = slices.Insert(dst, i, LedgerRow{UID: r.UID})
+		}
+		dst[i].J += r.J
+		if dst[i].Label == "" {
+			dst[i].Label = r.Label
 		}
 	}
-	for uid := range s.CollateralByUID {
-		if s.Labels[uid] == "" {
-			s.Labels[uid] = fmt.Sprintf("uid:%d", uid)
-		}
-	}
+	return dst
 }
 
-// sortedUIDs returns m's keys in ascending UID order.
-func sortedUIDs(m map[app.UID]float64) []app.UID {
-	uids := make([]app.UID, 0, len(m))
-	for uid := range m {
-		uids = append(uids, uid)
+// rowLabel is a ledger row's printable name: its own label, else the
+// label the other ledger has for its UID, else "uid:<n>" for a UID no
+// device could name.
+func rowLabel(row LedgerRow, other []LedgerRow) string {
+	if row.Label != "" {
+		return row.Label
 	}
-	sort.Slice(uids, func(i, j int) bool { return uids[i] < uids[j] })
-	return uids
+	if i, ok := slices.BinarySearchFunc(other, row, compareUID); ok && other[i].Label != "" {
+		return other[i].Label
+	}
+	return fmt.Sprintf("uid:%d", row.UID)
 }
 
 // renderTo writes the merged report (outcome counts, ledgers, attack
@@ -274,16 +228,16 @@ func (s *Summary) renderTo(b *strings.Builder, seed int64) {
 		}
 		b.WriteString("\n")
 	}
-	if len(s.EnergyByUID) > 0 {
+	if len(s.Energy) > 0 {
 		b.WriteString("energy by app (fleet total):\n")
-		for _, uid := range sortedUIDs(s.EnergyByUID) {
-			fmt.Fprintf(b, "  %-24s %12.3f J\n", s.Labels[uid], s.EnergyByUID[uid])
+		for _, row := range s.Energy {
+			fmt.Fprintf(b, "  %-24s %12.3f J\n", rowLabel(row, s.Collateral), row.J)
 		}
 	}
-	if len(s.CollateralByUID) > 0 {
+	if len(s.Collateral) > 0 {
 		b.WriteString("collateral by driving app (fleet total):\n")
-		for _, uid := range sortedUIDs(s.CollateralByUID) {
-			fmt.Fprintf(b, "  %-24s %12.3f J\n", s.Labels[uid], s.CollateralByUID[uid])
+		for _, row := range s.Collateral {
+			fmt.Fprintf(b, "  %-24s %12.3f J\n", rowLabel(row, s.Energy), row.J)
 		}
 	}
 }

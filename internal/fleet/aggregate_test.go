@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,28 +11,40 @@ import (
 // Regression: the label merge used to take the first label seen for a
 // UID — including the empty string a device reports for an app it could
 // no longer name (e.g. uninstalled before harvest) — which blanked the
-// fleet render for everyone. First NON-empty label wins now, with a
-// "uid:<n>" fallback when no device could name the UID.
+// fleet render for everyone. A row keeps the first NON-empty label it
+// is given; the render falls back to the other ledger's label for the
+// UID, then to "uid:<n>" when no device could name it.
 func TestSummarizeLabelFallback(t *testing.T) {
 	rs := []Result{
-		{Index: 0, Energy: []LedgerRow{{UID: 10, J: 5}, {UID: 11, J: 2}}},
+		{Index: 0,
+			Energy:     []LedgerRow{{UID: 10, J: 5}, {UID: 11, J: 2}, {UID: 13, J: 4}},
+			Collateral: []LedgerRow{{UID: 10, J: 1}}},
 		{Index: 1,
 			Energy:     []LedgerRow{{UID: 10, J: 3, Label: "Victim"}},
-			Collateral: []LedgerRow{{UID: 12, J: 1}}},
+			Collateral: []LedgerRow{{UID: 12, J: 1}, {UID: 13, J: 2, Label: "Driver"}}},
 	}
 	s := summarize(rs)
-	if got := s.Labels[10]; got != "Victim" {
-		t.Fatalf("Labels[10] = %q, want the later device's non-empty label", got)
+	want := []LedgerRow{{UID: 10, J: 8, Label: "Victim"}, {UID: 11, J: 2}, {UID: 13, J: 4}}
+	if !slices.Equal(s.Energy, want) {
+		t.Fatalf("Energy = %+v, want %+v", s.Energy, want)
 	}
-	if got := s.Labels[11]; got != "uid:11" {
-		t.Fatalf("Labels[11] = %q, want the uid fallback", got)
+	want = []LedgerRow{{UID: 10, J: 1}, {UID: 12, J: 1}, {UID: 13, J: 2, Label: "Driver"}}
+	if !slices.Equal(s.Collateral, want) {
+		t.Fatalf("Collateral = %+v, want %+v", s.Collateral, want)
 	}
-	if got := s.Labels[12]; got != "uid:12" {
-		t.Fatalf("Labels[12] = %q, want the uid fallback for collateral-only UIDs", got)
-	}
-	for i, line := range strings.Split(s.Render(0), "\n") {
-		if strings.Contains(line, " J") && strings.HasPrefix(strings.TrimSpace(line), "J") {
-			t.Fatalf("render line %d has an empty label: %q", i, line)
+	out := s.Render(0)
+	for _, line := range []string{
+		"energy by app (fleet total):\n" +
+			"  Victim                          8.000 J\n" +
+			"  uid:11                          2.000 J\n" +
+			"  Driver                          4.000 J\n",
+		"collateral by driving app (fleet total):\n" +
+			"  Victim                          1.000 J\n" +
+			"  uid:12                          1.000 J\n" +
+			"  Driver                          2.000 J\n",
+	} {
+		if !strings.Contains(out, line) {
+			t.Fatalf("render missing\n%s\ngot:\n%s", line, out)
 		}
 	}
 }
@@ -78,33 +91,33 @@ func TestRenderOmitsCheckLinesWhenClean(t *testing.T) {
 	}
 }
 
-// Regression for the eager-map bug: summarize used to allocate all
-// five merge maps even when no device contributed to them. The
-// accumulator now allocates lazily, and the render must stay
-// byte-identical (length-guarded sections treat nil and empty alike).
+// Regression for the eager-map bug: summarize used to allocate every
+// merge map even when no device contributed to it. The ledgers are rows
+// that stay nil until a device adds one, the two count maps are
+// allocated lazily, and the render is the same for nil and empty
+// (length-guarded sections).
 func TestSummaryMapsAllocatedLazily(t *testing.T) {
 	rs := []Result{
 		{Index: 0, Err: errForTest("down")},
 		{Index: 1, Err: errForTest("down")},
 	}
 	s := summarize(rs)
-	if s.EnergyByUID != nil || s.CollateralByUID != nil || s.AttacksByVector != nil ||
-		s.Labels != nil || s.ViolationsByInvariant != nil {
-		t.Fatalf("all-failed summary allocated merge maps: %+v", s)
+	if s.Energy != nil || s.Collateral != nil || s.AttacksByVector != nil || s.ViolationsByInvariant != nil {
+		t.Fatalf("all-failed summary allocated ledgers or count maps: %+v", s)
 	}
 	if s.Failed != 2 || len(s.Failures) != 2 {
 		t.Fatalf("failed = %d, failures = %d, want 2/2", s.Failed, len(s.Failures))
 	}
 
-	// Monitor-off devices contribute ledgers and labels but no attack
-	// or collateral maps.
+	// Monitor-off devices contribute energy rows but no collateral rows
+	// or attack counts.
 	rs = []Result{{Index: 0, DrainedJ: 3, Energy: []LedgerRow{{UID: 10, J: 3, Label: "App"}}}}
 	s = summarize(rs)
-	if s.EnergyByUID == nil || s.Labels == nil {
-		t.Fatal("contributing maps not built")
+	if len(s.Energy) != 1 {
+		t.Fatalf("Energy = %+v, want the device's one row", s.Energy)
 	}
-	if s.CollateralByUID != nil || s.AttacksByVector != nil || s.ViolationsByInvariant != nil {
-		t.Fatal("monitor-off summary allocated monitor maps")
+	if s.Collateral != nil || s.AttacksByVector != nil || s.ViolationsByInvariant != nil {
+		t.Fatal("monitor-off summary allocated collateral rows or count maps")
 	}
 	out := s.Render(0)
 	if !strings.Contains(out, "energy by app") || strings.Contains(out, "collateral") {
@@ -143,7 +156,6 @@ func summarize(results []Result) Summary {
 		}
 		final.merge(&bs)
 	}
-	final.backfillLabels()
 	return final
 }
 

@@ -7,7 +7,7 @@
 // indices from a queue, builds each device from the shared Config
 // template, runs its scenario plus horizon, and harvests a Result
 // labelled with a per-device seed derived from the fleet seed via
-// splitmix64.
+// sim.SplitMix64.
 //
 // Execution is streaming and memory-bounded: finished devices fold into
 // a block-locked accumulator (see accum.go) and are dropped, with a
@@ -211,22 +211,11 @@ func (p *panicError) Error() string {
 	return fmt.Sprintf("fleet: device %d panicked: %v\n%s", p.index, p.value, p.stack)
 }
 
-// splitmix64 is the SplitMix64 finalizer (Steele, Lea & Flood 2014) —
-// one multiply-xorshift pipeline that spreads consecutive inputs across
-// the full 64-bit space. It is the standard way to derive independent
-// stream seeds from a master seed plus an index.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // DeviceSeed derives device i's seed, the label its Result and the
 // fleet render carry, from the fleet seed. The derivation is pure, so
 // the label does not depend on which other devices run.
 func DeviceSeed(fleetSeed int64, i int) int64 {
-	return int64(splitmix64(uint64(fleetSeed) + uint64(i)*0x9e3779b97f4a7c15))
+	return int64(sim.SplitMix64(uint64(fleetSeed) + uint64(i)*0x9e3779b97f4a7c15))
 }
 
 // Run executes the fleet described by spec. Per-device failures (errors

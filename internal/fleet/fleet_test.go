@@ -584,7 +584,7 @@ func TestRecorderKeepsWhatTheFleetReads(t *testing.T) {
 		switch {
 		case sp.Kind == trace.KindDevice:
 			traced[sp.Dev] = true
-		case sp.Kind == trace.KindPhase && sp.Name == trace.PhaseKernelBatch:
+		case sp.Kind == trace.KindPhase && sp.Name == trace.PhaseKernelBatch.String():
 			covered[sp.Dev] += sp.N
 		}
 	}

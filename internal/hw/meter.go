@@ -610,15 +610,23 @@ func (m *Meter) InstantAppPowerMW(uid app.UID) float64 {
 	if i < 0 {
 		return 0
 	}
+	return m.appMW(i, m.cpuMarginalMW(), m.now())
+}
+
+// appMW is the own-power draw of the app in state slot i, in mW: its
+// CPU share at cpuMW per full core, plus each held peripheral split
+// among its holders, plus a WiFi tail still live at now, added in that
+// order.
+func (m *Meter) appMW(i int, cpuMW float64, now sim.Time) float64 {
 	var p float64
 	if u := m.cols.cpuUtil[i]; u != 0 {
-		p = u * m.cpuMarginalMW()
+		p = u * cpuMW
 	}
 	for mask := m.cols.holdMask[i]; mask != 0; mask &= mask - 1 {
 		ci := bits.TrailingZeros8(mask)
 		p += m.periphMW[ci] / float64(m.holderCount[ci])
 	}
-	if exp := m.cols.tailExp[i]; exp != 0 && exp.After(m.now()) {
+	if exp := m.cols.tailExp[i]; exp != 0 && exp.After(now) {
 		p += m.profile.WiFiLow
 	}
 	return p
@@ -664,19 +672,7 @@ func (m *Meter) AppPowersInto(slots []int32, dst []float64) {
 		if slots[j] != s {
 			continue
 		}
-		i := int(uid - m.cols.base)
-		var p float64
-		if u := m.cols.cpuUtil[i]; u != 0 {
-			p = u * cpuMW
-		}
-		for mask := m.cols.holdMask[i]; mask != 0; mask &= mask - 1 {
-			ci := bits.TrailingZeros8(mask)
-			p += m.periphMW[ci] / float64(m.holderCount[ci])
-		}
-		if exp := m.cols.tailExp[i]; exp != 0 && exp.After(now) {
-			p += m.profile.WiFiLow
-		}
-		dst[j] = p
+		dst[j] = m.appMW(int(uid-m.cols.base), cpuMW, now)
 	}
 }
 

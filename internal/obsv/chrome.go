@@ -99,11 +99,11 @@ const (
 
 func phaseLane(name string) int {
 	switch name {
-	case trace.PhaseMeterFlush:
+	case trace.PhaseMeterFlush.String():
 		return laneMeter
-	case trace.PhaseWatchdogWindow:
+	case trace.PhaseWatchdogWindow.String():
 		return laneWatchdog
-	case trace.PhaseKernelBatch:
+	case trace.PhaseKernelBatch.String():
 		return laneWheel
 	}
 	return laneStructural

@@ -299,20 +299,17 @@ type Flame struct {
 
 // MergeFlames sums flames stack-by-stack in argument order, so a fleet
 // merge in device-index order is byte-deterministic for any worker
-// count. Nil flames are skipped.
+// count. Each stack's sum adds the flames in argument order whatever
+// order a flame's stacks are visited in, so the visit needs no sort.
+// Nil flames are skipped.
 func MergeFlames(flames ...*Flame) *Flame {
 	out := &Flame{Stacks: make(map[string]float64)}
 	for _, f := range flames {
 		if f == nil {
 			continue
 		}
-		keys := make([]string, 0, len(f.Stacks))
-		for k := range f.Stacks {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			out.Stacks[k] += f.Stacks[k]
+		for k, j := range f.Stacks {
+			out.Stacks[k] += j
 		}
 	}
 	return out

@@ -87,16 +87,16 @@ func chromeSpans() []trace.Span {
 		{ID: 2, Parent: 1, Kind: trace.KindJob, Name: "fleet x", Dev: -1, Start: 5, End: 5},
 		{ID: 3, Parent: 2, Kind: trace.KindShard, Name: "shard 0", Dev: -1, End: 1500},
 		{ID: 4, Parent: 3, Kind: trace.KindDevice, Name: "device 0", Dev: 0, Start: 0, End: 7e12},
-		{ID: 5, Parent: 4, Kind: trace.KindPhase, Name: trace.PhaseMeterFlush, Dev: 0, Start: 1, End: 3, N: 2.5},
-		{ID: 6, Parent: 4, Kind: trace.KindPhase, Name: trace.PhaseWatchdogWindow, Dev: 0, Start: 30e9, End: 60e9},
-		{ID: 7, Parent: 4, Kind: trace.KindPhase, Name: trace.PhaseKernelBatch, Dev: 0, Start: 999, End: 1000, N: 3},
+		{ID: 5, Parent: 4, Kind: trace.KindPhase, Name: trace.PhaseMeterFlush.String(), Dev: 0, Start: 1, End: 3, N: 2.5},
+		{ID: 6, Parent: 4, Kind: trace.KindPhase, Name: trace.PhaseWatchdogWindow.String(), Dev: 0, Start: 30e9, End: 60e9},
+		{ID: 7, Parent: 4, Kind: trace.KindPhase, Name: trace.PhaseKernelBatch.String(), Dev: 0, Start: 999, End: 1000, N: 3},
 		{ID: 8, Parent: 4, Kind: trace.KindPhase, Name: "app.launch", Dev: 0, Start: 10, End: 20},
 		{ID: 9, Parent: 3, Kind: "mystery", Name: "unknown kind", Dev: -1},
 		{ID: math.MaxUint64, Parent: 3, Kind: trace.KindDevice, Name: "device 1", Dev: 1, Start: -7, End: 1 << 60},
 	}
 	for i, n := range edgeFloats {
 		spans = append(spans, trace.Span{
-			ID: trace.SpanID(100 + i), Parent: 4, Kind: trace.KindPhase, Name: trace.PhaseMeterFlush,
+			ID: trace.SpanID(100 + i), Parent: 4, Kind: trace.KindPhase, Name: trace.PhaseMeterFlush.String(),
 			Dev: 0, Start: int64(i), End: int64(i) * 1001, N: n,
 		})
 	}

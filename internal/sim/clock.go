@@ -51,3 +51,15 @@ func (t Time) After(u Time) bool { return t > u }
 func (t Time) String() string {
 	return fmt.Sprintf("T+%s", time.Duration(t))
 }
+
+// SplitMix64 is the SplitMix64 finalizer (Steele, Lea & Flood 2014):
+// one multiply-xorshift pipeline that spreads consecutive inputs across
+// the full 64-bit space. Fleet device seeds, corpus script seeds and
+// trace span IDs all derive from a root plus an index through it, so
+// any one of them can be re-derived without running the others.
+func SplitMix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}

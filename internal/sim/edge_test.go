@@ -32,8 +32,8 @@ func TestEngineEdgeCases(t *testing.T) {
 				if n != 1 {
 					t.Fatalf("ticks = %d, want 1", n)
 				}
-				if got := e.Pending(); got != 0 {
-					t.Fatalf("Pending() = %d, want 0 after in-callback stop", got)
+				if got := e.QueueLen(); got != 0 {
+					t.Fatalf("QueueLen() = %d, want 0 after in-callback stop", got)
 				}
 			},
 		},
@@ -60,7 +60,7 @@ func TestEngineEdgeCases(t *testing.T) {
 			},
 		},
 		{
-			// Drain empties the queue completely; Pending must read 0
+			// Drain empties the queue completely; QueueLen must read 0
 			// and another Drain must be an immediate no-op.
 			name: "pending after drain",
 			run: func(t *testing.T) {
@@ -72,8 +72,8 @@ func TestEngineEdgeCases(t *testing.T) {
 				if err := e.Drain(10); err != nil {
 					t.Fatal(err)
 				}
-				if got := e.Pending(); got != 0 {
-					t.Fatalf("Pending() = %d, want 0", got)
+				if got := e.QueueLen(); got != 0 {
+					t.Fatalf("QueueLen() = %d, want 0", got)
 				}
 				if err := e.Drain(10); err != nil {
 					t.Fatalf("second Drain err = %v", err)

@@ -168,8 +168,7 @@ func (e *Engine) SetEventPool(p *EventPool) {
 func (e *Engine) Now() Time { return e.now }
 
 // QueueLen reports the number of live queued events in O(1). Cancelled
-// events are reclaimed immediately by the wheel, so QueueLen and
-// Pending agree.
+// events are reclaimed immediately by the wheel, so none are counted.
 func (e *Engine) QueueLen() int {
 	if e.wheel == nil {
 		return 0
@@ -344,18 +343,6 @@ func (e *Engine) Drain(maxEvents int) error {
 			return nil
 		}
 	}
-}
-
-// Pending reports the number of live (non-cancelled) queued events. It
-// is O(1) and identical to QueueLen: the wheel reclaims cancelled
-// events eagerly instead of leaving tombstones.
-func (e *Engine) Pending() int { return e.QueueLen() }
-
-func (e *Engine) peek() (Time, bool) {
-	if e.wheel == nil {
-		return 0, false
-	}
-	return e.wheel.peekMin()
 }
 
 // Recycle hands the engine's timing wheel — and every event still

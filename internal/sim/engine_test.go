@@ -83,8 +83,8 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d, want 0", e.Pending())
+	if e.QueueLen() != 0 {
+		t.Fatalf("QueueLen() = %d, want 0", e.QueueLen())
 	}
 }
 

@@ -65,8 +65,8 @@ type wheel struct {
 	// and scanning stay correct with a stale cursor, just one cascade
 	// less eager.
 	cur uint64
-	// live counts scheduled, not-yet-fired, not-cancelled events.
-	// QueueLen and Pending both report it.
+	// live counts scheduled, not-yet-fired, not-cancelled events;
+	// QueueLen reports it.
 	live int
 
 	// batch holds the current granule's events sorted by (at, seq);
@@ -337,42 +337,6 @@ func (w *wheel) sortBatch() {
 		}
 		b[j+1] = ev
 	}
-}
-
-// peekMin returns the timestamp of the next live event without
-// mutating the wheel. The first non-empty tier in (batch, level 0,
-// level 1, ..., overflow) order holds the global minimum: window
-// alignment makes every lower tier strictly earlier in time than the
-// next one up.
-func (w *wheel) peekMin() (Time, bool) {
-	for i := w.batchIdx; i < len(w.batch); i++ {
-		if !w.batch[i].canceled {
-			return w.batch[i].at, true
-		}
-	}
-	for l := 0; l < wheelLevels; l++ {
-		cl := w.cur >> (uint(l) * slotBits)
-		if s, ok := w.scan(l, int(cl&slotMask)+1); ok {
-			sl := w.slots[l][s]
-			min := sl[0].at
-			for _, ev := range sl[1:] {
-				if ev.at < min {
-					min = ev.at
-				}
-			}
-			return min, true
-		}
-	}
-	if len(w.overflow) > 0 {
-		min := w.overflow[0].at
-		for _, ev := range w.overflow[1:] {
-			if ev.at < min {
-				min = ev.at
-			}
-		}
-		return min, true
-	}
-	return 0, false
 }
 
 // releaseAll returns every resident event to p and resets the wheel to

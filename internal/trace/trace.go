@@ -5,7 +5,7 @@
 // up along call paths.
 //
 // The subsystem is built around the same determinism split the rest of
-// the repo observes. Span IDs are derived from splitmix64 seed chains
+// the repo observes. Span IDs are derived from sim.SplitMix64 seed chains
 // rooted in the job's content address, never from wall time or
 // scheduling order, and the exported span tree is assembled in device-
 // index order with virtual-ns timestamps only — so the Chrome trace a
@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -58,16 +57,25 @@ const (
 	KindPhase   = "phase"
 )
 
-// Engine-phase span names.
+// Phase is an engine-phase span's kind. Each has one producer, and
+// each producer emits its phases in virtual-start order.
+type Phase uint8
+
 const (
 	// PhaseMeterFlush is one integrated meter interval (a flush).
-	PhaseMeterFlush = "meter.flush"
+	PhaseMeterFlush Phase = iota
 	// PhaseWatchdogWindow is one closed watchdog window.
-	PhaseWatchdogWindow = "watchdog.window"
+	PhaseWatchdogWindow
 	// PhaseKernelBatch is one same-instant wheel dispatch batch,
 	// folded from the telemetry kernel trace log after the run.
-	PhaseKernelBatch = "wheel.batch"
+	PhaseKernelBatch
+	numPhases
 )
+
+var phaseNames = [numPhases]string{"meter.flush", "watchdog.window", "wheel.batch"}
+
+// String returns the phase's span name.
+func (p Phase) String() string { return phaseNames[p] }
 
 // Span is one unit of causal work. Start/End are virtual nanoseconds
 // (the device's sim clock; control-plane spans roll their windows up
@@ -116,16 +124,6 @@ func (c *Config) fill() {
 	}
 }
 
-// splitmix64 is the SplitMix64 finalizer — the same derivation the
-// fleet uses for per-device seeds, reused here so span identity and
-// device seeds hang off one chain discipline.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // golden is the 64-bit golden-ratio increment used to spread child
 // indexes before finalizing.
 const golden = 0x9e3779b97f4a7c15
@@ -133,7 +131,7 @@ const golden = 0x9e3779b97f4a7c15
 // Derive chains child index's span ID off parent. Pure: the tree's
 // shape alone fixes every ID.
 func Derive(parent SpanID, index uint64) SpanID {
-	return SpanID(splitmix64(uint64(parent) + index*golden))
+	return SpanID(sim.SplitMix64(uint64(parent) + index*golden))
 }
 
 // RootID derives an operation's root span ID from its seed string
@@ -142,7 +140,7 @@ func RootID(seed string) SpanID {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte("trace/v1|"))
 	_, _ = h.Write([]byte(seed))
-	return SpanID(splitmix64(h.Sum64()))
+	return SpanID(sim.SplitMix64(h.Sum64()))
 }
 
 // sampleSalt separates the sampling decision chain from the span-ID
@@ -239,7 +237,7 @@ func (t *Tracer) Fleet(n int) *FleetTrace {
 		t:    t,
 		n:    n,
 		ends: make([]int64, n),
-		devs: make(map[int]*DeviceTracer),
+		devs: make([]*DeviceTracer, n),
 	}
 	t.mu.Lock()
 	t.fleet = ft
@@ -297,13 +295,11 @@ func (t *Tracer) Spans() []Span {
 			})
 		}
 		out[0].End, out[1].End = jobEnd, jobEnd
-		for i := 0; i < ft.n; i++ {
-			dt := ft.devs[i]
-			if dt == nil {
-				continue
+		for _, dt := range ft.devs {
+			if dt != nil {
+				out = append(out, dt.span)
+				out = dt.appendMerged(out)
 			}
-			out = append(out, dt.span)
-			out = dt.appendMerged(out)
 		}
 	}
 	return out
@@ -324,7 +320,9 @@ func (t *Tracer) spanCountLocked() int {
 	if ft := t.fleet; ft != nil {
 		total += (ft.n + shardBlock - 1) / shardBlock
 		for _, dt := range ft.devs {
-			total += 1 + dt.count
+			if dt != nil {
+				total += 1 + dt.count
+			}
 		}
 	}
 	return total
@@ -339,7 +337,7 @@ func (t *Tracer) Dropped() uint64 {
 	}
 	var n uint64
 	for _, dt := range t.fleet.devs {
-		n += dt.dropped
+		n += dt.Dropped()
 	}
 	return n
 }
@@ -379,8 +377,10 @@ func (t *Tracer) Summarize(state string) *Summary {
 	if t.fleet != nil {
 		s.Devices = t.fleet.n
 		for _, dt := range t.fleet.devs {
-			s.Sampled++
-			s.Dropped += dt.dropped
+			if dt != nil {
+				s.Sampled++
+				s.Dropped += dt.dropped
+			}
 		}
 	}
 	if t.wall1 > t.wall0 {
@@ -395,13 +395,12 @@ type FleetTrace struct {
 	t *Tracer
 	n int
 
-	// ends[i] is device i's final virtual ns — written once per device
-	// from the worker that ran it (disjoint indexes, no lock), read
-	// only after the pool joins.
+	// ends[i] is device i's final virtual ns and devs[i] its finished
+	// tracer (nil when unsampled) — each written once per device from
+	// the worker that ran it (disjoint indexes, no lock), read only
+	// after the pool joins.
 	ends []int64
-
-	mu   sync.Mutex
-	devs map[int]*DeviceTracer
+	devs []*DeviceTracer
 }
 
 // Device returns device i's tracer, or nil when i is unsampled (the
@@ -433,9 +432,7 @@ func (ft *FleetTrace) Finish(i int, dt *DeviceTracer, end sim.Time) {
 		return
 	}
 	dt.span.End = int64(end)
-	ft.mu.Lock()
 	ft.devs[i] = dt
-	ft.mu.Unlock()
 }
 
 // DeviceTracer collects one sampled device's engine-phase spans.
@@ -443,23 +440,22 @@ func (ft *FleetTrace) Finish(i int, dt *DeviceTracer, end sim.Time) {
 // sites on unsampled devices pay one branch.
 //
 // The record path is the tracer's hot loop — a fully traced device
-// appends thousands of phases — so it stores compact 32-byte records
-// bucketed into one run per phase name, not full Spans: the parent,
-// kind, device index and name are the same for every record in a run,
-// and the span ID re-derives from the stored sequence number whenever
-// the tree is assembled. Every producer the engine hooks up — meter
-// flushes, watchdog windows, the post-run kernel-batch fold — emits
-// its stream in virtual-time order, so each run stays sorted as it
-// grows and assembly is an O(n) k-way merge, never a sort, of the
-// interleaved whole (which is far from sorted: watchdog windows open
-// long before the meter flushes they land between, and the kernel
-// fold appends a whole trailing run).
+// appends thousands of phases — so it stores compact 32-byte records,
+// one stream per Phase, not full Spans: the parent, kind, device index
+// and name are the same for every record in a stream, and the span ID
+// re-derives from the stored sequence number whenever the tree is
+// assembled. Each stream's producer is monotone by construction — the
+// meter panics if its clock goes backwards, watchdog windows only
+// advance their start, and the kernel-batch fold walks the kernel log
+// oldest first — so assembly is an O(n) three-way merge, never a sort,
+// of the interleaved whole (which is far from sorted: watchdog windows
+// open long before the meter flushes they land between, and the kernel
+// fold appends a whole trailing stream).
 type DeviceTracer struct {
 	id      SpanID
 	span    Span // the structural device span
 	next    uint64
-	runs    []phaseRun
-	last    int // index of the run the previous phase went to
+	recs    [numPhases][]phaseRec
 	count   int
 	dropped uint64
 }
@@ -472,49 +468,20 @@ type phaseRec struct {
 	n          float64
 }
 
-// phaseRun is one phase name's record stream. sorted tracks whether
-// the producer kept virtual-start order; a run that didn't demotes
-// assembly to a real sort.
-type phaseRun struct {
-	name   string
-	recs   []phaseRec
-	sorted bool
-}
-
-// run returns (creating on first use) the run for a phase name. The
-// scan is over at most a handful of names, and the compares are
-// pointer-equal for the package's own phase constants; a producer that
-// emits one name many times in a row (the kernel-batch fold) skips it.
-func (d *DeviceTracer) run(name string) *phaseRun {
-	if d.last < len(d.runs) && d.runs[d.last].name == name {
-		return &d.runs[d.last]
-	}
-	for i := range d.runs {
-		if d.runs[i].name == name {
-			d.last = i
-			return &d.runs[i]
-		}
-	}
-	d.last = len(d.runs)
-	d.runs = append(d.runs, phaseRun{name: name, sorted: true})
-	return &d.runs[d.last]
-}
-
-// Reserve makes room for n more phases named name, so a producer that
+// Reserve makes room for n more phases of kind p, so a producer that
 // can count its phases before it emits them (the kernel-batch fold)
-// appends them into one allocation instead of regrowing the run.
-func (d *DeviceTracer) Reserve(name string, n int) {
+// appends them into one allocation instead of regrowing the stream.
+func (d *DeviceTracer) Reserve(p Phase, n int) {
 	if d == nil || n <= 0 {
 		return
 	}
-	r := d.run(name)
-	r.recs = slices.Grow(r.recs, n)
+	d.recs[p] = slices.Grow(d.recs[p], n)
 }
 
-// Phase appends one completed engine-phase span [start, end]. Over
-// the buffer cap it counts a drop instead (the head of the run is
-// retained; see DefaultMaxSpansPerDevice).
-func (d *DeviceTracer) Phase(name string, start, end sim.Time, n float64) {
+// Phase appends one completed engine-phase span [start, end] of kind
+// p. Over the buffer cap it counts a drop instead (the head of the run
+// is retained; see DefaultMaxSpansPerDevice).
+func (d *DeviceTracer) Phase(p Phase, start, end sim.Time, n float64) {
 	if d == nil {
 		return
 	}
@@ -522,77 +489,40 @@ func (d *DeviceTracer) Phase(name string, start, end sim.Time, n float64) {
 		d.dropped++
 		return
 	}
-	r := d.run(name)
-	if k := len(r.recs); k > 0 && int64(start) < r.recs[k-1].start {
-		r.sorted = false
-	}
-	r.recs = append(r.recs, phaseRec{seq: d.next, start: int64(start), end: int64(end), n: n})
+	d.recs[p] = append(d.recs[p], phaseRec{seq: d.next, start: int64(start), end: int64(end), n: n})
 	d.next++
 	d.count++
 }
 
-// spanAt materializes run r's record k as a full Span.
-func (d *DeviceTracer) spanAt(r *phaseRun, k int) Span {
-	rec := &r.recs[k]
-	return Span{
-		ID: Derive(d.id, rec.seq), Parent: d.id, Kind: KindPhase,
-		Name: r.name, Dev: d.span.Dev,
-		Start: rec.start, End: rec.end, N: rec.n,
-	}
-}
-
 // appendMerged appends the device's phase spans to out in virtual-
-// time order. With every run sorted (the always case for the engine's
-// own producers) this is a k-way merge over k = len(runs) streams —
-// O(n) with direct comparisons on the compact records. A producer
-// that broke order demotes the device to a real sort; either way the
-// result is a pure function of the append sequence, so the
+// time order: a merge of the three streams that takes, at each step,
+// the head with the earliest start and then the lowest derived span ID.
+// The result is a pure function of the append sequence, so the
 // byte-identity gate holds.
 func (d *DeviceTracer) appendMerged(out []Span) []Span {
-	allSorted := true
-	for i := range d.runs {
-		allSorted = allSorted && d.runs[i].sorted
-	}
-	if !allSorted {
-		base := len(out)
-		for i := range d.runs {
-			for k := range d.runs[i].recs {
-				out = append(out, d.spanAt(&d.runs[i], k))
-			}
-		}
-		seg := out[base:]
-		sort.Slice(seg, func(i, j int) bool { return less(&seg[i], &seg[j]) })
-		return out
-	}
-	// The merge heads live in a stack array for the handful of phase
-	// names the engine's producers create; only a wider tracer pays
-	// for a heap slice.
-	var stack [8]int
-	var heads []int
-	if len(d.runs) <= len(stack) {
-		heads = stack[:len(d.runs)]
-	} else {
-		heads = make([]int, len(d.runs))
-	}
-	for n := 0; n < d.count; n++ {
+	var heads [numPhases]int
+	for range d.count {
 		best := -1
-		for i := range d.runs {
-			if heads[i] >= len(d.runs[i].recs) {
-				continue
-			}
-			if best < 0 || recLess(&d.runs[i].recs[heads[i]], &d.runs[best].recs[heads[best]], d) {
-				best = i
+		for p := range d.recs {
+			if heads[p] < len(d.recs[p]) &&
+				(best < 0 || d.recLess(&d.recs[p][heads[p]], &d.recs[best][heads[best]])) {
+				best = p
 			}
 		}
-		out = append(out, d.spanAt(&d.runs[best], heads[best]))
+		rec := &d.recs[best][heads[best]]
 		heads[best]++
+		out = append(out, Span{
+			ID: Derive(d.id, rec.seq), Parent: d.id, Kind: KindPhase,
+			Name: Phase(best).String(), Dev: d.span.Dev,
+			Start: rec.start, End: rec.end, N: rec.n,
+		})
 	}
 	return out
 }
 
 // recLess is the merge order on compact records: virtual start, then
-// derived span ID — the same total order less() gives full Spans.
-func recLess(a, b *phaseRec, d *DeviceTracer) bool {
+// derived span ID.
+func (d *DeviceTracer) recLess(a, b *phaseRec) bool {
 	if a.start != b.start {
 		return a.start < b.start
 	}
@@ -613,14 +543,4 @@ func (d *DeviceTracer) Dropped() uint64 {
 		return 0
 	}
 	return d.dropped
-}
-
-// less is the merge/sort order: virtual start, then ID. Total —
-// span IDs are unique — so every ordering built on it is
-// deterministic.
-func less(a, b *Span) bool {
-	if a.Start != b.Start {
-		return a.Start < b.Start
-	}
-	return a.ID < b.ID
 }

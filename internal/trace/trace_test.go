@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"testing"
 
 	"repro/internal/hw"
@@ -133,34 +132,6 @@ func TestDeviceTracerCapDropsNew(t *testing.T) {
 	ft.Finish(0, dt, DefaultMaxSpansPerDevice+6)
 	if got := tr.Dropped(); got != 6 {
 		t.Fatalf("tracer dropped = %d, want 6", got)
-	}
-}
-
-// TestDeviceTracerMergesManyPhaseNames: a device with more phase names
-// than the merge keeps heads for on the stack still assembles its
-// phases in virtual-start order.
-func TestDeviceTracerMergesManyPhaseNames(t *testing.T) {
-	const names, n = 11, 33
-	tr := New("wide", "POST /jobs", Config{SampleRate: 1})
-	ft := tr.Fleet(1)
-	dt := ft.Device(0)
-	for k := 0; k < n; k++ {
-		dt.Phase(fmt.Sprintf("phase-%d", k%names), sim.Time(k), sim.Time(k+1), 0)
-	}
-	ft.Finish(0, dt, n)
-	var starts []int64
-	for _, sp := range tr.Spans() {
-		if sp.Kind == KindPhase {
-			starts = append(starts, sp.Start)
-		}
-	}
-	if len(starts) != n {
-		t.Fatalf("%d phase spans, want %d", len(starts), n)
-	}
-	for k, st := range starts {
-		if st != int64(k) {
-			t.Fatalf("phase %d starts at %d, want %d (merge out of order)", k, st, k)
-		}
 	}
 }
 
