@@ -97,8 +97,9 @@ type Spec struct {
 	Trace *trace.FleetTrace
 }
 
-// Progress is one device-completion tick of a fleet run: the live feed
-// behind the obsv server's /fleet endpoint.
+// Progress is one device-completion tick of a fleet run: what a
+// Spec.Progress hook receives, such as the jobs service's SSE progress
+// frames.
 type Progress struct {
 	// Index is the finished device's position in the fleet.
 	Index int `json:"index"`
@@ -385,9 +386,9 @@ func runDevice(ctx context.Context, spec Spec, i int, pool *sim.EventPool) (res 
 		res.Err = fmt.Errorf("fleet: device %d: %w", i, err)
 		return res
 	}
-	// Hand the device's timing wheel (and resident events) back to the
-	// worker's pool once we are done with it — finished or failed — so
-	// the next device on this worker starts with warm arenas.
+	// Hand the device's still-queued events back to the worker's pool
+	// once we are done with it — finished or failed — so the next device
+	// on this worker reuses them.
 	defer dev.Engine.Recycle()
 	if spec.Scenario != nil {
 		if err := spec.Scenario(i, dev); err != nil {
@@ -405,7 +406,7 @@ func runDevice(ctx context.Context, spec Spec, i int, pool *sim.EventPool) (res 
 		res.Metrics = dev.Telemetry.Metrics().Snapshot()
 	}
 	if spec.Trace != nil {
-		// Fold same-instant wheel dispatch runs from the kernel trace
+		// Fold same-instant kernel dispatch runs from the kernel trace
 		// log into batch spans. The fold lives here — not in the trace
 		// package — so trace never imports telemetry. Counting the
 		// batches first lets the tracer hold them in one allocation;

@@ -20,12 +20,9 @@ type Event struct {
 	name string
 	fn   func()
 
-	// slot locates the event inside the timing wheel (locFree when not
-	// queued, locBatch/locOverflow, or level<<slotBits|index); pos is
-	// its position within that slot's slice, for O(1) swap-delete.
-	slot     int32
-	pos      int32
-	canceled bool
+	// idx is the event's position in its engine's queue, kept current
+	// by every heap move so Cancel can remove it without a search.
+	idx int32
 	// gen increments every time the event returns to its pool; a Handle
 	// captured before that no longer matches and turns into a no-op.
 	gen uint32
@@ -33,65 +30,39 @@ type Event struct {
 
 // Handle refers to a scheduled event. The zero Handle is valid and
 // refers to nothing. Handles stay safe after their event fires: the
-// event's recycle bumps its generation, so a stale Handle's Cancel (or
-// accessors) cannot touch whatever the pooled Event was reused for.
+// event's recycle bumps its generation, so a stale Handle's Cancel
+// cannot touch whatever the pooled Event was reused for.
 type Handle struct {
 	eng *Engine
 	ev  *Event
 	gen uint32
 }
 
-// live reports whether the handle still refers to its original event.
-func (h Handle) live() bool { return h.ev != nil && h.ev.gen == h.gen }
-
-// At reports the instant the event is scheduled to fire (zero for a
-// stale or empty handle).
-func (h Handle) At() Time {
-	if h.live() {
-		return h.ev.at
-	}
-	return 0
-}
-
-// Name reports the diagnostic label given at scheduling time ("" for a
-// stale or empty handle).
-func (h Handle) Name() string {
-	if h.live() {
-		return h.ev.name
-	}
-	return ""
-}
+// Scheduled reports whether the event is still queued to fire. An
+// event leaves the queue only by firing, by Cancel or by Recycle, and
+// each returns it to the pool at once, which bumps its generation; so
+// the handle's event is queued exactly while the generations match.
+func (h Handle) Scheduled() bool { return h.ev != nil && h.ev.gen == h.gen }
 
 // Cancel prevents a pending event from firing. Cancelling an event that
 // already fired (or was already cancelled, or an empty handle) is a
-// no-op. A wheel-resident event is unlinked and recycled immediately —
-// cancellation reclaims the slot rather than leaving a tombstone — so
-// QueueLen drops right away; an event already in the current dispatch
-// batch is marked and reclaimed when the batch reaches it.
+// no-op. The event leaves the queue and returns to the pool at once, so
+// QueueLen drops right away.
 func (h Handle) Cancel() {
-	if !h.live() || h.ev.canceled || h.ev.slot == locFree {
-		return
+	if h.Scheduled() {
+		h.eng.remove(int(h.ev.idx))
+		h.eng.pool.put(h.ev)
 	}
-	h.eng.cancelEvent(h.ev)
 }
 
-// Scheduled reports whether the event is still queued to fire.
-func (h Handle) Scheduled() bool {
-	return h.live() && !h.ev.canceled && h.ev.slot != locFree
-}
-
-// EventPool recycles Event allocations and timing-wheel arenas. Every
-// engine owns one by default; sequential engines (a fleet worker
-// running one device after another) can share a single pool via
-// SetEventPool so each device reuses its predecessor's arenas instead
-// of growing fresh ones for the GC to sweep. A pool is
-// single-goroutine, like the engines it feeds.
+// EventPool recycles Event allocations. Every engine owns one by
+// default; sequential engines (a fleet worker running one device after
+// another) can share a single pool via SetEventPool so each device
+// reuses the Events its predecessors fired, cancelled or handed back
+// through Recycle instead of allocating fresh ones for the GC to sweep.
+// A pool is single-goroutine, like the engines it feeds.
 type EventPool struct {
 	free []*Event
-	// wheels holds recycled timing wheels (see Engine.Recycle) with
-	// their slot, batch and overflow arrays kept warm for the next
-	// engine.
-	wheels []*wheel
 }
 
 // NewEventPool returns an empty pool.
@@ -104,39 +75,24 @@ func (p *EventPool) get() *Event {
 		p.free = p.free[:n-1]
 		return ev
 	}
-	return &Event{slot: locFree, pos: -1}
+	return &Event{}
 }
 
 func (p *EventPool) put(ev *Event) {
 	ev.gen++
 	ev.fn = nil // release the closure now, not at next reuse
 	ev.name = ""
-	ev.slot, ev.pos = locFree, -1
-	ev.canceled = false
 	p.free = append(p.free, ev)
 }
-
-func (p *EventPool) getWheel() *wheel {
-	if n := len(p.wheels); n > 0 {
-		w := p.wheels[n-1]
-		p.wheels[n-1] = nil
-		p.wheels = p.wheels[:n-1]
-		return w
-	}
-	return newWheel()
-}
-
-func (p *EventPool) putWheel(w *wheel) { p.wheels = append(p.wheels, w) }
 
 // Engine is the discrete-event simulation core. It is not safe for
 // concurrent use: the simulated device is single-threaded by design, which
 // is what makes runs reproducible.
 type Engine struct {
 	now Time
-	// wheel is the hierarchical timing-wheel event store, acquired
-	// lazily from the pool on first use so pool-sharing engines reuse a
-	// predecessor's warm arenas (see EventPool and Recycle).
-	wheel   *wheel
+	// queue holds the pending events as a binary min-heap ordered by
+	// (at, seq); see before.
+	queue   []*Event
 	seq     uint64
 	stopped bool
 	pool    *EventPool
@@ -167,49 +123,95 @@ func (e *Engine) SetEventPool(p *EventPool) {
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// QueueLen reports the number of live queued events in O(1). Cancelled
-// events are reclaimed immediately by the wheel, so none are counted.
-func (e *Engine) QueueLen() int {
-	if e.wheel == nil {
-		return 0
-	}
-	return e.wheel.live
-}
+// QueueLen reports the number of queued events. Cancelled events leave
+// the queue at once, so none are counted.
+func (e *Engine) QueueLen() int { return len(e.queue) }
 
 // Schedule queues fn to run at instant at. Scheduling in the past (before
 // Now) panics: it always indicates a scenario bug, and silently clamping
-// would corrupt energy integration. The returned Handle cancels or
-// inspects the pending event; it goes stale (harmlessly) once the event
-// fires and its pooled Event is recycled.
+// would corrupt energy integration. The returned Handle cancels the
+// pending event; it goes stale (harmlessly) once the event fires and
+// its pooled Event is recycled.
 func (e *Engine) Schedule(at Time, name string, fn func()) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule %q at %v before now %v", name, at, e.now))
 	}
-	w := e.wheel
-	if w == nil {
-		w = e.pool.getWheel()
-		e.wheel = w
-	}
 	ev := e.pool.get()
 	ev.at, ev.seq, ev.name, ev.fn = at, e.seq, name, fn
-	ev.canceled = false
 	e.seq++
-	w.place(ev)
-	w.live++
+	e.queue = append(e.queue, ev)
+	e.up(len(e.queue) - 1)
 	return Handle{eng: e, ev: ev, gen: ev.gen}
 }
 
-// cancelEvent removes a pending event (Handle.Cancel has already
-// checked liveness). Wheel- and overflow-resident events are unlinked
-// and recycled on the spot; batch-resident ones are marked and
-// reclaimed when dispatch reaches them.
-func (e *Engine) cancelEvent(ev *Event) {
-	e.wheel.live--
-	if e.wheel.remove(ev) {
-		e.pool.put(ev)
-		return
+// before is the queue order: time first, then scheduling order. seq is
+// unique per engine, so the order is total and the heap's pops follow
+// it exactly.
+func before(a, b *Event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// up moves the event at queue position i toward the root until its
+// parent comes before it.
+func (e *Engine) up(i int) {
+	q := e.queue
+	ev := q[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(ev, q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].idx = int32(i)
+		i = p
 	}
-	ev.canceled = true
+	q[i] = ev
+	ev.idx = int32(i)
+}
+
+// down moves the event at queue position i toward the leaves until no
+// child comes before it, and reports whether it moved.
+func (e *Engine) down(i int) bool {
+	q := e.queue
+	ev := q[i]
+	start := i
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if r := c + 1; r < len(q) && before(q[r], q[c]) {
+			c = r
+		}
+		if !before(q[c], ev) {
+			break
+		}
+		q[i] = q[c]
+		q[i].idx = int32(i)
+		i = c
+	}
+	q[i] = ev
+	ev.idx = int32(i)
+	return i > start
+}
+
+// remove takes the event at queue position i out of the heap and
+// returns it; the queue's last event fills the gap and sifts to its
+// place.
+func (e *Engine) remove(i int) *Event {
+	q := e.queue
+	ev := q[i]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	e.queue = q[:n]
+	if i < n {
+		q[i] = last
+		if !e.down(i) {
+			e.up(i)
+		}
+	}
+	return ev
 }
 
 // After queues fn to run d after the current instant.
@@ -262,22 +264,20 @@ func (e *Engine) FailErr() error {
 // Step fires the single earliest pending event, advancing the clock to its
 // timestamp. It reports false when no events remain.
 func (e *Engine) Step() bool {
-	if e.wheel == nil {
+	if len(e.queue) == 0 {
 		return false
 	}
-	ev := e.wheel.pop(e.pool)
-	if ev == nil {
-		return false
-	}
-	e.dispatch(ev)
+	e.dispatch()
 	return true
 }
 
-// dispatch advances the clock to a popped event and fires it.
-func (e *Engine) dispatch(ev *Event) {
+// dispatch pops the earliest queued event, advances the clock to it
+// and fires it. The queue must not be empty.
+func (e *Engine) dispatch() {
+	ev := e.remove(0)
 	e.now = ev.at
 	if e.tlog != nil {
-		e.tlog.Log(e.now, ev.name, e.wheel.live)
+		e.tlog.Log(e.now, ev.name, len(e.queue))
 	}
 	fn := ev.fn
 	// Recycle before dispatch so fn itself (the common self-
@@ -300,17 +300,11 @@ func (e *Engine) RunUntil(horizon Time) error {
 	}
 	e.stopped = false
 	for !e.stopped {
-		// popUntil fuses the horizon peek into the pop: one wheel scan
-		// per event instead of two.
-		var ev *Event
-		if e.wheel != nil {
-			ev = e.wheel.popUntil(horizon, e.pool)
-		}
-		if ev == nil {
+		if len(e.queue) == 0 || e.queue[0].at > horizon {
 			e.now = horizon
 			return nil
 		}
-		e.dispatch(ev)
+		e.dispatch()
 	}
 	if err := e.FailErr(); err != nil {
 		return err
@@ -345,21 +339,16 @@ func (e *Engine) Drain(maxEvents int) error {
 	}
 }
 
-// Recycle hands the engine's timing wheel — and every event still
-// resident in it — back to the event pool. A fleet worker calls it
-// after harvesting a finished device so the next device built over the
-// same pool (see SetEventPool) starts with warm arenas instead of
-// allocating its own. The engine must not be used afterwards: any
-// outstanding Handles go stale, and a subsequent Schedule would acquire
-// a fresh wheel.
+// Recycle hands every event still queued back to the event pool. A
+// fleet worker calls it after harvesting a finished device so the next
+// device built over the same pool (see SetEventPool) reuses those
+// Events instead of allocating its own. The engine must not be used
+// afterwards: any outstanding Handles go stale.
 func (e *Engine) Recycle() {
-	w := e.wheel
-	if w == nil {
-		return
+	for _, ev := range e.queue {
+		e.pool.put(ev)
 	}
-	e.wheel = nil
-	w.releaseAll(e.pool)
-	e.pool.putWheel(w)
+	e.queue = nil
 }
 
 // Ticker repeatedly schedules a callback at a fixed period.

@@ -332,14 +332,6 @@ func TestPropertyClockMonotonic(t *testing.T) {
 	}
 }
 
-func TestEventAccessors(t *testing.T) {
-	e := NewEngine()
-	ev := e.Schedule(5*Second, "named", func() {})
-	if ev.At() != 5*Second || ev.Name() != "named" {
-		t.Fatalf("accessors: at=%v name=%q", ev.At(), ev.Name())
-	}
-}
-
 func TestCancelAfterFireIsNoop(t *testing.T) {
 	e := NewEngine()
 	fired := 0

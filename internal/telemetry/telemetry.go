@@ -587,8 +587,8 @@ func (r *Recorder) Events() []Event {
 }
 
 // KernelBatch is one same-instant run of kernel event firings: the
-// timing wheel dispatches all events due at one virtual instant as a
-// batch, and the trace log records them back-to-back with equal T.
+// engine dispatches all events due at one virtual instant back to back,
+// and the trace log records them with equal T.
 type KernelBatch struct {
 	// T is the batch's virtual instant.
 	T sim.Time

@@ -66,12 +66,14 @@ const (
 	PhaseMeterFlush Phase = iota
 	// PhaseWatchdogWindow is one closed watchdog window.
 	PhaseWatchdogWindow
-	// PhaseKernelBatch is one same-instant wheel dispatch batch,
+	// PhaseKernelBatch is one same-instant kernel dispatch batch,
 	// folded from the telemetry kernel trace log after the run.
 	PhaseKernelBatch
 	numPhases
 )
 
+// The kernel batch keeps the span name "wheel.batch", which every
+// trace.json carries, although the engine's queue is a heap.
 var phaseNames = [numPhases]string{"meter.flush", "watchdog.window", "wheel.batch"}
 
 // String returns the phase's span name.
