@@ -118,7 +118,10 @@ obsv-bench:
 # TestCollateralJMatchesCollateralMap); the recorder keeps one
 # attribution histogram per UID, slotted or not
 # (TestAttributionHistogramPerUID); Observe picks
-# sort.SearchFloat64s's bucket (TestObserveMatchesSearchFloat64s); the
+# sort.SearchFloat64s's bucket (TestObserveMatchesSearchFloat64s);
+# folding random registries with Metrics.Add renders the bytes of the
+# Snapshot merge it replaced, kept in metrics_ref_test.go, and keeps its
+# values bit for bit (TestMetricsAddMatchesReference); the
 # whole-mW fast path writes FormatFloat's bytes
 # (TestAppendWholeMatchesFormatFloat); the running foreground stretch
 # reads as the per-interval sum did
@@ -130,7 +133,7 @@ obsv-bench:
 obsv-smoke:
 	$(GO) test -run 'TestServerSmoke|TestReadyzFollowsServing|TestExportFilesWritesAllOutputs|TestWatchdogWindowCloseAllocatesNothing|TestWatchdogDroppedFindingsAllocateNothing|TestWatchdogFindingsKeptAtTheirSize|TestFlameAccrueAllocatesNothing|TestFlameMatchesReference|TestHTMLEscapeAllocatesNothing' -count=1 -v ./internal/obsv
 	$(GO) test -run 'TestAccrueAllocatesNothing|TestBeginEndAllocatesOnlyTheAttack|TestCollateralStoreMatchesReference|TestAccrueMatchesReference|TestCollateralJMatchesCollateralMap|TestActivityStartDetailRenderedOnRead' -count=1 -v ./internal/core
-	$(GO) test -run 'TestObserveMatchesSearchFloat64s|TestAppendWholeMatchesFormatFloat|TestAttributionHistogramPerUID' -count=1 -v ./internal/telemetry
+	$(GO) test -run 'TestObserveMatchesSearchFloat64s|TestAppendWholeMatchesFormatFloat|TestAttributionHistogramPerUID|TestMetricsAddMatchesReference' -count=1 -v ./internal/telemetry
 	$(GO) test -run 'TestForegroundTimeMatchesPerIntervalSum' -count=1 -v ./internal/accounting
 	$(GO) test -run 'TestFlushSteadyStateAllocs' -count=1 -v ./internal/hw
 	$(GO) test -run 'TestObsvStudyAllocationPin' -count=1 -v ./internal/experiments
@@ -183,16 +186,17 @@ corpus-smoke:
 # exact-size artifacts (TestArtifactsAreExactSize: every file of a
 # traced fleet job and of a corpus job has cap == len, so the cache
 # budget counts what it holds), plus the fleet's in-place telemetry
-# fold: it renders the bytes of the fresh-aggregate merge and leaves
-# each device's snapshot as it was (TestBlockFoldMatchesMerge), and a
-# warm fold allocates nothing (TestBlockFoldWarmAllocatesNothing), plus
+# fold: after every device it holds a map-based fold's series, bit for
+# bit, and leaves each device's registry as it was
+# (TestBlockFoldMatchesReference), and a warm fold allocates nothing
+# (TestBlockFoldWarmAllocatesNothing), plus
 # the fleet summary's row ledgers: over three fold blocks of random
 # devices they render the map-based summary's bytes, kept in
 # aggregate_ref_test.go, and carry its joules bit for bit
 # (TestSummaryMatchesMapReference).
 jobs-smoke:
 	$(GO) test -race -count=1 -run 'TestLoad|TestJobSSEStream|TestQueueCancelWhileQueued|TestServerShutdownClosesManager|TestPlaneShutdownLeavesNoGoroutines|TestFleetArtifactDigest|TestArtifactsAreExactSize' -v ./internal/jobs
-	$(GO) test -race -count=1 -run 'TestBlockFoldMatchesMerge|TestBlockFoldWarmAllocatesNothing|TestSummaryMatchesMapReference' -v ./internal/fleet
+	$(GO) test -race -count=1 -run 'TestBlockFoldMatchesReference|TestBlockFoldWarmAllocatesNothing|TestSummaryMatchesMapReference' -v ./internal/fleet
 	$(GO) test -count=1 -run 'TestServeAndStop' ./cmd/eandroid-serve
 
 # Regenerate the BENCH_jobs.json cache-study artifact: one scenario job

@@ -163,14 +163,15 @@ func RunFleet(ctx context.Context, spec FleetSpec) (*FleetResult, error) {
 // single-goroutine, like the engine they observe), or set
 // FleetSpec.Telemetry to give every fleet device its own, sized to what
 // the fleet reads (metrics, plus the kernel log on a traced device),
-// and read the order-stable merge from FleetResult.Metrics.
+// and read the device-index-order fold of their registries from
+// FleetResult.Metrics.
 type (
 	// TelemetryRecorder is the typed event tracer + metrics registry.
 	TelemetryRecorder = telemetry.Recorder
 	// TelemetryOptions configures a recorder (ring capacity).
 	TelemetryOptions = telemetry.Options
-	// TelemetrySnapshot is an order-stable freeze of a registry.
-	TelemetrySnapshot = telemetry.Snapshot
+	// TelemetryMetrics is a metrics registry, its series kept in order.
+	TelemetryMetrics = telemetry.Metrics
 )
 
 // NewTelemetry builds a recorder for Config.Telemetry.
@@ -178,7 +179,7 @@ func NewTelemetry(opts TelemetryOptions) *TelemetryRecorder { return telemetry.N
 
 // Observability API: the live plane layered over telemetry. ObsvServer
 // is the stdlib-only HTTP surface the eandroid-serve daemon runs
-// (Prometheus /metrics over registered snapshot sources, health
+// (Prometheus /metrics over registered metrics sources, health
 // probes, pprof, live trace summaries); FlameCollector folds the
 // meter's attribution stream into energy flame graphs; Watchdog is the
 // streaming drain-anomaly detector (the paper's esDiagnose signal).
@@ -209,7 +210,7 @@ func NewWatchdog(dev *Device, opts WatchdogOptions) (*Watchdog, error) {
 	return obsv.NewWatchdog(dev, opts)
 }
 
-// WritePrometheus renders a telemetry snapshot in Prometheus text
+// WritePrometheus renders a metrics registry in Prometheus text
 // exposition format: the encoder behind /metrics, a job's
 // metrics.prom and the CLIs' -metrics-out.
 var WritePrometheus = obsv.WritePrometheus

@@ -44,7 +44,7 @@ type accBlock struct {
 	end     int
 	pending map[int]pendRes
 	sum     Summary
-	metrics *telemetry.Snapshot
+	metrics *telemetry.Metrics
 	merr    error
 }
 
@@ -130,45 +130,39 @@ func (f *folder) complete(i int, res Result, dispatched bool) {
 }
 
 // fold reduces one result into the block's partial summary and, when
-// telemetry is on, adds its snapshot into the block's in place. That is
-// MergeSnapshots' left fold, one snapshot at a time, so the block's
-// snapshot is bit-identical to one merge over every device's in index
-// order. The first snapshot is added into an empty one, which copies
-// it: fleet.Collect keeps each Result, so the fold never writes into a
-// device's snapshot.
+// telemetry is on, adds its device registry into the block's, one
+// device at a time in index order. The block's registry starts empty,
+// so the first device's series are copied in: the fold only reads a
+// device's registry, which fleet.Collect may keep in its Result.
 func (blk *accBlock) fold(spec *Spec, res *Result) {
 	blk.sum.fold(res)
 	if spec.Telemetry && res.Metrics != nil && blk.merr == nil {
 		if blk.metrics == nil {
-			blk.metrics = &telemetry.Snapshot{}
+			blk.metrics = telemetry.NewMetrics()
 		}
 		blk.merr = blk.metrics.Add(res.Metrics)
 	}
 }
 
 // finalize merges the per-block partials in block order and returns
-// the fleet summary plus the merged telemetry snapshot. Called after
-// every device has completed; no locking needed.
-func (f *folder) finalize() (Summary, *telemetry.Snapshot, error) {
+// the fleet summary plus the folded registry: a fresh one that each
+// block's is added into (a block whose devices all failed has none).
+// Called after every device has completed; no locking needed.
+func (f *folder) finalize() (Summary, *telemetry.Metrics, error) {
 	var sum Summary
-	var snaps []*telemetry.Snapshot
+	var metrics *telemetry.Metrics
+	if f.spec.Telemetry {
+		metrics = telemetry.NewMetrics()
+	}
 	for b := range f.blocks {
 		blk := &f.blocks[b]
 		if blk.merr != nil {
 			return Summary{}, nil, blk.merr
 		}
 		sum.merge(&blk.sum)
-		if f.spec.Telemetry {
-			snaps = append(snaps, blk.metrics) // nil for all-failed blocks
-		}
-	}
-	var metrics *telemetry.Snapshot
-	if f.spec.Telemetry {
-		m, err := telemetry.MergeSnapshots(snaps)
-		if err != nil {
+		if err := metrics.Add(blk.metrics); err != nil {
 			return Summary{}, nil, err
 		}
-		metrics = m
 	}
 	return sum, metrics, nil
 }

@@ -76,9 +76,9 @@ type Spec struct {
 	// single-goroutine, like the engine it observes), holding only what
 	// the fleet reads from it: metrics, plus the kernel log on a
 	// trace-sampled device, whose batch spans fold from it. Each
-	// device's metrics snapshot lands in Result.Metrics and the
-	// index-order merge in FleetResult.Metrics, which is byte-identical
-	// across worker counts.
+	// device's registry lands in Result.Metrics and their index-order
+	// fold in FleetResult.Metrics, which is byte-identical across
+	// worker counts.
 	Telemetry bool
 	// Progress, when non-nil, is called once per finished device, from
 	// the worker goroutine that ran it. It MUST be safe for concurrent
@@ -158,9 +158,11 @@ type Result struct {
 	// unless the device template enables Config.Checks (or the
 	// EANDROID_CHECK environment variable does) and something broke.
 	Violations []check.Violation
-	// Metrics is the device's telemetry snapshot; nil unless
-	// Spec.Telemetry was set and the device succeeded.
-	Metrics *telemetry.Snapshot
+	// Metrics is the device's own telemetry registry, handed over once
+	// the device has finished: nothing writes it afterwards, and the
+	// fleet's fold only reads it. Nil unless Spec.Telemetry was set and
+	// the device succeeded.
+	Metrics *telemetry.Metrics
 }
 
 // LedgerRow is one UID's energy in a device's ledger, with the UID's
@@ -177,11 +179,10 @@ type FleetResult struct {
 	Seed    int64
 	Workers int
 	Summary Summary
-	// Metrics merges the per-device telemetry snapshots in device-index
-	// order; nil unless Spec.Telemetry was set. Byte-identical across
-	// worker counts (unlike WorkerStats, which measures the pool
-	// itself).
-	Metrics *telemetry.Snapshot
+	// Metrics folds the per-device registries in device-index order;
+	// nil unless Spec.Telemetry was set. Byte-identical across worker
+	// counts (unlike WorkerStats, which measures the pool itself).
+	Metrics *telemetry.Metrics
 	// WorkerStats reports per-worker utilization of this run. It is
 	// wall-clock measured and scheduling-dependent, hence deliberately
 	// excluded from Metrics and Render, which are determinism-gated.
@@ -377,7 +378,7 @@ func runDevice(ctx context.Context, spec Spec, i int, pool *sim.EventPool) (res 
 	cfg.Trace = dt
 	if spec.Telemetry {
 		// One recorder per device: recorders are single-goroutine, and
-		// per-device registries are what make the merged snapshot
+		// per-device registries are what make the folded registry
 		// independent of worker scheduling.
 		cfg.Telemetry = newRecorder(dt != nil)
 	}
@@ -403,7 +404,7 @@ func runDevice(ctx context.Context, spec Spec, i int, pool *sim.EventPool) (res 
 	harvest(&res, dev)
 	res.Violations = dev.FinishChecks()
 	if dev.Telemetry != nil {
-		res.Metrics = dev.Telemetry.Metrics().Snapshot()
+		res.Metrics = dev.Telemetry.Metrics()
 	}
 	if spec.Trace != nil {
 		// Fold same-instant kernel dispatch runs from the kernel trace

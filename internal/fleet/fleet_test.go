@@ -378,7 +378,7 @@ func TestPanicIsCapturedPerDevice(t *testing.T) {
 		t.Fatal("panic leaked into sibling devices")
 	}
 	// The merge still covers the healthy devices.
-	if fr.Metrics == nil || len(fr.Metrics.Counters) == 0 {
+	if fr.Metrics == nil || len(fr.Metrics.Counters()) == 0 {
 		t.Fatal("healthy devices' metrics lost after a sibling panic")
 	}
 }
@@ -434,34 +434,34 @@ func telemetrySpec(devices, workers int, seed int64) Spec {
 	return spec
 }
 
-// The telemetry acceptance gate: the merged metric snapshot must be
-// identical for any worker count, because each device gets its own
-// recorder and the merge runs in device-index order. The horizon runs
+// The telemetry acceptance gate: the folded registry must be identical
+// for any worker count, because each device gets its own recorder and
+// the fold runs in device-index order. The horizon runs
 // past the scripted attack (which ends at 10 s), so kernel events fire
 // and the merged kernel counter is nonzero.
 func TestMetricsByteIdenticalAcrossWorkerCounts(t *testing.T) {
-	var golden *telemetry.Snapshot
+	var golden *telemetry.Metrics
 	for _, workers := range []int{1, 8} {
 		spec := telemetrySpec(8, workers, 77)
 		spec.Horizon = time.Minute
 		fr, results := runCollect(t, context.Background(), spec)
 		if fr.Metrics == nil {
-			t.Fatal("fleet metrics snapshot missing")
+			t.Fatal("fleet metrics registry missing")
 		}
 		for i, r := range results {
 			if r.Metrics == nil {
-				t.Fatalf("device %d metrics snapshot missing", i)
+				t.Fatalf("device %d metrics registry missing", i)
 			}
 		}
 		got := fr.Metrics
 		var fired float64
-		for _, c := range got.Counters {
-			if c.Name == "sim.events_fired" {
-				fired = c.Value
+		for _, c := range got.Counters() {
+			if c.Name() == "sim.events_fired" {
+				fired = c.Value()
 			}
 		}
 		if fired == 0 {
-			t.Fatalf("merged snapshot has no sim.events_fired count: %+v", got.Counters)
+			t.Fatalf("folded registry has no sim.events_fired count: %+v", got.Counters())
 		}
 		if golden == nil {
 			golden = got
@@ -478,11 +478,11 @@ func TestNoTelemetryMeansNoSnapshots(t *testing.T) {
 	spec := attackSpec(2, 2, 3)
 	fr, results := runCollect(t, context.Background(), spec)
 	if fr.Metrics != nil {
-		t.Fatal("fleet built a metrics snapshot without Spec.Telemetry")
+		t.Fatal("fleet built a metrics registry without Spec.Telemetry")
 	}
 	for i, r := range results {
 		if r.Metrics != nil {
-			t.Fatalf("device %d has a metrics snapshot without Spec.Telemetry", i)
+			t.Fatalf("device %d has a metrics registry without Spec.Telemetry", i)
 		}
 	}
 }
@@ -523,7 +523,7 @@ func TestTracerPanicMarksDeviceFailed(t *testing.T) {
 		t.Fatal("tracer panic leaked into sibling devices")
 	}
 	// The merge still covers the healthy devices.
-	if fr.Metrics == nil || len(fr.Metrics.Counters) == 0 {
+	if fr.Metrics == nil || len(fr.Metrics.Counters()) == 0 {
 		t.Fatal("healthy devices' metrics lost after a sibling tracer panic")
 	}
 	traced := map[int]bool{}
@@ -561,7 +561,7 @@ func TestWorkerStatsCoverFleet(t *testing.T) {
 }
 
 // TestRecorderKeepsWhatTheFleetReads: an untraced device's recorder
-// keeps metrics only, so its snapshot has no ring series; a traced
+// keeps metrics only, so its registry has no ring series; a traced
 // device's keeps the kernel log its batch spans fold from, reports that
 // log's capacity, and counts as dropped exactly the firings its spans
 // could not see.
@@ -598,17 +598,17 @@ func TestRecorderKeepsWhatTheFleetReads(t *testing.T) {
 		}
 		var fired, capacity, dropped float64
 		var rings int
-		for _, c := range r.Metrics.Counters {
-			if c.Name == "sim.events_fired" {
-				fired = c.Value
+		for _, c := range r.Metrics.Counters() {
+			if c.Name() == "sim.events_fired" {
+				fired = c.Value()
 			}
 		}
-		for _, g := range r.Metrics.Gauges {
-			switch g.Name {
+		for _, g := range r.Metrics.Gauges() {
+			switch g.Name() {
 			case "telemetry.ring_capacity":
-				capacity, rings = g.Value, rings+1
+				capacity, rings = g.Value(), rings+1
 			case "telemetry.events_dropped":
-				dropped, rings = g.Value, rings+1
+				dropped, rings = g.Value(), rings+1
 			}
 		}
 		if !traced[i] {

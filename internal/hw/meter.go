@@ -538,8 +538,9 @@ func (m *Meter) observeMW(i int, mw float64) {
 	h.Observe(mw)
 }
 
-// InstantPowerMW reports current total platform draw in milliwatts; used
-// by depletion sweeps to step analytically between events.
+// InstantPowerMW reports current total platform draw in milliwatts.
+// No simulation path reads it (depletion sweeps step the engine and
+// read the battery); tests use it to check the meter's power state.
 func (m *Meter) InstantPowerMW() float64 {
 	base := m.profile.CPUIdleAwake
 	if m.suspended {

@@ -207,8 +207,8 @@ func Attach(srv *obsv.Server, m *Manager) {
 	Register(mux, m)
 	srv.Mount("/jobs", mux)
 	srv.Mount("/jobs/", mux)
-	srv.AddMetricsSource(m.Snapshot)
-	srv.AddMetricsSource(m.red.Snapshot)
+	srv.AddMetricsSource(m.Metrics)
+	srv.AddMetricsSource(m.red.Metrics)
 	m.SetTracePublisher(srv.PublishTrace)
 	srv.OnShutdown(m.Close)
 }

@@ -170,8 +170,9 @@ func (j *Job) publishState() {
 
 // Manager is the control plane: a bounded queue feeding a fixed runner
 // pool, a content-addressed result cache, and per-job SSE brokers. It
-// keeps its own counters (telemetry.Metrics is single-goroutine by
-// contract, so the manager builds a fresh Snapshot per scrape instead).
+// keeps its own counters under mu and builds a fresh telemetry.Metrics
+// from them per scrape (Metrics), since a registry has no lock of its
+// own.
 type Manager struct {
 	opts Options
 	red  *redMetrics
@@ -427,10 +428,10 @@ func (m *Manager) CacheStats() CacheStats {
 	return m.cache.stats()
 }
 
-// Snapshot builds a fresh telemetry snapshot of the control plane's
-// counters and gauges, suitable for merging into an obsv server's
-// /metrics via AddMetricsSource.
-func (m *Manager) Snapshot() *telemetry.Snapshot {
+// Metrics builds a fresh registry of the control plane's counters and
+// gauges, suitable for adding into an obsv server's /metrics via
+// AddMetricsSource.
+func (m *Manager) Metrics() *telemetry.Metrics {
 	m.mu.Lock()
 	cs := m.cache.stats()
 	submitted, completed := m.submitted, m.completed
@@ -461,7 +462,7 @@ func (m *Manager) Snapshot() *telemetry.Snapshot {
 	t.Gauge("jobs.running").Set(float64(running))
 	t.Gauge("jobs.cache.bytes").Set(float64(cs.Bytes))
 	t.Gauge("jobs.cache.entries").Set(float64(cs.Entries))
-	return t.Snapshot()
+	return t
 }
 
 // Close stops the manager: no new submissions, queued jobs are

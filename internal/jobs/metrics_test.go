@@ -22,7 +22,7 @@ func TestREDExemplarsAndText(t *testing.T) {
 	red.Observe("GET /jobs", "", 200, 100*time.Microsecond, 0)
 	render := func() string {
 		var b strings.Builder
-		if err := obsv.WritePrometheus(&b, red.Snapshot()); err != nil {
+		if err := obsv.WritePrometheus(&b, red.Metrics()); err != nil {
 			t.Fatal(err)
 		}
 		return b.String()

@@ -22,7 +22,7 @@ func ExportFiles(rec *telemetry.Recorder, traceOut, eventsOut, metricsOut string
 	}{
 		{traceOut, func(w io.Writer) error { return WriteChromeEvents(w, 0, rec.Events()) }},
 		{eventsOut, func(w io.Writer) error { return telemetry.WriteJSONL(w, rec.Events()) }},
-		{metricsOut, func(w io.Writer) error { return WritePrometheus(w, rec.Metrics().Snapshot()) }},
+		{metricsOut, func(w io.Writer) error { return WritePrometheus(w, rec.Metrics()) }},
 	}
 	for _, o := range outs {
 		if o.path == "" {

@@ -50,7 +50,7 @@ func exportRecorder() *telemetry.Recorder {
 // the final buffered flush — and requires the error back.
 func TestExportersPropagateWriterErrors(t *testing.T) {
 	rec := exportRecorder()
-	events, snap, spans := rec.Events(), rec.Metrics().Snapshot(), spanTree()
+	events, metrics, spans := rec.Events(), rec.Metrics(), spanTree()
 	encoders := []struct {
 		name string
 		run  func(w io.Writer) error
@@ -58,7 +58,7 @@ func TestExportersPropagateWriterErrors(t *testing.T) {
 		{"WriteChromeSpans", func(w io.Writer) error { return WriteChromeSpans(w, spans) }},
 		{"WriteChromeEvents", func(w io.Writer) error { return WriteChromeEvents(w, 0, events) }},
 		{"WriteJSONL", func(w io.Writer) error { return telemetry.WriteJSONL(w, events) }},
-		{"WritePrometheus", func(w io.Writer) error { return WritePrometheus(w, snap) }},
+		{"WritePrometheus", func(w io.Writer) error { return WritePrometheus(w, metrics) }},
 	}
 	for _, enc := range encoders {
 		// Full output size, to pick interesting cut points.
@@ -111,7 +111,7 @@ func TestExportFilesWritesAllOutputs(t *testing.T) {
 	if err := telemetry.WriteJSONL(&wantEvents, r.Events()); err != nil {
 		t.Fatal(err)
 	}
-	if err := WritePrometheus(&wantMetrics, r.Metrics().Snapshot()); err != nil {
+	if err := WritePrometheus(&wantMetrics, r.Metrics()); err != nil {
 		t.Fatal(err)
 	}
 	for path, want := range map[string][]byte{

@@ -20,7 +20,7 @@
 // The split of responsibilities mirrors the rest of the repo: the
 // simulation side stays single-goroutine and deterministic (collector,
 // watchdog and every encoder are byte-identical run-to-run and across
-// fleet worker counts), while the server reads only frozen snapshots and
-// finished summaries and may be hit from any number of request
-// goroutines.
+// fleet worker counts), while the server reads only registries its
+// sources build afresh per scrape and finished summaries, and may be
+// hit from any number of request goroutines.
 package obsv

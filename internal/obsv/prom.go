@@ -8,7 +8,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// WritePrometheus renders a telemetry snapshot in the Prometheus text
+// WritePrometheus renders a metrics registry in the Prometheus text
 // exposition format (version 0.0.4) — the one Prometheus encoder in
 // the repo, behind the live /metrics endpoint, the jobs' metrics.prom
 // artifact and the CLIs' -metrics-out file. Counters and gauges render
@@ -16,17 +16,14 @@ import (
 // _count; each family gets one # TYPE line ahead of its samples.
 // Labels render in series order, and a histogram bucket with a span
 // exemplar carries it OpenMetrics-style (` # {span="<id>"} 1`). The
-// rendering is byte-deterministic: the snapshot's sections are already
-// sorted by series, floats use Go's shortest-exact formatting, and
-// metric names are sanitized with a fixed rule (every character
-// outside [a-zA-Z0-9_:] becomes '_'). A nil snapshot renders nothing.
-func WritePrometheus(w io.Writer, s *telemetry.Snapshot) error {
-	if s == nil {
-		return nil
-	}
+// rendering is byte-deterministic: the registry keeps its sections in
+// series order, floats use Go's shortest-exact formatting, and metric
+// names are sanitized with a fixed rule (every character outside
+// [a-zA-Z0-9_:] becomes '_'). A nil registry renders nothing.
+func WritePrometheus(w io.Writer, m *telemetry.Metrics) error {
 	var b strings.Builder
 	// family writes the # TYPE line when a new family starts (series of
-	// one family are adjacent in a sorted snapshot) and returns the
+	// one family are adjacent in a registry section) and returns the
 	// family's sanitized name.
 	var last string
 	family := func(name, typ string) string {
@@ -64,29 +61,28 @@ func WritePrometheus(w io.Writer, s *telemetry.Snapshot) error {
 		}
 		b.WriteByte('\n')
 	}
-	for _, c := range s.Counters {
-		sample(family(c.Name, "counter"), "", c.Labels, "", promFloat(c.Value), "")
+	for _, c := range m.Counters() {
+		sample(family(c.Name(), "counter"), "", c.Labels(), "", promFloat(c.Value()), "")
 	}
-	for _, g := range s.Gauges {
-		sample(family(g.Name, "gauge"), "", g.Labels, "", promFloat(g.Value), "")
+	for _, g := range m.Gauges() {
+		sample(family(g.Name(), "gauge"), "", g.Labels(), "", promFloat(g.Value()), "")
 	}
-	for _, h := range s.Histograms {
-		name := family(h.Name, "histogram")
+	for _, h := range m.Histograms() {
+		name, labels := family(h.Name(), "histogram"), h.Labels()
+		counts, exemplars := h.Counts(), h.Exemplars()
 		var cum uint64
-		for i, bound := range h.Bounds {
-			cum += h.Counts[i]
+		for i, bound := range h.Bounds() {
+			cum += counts[i]
 			var ex string
-			if i < len(h.Exemplars) {
-				ex = h.Exemplars[i]
+			if i < len(exemplars) {
+				ex = exemplars[i]
 			}
-			sample(name, "_bucket", h.Labels, promFloat(bound), strconv.FormatUint(cum, 10), ex)
+			sample(name, "_bucket", labels, promFloat(bound), strconv.FormatUint(cum, 10), ex)
 		}
-		if len(h.Counts) > len(h.Bounds) {
-			cum += h.Counts[len(h.Bounds)]
-		}
-		sample(name, "_bucket", h.Labels, "+Inf", strconv.FormatUint(cum, 10), "")
-		sample(name, "_sum", h.Labels, "", promFloat(h.Sum), "")
-		sample(name, "_count", h.Labels, "", strconv.FormatUint(h.Count, 10), "")
+		cum += counts[len(counts)-1]
+		sample(name, "_bucket", labels, "+Inf", strconv.FormatUint(cum, 10), "")
+		sample(name, "_sum", labels, "", promFloat(h.Sum()), "")
+		sample(name, "_count", labels, "", strconv.FormatUint(h.Count(), 10), "")
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
@@ -114,7 +110,7 @@ func promName(name string) string {
 	return b.String()
 }
 
-// promFloat is the snapshot's shortest-exact float formatting.
+// promFloat is the registry's shortest-exact float formatting.
 func promFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }

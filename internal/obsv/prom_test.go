@@ -8,9 +8,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-func promSnapshot(t *testing.T) *telemetry.Snapshot {
+func promMetrics(t *testing.T) *telemetry.Metrics {
 	t.Helper()
-	return exportRecorder().Metrics().Snapshot()
+	return exportRecorder().Metrics()
 }
 
 // parseProm validates the text exposition line grammar and returns
@@ -51,7 +51,7 @@ func parseProm(t *testing.T, text string) map[string]float64 {
 
 func TestWritePrometheusShapeAndValues(t *testing.T) {
 	var b strings.Builder
-	if err := WritePrometheus(&b, promSnapshot(t)); err != nil {
+	if err := WritePrometheus(&b, promMetrics(t)); err != nil {
 		t.Fatal(err)
 	}
 	text := b.String()
@@ -89,7 +89,7 @@ func TestWritePrometheusShapeAndValues(t *testing.T) {
 }
 
 func TestWritePrometheusDeterministic(t *testing.T) {
-	s := promSnapshot(t)
+	s := promMetrics(t)
 	var a, b strings.Builder
 	if err := WritePrometheus(&a, s); err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
-		t.Fatal("two renders of the same snapshot differ")
+		t.Fatal("two renders of the same registry differ")
 	}
 }
 
@@ -108,7 +108,7 @@ func TestWritePrometheusNilSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if b.Len() != 0 {
-		t.Fatalf("nil snapshot rendered %q", b.String())
+		t.Fatalf("nil registry rendered %q", b.String())
 	}
 }
 

@@ -38,7 +38,7 @@ const traceRing = 32
 //
 // plus whatever subsystems Mount (the jobs control plane adds /jobs).
 // Handlers never touch a running engine: /metrics calls the registered
-// sources, each of which hands back a frozen snapshot, and /trace reads
+// sources, each of which hands back a fresh registry, and /trace reads
 // summaries of operations that have already finished — which is what
 // keeps live serving compatible with the simulator's determinism.
 type Server struct {
@@ -59,7 +59,7 @@ type Server struct {
 	// srcMu guards the extra metrics sources and shutdown hooks that
 	// mounted subsystems (the jobs control plane) register.
 	srcMu    sync.Mutex
-	sources  []func() *telemetry.Snapshot
+	sources  []func() *telemetry.Metrics
 	onClose  []func()
 	hooksRan bool
 }
@@ -113,11 +113,13 @@ func NewServer() *Server {
 // plane mounts its /jobs routes here so one server carries both planes.
 func (s *Server) Mount(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
 
-// AddMetricsSource registers a snapshot source merged into every
+// AddMetricsSource registers a metrics source added into every
 // /metrics response alongside the server's own series — labelled
 // series (the jobs RED histograms with exemplars) included. Sources
-// are called on each scrape and must be safe for concurrent use.
-func (s *Server) AddMetricsSource(fn func() *telemetry.Snapshot) {
+// are called on each scrape, must be safe for concurrent use, and hand
+// back a registry nothing else writes while the scrape reads it (a
+// fresh one per call).
+func (s *Server) AddMetricsSource(fn func() *telemetry.Metrics) {
 	s.srcMu.Lock()
 	defer s.srcMu.Unlock()
 	s.sources = append(s.sources, fn)
@@ -224,25 +226,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.srcMu.Lock()
 	sources := s.sources
 	s.srcMu.Unlock()
-	snaps := []*telemetry.Snapshot{s.ownMetrics()}
+	m := s.ownMetrics()
 	for _, fn := range sources {
-		snaps = append(snaps, fn())
-	}
-	merged, err := telemetry.MergeSnapshots(snaps)
-	if err != nil {
-		http.Error(w, "merge metrics: "+err.Error(), http.StatusInternalServerError)
-		return
+		if err := m.Add(fn()); err != nil {
+			http.Error(w, "merge metrics: "+err.Error(), http.StatusInternalServerError)
+			return
+		}
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = WritePrometheus(w, merged)
+	_ = WritePrometheus(w, m)
 }
 
 // ownMetrics is the server's self-instrumentation: the trace SSE
 // broker's stuck-subscriber drop count and the process hygiene gauges
 // (build identity, uptime, goroutines, heap in use), always present on
 // /metrics so a misbehaving scraper or a leak is visible from any other
-// scraper.
-func (s *Server) ownMetrics() *telemetry.Snapshot {
+// scraper. Build identity is a labelled constant-1 gauge. Each scrape
+// builds a fresh registry, which the sources are then added into.
+func (s *Server) ownMetrics() *telemetry.Metrics {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	m := telemetry.NewMetrics()
@@ -250,16 +251,9 @@ func (s *Server) ownMetrics() *telemetry.Snapshot {
 	m.Gauge("eandroid_process_uptime_seconds").Set(float64(time.Since(s.start).Milliseconds()) / 1000)
 	m.Gauge("eandroid_process_goroutines").Set(float64(runtime.NumGoroutine()))
 	m.Gauge("eandroid_process_heap_inuse_bytes").Set(float64(ms.HeapInuse))
-	snap := m.Snapshot()
-	// Build identity is a labelled constant-1 gauge; the registry is
-	// label-free, so it joins the snapshot directly.
-	snap.Gauges = append(snap.Gauges, telemetry.GaugeSnapshot{
-		Name:   "eandroid_build_info",
-		Labels: []telemetry.Label{{Name: "version", Value: Version}, {Name: "go", Value: runtime.Version()}},
-		Value:  1,
-	})
-	snap.Sort()
-	return snap
+	m.Gauge("eandroid_build_info",
+		telemetry.Label{Name: "version", Value: Version}, telemetry.Label{Name: "go", Value: runtime.Version()}).Set(1)
+	return m
 }
 
 // traceList is the /trace payload: a copy of the retained summaries,

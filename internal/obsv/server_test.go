@@ -79,9 +79,9 @@ func TestServerSmoke(t *testing.T) {
 	}
 	wd.Finish()
 	// The run's series reach /metrics the way every series does: as a
-	// registered source handing back a frozen snapshot.
-	snap := w.Dev.Telemetry.Metrics().Snapshot()
-	srv.AddMetricsSource(func() *telemetry.Snapshot { return snap })
+	// registered source handing back a registry nothing writes any more.
+	reg := w.Dev.Telemetry.Metrics()
+	srv.AddMetricsSource(func() *telemetry.Metrics { return reg })
 
 	// /metrics parses as text exposition and carries the anomaly count.
 	code, body := get(t, base+"/metrics")

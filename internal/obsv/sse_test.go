@@ -182,14 +182,14 @@ func TestServeKeepsFrameDuringInitialFlush(t *testing.T) {
 	}
 }
 
-// TestMetricsSourceMerged: snapshots from AddMetricsSource appear on
+// TestMetricsSourceMerged: registries from AddMetricsSource appear on
 // /metrics alongside the server's own SSE drop counter.
 func TestMetricsSourceMerged(t *testing.T) {
 	s := NewServer()
-	s.AddMetricsSource(func() *telemetry.Snapshot {
+	s.AddMetricsSource(func() *telemetry.Metrics {
 		m := telemetry.NewMetrics()
 		m.Counter("jobs_test_counter").Add(7)
-		return m.Snapshot()
+		return m
 	})
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {

@@ -8,14 +8,14 @@ import (
 	"repro/internal/sim"
 )
 
-func gaugeValue(t *testing.T, s *Snapshot, name string) float64 {
+func gaugeValue(t *testing.T, m *Metrics, name string) float64 {
 	t.Helper()
-	for _, g := range s.Gauges {
-		if g.Name == name {
-			return g.Value
+	for _, g := range m.Gauges() {
+		if g.Name() == name {
+			return g.Value()
 		}
 	}
-	t.Fatalf("gauge %q not in snapshot", name)
+	t.Fatalf("gauge %q not in the registry", name)
 	return 0
 }
 
@@ -27,7 +27,7 @@ func TestDroppedAndCapacityGauges(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		r.RecordSimEvent(sim.Time(i), fmt.Sprintf("e%d", i), i)
 	}
-	s := r.Metrics().Snapshot()
+	s := r.Metrics()
 	if got := gaugeValue(t, s, "telemetry.ring_capacity"); got != 4 {
 		t.Fatalf("ring_capacity = %v, want 4", got)
 	}
@@ -38,17 +38,17 @@ func TestDroppedAndCapacityGauges(t *testing.T) {
 		t.Fatalf("Dropped() = %d, want 3", r.Dropped())
 	}
 
-	// More overflow moves the gauge on the next snapshot.
+	// More overflow moves the gauge on the next read.
 	r.RecordSimEvent(sim.Time(7), "e7", 7)
-	s = r.Metrics().Snapshot()
+	s = r.Metrics()
 	if got := gaugeValue(t, s, "telemetry.events_dropped"); got != 4 {
 		t.Fatalf("events_dropped after one more = %v, want 4", got)
 	}
 }
 
-func hasGauge(s *Snapshot, name string) bool {
-	for _, g := range s.Gauges {
-		if g.Name == name {
+func hasGauge(m *Metrics, name string) bool {
+	for _, g := range m.Gauges() {
+		if g.Name() == name {
 			return true
 		}
 	}
@@ -63,7 +63,7 @@ func TestDisabledRingGauges(t *testing.T) {
 	r := New(Options{EventCapacity: -1})
 	r.RecordSimEvent(0, "e", 0)
 	r.RecordBattery(0, 1, 99)
-	s := r.Metrics().Snapshot()
+	s := r.Metrics()
 	for _, name := range []string{"telemetry.ring_capacity", "telemetry.events_dropped"} {
 		if hasGauge(s, name) {
 			t.Fatalf("metrics-only recorder reports %s", name)
@@ -106,7 +106,7 @@ func TestKernelLogOnlyRecorder(t *testing.T) {
 	full := New(Options{})
 	feedFirings(firings, logOnly, full)
 
-	s := logOnly.Metrics().Snapshot()
+	s := logOnly.Metrics()
 	if got := gaugeValue(t, s, "telemetry.ring_capacity"); got != DefaultEventCapacity {
 		t.Fatalf("ring_capacity = %v, want %d", got, DefaultEventCapacity)
 	}
@@ -144,7 +144,7 @@ func TestKernelLogOnlyRecorder(t *testing.T) {
 	logOnly.ReleaseKernelLog()
 	full.ReleaseKernelLog()
 	logOnly.RecordSimEvent(0, "late", 0)
-	s = logOnly.Metrics().Snapshot()
+	s = logOnly.Metrics()
 	if got := gaugeValue(t, s, "telemetry.ring_capacity"); got != DefaultEventCapacity {
 		t.Fatalf("released ring_capacity = %v, want %d", got, DefaultEventCapacity)
 	}

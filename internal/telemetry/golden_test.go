@@ -84,10 +84,10 @@ func TestTraceExportGolden(t *testing.T) {
 
 func TestMetricsDumpGolden(t *testing.T) {
 	var a, b bytes.Buffer
-	if err := obsv.WritePrometheus(&a, runScene(t).Metrics().Snapshot()); err != nil {
+	if err := obsv.WritePrometheus(&a, runScene(t).Metrics()); err != nil {
 		t.Fatal(err)
 	}
-	if err := obsv.WritePrometheus(&b, runScene(t).Metrics().Snapshot()); err != nil {
+	if err := obsv.WritePrometheus(&b, runScene(t).Metrics()); err != nil {
 		t.Fatal(err)
 	}
 	if a.Len() == 0 {

@@ -1,5 +1,6 @@
 // Package telemetry is the simulation's observability subsystem: a
-// typed, ring-buffered event tracer plus a lock-free metrics registry.
+// typed, ring-buffered event tracer plus a metrics registry, both
+// single-goroutine with no synchronization.
 // Events export as JSONL, their own JSON form (WriteJSONL); the Chrome
 // trace-event and Prometheus text encoders, shared with the jobs
 // plane's artifacts, live in internal/obsv.
@@ -15,8 +16,9 @@
 //
 // Concurrency: a Recorder is single-goroutine, exactly like the engine
 // it observes. The fleet runner gives each device its own Recorder and
-// merges the per-device metric snapshots in device-index order, which
-// keeps the merged snapshot byte-identical for any worker count.
+// folds the per-device registries in device-index order once each
+// device has finished, which keeps the folded registry byte-identical
+// for any worker count.
 //
 // Cost model: a nil *Recorder is the off state and every method no-ops
 // on it, so call sites can hook unconditionally. A live recorder always
@@ -262,7 +264,8 @@ func (r *Recorder) keepLog(buf []sim.TraceRecord) {
 
 // Metrics returns the recorder's registry, nil for a nil recorder. The
 // queue-depth gauges are synced from their shadow fields here — every
-// snapshot/export path reads the registry through this accessor.
+// reader (exports, the fleet fold) takes the registry through this
+// accessor.
 func (r *Recorder) Metrics() *Metrics {
 	if r == nil {
 		return nil

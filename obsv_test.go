@@ -54,8 +54,8 @@ func TestPublicObservability(t *testing.T) {
 	}
 
 	var prom strings.Builder
-	snap := rec.Metrics().Snapshot()
-	if err := eandroid.WritePrometheus(&prom, snap); err != nil {
+	metrics := rec.Metrics()
+	if err := eandroid.WritePrometheus(&prom, metrics); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(prom.String(), "hw_mw_system") {
@@ -63,7 +63,7 @@ func TestPublicObservability(t *testing.T) {
 	}
 
 	srv := eandroid.NewObsvServer()
-	srv.AddMetricsSource(func() *eandroid.TelemetrySnapshot { return snap })
+	srv.AddMetricsSource(func() *eandroid.TelemetryMetrics { return metrics })
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
