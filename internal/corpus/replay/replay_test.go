@@ -2,6 +2,7 @@ package replay
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -59,6 +60,41 @@ func TestReplayGoldenDeterminism(t *testing.T) {
 	}
 	if r1.Render() != again.Render() {
 		t.Error("rendered summaries differ between two same-seed runs")
+	}
+}
+
+// TestCellReplaysAloneAsInGrid: a cell's scripts are seeded by its
+// index in corpus.Cells(), not by its position in Options.Cells, so a
+// one-cell replay (what a corpus job runs) and a subset in any order
+// give each cell the CellResult it has in the full grid.
+func TestCellReplaysAloneAsInGrid(t *testing.T) {
+	ctx := context.Background()
+	opts := Options{RootSeed: 7, Reps: 2, Horizon: corpus.MinHorizon}
+	full, err := Run(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := corpus.Cells()
+	for _, subset := range [][]int{{5}, {len(cells) - 1}, {12, 3}} {
+		opts.Cells = nil
+		for _, ci := range subset {
+			opts.Cells = append(opts.Cells, cells[ci])
+		}
+		res, err := Run(ctx, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, ci := range subset {
+			if got, want := res.Cells[k], full.Cells[ci]; !reflect.DeepEqual(got, want) {
+				t.Errorf("cell %s replayed in %v: %d windows judged, %.1f J mean drain; in the full grid %d, %.1f J",
+					cells[ci], opts.Cells, got.JudgedWindows, got.MeanDrainedJ, want.JudgedWindows, want.MeanDrainedJ)
+			}
+		}
+	}
+
+	opts.Cells = []corpus.Cell{{Archetype: corpus.ArchGamer, Variant: "no-such-variant"}}
+	if _, err := Run(ctx, opts); err == nil {
+		t.Error("a cell outside the corpus grid replayed; it has no seed chain")
 	}
 }
 
