@@ -1,6 +1,7 @@
 package powersig_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -87,6 +88,35 @@ func TestDetectorCatchesNetworkBomb(t *testing.T) {
 	}
 	if !flagged(d, bomber.UID) {
 		t.Fatal("network bomb not flagged")
+	}
+}
+
+// TestDetectorCatchesAnimatedGIF: the third classic bomber, a
+// foreground page animating a GIF, burns energy in its own name, so
+// both the power signatures and the stock battery interface catch it:
+// the detector flags the bomber, and it is the top app row of the
+// BatteryStats view.
+func TestDetectorCatchesAnimatedGIF(t *testing.T) {
+	w, d := detectorWorld(t)
+	if _, err := w.InstallClassicBomber(); err != nil {
+		t.Fatal(err)
+	}
+	trainNormal(t, w, d)
+	if err := w.ClassicAnimatedGIF(60 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	bomber, err := w.Classic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !flagged(d, bomber.UID) {
+		t.Fatalf("animated-GIF bomber not flagged; verdicts = %+v", d.Classify())
+	}
+	w.Dev.Flush()
+	rows := w.Dev.Android.Entries()
+	top := slices.IndexFunc(rows, func(e accounting.Entry) bool { return e.UID >= app.FirstAppUID })
+	if top < 0 || rows[top].UID != bomber.UID {
+		t.Fatalf("the bomber (uid %d) is not the top app row of the battery view: %+v", bomber.UID, rows)
 	}
 }
 
