@@ -38,19 +38,18 @@ type uidCPU struct {
 //
 // A device holds a handful of entries (about 4, at most 13 on a
 // population fleet) and every lifecycle transition touches them, so the
-// table is dense: entries in insertion order with a key→position index,
-// and the cached sums in a UID-sorted slice. Only index lookups touch a
-// map; Set, Clear and Audit walk slices and reuse scratch buffers, so a
-// transition on a warmed table allocates nothing.
+// table is dense: entries in insertion order, found by a scan, and the
+// cached sums in a UID-sorted slice. Set, Clear and Audit walk slices
+// and reuse scratch buffers, so a transition on a warmed table
+// allocates nothing.
 type Aggregator struct {
 	meter *Meter
 	// entries holds the live demand entries in insertion order, so
-	// iteration (EachEntry) is deterministic without per-call sorting;
-	// index maps each key to its position there. Churn is
-	// lifecycle-rate, not per-interval, so the linear shift in Clear is
-	// cheap relative to the transitions it rides on.
+	// iteration (EachEntry) is deterministic without per-call sorting.
+	// Churn is lifecycle-rate, not per-interval, so the linear scan in
+	// find and the shift in Clear are cheap relative to the transitions
+	// they ride on.
 	entries []demandEntry
-	index   map[any]int
 	// cpu holds every UID's non-zero utilization sum, sorted by UID.
 	cpu []uidCPU
 	// utils and audit are recomputeCPU's and Audit's scratch.
@@ -65,7 +64,17 @@ func NewAggregator(meter *Meter) (*Aggregator, error) {
 	if meter == nil {
 		return nil, fmt.Errorf("hw: nil meter")
 	}
-	return &Aggregator{meter: meter, index: make(map[any]int)}, nil
+	return &Aggregator{meter: meter}, nil
+}
+
+// find returns key's position in entries, or -1.
+func (g *Aggregator) find(key any) int {
+	for i := range g.entries {
+		if g.entries[i].key == key {
+			return i
+		}
+	}
+	return -1
 }
 
 // Set records (or replaces) the demand contributed by key on behalf of
@@ -76,7 +85,8 @@ func (g *Aggregator) Set(key any, uid app.UID, d Demand) error {
 	if key == nil {
 		return fmt.Errorf("hw: nil aggregator key")
 	}
-	i, existed := g.index[key]
+	i := g.find(key)
+	existed := i >= 0
 	var prev Demand
 	if existed {
 		if was := g.entries[i].uid; was != uid {
@@ -101,7 +111,6 @@ func (g *Aggregator) Set(key any, uid app.UID, d Demand) error {
 	if existed {
 		g.entries[i].demand = d
 	} else {
-		g.index[key] = len(g.entries)
 		g.entries = append(g.entries, demandEntry{key: key, uid: uid, demand: d})
 	}
 	g.gen++
@@ -113,19 +122,15 @@ func (g *Aggregator) Set(key any, uid app.UID, d Demand) error {
 // Clear removes the demand contributed by key. Clearing an absent key is
 // a no-op. Like Set, a failed Clear leaves state unchanged.
 func (g *Aggregator) Clear(key any) error {
-	i, ok := g.index[key]
-	if !ok {
+	i := g.find(key)
+	if i < 0 {
 		return nil
 	}
 	prev := g.entries[i]
 	if err := g.validateHolds(prev.uid, prev.demand, Demand{}); err != nil {
 		return err
 	}
-	delete(g.index, key)
 	g.entries = slices.Delete(g.entries, i, i+1)
-	for j := i; j < len(g.entries); j++ {
-		g.index[g.entries[j].key] = j
-	}
 	g.gen++
 	g.recomputeCPU(prev.uid)
 	g.mustApplyHolds(prev.uid, prev.demand, Demand{})
@@ -230,10 +235,7 @@ func (g *Aggregator) CPUUtil(uid app.UID) float64 {
 
 // Has reports whether key currently contributes a demand entry. The
 // check subsystem uses it to assert that dead components hold nothing.
-func (g *Aggregator) Has(key any) bool {
-	_, ok := g.index[key]
-	return ok
-}
+func (g *Aggregator) Has(key any) bool { return g.find(key) >= 0 }
 
 // Generation reports how many times Set or Clear has changed the
 // entries. Between two equal readings EachEntry yields the same keys,

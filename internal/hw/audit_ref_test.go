@@ -97,16 +97,20 @@ func TestAuditSumsInSortedOrder(t *testing.T) {
 // TestAuditMatchesMapReference drives random Set/Clear scripts through
 // the aggregator, injects corruptions the audit exists to catch, and
 // requires the dense Audit to return exactly what the map-based
-// reference returns after every step.
+// reference returns after every step. After every step Has must also
+// answer as a map of the live keys does, for every key: held, cleared
+// or never set.
 func TestAuditMatchesMapReference(t *testing.T) {
 	utils := []float64{0, 0, 0.1, 0.2, 0.3, 0.05, 0.6, 0.8, 1, 1.5, -0.2}
 	uids := []app.UID{10001, 10002, 10003, 10004}
-	var clean, dirty int
+	var clean, dirty, heldSeen, clearedSeen int
 	for seed := int64(1); seed <= 40; seed++ {
 		_, m, g := aggFixture(t)
 		rng := rand.New(rand.NewSource(seed))
 		keys := make([]*int, 12)
 		owner := make(map[*int]app.UID, len(keys))
+		live := make(map[*int]bool, len(keys))    // the reference for Has
+		cleared := make(map[*int]bool, len(keys)) // held once, now cleared
 		for i := range keys {
 			keys[i] = new(int)
 			owner[keys[i]] = uids[rng.Intn(len(uids))]
@@ -135,11 +139,16 @@ func TestAuditMatchesMapReference(t *testing.T) {
 				if err := g.Set(k, uid, d); err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
+				live[k], cleared[k] = true, false
 			case op < 15:
 				what = fmt.Sprintf("Clear uid %d", uid)
 				if err := g.Clear(k); err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
+				if live[k] {
+					cleared[k] = true
+				}
+				delete(live, k)
 			case op == 15:
 				// A meter write that bypasses the aggregator.
 				old := m.CPUUtil(uid)
@@ -173,6 +182,19 @@ func TestAuditMatchesMapReference(t *testing.T) {
 				}
 			}
 			label := fmt.Sprintf("seed %d step %d (%s)", seed, step, what)
+			for i, key := range keys {
+				if got := g.Has(key); got != live[key] {
+					t.Fatalf("%s: Has(key %d) = %v, reference %v", label, i, got, live[key])
+				}
+				if live[key] {
+					heldSeen++
+				} else if cleared[key] {
+					clearedSeen++
+				}
+			}
+			if g.Entries() != len(live) {
+				t.Fatalf("%s: %d entries, reference %d", label, g.Entries(), len(live))
+			}
 			if auditsAgree(t, g, label) {
 				clean++
 			} else {
@@ -186,5 +208,8 @@ func TestAuditMatchesMapReference(t *testing.T) {
 	}
 	if clean == 0 || dirty == 0 {
 		t.Fatalf("script exercised %d clean and %d failing audits; want both", clean, dirty)
+	}
+	if heldSeen == 0 || clearedSeen == 0 {
+		t.Fatalf("Has compared on %d held and %d cleared keys; want both", heldSeen, clearedSeen)
 	}
 }
