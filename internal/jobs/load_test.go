@@ -497,3 +497,38 @@ func TestJobSSEStream(t *testing.T) {
 	}
 	_ = m
 }
+
+// A job served from the cache is born done, so its stream ends as a
+// finished job's does: the done frame, then EOF. The client's deadline
+// only fires on a stream that holds the connection open.
+func TestCachedJobSSEStreamEnds(t *testing.T) {
+	base, m, stop := startPlane(t, Options{Runners: 1})
+	defer stop()
+
+	_, st := postSpec(t, base, cheapSpec(32))
+	waitDone(t, base, st.ID)
+	code, st := postSpec(t, base, cheapSpec(32))
+	if code != http.StatusOK || !st.Cached {
+		t.Fatalf("resubmission: HTTP %d, cached %v; want 200 and a cache hit", code, st.Cached)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, "GET", fmt.Sprintf("%s/jobs/%s/events", base, st.ID), nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("cached job's stream did not end: %v after %q", err, b)
+	}
+	if !strings.Contains(string(b), `"state":"done","cached":true`) {
+		t.Fatalf("SSE frames = %q, want the cached done state", b)
+	}
+	j, _ := m.Get(st.ID)
+	if n := j.Events().Subscribers(); n != 0 {
+		t.Fatalf("%d subscribers left on a cached job's broker", n)
+	}
+}

@@ -286,11 +286,13 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	}
 	j.tr.SetJobName(fmt.Sprintf("%s %s", norm.Kind, norm.Cell))
 	if arts, ok := m.cache.get(key); ok {
-		// Cache hit: the job is born terminal with the original bytes.
+		// Cache hit: the job is born terminal with the original bytes,
+		// and its event stream ends as a finished job's does.
 		j.state = StateDone
 		j.cached = true
 		j.done = j.total
 		j.artifact = arts
+		j.events.CloseAll()
 		close(j.doneCh)
 		cancel()
 		m.jobs[j.ID] = j
