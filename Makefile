@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-checked race vet fmt-check loc bench bench-gate fleet-bench fleet-mem telemetry-bench check-bench obsv-bench obsv-smoke trace-bench trace-smoke corpus-bench corpus-smoke jobs-smoke jobs-bench perfbench-test fuzz-short fuzz-corpus-short fuzz-json-short clean
+.PHONY: all build test race vet fmt-check arch-check loc bench bench-gate fleet-bench fleet-mem telemetry-bench check-bench obsv-bench obsv-smoke trace-bench trace-smoke corpus-bench corpus-smoke jobs-smoke jobs-bench perfbench-test fuzz-short fuzz-corpus-short fuzz-json-short clean
 
 all: build test
 
@@ -9,12 +9,6 @@ build:
 
 test:
 	$(GO) test ./...
-
-# The whole suite again with the runtime invariant checker attached to
-# every device built with a nil Checks config — each existing test
-# doubles as an energy-conservation / lifecycle-legality check.
-test-checked:
-	EANDROID_CHECK=1 $(GO) test -count=1 ./...
 
 # The fleet runner is the only concurrent code in the repo; the rest of
 # the simulation is single-threaded by design (telemetry recorders are
@@ -31,6 +25,30 @@ vet:
 fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# Same artifact bytes on every architecture. Go may fuse x*y + z into
+# one multiply-add with a single rounding, and does on arm64, ppc64le,
+# riscv64 and s390x (amd64 never does), so product code rounds every
+# product that feeds a sum with an explicit float64(...) conversion.
+# This cross-compiles every package's test binary for those four and
+# fails on any fused instruction in a repro/ function whose TEXT line
+# names a non-test file. It needs only the Go toolchain.
+ARCH_CHECK_ARCHS = arm64 ppc64le riscv64 s390x
+FUSED_OPS = FMADDD|FMSUBD|FNMADDD|FNMSUBD|FMADD|FMSUB|FNMADD|FNMSUB|MADBR|MSDBR
+arch-check:
+	@dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; fused=0; \
+	for arch in $(ARCH_CHECK_ARCHS); do \
+		mkdir "$$dir/$$arch" && GOARCH=$$arch $(GO) test -c -o "$$dir/$$arch/" ./... || exit 1; \
+		for bin in "$$dir/$$arch"/*.test; do \
+			$(GO) tool objdump -s '^repro/' "$$bin" | awk -v arch=$$arch -v bin="$${bin##*/}" ' \
+				/^TEXT / { texts++; prod = $$2 ~ /^repro\// && $$NF !~ /_test\.go$$/; fn = $$2; next } \
+				prod && $$0 ~ /\t($(FUSED_OPS))[ \t]/ { \
+					sub(/^[ \t]+/, ""); print arch " " bin " " fn ": " $$0; n++ } \
+				END { if (!texts) print arch " " bin ": no disassembly"; exit n > 0 || !texts }' || fused=1; \
+		done; \
+	done; \
+	if [ $$fused -ne 0 ]; then echo "arch-check: fused multiply-add in product code (or no disassembly)"; exit 1; fi; \
+	echo "arch-check: no fused multiply-add in product code on $(ARCH_CHECK_ARCHS)"
 
 # Go line counts outside perfbench/ and .bench_build/: non-test and
 # test lines, the two numbers a change reports as its net lines of code.
@@ -178,7 +196,9 @@ corpus-smoke:
 
 # End-to-end smoke of the jobs control plane under -race: concurrent
 # HTTP submit/scrape with enforced 429 backpressure, cache byte-identity
-# over HTTP, and mid-job cancellation (the heavy load tests), server
+# over HTTP, and mid-job cancellation (the heavy load tests), a job's
+# event stream ending once it is done, cached or not
+# (TestJobSSEStream, TestCachedJobSSEStreamEnds), server
 # shutdown closing the manager and leaving no goroutines behind, plus
 # the eandroid-serve daemon, plus the pinned artifact digest
 # (TestFleetArtifactDigest): the SHA-256 of all 96 artifacts of 16
@@ -195,7 +215,7 @@ corpus-smoke:
 # aggregate_ref_test.go, and carry its joules bit for bit
 # (TestSummaryMatchesMapReference).
 jobs-smoke:
-	$(GO) test -race -count=1 -run 'TestLoad|TestJobSSEStream|TestQueueCancelWhileQueued|TestServerShutdownClosesManager|TestPlaneShutdownLeavesNoGoroutines|TestFleetArtifactDigest|TestArtifactsAreExactSize' -v ./internal/jobs
+	$(GO) test -race -count=1 -run 'TestLoad|TestJobSSEStream|TestCachedJobSSEStreamEnds|TestQueueCancelWhileQueued|TestServerShutdownClosesManager|TestPlaneShutdownLeavesNoGoroutines|TestFleetArtifactDigest|TestArtifactsAreExactSize' -v ./internal/jobs
 	$(GO) test -race -count=1 -run 'TestBlockFoldMatchesReference|TestBlockFoldWarmAllocatesNothing|TestSummaryMatchesMapReference' -v ./internal/fleet
 	$(GO) test -count=1 -run 'TestServeAndStop' ./cmd/eandroid-serve
 

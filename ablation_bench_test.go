@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/accounting"
 	"repro/internal/app"
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/hw"
@@ -21,6 +22,10 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
+
+// unchecked keeps the invariant checker off the benchmarked devices:
+// they price design choices other than the checker.
+var unchecked = &check.Options{Disabled: true}
 
 // BenchmarkMeterAccrue measures exact interval integration as the number
 // of active apps grows.
@@ -56,7 +61,7 @@ func BenchmarkMeterAccrue(b *testing.B) {
 func BenchmarkMonitorChainDepth(b *testing.B) {
 	for _, depth := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			dev, err := device.New(device.Config{BatteryJ: 1e18, EAndroid: true})
+			dev, err := device.New(device.Config{BatteryJ: 1e18, EAndroid: true, Checks: unchecked})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -98,9 +103,9 @@ func BenchmarkCrossAppStart(b *testing.B) {
 		name string
 		cfg  device.Config
 	}{
-		{"android", device.Config{BatteryJ: 1e18}},
-		{"framework-only", device.Config{BatteryJ: 1e18, EAndroid: true, MonitorMode: core.FrameworkOnly}},
-		{"complete", device.Config{BatteryJ: 1e18, EAndroid: true, MonitorMode: core.Complete}},
+		{"android", device.Config{BatteryJ: 1e18, Checks: unchecked}},
+		{"framework-only", device.Config{BatteryJ: 1e18, EAndroid: true, MonitorMode: core.FrameworkOnly, Checks: unchecked}},
+		{"complete", device.Config{BatteryJ: 1e18, EAndroid: true, MonitorMode: core.Complete, Checks: unchecked}},
 	}
 	for _, c := range configs {
 		b.Run(c.name, func(b *testing.B) {
@@ -135,6 +140,7 @@ func BenchmarkChargePolicies(b *testing.B) {
 				w, err := scenario.NewWorld(device.Config{
 					EAndroid:         true,
 					CollateralPolicy: pol,
+					Checks:           unchecked,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -153,7 +159,7 @@ func BenchmarkChargePolicies(b *testing.B) {
 func BenchmarkSampledVsExact(b *testing.B) {
 	run := func(b *testing.B, sampled bool) {
 		for i := 0; i < b.N; i++ {
-			dev, err := device.New(device.Config{BatteryJ: 1e18})
+			dev, err := device.New(device.Config{BatteryJ: 1e18, Checks: unchecked})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -192,7 +198,7 @@ func BenchmarkEnergyEfficiency(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				w, err := scenario.NewWorld(device.Config{EAndroid: enabled})
+				w, err := scenario.NewWorld(device.Config{EAndroid: enabled, Checks: unchecked})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -220,7 +226,7 @@ func BenchmarkCPUModels(b *testing.B) {
 		b.Run(m.name, func(b *testing.B) {
 			var lastJ float64
 			for i := 0; i < b.N; i++ {
-				dev, err := device.New(device.Config{Profile: m.profile, BatteryJ: 1e18})
+				dev, err := device.New(device.Config{Profile: m.profile, BatteryJ: 1e18, Checks: unchecked})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -55,11 +55,10 @@ func run(args []string) error {
 	}
 	var worldOpts scenario.WorldOptions
 
-	// Serial sweeps get a fail-fast checker through the world funnel;
-	// the parallel path already builds checked devices per fleet spec.
-	if *checks {
-		worldOpts.Checks = &check.Options{FailFast: true}
-	}
+	// Serial sweeps get a fail-fast checker through the world funnel,
+	// or none under -check=false; the parallel path builds passively
+	// checked devices per fleet spec.
+	worldOpts.Checks = &check.Options{FailFast: *checks, Disabled: !*checks}
 
 	// The shared world recorder is single-goroutine; the worker path
 	// builds its devices off the serial funnel, so telemetry flags only

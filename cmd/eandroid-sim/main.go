@@ -77,10 +77,8 @@ func run(args []string) error {
 	}
 	// The invariant checker rides the same world funnel; fail-fast, so a
 	// conservation breach aborts the experiment instead of printing a
-	// silently wrong figure.
-	if *checks {
-		worldOpts.Checks = &check.Options{FailFast: true}
-	}
+	// silently wrong figure. -check=false builds unchecked worlds.
+	worldOpts.Checks = &check.Options{FailFast: *checks, Disabled: !*checks}
 
 	// Flame collection attaches to every world through the construction
 	// hook: each collector is a sink on its own world's meter.

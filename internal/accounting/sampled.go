@@ -92,11 +92,11 @@ func (s *SampledAccountant) sample() {
 func (s *SampledAccountant) accrueSpan(secs float64) {
 	s.pm.EachApp(func(a *app.App) {
 		if p := s.meter.InstantAppPowerMW(a.UID); p > 0 {
-			s.appJ[a.UID] += p / 1000 * secs
+			s.appJ[a.UID] += float64(p / 1000 * secs)
 		}
 	})
-	s.screenJ += s.meter.InstantScreenPowerMW() / 1000 * secs
-	s.systemJ += s.meter.InstantSystemPowerMW() / 1000 * secs
+	s.screenJ += float64(s.meter.InstantScreenPowerMW() / 1000 * secs)
+	s.systemJ += float64(s.meter.InstantSystemPowerMW() / 1000 * secs)
 }
 
 // AppJ reports the sampled estimate for one app.

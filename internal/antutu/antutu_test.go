@@ -62,6 +62,20 @@ func TestRunOnEAndroidDevice(t *testing.T) {
 	}
 }
 
+// The Fig. 11 scores price the E-Android framework, not the invariant
+// checker, so Compare's stock and E-Android devices carry none.
+func TestCompareDevicesCarryNoChecker(t *testing.T) {
+	for _, eandroid := range []bool{false, true} {
+		dev, err := newDevice(eandroid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dev.Checker != nil {
+			t.Fatalf("eandroid=%v: the timed device carries an invariant checker", eandroid)
+		}
+	}
+}
+
 func TestCompareRender(t *testing.T) {
 	cmp, err := Compare(smallCfg())
 	if err != nil {

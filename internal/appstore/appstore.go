@@ -120,7 +120,7 @@ func Generate(n int, seed int64) (*Corpus, error) {
 // pickSet returns a boolean slice with exactly round(rate*n) true values
 // at random positions.
 func pickSet(rng *rand.Rand, n int, rate float64) []bool {
-	k := int(rate*float64(n) + 0.5)
+	k := int(float64(rate*float64(n)) + 0.5)
 	out := make([]bool, n)
 	perm := rng.Perm(n)
 	for _, idx := range perm[:k] {

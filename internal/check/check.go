@@ -24,17 +24,17 @@
 //     alongside the exact Accountant on the same engine, and at Finish
 //     the sampling error must stay inside the paper's error envelope.
 //
-// The wiring mirrors the telemetry subsystem: a nil *Checker is the
-// "not built" state and every hook no-ops on it, so device construction
-// attaches it unconditionally through nil-checked hooks. Violations are
-// recorded as structured Violation values, mirrored into telemetry
-// events, and — with Options.FailFast — injected into the engine so the
-// Run variant in flight returns a *ViolationError.
+// Every device carries a checker unless its config says
+// Options.Disabled: device.New builds families 1–4 for a nil
+// Config.Checks. A nil *Checker is the disabled state and every hook
+// no-ops on it. Violations are recorded as structured Violation values,
+// mirrored into telemetry events, and — with Options.FailFast —
+// injected into the engine so the Run variant in flight returns a
+// *ViolationError.
 package check
 
 import (
 	"fmt"
-	"os"
 
 	"repro/internal/accounting"
 	"repro/internal/activity"
@@ -137,11 +137,12 @@ const (
 )
 
 // Options configures a Checker. The zero value enables checker families
-// 1–4, recording violations passively.
+// 1–4, recording violations passively; it is what a device gets when
+// its Config.Checks is nil.
 type Options struct {
-	// Disabled suppresses checker construction entirely. It exists so
-	// benchmark baselines can force checking off even when the
-	// EANDROID_CHECK environment variable would turn it on.
+	// Disabled builds no checker at all: the one way to run a device
+	// unchecked. Measurements that price something other than the
+	// checker set it, as do the CLIs under -check=false.
 	Disabled bool
 	// FailFast injects the first violation into the engine, so the Run
 	// variant in flight returns a *ViolationError instead of recording
@@ -222,22 +223,6 @@ func New(opts Options, deps Deps) (*Checker, error) {
 		s.Start()
 	}
 	return c, nil
-}
-
-// FromEnv translates the EANDROID_CHECK environment variable into
-// options: unset/"0"/"off" means no checker, "fatal" means fail-fast,
-// anything else enables passive checking (families 1–4). device.New
-// consults it when Config.Checks is nil, which is how CI runs the whole
-// suite with checkers enabled without touching call sites.
-func FromEnv() *Options {
-	switch os.Getenv("EANDROID_CHECK") {
-	case "", "0", "off":
-		return nil
-	case "fatal":
-		return &Options{FailFast: true}
-	default:
-		return &Options{}
-	}
 }
 
 // report records one violation: bounded slice, telemetry mirror, and —
@@ -327,7 +312,7 @@ func (c *Checker) Accrue(iv hw.Interval) {
 		// checker is the last sink, so the ledger has already consumed
 		// this interval.
 		ledger := c.deps.Ledger.TotalJ()
-		tol := Epsilon + RelEpsilon*drained
+		tol := Epsilon + float64(RelEpsilon*drained)
 		if diff := abs(ledger - drained); diff > tol {
 			c.report(InvConservation, "cumulative ledger total != battery drained",
 				ledger, drained, tol)

@@ -16,11 +16,9 @@ import (
 )
 
 // checkedWorld builds the demo cast on a device with the given checker
-// options (EANDROID_CHECK is pinned off so the ambient environment
-// cannot interfere with the A/B under test).
+// options.
 func checkedWorld(t *testing.T, opts *check.Options) *scenario.World {
 	t.Helper()
-	t.Setenv("EANDROID_CHECK", "off")
 	w, err := scenario.NewWorld(device.Config{EAndroid: true, Checks: opts})
 	if err != nil {
 		t.Fatal(err)
@@ -109,15 +107,14 @@ func TestDifferentialEnvelopeOnAttacks(t *testing.T) {
 	}
 }
 
-// mutatedDevice builds an unchecked device, registers a sink that
-// corrupts every interval's attribution (adding energy to a UID that
-// never earned it), then wires a checker AFTER the corrupter — the
+// mutatedDevice builds a device with no built-in checker, registers a
+// sink that corrupts every interval's attribution (adding energy to a
+// UID that never earned it), then wires a checker AFTER the corrupter — the
 // seeded-mutation half of the oracle test: a checker that cannot catch
 // a deliberately broken ledger proves nothing.
 func mutatedDevice(t *testing.T, opts check.Options) (*device.Device, *check.Checker) {
 	t.Helper()
-	t.Setenv("EANDROID_CHECK", "off")
-	dev, err := device.New(device.Config{})
+	dev, err := device.New(device.Config{Checks: &check.Options{Disabled: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +184,7 @@ type skimmingLedger struct{ acc *accounting.Accountant }
 func (s skimmingLedger) TotalJ() float64 { return s.acc.TotalJ() * 0.9 }
 
 func TestSkimmingLedgerCaughtByCumulativeConservation(t *testing.T) {
-	t.Setenv("EANDROID_CHECK", "off")
-	dev, err := device.New(device.Config{})
+	dev, err := device.New(device.Config{Checks: &check.Options{Disabled: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,37 +216,33 @@ func TestSkimmingLedgerCaughtByCumulativeConservation(t *testing.T) {
 	}
 }
 
-func TestEnvDrivesCheckerConstruction(t *testing.T) {
-	t.Setenv("EANDROID_CHECK", "1")
+// TestZeroConfigIsChecked: a device depends on its Config alone. The
+// zero Config carries the passive checker, and Disabled is the one way
+// to build a device without one.
+func TestZeroConfigIsChecked(t *testing.T) {
 	dev, err := device.New(device.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dev.Checker == nil {
-		t.Fatal("EANDROID_CHECK=1 did not attach a checker")
+		t.Fatal("zero Config built no checker")
 	}
-
-	t.Setenv("EANDROID_CHECK", "off")
-	dev, err = device.New(device.Config{})
-	if err != nil {
+	if err := dev.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if dev.Checker != nil {
-		t.Fatal("EANDROID_CHECK=off still attached a checker")
-	}
-	if vs := dev.FinishChecks(); vs != nil {
-		t.Fatalf("unchecked device returned violations: %v", vs)
+	if vs := dev.FinishChecks(); len(vs) > 0 {
+		t.Fatalf("idle device: %d violations, first: %v", len(vs), vs[0])
 	}
 
-	// An explicit Disabled config beats the environment: benchmark
-	// baselines must stay unchecked under EANDROID_CHECK=1.
-	t.Setenv("EANDROID_CHECK", "1")
 	dev, err = device.New(device.Config{Checks: &check.Options{Disabled: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dev.Checker != nil {
-		t.Fatal("Options.Disabled did not override EANDROID_CHECK=1")
+		t.Fatal("Options.Disabled still attached a checker")
+	}
+	if vs := dev.FinishChecks(); vs != nil {
+		t.Fatalf("unchecked device returned violations: %v", vs)
 	}
 }
 
@@ -359,8 +351,7 @@ func TestNilCheckerIsInert(t *testing.T) {
 }
 
 func TestDifferentialNeedsPackages(t *testing.T) {
-	t.Setenv("EANDROID_CHECK", "off")
-	dev, err := device.New(device.Config{})
+	dev, err := device.New(device.Config{Checks: &check.Options{Disabled: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -267,7 +267,7 @@ func (m *Model) JumpStationary() []float64 {
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				next[j] += pi[i] * m.Trans[i][j]
+				next[j] += float64(pi[i] * m.Trans[i][j])
 			}
 		}
 		pi, next = next, pi
@@ -290,7 +290,7 @@ func (m *Model) Occupancy() []float64 {
 	occ := make([]float64, len(pi))
 	var total float64
 	for i := range pi {
-		occ[i] = pi[i] * m.States[i].meanDwell()
+		occ[i] = float64(pi[i] * m.States[i].meanDwell())
 		total += occ[i]
 	}
 	for i := range occ {

@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/accounting"
-	"repro/internal/check"
 	"repro/internal/corpus"
 	"repro/internal/device"
 	"repro/internal/fleet"
@@ -179,7 +178,6 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		Config: device.Config{
 			EAndroid: true,
 			Policy:   accounting.BatteryStats,
-			Checks:   &check.Options{},
 		},
 		Progress: opts.Progress,
 		// The Stream sink runs on the worker goroutine right after the

@@ -36,7 +36,7 @@ func Wilson(k, n int, z float64) Estimate {
 	z2 := z * z
 	denom := 1 + z2/nf
 	center := p + z2/(2*nf)
-	half := z * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf))
+	half := float64(z * math.Sqrt(p*(1-p)/nf+z2/(4*nf*nf)))
 	lo := (center - half) / denom
 	hi := (center + half) / denom
 	if lo < 0 {

@@ -31,9 +31,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Config controls device construction. The zero value is usable: it
+// Config controls device construction, and is all a device depends on:
+// nothing is read from the environment. The zero value is usable: it
 // builds a stock-Android Nexus 4-like device with BatteryStats
-// accounting and no E-Android monitor.
+// accounting, the passive invariant checker and no E-Android monitor.
 type Config struct {
 	// Seed is not read: the simulation draws no random numbers of its
 	// own. It stays only because the repo benchmark (perfbench) sets
@@ -60,18 +61,12 @@ type Config struct {
 	// like the device itself: give every device its own (fleet runs
 	// build one per device from Spec.Telemetry).
 	Telemetry *telemetry.Recorder
-	// Checks, when non-nil, wires the runtime invariant checker (see
-	// internal/check) into the meter and the activity/service managers.
-	// When nil, the EANDROID_CHECK environment variable is consulted
-	// (check.FromEnv), so whole test suites can run checked without
-	// touching call sites. Like a telemetry recorder, a checker is
-	// single-goroutine: one per device.
+	// Checks configures the runtime invariant checker (see
+	// internal/check) wired into the meter and the activity/service
+	// managers. Nil means the zero check.Options: passive families 1–4.
+	// Only Checks.Disabled builds a device with no checker. Like a
+	// telemetry recorder, a checker is single-goroutine: one per device.
 	Checks *check.Options
-	// Events, when non-nil, is the kernel event arena this device's
-	// engine recycles through. Pools are single-goroutine: share one
-	// only across devices run sequentially on the same goroutine (a
-	// fleet worker), never across concurrent devices.
-	Events *sim.EventPool
 	// Trace, when non-nil, collects this device's engine-phase spans
 	// (meter flushes via the sink below; watchdog windows and kernel
 	// dispatch batches via their own layers). Like a telemetry
@@ -109,8 +104,8 @@ type Device struct {
 	// Telemetry is the recorder from Config.Telemetry, nil when the
 	// device runs uninstrumented.
 	Telemetry *telemetry.Recorder
-	// Checker is the runtime invariant checker, nil when the device
-	// runs unchecked. Read violations with FinishChecks.
+	// Checker is the runtime invariant checker, nil only when
+	// Config.Checks.Disabled. Read violations with FinishChecks.
 	Checker *check.Checker
 	// Trace is the span tracer from Config.Trace, nil when the device
 	// runs untraced.
@@ -151,9 +146,6 @@ func New(cfg Config) (*Device, error) {
 	}
 
 	engine := sim.NewEngine()
-	if cfg.Events != nil {
-		engine.SetEventPool(cfg.Events)
-	}
 	battery, err := hw.NewBattery(cfg.BatteryJ)
 	if err != nil {
 		return nil, err
@@ -278,12 +270,12 @@ func New(cfg Config) (*Device, error) {
 	// (so cumulative conservation compares a settled ledger) and after
 	// the monitor (whose collateral maps superimpose by design and are
 	// deliberately outside the conservation sum).
-	checks := cfg.Checks
-	if checks == nil {
-		checks = check.FromEnv()
+	var checks check.Options
+	if cfg.Checks != nil {
+		checks = *cfg.Checks
 	}
-	if checks != nil && !checks.Disabled {
-		ck, err := check.New(*checks, check.Deps{
+	if !checks.Disabled {
+		ck, err := check.New(checks, check.Deps{
 			Engine:     engine,
 			Battery:    battery,
 			Meter:      meter,

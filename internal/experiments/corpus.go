@@ -19,7 +19,7 @@ func (r *Fig2Result) Render() string {
 	fmt.Fprintf(&b, "corpus: %d apps across %d categories\n",
 		r.Study.Total, len(r.Study.PerCategory))
 	bar := func(label string, frac float64) {
-		n := int(frac*40 + 0.5)
+		n := int(float64(frac*40) + 0.5)
 		fmt.Fprintf(&b, "%-22s %5.1f%% %s\n", label, frac*100, strings.Repeat("#", n))
 	}
 	bar("exported component", r.Study.ExportedRate)

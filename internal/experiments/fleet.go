@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/accounting"
-	"repro/internal/check"
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/powersig"
@@ -18,17 +17,6 @@ import (
 // scripted scenarios, but run as N independent devices on a worker
 // pool. Each device gets its own derived seed, so the fleet models a
 // small population rather than one handset repeated.
-
-// checkedCfg enables the runtime invariant checker (families 1-4,
-// passive) on a fleet device template: every fleet run is a free
-// correctness sweep, and per-device violations surface in
-// fleet.Result.Violations and the rendered summary.
-func checkedCfg(cfg device.Config) device.Config {
-	if cfg.Checks == nil {
-		cfg.Checks = &check.Options{}
-	}
-	return cfg
-}
 
 // runStudy runs spec, keeping every device's Result with
 // fleet.Collect.
@@ -46,7 +34,7 @@ func FleetStealthStudy(devices, workers int, seed int64) (*fleet.FleetResult, []
 		Devices: devices,
 		Workers: workers,
 		Seed:    seed,
-		Config:  checkedCfg(worldCfg(accounting.BatteryStats)),
+		Config:  worldCfg(accounting.BatteryStats),
 		Scenario: func(i int, dev *device.Device) error {
 			w, err := scenario.Populate(dev)
 			if err != nil {
@@ -72,7 +60,7 @@ func FleetBenchStudy(devices, workers int, seed int64) (*fleet.FleetResult, erro
 		Devices: devices,
 		Workers: workers,
 		Seed:    seed,
-		Config:  checkedCfg(worldCfg(accounting.BatteryStats)),
+		Config:  worldCfg(accounting.BatteryStats),
 		Scenario: func(i int, dev *device.Device) error {
 			w, err := scenario.Populate(dev)
 			if err != nil {
@@ -135,7 +123,7 @@ func FleetDrainStudy(replicas, workers int, seed int64, window time.Duration) (*
 		Devices: replicas * len(configs),
 		Workers: workers,
 		Seed:    seed,
-		Config:  checkedCfg(device.Config{Policy: accounting.BatteryStats}),
+		Config:  device.Config{Policy: accounting.BatteryStats},
 		Scenario: func(i int, dev *device.Device) error {
 			w, err := scenario.Populate(dev)
 			if err != nil {
@@ -177,7 +165,7 @@ func Fig3WithStepWorkers(step time.Duration, workers int) (*Fig3Result, error) {
 	fr, err := fleet.Run(context.Background(), fleet.Spec{
 		Devices: len(configs),
 		Workers: workers,
-		Config:  checkedCfg(device.Config{Policy: accounting.BatteryStats}),
+		Config:  device.Config{Policy: accounting.BatteryStats},
 		Scenario: func(i int, dev *device.Device) error {
 			w, err := scenario.Populate(dev)
 			if err != nil {

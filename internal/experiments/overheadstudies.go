@@ -49,6 +49,10 @@ func stealthDetector(w *scenario.World, horizon time.Duration) error {
 	return w.Dev.Run(horizon)
 }
 
+// noChecks turns the invariant checker off on the devices of every
+// study that prices something other than the checker.
+func noChecks() *check.Options { return &check.Options{Disabled: true} }
+
 // soloWorld builds a single-device study's world with rec and checks
 // attached. It ignores the process-default world options, so a CLI's
 // own recorder cannot leak into a baseline.
@@ -97,11 +101,13 @@ func traced(cfg *trace.Config, counted bool) func(Counts) error {
 			tr = trace.New("trace-overhead", "bench", *cfg)
 			ft = tr.Fleet(traceDevices)
 		}
+		devCfg := worldCfg(accounting.BatteryStats)
+		devCfg.Checks = noChecks()
 		fr, err := fleet.Run(context.Background(), fleet.Spec{
 			Devices:   traceDevices,
 			Workers:   1,
 			Seed:      42,
-			Config:    worldCfg(accounting.BatteryStats),
+			Config:    devCfg,
 			Telemetry: true,
 			Trace:     ft,
 			Scenario: func(_ int, dev *device.Device) error {
@@ -149,12 +155,12 @@ var (
 		Reps:     12,
 		Modes: []Mode{
 			{"baseline", "no recorder", func(Counts) error {
-				_, err := solo(nil, nil)
+				_, err := solo(nil, noChecks())
 				return err
 			}},
 			{"enabled", "full event + metrics recording", func(c Counts) error {
 				rec := telemetry.New(telemetry.Options{})
-				if _, err := solo(rec, nil); err != nil {
+				if _, err := solo(rec, noChecks()); err != nil {
 					return err
 				}
 				c["events_recorded"], c["events_dropped"] = float64(rec.Total()), float64(rec.Dropped())
@@ -167,8 +173,7 @@ var (
 	// CheckStudy prices the invariant checker: the passive families
 	// (gated, so the always-available default stays honest) and the
 	// opt-in differential oracle (reported only). Its baseline builds a
-	// Disabled checker rather than none: a nil Checks would pick up
-	// EANDROID_CHECK from the environment.
+	// Disabled checker: a nil Checks is the passive checker.
 	CheckStudy = &OverheadStudy{
 		Name:     "check",
 		Title:    "Invariant checker overhead study",
@@ -205,11 +210,11 @@ var (
 		Reps:     12,
 		Modes: []Mode{
 			{"baseline", "no obsv", func(Counts) error {
-				_, err := solo(nil, nil)
+				_, err := solo(nil, noChecks())
 				return err
 			}},
 			{"enabled", "watchdog + flame on a recorder", func(c Counts) error {
-				w, err := soloWorld(telemetry.New(telemetry.Options{}), nil)
+				w, err := soloWorld(telemetry.New(telemetry.Options{}), noChecks())
 				if err != nil {
 					return err
 				}

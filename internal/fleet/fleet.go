@@ -155,8 +155,8 @@ type Result struct {
 	// attack on this device.
 	Detected bool
 	// Violations holds the device's runtime invariant violations; nil
-	// unless the device template enables Config.Checks (or the
-	// EANDROID_CHECK environment variable does) and something broke.
+	// unless something broke, or always when the device template sets
+	// Config.Checks.Disabled.
 	Violations []check.Violation
 	// Metrics is the device's own telemetry registry, handed over once
 	// the device has finished: nothing writes it afterwards, and the
@@ -258,15 +258,11 @@ func Run(ctx context.Context, spec Spec) (*FleetResult, error) {
 		go func(w int) {
 			defer wg.Done()
 			stats[w].Worker = w
-			// One event arena per worker: devices on this goroutine run
-			// strictly sequentially, so each reuses its predecessor's
-			// kernel Event allocations instead of growing a fresh heap
-			// for the GC to sweep — the cross-worker GC pressure that
-			// serialized high worker counts.
-			pool := sim.NewEventPool()
+			// Devices on this goroutine run strictly sequentially but
+			// share nothing: each engine keeps its own few free events.
 			for i := range jobs {
 				start := time.Now()
-				res := runDevice(ctx, spec, i, pool)
+				res := runDevice(ctx, spec, i)
 				stats[w].Busy += time.Since(start)
 				stats[w].Devices++
 				if spec.Stream != nil {
@@ -354,9 +350,8 @@ func notifyProgress(spec *Spec, res *Result, done int) {
 }
 
 // runDevice builds, scripts, runs and harvests one device, converting
-// panics into errors so a bad scenario cannot take down the pool. pool
-// is the calling worker's private event arena (may be nil).
-func runDevice(ctx context.Context, spec Spec, i int, pool *sim.EventPool) (res Result) {
+// panics into errors so a bad scenario cannot take down the pool.
+func runDevice(ctx context.Context, spec Spec, i int) (res Result) {
 	res = Result{Index: i, Seed: DeviceSeed(spec.Seed, i)}
 	defer func() {
 		if r := recover(); r != nil {
@@ -373,7 +368,6 @@ func runDevice(ctx context.Context, spec Spec, i int, pool *sim.EventPool) (res 
 	if spec.Configure != nil {
 		spec.Configure(i, &cfg)
 	}
-	cfg.Events = pool
 	dt := spec.Trace.Device(i) // nil for unsampled indices
 	cfg.Trace = dt
 	if spec.Telemetry {
@@ -387,10 +381,6 @@ func runDevice(ctx context.Context, spec Spec, i int, pool *sim.EventPool) (res 
 		res.Err = fmt.Errorf("fleet: device %d: %w", i, err)
 		return res
 	}
-	// Hand the device's still-queued events back to the worker's pool
-	// once we are done with it — finished or failed — so the next device
-	// on this worker reuses them.
-	defer dev.Engine.Recycle()
 	if spec.Scenario != nil {
 		if err := spec.Scenario(i, dev); err != nil {
 			res.Err = fmt.Errorf("fleet: device %d scenario: %w", i, err)

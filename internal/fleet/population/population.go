@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/accounting"
-	"repro/internal/check"
 	"repro/internal/corpus"
 	"repro/internal/device"
 	"repro/internal/fleet"
@@ -149,7 +148,6 @@ func (p *Population) FleetSpec(devices, workers, shards int, seed int64) (fleet.
 		Config: device.Config{
 			EAndroid: true,
 			Policy:   accounting.BatteryStats,
-			Checks:   &check.Options{},
 		},
 		Configure: func(i int, cfg *device.Config) {
 			h := p.Cohorts[p.Assign(seed, i)].Hardware

@@ -552,7 +552,7 @@ func (m *Meter) InstantPowerMW() float64 {
 		now := m.now()
 		for _, uid := range m.liveUIDs {
 			i := int(uid - m.cols.base)
-			p += m.cols.cpuUtil[i] * cpuMW
+			p += float64(m.cols.cpuUtil[i] * cpuMW)
 			if exp := m.cols.tailExp[i]; exp != 0 && exp.After(now) {
 				p += m.profile.WiFiLow
 			}
@@ -573,7 +573,7 @@ func (m *Meter) InstantPowerMW() float64 {
 func (m *Meter) screenPowerNow() float64 {
 	p := m.profile.ScreenPower(m.brightness)
 	if m.screenDim {
-		p = m.profile.ScreenPower(0) + (p-m.profile.ScreenPower(0))*dimFactor
+		p = m.profile.ScreenPower(0) + float64((p-m.profile.ScreenPower(0))*dimFactor)
 	}
 	return p
 }
@@ -691,4 +691,4 @@ func (m *Meter) UIDs() []app.UID {
 	return out
 }
 
-func mWtoJ(mw, secs float64) float64 { return mw / 1000 * secs }
+func mWtoJ(mw, secs float64) float64 { return float64(mw / 1000 * secs) }

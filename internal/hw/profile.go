@@ -154,7 +154,7 @@ func (p Profile) ScreenPower(brightness int) float64 {
 	if brightness > 255 {
 		brightness = 255
 	}
-	return p.ScreenBase + p.ScreenPerLevel*float64(brightness)
+	return p.ScreenBase + float64(p.ScreenPerLevel*float64(brightness))
 }
 
 // MaxBrightness is the top of Android's 256-level brightness range.

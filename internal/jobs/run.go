@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/accounting"
-	"repro/internal/check"
 	"repro/internal/corpus"
 	"repro/internal/corpus/replay"
 	"repro/internal/device"
@@ -94,7 +93,6 @@ func (m *Manager) runFleet(ctx context.Context, j *Job) (Artifacts, error) {
 		Config: device.Config{
 			EAndroid: true,
 			Policy:   accounting.BatteryStats,
-			Checks:   &check.Options{},
 		},
 		Telemetry: true,
 		Progress:  j.progressHook(),

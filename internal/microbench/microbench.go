@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/activity"
 	"repro/internal/app"
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/display"
@@ -120,7 +121,9 @@ type bench struct {
 }
 
 func newBench(cfgName ConfigName) (*bench, error) {
-	cfg := device.Config{}
+	// The samples price the E-Android framework, not the invariant
+	// checker, so it is disabled.
+	cfg := device.Config{Checks: &check.Options{Disabled: true}}
 	switch cfgName {
 	case ConfigAndroid:
 	case ConfigFramework:
@@ -351,13 +354,13 @@ func quantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
-	pos := q * float64(len(sorted)-1)
+	pos := float64(q * float64(len(sorted)-1))
 	lo := int(pos)
 	frac := pos - float64(lo)
 	if lo+1 >= len(sorted) {
 		return sorted[len(sorted)-1]
 	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[lo+1]*frac)
 }
 
 // Render formats results as the Figure 10 comparison table (one row per

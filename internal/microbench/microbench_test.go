@@ -34,6 +34,20 @@ func TestConfigsComplete(t *testing.T) {
 	}
 }
 
+// The Fig. 10 samples price the E-Android framework, not the invariant
+// checker, so every configuration's device is built without one.
+func TestBenchDevicesCarryNoChecker(t *testing.T) {
+	for _, c := range Configs() {
+		b, err := newBench(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.dev.Checker != nil {
+			t.Fatalf("%s: the timed device carries an invariant checker", c)
+		}
+	}
+}
+
 func TestRunSmall(t *testing.T) {
 	results, err := Run(7) // small rep count for test speed
 	if err != nil {

@@ -284,7 +284,7 @@ func (d *Detector) summarizeUID(uid app.UID) (Signature, bool) {
 	mean := sum / float64(n)
 	var varsum float64
 	d.eachRun(uid, func(v float64, c int) {
-		dv := (v - mean) * (v - mean)
+		dv := float64((v - mean) * (v - mean))
 		for range c {
 			varsum += dv
 		}
@@ -347,7 +347,7 @@ func (d *Detector) Classify() []Verdict {
 			continue
 		}
 		sig := d.sigs[uid] // zero value for unknown apps
-		threshold := sig.MeanMW + 3*sig.StdMW + slackMW
+		threshold := sig.MeanMW + float64(3*sig.StdMW) + slackMW
 		if alt := 2 * sig.PeakMW; alt > threshold {
 			threshold = alt
 		}

@@ -11,9 +11,9 @@ var ErrStopped = errors.New("sim: engine stopped")
 
 // Event is a scheduled callback. Events fire in timestamp order; ties are
 // broken by scheduling order (FIFO), which keeps scenarios deterministic.
-// Events are pool-owned: once fired or cancelled they are recycled for
-// the next Schedule, so callers hold Handles (generation-checked) rather
-// than *Event.
+// Events belong to their engine: once fired or cancelled they go on its
+// free list for the next Schedule, so callers hold Handles
+// (generation-checked) rather than *Event.
 type Event struct {
 	at   Time
 	seq  uint64
@@ -23,15 +23,16 @@ type Event struct {
 	// idx is the event's position in its engine's queue, kept current
 	// by every heap move so Cancel can remove it without a search.
 	idx int32
-	// gen increments every time the event returns to its pool; a Handle
-	// captured before that no longer matches and turns into a no-op.
+	// gen increments every time the event returns to the free list; a
+	// Handle captured before that no longer matches and turns into a
+	// no-op.
 	gen uint32
 }
 
 // Handle refers to a scheduled event. The zero Handle is valid and
 // refers to nothing. Handles stay safe after their event fires: the
-// event's recycle bumps its generation, so a stale Handle's Cancel
-// cannot touch whatever the pooled Event was reused for.
+// event's return to the free list bumps its generation, so a stale
+// Handle's Cancel cannot touch whatever the Event was reused for.
 type Handle struct {
 	eng *Engine
 	ev  *Event
@@ -39,50 +40,20 @@ type Handle struct {
 }
 
 // Scheduled reports whether the event is still queued to fire. An
-// event leaves the queue only by firing, by Cancel or by Recycle, and
-// each returns it to the pool at once, which bumps its generation; so
-// the handle's event is queued exactly while the generations match.
+// event leaves the queue only by firing or by Cancel, and each returns
+// it to the free list at once, which bumps its generation; so the
+// handle's event is queued exactly while the generations match.
 func (h Handle) Scheduled() bool { return h.ev != nil && h.ev.gen == h.gen }
 
 // Cancel prevents a pending event from firing. Cancelling an event that
 // already fired (or was already cancelled, or an empty handle) is a
-// no-op. The event leaves the queue and returns to the pool at once, so
-// QueueLen drops right away.
+// no-op. The event leaves the queue and returns to the free list at
+// once, so QueueLen drops right away.
 func (h Handle) Cancel() {
 	if h.Scheduled() {
 		h.eng.remove(int(h.ev.idx))
-		h.eng.pool.put(h.ev)
+		h.eng.put(h.ev)
 	}
-}
-
-// EventPool recycles Event allocations. Every engine owns one by
-// default; sequential engines (a fleet worker running one device after
-// another) can share a single pool via SetEventPool so each device
-// reuses the Events its predecessors fired, cancelled or handed back
-// through Recycle instead of allocating fresh ones for the GC to sweep.
-// A pool is single-goroutine, like the engines it feeds.
-type EventPool struct {
-	free []*Event
-}
-
-// NewEventPool returns an empty pool.
-func NewEventPool() *EventPool { return &EventPool{} }
-
-func (p *EventPool) get() *Event {
-	if n := len(p.free); n > 0 {
-		ev := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return ev
-	}
-	return &Event{}
-}
-
-func (p *EventPool) put(ev *Event) {
-	ev.gen++
-	ev.fn = nil // release the closure now, not at next reuse
-	ev.name = ""
-	p.free = append(p.free, ev)
 }
 
 // Engine is the discrete-event simulation core. It is not safe for
@@ -95,7 +66,10 @@ type Engine struct {
 	queue   []*Event
 	seq     uint64
 	stopped bool
-	pool    *EventPool
+	// free holds fired and cancelled events for the next Schedule. A
+	// device has at most a handful of events pending when one fires, so
+	// the list stays a few entries long.
+	free []*Event
 
 	// tlog, when set, receives every dispatched event inline (see
 	// TraceLog); the telemetry recorder rides it.
@@ -106,18 +80,27 @@ type Engine struct {
 }
 
 // NewEngine returns an engine whose clock reads T+0.
-func NewEngine() *Engine {
-	return &Engine{pool: NewEventPool()}
+func NewEngine() *Engine { return &Engine{} }
+
+// get takes an event from the free list, or allocates one. A reused
+// Event is fully re-initialized by Schedule, so reuse cannot reach
+// dispatch order.
+func (e *Engine) get() *Event {
+	if n := len(e.free); n > 0 {
+		ev := e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		return ev
+	}
+	return &Event{}
 }
 
-// SetEventPool replaces the engine's event pool (never nil). Call it
-// before scheduling anything; events already recycled stay in the old
-// pool. Pool reuse does not affect determinism — a recycled Event is
-// fully re-initialized on Schedule.
-func (e *Engine) SetEventPool(p *EventPool) {
-	if p != nil {
-		e.pool = p
-	}
+// put returns a fired or cancelled event to the free list.
+func (e *Engine) put(ev *Event) {
+	ev.gen++
+	ev.fn = nil // release the closure now, not at next reuse
+	ev.name = ""
+	e.free = append(e.free, ev)
 }
 
 // Now reports the current virtual time.
@@ -131,12 +114,12 @@ func (e *Engine) QueueLen() int { return len(e.queue) }
 // Now) panics: it always indicates a scenario bug, and silently clamping
 // would corrupt energy integration. The returned Handle cancels the
 // pending event; it goes stale (harmlessly) once the event fires and
-// its pooled Event is recycled.
+// its Event returns to the free list.
 func (e *Engine) Schedule(at Time, name string, fn func()) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule %q at %v before now %v", name, at, e.now))
 	}
-	ev := e.pool.get()
+	ev := e.get()
 	ev.at, ev.seq, ev.name, ev.fn = at, e.seq, name, fn
 	e.seq++
 	e.queue = append(e.queue, ev)
@@ -280,11 +263,11 @@ func (e *Engine) dispatch() {
 		e.tlog.Log(e.now, ev.name, len(e.queue))
 	}
 	fn := ev.fn
-	// Recycle before dispatch so fn itself (the common self-
+	// Free the event before dispatch so fn itself (the common self-
 	// rescheduling case: tickers, WiFi tails) reuses this very Event.
 	// The generation bump makes any Handle still pointing here stale,
 	// so Cancel-after-fire stays a no-op even across reuse.
-	e.pool.put(ev)
+	e.put(ev)
 	fn()
 }
 
@@ -337,18 +320,6 @@ func (e *Engine) Drain(maxEvents int) error {
 			return nil
 		}
 	}
-}
-
-// Recycle hands every event still queued back to the event pool. A
-// fleet worker calls it after harvesting a finished device so the next
-// device built over the same pool (see SetEventPool) reuses those
-// Events instead of allocating its own. The engine must not be used
-// afterwards: any outstanding Handles go stale.
-func (e *Engine) Recycle() {
-	for _, ev := range e.queue {
-		e.pool.put(ev)
-	}
-	e.queue = nil
 }
 
 // Ticker repeatedly schedules a callback at a fixed period.

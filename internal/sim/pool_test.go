@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// A fired event's storage returns to the pool and the next Schedule
-// reuses it; the handle from the first schedule must have gone stale so
-// its Cancel cannot reach the recycled event.
+// A fired event's storage returns to the engine's free list and the
+// next Schedule reuses it; the handle from the first schedule must have
+// gone stale so its Cancel cannot reach the recycled event.
 func TestHandleStaleAfterFireDoesNotCancelRecycledEvent(t *testing.T) {
 	e := NewEngine()
 	fired := 0
@@ -27,7 +27,7 @@ func TestHandleStaleAfterFireDoesNotCancelRecycledEvent(t *testing.T) {
 
 	h2 := e.After(time.Second, "second", func() { fired++ })
 	if h2.ev != h1.ev {
-		t.Fatal("pool should recycle the fired event's storage (LIFO)")
+		t.Fatal("the free list should hand back the fired event's storage (LIFO)")
 	}
 	h1.Cancel() // stale: must not touch the recycled event
 	if !h2.Scheduled() {
@@ -51,40 +51,15 @@ func TestCancelledEventRecyclesThroughPool(t *testing.T) {
 	if err := e.RunFor(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if len(e.pool.free) == 0 {
-		t.Fatal("cancelled event never returned to the pool")
+	if len(e.free) == 0 {
+		t.Fatal("cancelled event never returned to the free list")
 	}
 	// Cancelling again after recycling stays a no-op.
 	h.Cancel()
 }
 
-// A shared pool moved between sequentially-run engines (the fleet
-// worker pattern) hands each engine its predecessor's arena.
-func TestEventPoolSharedAcrossSequentialEngines(t *testing.T) {
-	pool := NewEventPool()
-	for run := 0; run < 3; run++ {
-		e := NewEngine()
-		e.SetEventPool(pool)
-		ticks := 0
-		tk := e.Every(time.Second, "tick", func() { ticks++ })
-		if err := e.RunFor(10 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		tk.Stop()
-		if err := e.Drain(100); err != nil {
-			t.Fatal(err)
-		}
-		if ticks != 10 {
-			t.Fatalf("run %d: ticks = %d, want 10", run, ticks)
-		}
-	}
-	if len(pool.free) == 0 {
-		t.Fatal("shared pool should hold recycled events between runs")
-	}
-}
-
 // The engine's event loop must not allocate per tick once the ticker's
-// closure and its pooled Event exist: the self-rescheduling path reuses
+// closure and its Event exist: the self-rescheduling path reuses
 // the Event it just popped.
 func TestTickerSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()

@@ -135,7 +135,7 @@ func TestCancelReclaimsWheelSlot(t *testing.T) {
 }
 
 // TestCancelAfterFireAcrossSlotReuse checks handle staleness over
-// Event reuse: after an event fires, its pooled Event carries a new
+// Event reuse: after an event fires, its Event carries a new
 // event at the same relative delay; the old handle's Cancel must not
 // touch the new occupant.
 func TestCancelAfterFireAcrossSlotReuse(t *testing.T) {
@@ -144,11 +144,11 @@ func TestCancelAfterFireAcrossSlotReuse(t *testing.T) {
 	if err := e.RunFor(Duration(2 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	// Same relative delay: reuses h1's Event (LIFO pool).
+	// Same relative delay: reuses h1's Event (LIFO free list).
 	fired := false
 	h2 := e.After(Duration(time.Second), "second", func() { fired = true })
 	if h2.ev != h1.ev {
-		t.Fatalf("pool did not reuse the fired event")
+		t.Fatalf("free list did not hand back the fired event")
 	}
 	h1.Cancel() // stale: must be a no-op
 	if !h2.Scheduled() {
@@ -163,11 +163,11 @@ func TestCancelAfterFireAcrossSlotReuse(t *testing.T) {
 }
 
 // TestScheduleCancelSteadyStateAllocs guards the zero-alloc contract:
-// once the pool and the queue are warm, a schedule/cancel pair
+// once the free list and the queue are warm, a schedule/cancel pair
 // allocates nothing.
 func TestScheduleCancelSteadyStateAllocs(t *testing.T) {
 	e := NewEngine()
-	// Warm the pool and the queue.
+	// Warm the free list and the queue.
 	for i := 0; i < 8; i++ {
 		e.After(Duration(time.Duration(i+1)*time.Second), "warm", func() {}).Cancel()
 	}
