@@ -19,6 +19,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/fleet/population"
+	"repro/internal/scenario"
 )
 
 func requireNoErr(b *testing.B, err error) {
@@ -30,7 +31,7 @@ func requireNoErr(b *testing.B, err error) {
 
 func BenchmarkFig1MessageFilming(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig1()
+		_, err := experiments.Fig1(scenario.NewWorld)
 		requireNoErr(b, err)
 	}
 }
@@ -47,70 +48,70 @@ func BenchmarkFig3DrainCurves(b *testing.B) {
 	// configurations; a coarser step keeps each iteration fast while
 	// exercising the identical code path.
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig3WithStep(10 * time.Minute)
+		_, err := experiments.Fig3WithStep(scenario.NewWorld, 10*time.Minute)
 		requireNoErr(b, err)
 	}
 }
 
 func BenchmarkFig6MultiCollateral(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig6()
+		_, err := experiments.Fig6(scenario.NewWorld)
 		requireNoErr(b, err)
 	}
 }
 
 func BenchmarkFig7HybridChain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig7()
+		_, err := experiments.Fig7(scenario.NewWorld)
 		requireNoErr(b, err)
 	}
 }
 
 func BenchmarkFig8Breakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig8()
+		_, err := experiments.Fig8(scenario.NewWorld)
 		requireNoErr(b, err)
 	}
 }
 
 func BenchmarkFig9aScene1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig9a()
+		_, err := experiments.Fig9a(scenario.NewWorld)
 		requireNoErr(b, err)
 	}
 }
 
 func BenchmarkFig9bScene2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig9b()
+		_, err := experiments.Fig9b(scenario.NewWorld)
 		requireNoErr(b, err)
 	}
 }
 
 func BenchmarkFig9cAttack3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig9c()
+		_, err := experiments.Fig9c(scenario.NewWorld)
 		requireNoErr(b, err)
 	}
 }
 
 func BenchmarkFig9dAttack4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig9d()
+		_, err := experiments.Fig9d(scenario.NewWorld)
 		requireNoErr(b, err)
 	}
 }
 
 func BenchmarkFig9eAttack5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig9e()
+		_, err := experiments.Fig9e(scenario.NewWorld)
 		requireNoErr(b, err)
 	}
 }
 
 func BenchmarkFig9fAttack6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, err := experiments.Fig9f()
+		_, err := experiments.Fig9f(scenario.NewWorld)
 		requireNoErr(b, err)
 	}
 }

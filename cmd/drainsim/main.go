@@ -25,14 +25,18 @@ import (
 	"time"
 
 	"repro/internal/check"
+	"repro/internal/device"
 	"repro/internal/experiments"
 	"repro/internal/obsv"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
 )
 
-// stderr receives the run's notes; tests swap it.
-var stderr io.Writer = os.Stderr
+// stdout and stderr receive the run's output and notes; tests swap them.
+var (
+	stdout io.Writer = os.Stdout
+	stderr io.Writer = os.Stderr
+)
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -49,37 +53,36 @@ func run(args []string) error {
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event JSON file (open in Perfetto or chrome://tracing)")
 	eventsOut := fs.String("events-out", "", "write the structured event stream as JSONL")
 	metricsOut := fs.String("metrics-out", "", "write the recorder's metrics as Prometheus text")
-	checks := fs.Bool("check", true, "run the runtime invariant checker; any violation fails the serial sweep (the worker path checks passively per device)")
+	checkOn := fs.Bool("check", true, "run the runtime invariant checker; any violation fails the sweep")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var worldOpts scenario.WorldOptions
 
-	// Serial sweeps get a fail-fast checker through the world funnel,
-	// or none under -check=false; the parallel path builds passively
-	// checked devices per fleet spec.
-	worldOpts.Checks = &check.Options{FailFast: *checks, Disabled: !*checks}
+	// Fail-fast, so a conservation breach fails the sweep instead of
+	// printing a silently wrong figure; -check=false builds unchecked
+	// devices. Both sweeps build their devices under these options.
+	checks := &check.Options{FailFast: *checkOn, Disabled: !*checkOn}
 
-	// The shared world recorder is single-goroutine; the worker path
-	// builds its devices off the serial funnel, so telemetry flags only
-	// make sense for the serial sweep.
+	// The recorder is single-goroutine, so it attaches only to the
+	// serial sweep's worlds: the parallel sweep's devices run on the
+	// fleet's workers.
 	var rec *telemetry.Recorder
 	if *traceOut != "" || *eventsOut != "" || *metricsOut != "" {
 		if *workers != 1 {
 			return fmt.Errorf("telemetry flags require -workers 1 (the parallel sweep runs one recorder per device internally)")
 		}
 		rec = telemetry.New(telemetry.Options{})
-		worldOpts.Telemetry = rec
 	}
-	prevOpts := scenario.SetWorldOptions(worldOpts)
-	defer scenario.SetWorldOptions(prevOpts)
 
 	var res *experiments.Fig3Result
 	var err error
 	if *workers == 1 {
-		res, err = experiments.Fig3WithStep(*step)
+		res, err = experiments.Fig3WithStep(func(cfg device.Config) (*scenario.World, error) {
+			cfg.Telemetry, cfg.Checks = rec, checks
+			return scenario.NewWorld(cfg)
+		}, *step)
 	} else {
-		res, err = experiments.Fig3WithStepWorkers(*step, *workers)
+		res, err = experiments.Fig3WithStepWorkers(*step, *workers, checks)
 	}
 	if err != nil {
 		return err
@@ -93,14 +96,14 @@ func run(args []string) error {
 		}
 	}
 	if *csv {
-		fmt.Println("config,percent,hours")
+		fmt.Fprintln(stdout, "config,percent,hours")
 		for _, c := range res.Curves {
 			for _, p := range c.Points {
-				fmt.Printf("%s,%d,%.4f\n", c.Name, p.Percent, p.Hours)
+				fmt.Fprintf(stdout, "%s,%d,%.4f\n", c.Name, p.Percent, p.Hours)
 			}
 		}
 	} else {
-		fmt.Println(res.Render())
+		fmt.Fprintln(stdout, res.Render())
 	}
 	return nil
 }

@@ -82,3 +82,29 @@ func TestEventExportNotesOverwrites(t *testing.T) {
 		t.Fatalf("stderr = %q, want one line starting %q", got, want)
 	}
 }
+
+// TestOptionsMoveNoStdoutByte: the checker switch and the three
+// telemetry exports observe the sweep without changing it, so the
+// figure prints the same bytes with and without them.
+func TestOptionsMoveNoStdoutByte(t *testing.T) {
+	defer func(o, e io.Writer) { stdout, stderr = o, e }(stdout, stderr)
+	stderr = io.Discard
+	capture := func(args ...string) string {
+		var b strings.Builder
+		stdout = &b
+		if err := run(args); err != nil {
+			t.Fatalf("%q: %v", args, err)
+		}
+		return b.String()
+	}
+	dir := t.TempDir()
+	plain := capture("-step", "15m")
+	observed := capture("-step", "15m", "-check=false",
+		"-trace-out", filepath.Join(dir, "trace.json"),
+		"-events-out", filepath.Join(dir, "events.jsonl"),
+		"-metrics-out", filepath.Join(dir, "metrics.prom"))
+	if plain != observed {
+		t.Fatalf("stdout moved under -check=false and the three telemetry exports:\n--- plain ---\n%s\n--- observed ---\n%s",
+			plain, observed)
+	}
+}

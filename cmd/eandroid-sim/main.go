@@ -30,8 +30,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// stderr receives the run's notes; tests swap it.
-var stderr io.Writer = os.Stderr
+// stdout and stderr receive the run's output and notes; tests swap them.
+var (
+	stdout io.Writer = os.Stdout
+	stderr io.Writer = os.Stderr
+)
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -49,52 +52,110 @@ func run(args []string) error {
 	metricsOut := fs.String("metrics-out", "", "write the recorder's metrics as Prometheus text")
 	flameOut := fs.String("flame-out", "", "write the energy flame graph as collapsed stacks (Brendan Gregg format)")
 	flameHTML := fs.String("flame-html", "", "write the energy flame graph as a self-contained HTML report")
-	checks := fs.Bool("check", true, "run the runtime invariant checker; any violation fails the run")
+	checkOn := fs.Bool("check", true, "run the runtime invariant checker; any violation fails the run")
 	fleetN := fs.Int("fleet", 0, "run an N-device streaming population fleet (heterogeneous cohorts) and print the merged summary")
 	fleetWorkers := fs.Int("workers", 0, "with -fleet: worker count (0 = GOMAXPROCS)")
 	fleetSeed := fs.Int64("seed", 42, "with -fleet: fleet seed (per-device seeds derive from it)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	listing := *list || *exp == ""
+	if err := rejectIgnoredFlags(fs, *fleetN > 0, listing); err != nil {
+		return err
+	}
 
-	// The fleet mode bypasses the world funnel entirely: the fleet
-	// runner builds its own per-device configs and streams results into
-	// the bounded accumulator, so a 100k-device run fits in constant
-	// memory no matter what the other flags would retain.
+	// The fleet mode builds no experiment world: the fleet runner builds
+	// its own per-device configs and streams results into the bounded
+	// accumulator, so a 100k-device run fits in constant memory.
 	if *fleetN > 0 {
 		return runPopulationFleet(*fleetN, *fleetWorkers, *fleetSeed)
 	}
+	if listing {
+		fmt.Fprintln(stdout, "available experiments:")
+		for _, s := range experiments.All() {
+			fmt.Fprintf(stdout, "  %-6s %s\n", s.ID, s.Title)
+		}
+		if !*list {
+			fmt.Fprintln(stdout, "\nrun one with -exp <id>, or -exp all")
+		}
+		return nil
+	}
+	specs := experiments.All()
+	if *exp != "all" {
+		spec, err := experiments.ByID(*exp)
+		if err != nil {
+			return err
+		}
+		specs = []experiments.Spec{spec}
+	}
 
-	// Telemetry attaches to every serially-built experiment world, and
-	// one recorder feeds every file export. All cross-cutting wiring
-	// goes into one WorldOptions set, installed as the process default
-	// just before the experiments run.
-	var worldOpts scenario.WorldOptions
+	// Every experiment world gets the same recorder, which feeds every
+	// file export, and a fail-fast checker, so a conservation breach
+	// aborts the experiment instead of printing a silently wrong figure
+	// (-check=false builds unchecked worlds). A flame collector is a
+	// sink on its own world's meter, attached before the cast is
+	// installed.
 	var rec *telemetry.Recorder
 	if *traceOut != "" || *eventsOut != "" || *metricsOut != "" {
 		rec = telemetry.New(telemetry.Options{})
-		worldOpts.Telemetry = rec
 	}
-	// The invariant checker rides the same world funnel; fail-fast, so a
-	// conservation breach aborts the experiment instead of printing a
-	// silently wrong figure. -check=false builds unchecked worlds.
-	worldOpts.Checks = &check.Options{FailFast: *checks, Disabled: !*checks}
-
-	// Flame collection attaches to every world through the construction
-	// hook: each collector is a sink on its own world's meter.
+	checks := &check.Options{FailFast: *checkOn, Disabled: !*checkOn}
+	flame := *flameOut != "" || *flameHTML != ""
 	var flames []*obsv.FlameCollector
-	if *flameOut != "" || *flameHTML != "" {
-		worldOpts.Hook = func(dev *device.Device) {
+	newWorld := func(cfg device.Config) (*scenario.World, error) {
+		cfg.Telemetry, cfg.Checks = rec, checks
+		dev, err := device.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		if flame {
 			flames = append(flames, obsv.AttachFlame(dev))
 		}
+		return scenario.Populate(dev)
 	}
-	prevOpts := scenario.SetWorldOptions(worldOpts)
-	defer scenario.SetWorldOptions(prevOpts)
 
-	if err := runExperiments(list, exp, rec, *traceOut, *eventsOut, *metricsOut); err != nil {
+	for _, s := range specs {
+		r, err := s.Run(newWorld)
+		if err != nil {
+			if *exp == "all" {
+				err = fmt.Errorf("%s: %w", s.ID, err)
+			}
+			return err
+		}
+		fmt.Fprintln(stdout, r.Render())
+	}
+	if err := obsv.ExportFiles(rec, *traceOut, *eventsOut, *metricsOut); err != nil {
 		return err
 	}
+	if note := obsv.OverwriteNote(rec, *traceOut, *eventsOut); note != "" {
+		fmt.Fprintln(stderr, "eandroid-sim:", note)
+	}
 	return exportFlames(flames, *flameOut, *flameHTML, *exp)
+}
+
+// outputFlags name the files an experiment run writes.
+var outputFlags = map[string]bool{
+	"trace-out": true, "events-out": true, "metrics-out": true, "flame-out": true, "flame-html": true,
+}
+
+// rejectIgnoredFlags fails on an explicitly set flag that the selected
+// mode would ignore: the fleet mode runs no experiment, the list runs
+// none either, and only the fleet mode has workers and a seed.
+func rejectIgnoredFlags(fs *flag.FlagSet, fleetMode, listing bool) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		out := outputFlags[f.Name]
+		switch {
+		case err != nil:
+		case fleetMode && (out || f.Name == "exp" || f.Name == "list" || f.Name == "check"):
+			err = fmt.Errorf("-%s does not apply to -fleet", f.Name)
+		case !fleetMode && listing && out:
+			err = fmt.Errorf("-%s needs an experiment to run (-exp)", f.Name)
+		case !fleetMode && (f.Name == "workers" || f.Name == "seed"):
+			err = fmt.Errorf("-%s applies only to -fleet", f.Name)
+		}
+	})
+	return err
 }
 
 // runPopulationFleet runs the default cohort mixture down the fleet's
@@ -110,50 +171,9 @@ func runPopulationFleet(devices, workers int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(fr.Render())
+	fmt.Fprintln(stdout, fr.Render())
 	if fr.Summary.Failed > 0 {
 		return fmt.Errorf("%d of %d devices failed", fr.Summary.Failed, fr.Summary.Devices)
-	}
-	return nil
-}
-
-// runExperiments is the pre-obsv body of the command: list, run one or
-// all experiments, export telemetry.
-func runExperiments(list *bool, exp *string, rec *telemetry.Recorder, traceOut, eventsOut, metricsOut string) error {
-	if *list || *exp == "" {
-		fmt.Println("available experiments:")
-		for _, s := range experiments.All() {
-			fmt.Printf("  %-6s %s\n", s.ID, s.Title)
-		}
-		if *exp == "" && !*list {
-			fmt.Println("\nrun one with -exp <id>, or -exp all")
-		}
-		return nil
-	}
-
-	specs := experiments.All()
-	if *exp != "all" {
-		spec, err := experiments.ByID(*exp)
-		if err != nil {
-			return err
-		}
-		specs = []experiments.Spec{spec}
-	}
-	for _, s := range specs {
-		r, err := s.Run()
-		if err != nil {
-			if *exp == "all" {
-				err = fmt.Errorf("%s: %w", s.ID, err)
-			}
-			return err
-		}
-		fmt.Println(r.Render())
-	}
-	if err := obsv.ExportFiles(rec, traceOut, eventsOut, metricsOut); err != nil {
-		return err
-	}
-	if note := obsv.OverwriteNote(rec, traceOut, eventsOut); note != "" {
-		fmt.Fprintln(stderr, "eandroid-sim:", note)
 	}
 	return nil
 }

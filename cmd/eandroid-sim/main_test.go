@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 func TestListFlag(t *testing.T) {
@@ -37,6 +39,76 @@ func TestUnknownExperiment(t *testing.T) {
 func TestBadFlag(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
 		t.Fatal("bad flag accepted")
+	}
+}
+
+// TestRejectsIgnoredFlags: a flag the selected mode would ignore fails
+// the run before anything runs or any file is written.
+func TestRejectsIgnoredFlags(t *testing.T) {
+	defer func(w io.Writer) { stdout = w }(stdout)
+	stdout = io.Discard
+	dir := t.TempDir()
+	out := func(name string) string { return filepath.Join(dir, name) }
+	for _, tc := range []struct {
+		args []string
+		bad  string // the flag named in the error; "" means accepted
+	}{
+		{[]string{"-fleet", "4", "-exp", "fig9a"}, "-exp"},
+		{[]string{"-fleet", "4", "-list"}, "-list"},
+		{[]string{"-fleet", "4", "-check=false"}, "-check"},
+		{[]string{"-fleet", "4", "-metrics-out", out("m.prom")}, "-metrics-out"},
+		{[]string{"-fleet", "4", "-flame-out", out("f.txt")}, "-flame-out"},
+		{[]string{"-list", "-flame-html", out("f.html")}, "-flame-html"},
+		{[]string{"-list", "-exp", "fig9a", "-trace-out", out("t.json")}, "-trace-out"},
+		{[]string{"-events-out", out("e.jsonl")}, "-events-out"},
+		{[]string{"-exp", "fig9a", "-workers", "2"}, "-workers"},
+		{[]string{"-seed", "7"}, "-seed"},
+		{[]string{"-fleet", "0", "-workers", "2"}, "-workers"},
+		{[]string{"-fleet", "4", "-workers", "2", "-seed", "7"}, ""},
+		{[]string{"-list", "-check=false"}, ""},
+		{[]string{"-exp", "fig9a", "-check=false"}, ""},
+	} {
+		err := run(tc.args)
+		switch {
+		case tc.bad == "" && err != nil:
+			t.Errorf("%q: %v", tc.args, err)
+		case tc.bad != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.bad+" ")):
+			t.Errorf("%q: err = %v, want one naming %s", tc.args, err, tc.bad)
+		}
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 0 {
+		t.Fatalf("rejected runs wrote %d files, first %s", len(files), files[0].Name())
+	}
+}
+
+// TestOptionsMoveNoStdoutByte: the checker switch and the five file
+// exports observe an experiment without changing it, so each
+// deterministic experiment prints the same bytes with and without
+// them. fig10, fig11 and ext-telemetry print wall-clock timings.
+func TestOptionsMoveNoStdoutByte(t *testing.T) {
+	defer func(o, e io.Writer) { stdout, stderr = o, e }(stdout, stderr)
+	stderr = io.Discard
+	capture := func(args ...string) string {
+		var b strings.Builder
+		stdout = &b
+		if err := run(args); err != nil {
+			t.Fatalf("%q: %v", args, err)
+		}
+		return b.String()
+	}
+	for _, s := range experiments.All() {
+		switch s.ID {
+		case "fig10", "fig11", "ext-telemetry":
+			continue
+		}
+		dir := t.TempDir()
+		args := []string{"-exp", s.ID, "-check=false"}
+		for _, f := range []string{"trace-out", "events-out", "metrics-out", "flame-out", "flame-html"} {
+			args = append(args, "-"+f, filepath.Join(dir, f))
+		}
+		if capture("-exp", s.ID) != capture(args...) {
+			t.Errorf("%s: stdout moved under -check=false and the five file exports", s.ID)
+		}
 	}
 }
 

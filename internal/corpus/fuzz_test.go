@@ -37,12 +37,12 @@ func FuzzCorpus(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := scenario.NewWorldWith(device.Config{
+		w, err := scenario.NewWorld(device.Config{
 			EAndroid: true,
 			Policy:   accounting.BatteryStats,
 			Seed:     seed,
 			Checks:   &check.Options{FailFast: true},
-		}, scenario.WorldOptions{})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,8 +56,7 @@ func TestReusedGeneratorMatchesGenerate(t *testing.T) {
 // playWorld builds the world the fleet's population devices run on.
 func playWorld(t *testing.T) *scenario.World {
 	t.Helper()
-	w, err := scenario.NewWorldWith(device.Config{EAndroid: true, Policy: accounting.BatteryStats},
-		scenario.WorldOptions{})
+	w, err := scenario.NewWorld(device.Config{EAndroid: true, Policy: accounting.BatteryStats})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,12 +15,12 @@ import (
 // (nothing left running, aggregates consistent).
 func replayScript(t *testing.T, s *Script) {
 	t.Helper()
-	w, err := scenario.NewWorldWith(device.Config{
+	w, err := scenario.NewWorld(device.Config{
 		EAndroid: true,
 		Policy:   accounting.BatteryStats,
 		Seed:     s.Seed,
 		Checks:   &check.Options{FailFast: true},
-	}, scenario.WorldOptions{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

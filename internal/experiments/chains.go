@@ -62,8 +62,8 @@ func chainResult(name string, w *scenario.World) *ChainResult {
 
 // Fig6 regenerates Figure 6: the multi-collateral attack timeline (bind
 // + start + interrupt on the same victim, ended step by step).
-func Fig6() (*ChainResult, error) {
-	w, err := scenario.NewWorld(worldCfg(accounting.BatteryStats))
+func Fig6(newWorld WorldFunc) (*ChainResult, error) {
+	w, err := newWorld(worldCfg(accounting.BatteryStats))
 	if err != nil {
 		return nil, err
 	}
@@ -78,8 +78,8 @@ func Fig6() (*ChainResult, error) {
 
 // Fig7 regenerates Figure 7: the hybrid chain (A binds B, B starts C, C
 // changes brightness; everything superimposes onto A).
-func Fig7() (*ChainResult, error) {
-	w, err := scenario.NewWorld(worldCfg(accounting.BatteryStats))
+func Fig7(newWorld WorldFunc) (*ChainResult, error) {
+	w, err := newWorld(worldCfg(accounting.BatteryStats))
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/accounting"
 	"repro/internal/app"
-	"repro/internal/device"
 	"repro/internal/powersig"
 	"repro/internal/scenario"
 )
@@ -64,12 +63,12 @@ func rankOf(w *scenario.World, uid app.UID) int {
 // ExtDetection runs the comparison: the classic CPU bomb (caught by
 // everything) versus collateral attack #3 (invisible to the baseline and
 // to power signatures, exposed only by E-Android).
-func ExtDetection() (*DetectionResult, error) {
+func ExtDetection(newWorld WorldFunc) (*DetectionResult, error) {
 	res := &DetectionResult{}
 
 	// Case 1: classic CPU bomb.
 	{
-		w, err := scenario.NewWorld(device.Config{EAndroid: true, Policy: accounting.BatteryStats})
+		w, err := newWorld(worldCfg(accounting.BatteryStats))
 		if err != nil {
 			return nil, err
 		}
@@ -105,7 +104,7 @@ func ExtDetection() (*DetectionResult, error) {
 
 	// Case 2: collateral attack #3.
 	{
-		w, err := scenario.NewWorld(device.Config{EAndroid: true, Policy: accounting.BatteryStats})
+		w, err := newWorld(worldCfg(accounting.BatteryStats))
 		if err != nil {
 			return nil, err
 		}

@@ -78,19 +78,19 @@ func DrainConfigs() []string {
 // Fig3 sweeps the five configurations until the battery dies, recording
 // the elapsed time at every one-percent step, exactly as the paper
 // "record[s] the time until the battery is dead" for each percentage.
-func Fig3() (*Fig3Result, error) {
-	return Fig3WithStep(30 * time.Second)
+func Fig3(newWorld WorldFunc) (*Fig3Result, error) {
+	return Fig3WithStep(newWorld, 30*time.Second)
 }
 
 // Fig3WithStep is Fig3 with a configurable sampling step (tests use a
 // coarser step for speed).
-func Fig3WithStep(step time.Duration) (*Fig3Result, error) {
+func Fig3WithStep(newWorld WorldFunc, step time.Duration) (*Fig3Result, error) {
 	if step <= 0 {
 		return nil, fmt.Errorf("experiments: non-positive step %v", step)
 	}
 	res := &Fig3Result{}
 	for _, name := range DrainConfigs() {
-		curve, err := drainCurve(name, step)
+		curve, err := drainCurve(newWorld, name, step)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: drain %s: %w", name, err)
 		}
@@ -143,8 +143,8 @@ func applyDrainConfig(w *scenario.World, name string) error {
 	return fmt.Errorf("unknown drain config %q", name)
 }
 
-func drainCurve(name string, step time.Duration) (DrainCurve, error) {
-	w, err := scenario.NewWorld(device.Config{Policy: accounting.BatteryStats})
+func drainCurve(newWorld WorldFunc, name string, step time.Duration) (DrainCurve, error) {
+	w, err := newWorld(device.Config{Policy: accounting.BatteryStats})
 	if err != nil {
 		return DrainCurve{}, err
 	}

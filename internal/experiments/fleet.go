@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/accounting"
+	"repro/internal/check"
 	"repro/internal/device"
 	"repro/internal/fleet"
 	"repro/internal/powersig"
@@ -155,8 +156,10 @@ func FleetDrainStudy(replicas, workers int, seed int64, window time.Duration) (*
 // Fig3WithStepWorkers is Fig3WithStep with the five configurations
 // sweeping concurrently on a fleet worker pool. Each full depletion
 // sweep stays single-threaded inside its own device; only distinct
-// configurations run in parallel.
-func Fig3WithStepWorkers(step time.Duration, workers int) (*Fig3Result, error) {
+// configurations run in parallel. Every device is checked under
+// checks: with FailFast, a violation fails its sweep and becomes the
+// error returned here.
+func Fig3WithStepWorkers(step time.Duration, workers int, checks *check.Options) (*Fig3Result, error) {
 	if step <= 0 {
 		return nil, fmt.Errorf("experiments: non-positive step %v", step)
 	}
@@ -165,7 +168,7 @@ func Fig3WithStepWorkers(step time.Duration, workers int) (*Fig3Result, error) {
 	fr, err := fleet.Run(context.Background(), fleet.Spec{
 		Devices: len(configs),
 		Workers: workers,
-		Config:  device.Config{Policy: accounting.BatteryStats},
+		Config:  device.Config{Policy: accounting.BatteryStats, Checks: checks},
 		Scenario: func(i int, dev *device.Device) error {
 			w, err := scenario.Populate(dev)
 			if err != nil {

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/check"
+	"repro/internal/scenario"
 )
 
 func TestFleetStealthStudy(t *testing.T) {
@@ -58,21 +61,24 @@ func TestFleetDrainStudyRejectsBadArgs(t *testing.T) {
 }
 
 // The fleet-parallel Figure 3 sweep must reproduce the serial sweep
-// exactly: same curves, same render, whatever the worker count.
+// exactly: same curves, same render, whatever the worker count, and
+// whether its devices are checked passively, fail-fast or not at all.
 func TestFig3WorkersMatchesSerial(t *testing.T) {
-	serial, err := Fig3WithStep(15 * time.Minute)
+	serial, err := Fig3WithStep(scenario.NewWorld, 15*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Fig3WithStepWorkers(15*time.Minute, 3)
-	if err != nil {
-		t.Fatal(err)
+	for _, checks := range []*check.Options{nil, {FailFast: true}, {Disabled: true}} {
+		par, err := Fig3WithStepWorkers(15*time.Minute, 3, checks)
+		if err != nil {
+			t.Fatalf("checks %+v: %v", checks, err)
+		}
+		if serial.Render() != par.Render() {
+			t.Fatalf("checks %+v: parallel Fig3 diverged from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
+				checks, serial.Render(), par.Render())
+		}
 	}
-	if serial.Render() != par.Render() {
-		t.Fatalf("parallel Fig3 diverged from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial.Render(), par.Render())
-	}
-	if _, err := Fig3WithStepWorkers(0, 2); err == nil {
+	if _, err := Fig3WithStepWorkers(0, 2, nil); err == nil {
 		t.Fatal("zero step accepted")
 	}
 }

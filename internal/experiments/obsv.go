@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/accounting"
-	"repro/internal/device"
 	"repro/internal/obsv"
 	"repro/internal/scenario"
 )
@@ -129,13 +128,10 @@ func watchdogScenarios() []struct {
 
 // WatchdogStudy runs the watchdog over both benign scenes and all six
 // attacks.
-func WatchdogStudy() (*WatchdogStudyResult, error) {
+func WatchdogStudy(newWorld WorldFunc) (*WatchdogStudyResult, error) {
 	res := &WatchdogStudyResult{Window: obsv.DefaultWindow}
 	for _, sc := range watchdogScenarios() {
-		w, err := scenario.NewWorld(device.Config{
-			EAndroid: true,
-			Policy:   accounting.BatteryStats,
-		})
+		w, err := newWorld(worldCfg(accounting.BatteryStats))
 		if err != nil {
 			return nil, err
 		}

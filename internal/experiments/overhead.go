@@ -1,15 +1,9 @@
 package experiments
 
 import (
-	"repro/internal/accounting"
 	"repro/internal/antutu"
-	"repro/internal/device"
 	"repro/internal/microbench"
 )
-
-func worldCfg(policy accounting.Policy) device.Config {
-	return device.Config{EAndroid: true, Policy: policy}
-}
 
 // Fig10Result wraps the micro benchmark results.
 type Fig10Result struct {

@@ -54,12 +54,11 @@ func stealthDetector(w *scenario.World, horizon time.Duration) error {
 func noChecks() *check.Options { return &check.Options{Disabled: true} }
 
 // soloWorld builds a single-device study's world with rec and checks
-// attached. It ignores the process-default world options, so a CLI's
-// own recorder cannot leak into a baseline.
+// attached.
 func soloWorld(rec *telemetry.Recorder, checks *check.Options) (*scenario.World, error) {
 	cfg := worldCfg(accounting.BatteryStats)
 	cfg.Telemetry, cfg.Checks = rec, checks
-	return scenario.NewWorldWith(cfg, scenario.WorldOptions{})
+	return scenario.NewWorld(cfg)
 }
 
 // solo runs the single-device workload with rec and checks attached.

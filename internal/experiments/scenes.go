@@ -8,7 +8,6 @@ import (
 	"repro/internal/accounting"
 	"repro/internal/app"
 	"repro/internal/batteryui"
-	"repro/internal/device"
 	"repro/internal/power"
 	"repro/internal/scenario"
 )
@@ -57,15 +56,11 @@ func viewsFrom(name string, w *scenario.World) *ViewsResult {
 	return res
 }
 
-func newWorld(policy accounting.Policy) (*scenario.World, error) {
-	return scenario.NewWorld(device.Config{EAndroid: true, Policy: policy})
-}
-
 // Fig1 regenerates Figure 1: the energy view Android's official
 // BatteryStats shows after filming inside the Message app — the Camera
 // is charged, the Message barely registers.
-func Fig1() (*ViewsResult, error) {
-	w, err := newWorld(accounting.BatteryStats)
+func Fig1(newWorld WorldFunc) (*ViewsResult, error) {
+	w, err := newWorld(worldCfg(accounting.BatteryStats))
 	if err != nil {
 		return nil, err
 	}
@@ -76,8 +71,8 @@ func Fig1() (*ViewsResult, error) {
 }
 
 // Fig9a regenerates Figure 9a (normal scene #1).
-func Fig9a() (*ViewsResult, error) {
-	w, err := newWorld(accounting.BatteryStats)
+func Fig9a(newWorld WorldFunc) (*ViewsResult, error) {
+	w, err := newWorld(worldCfg(accounting.BatteryStats))
 	if err != nil {
 		return nil, err
 	}
@@ -88,8 +83,8 @@ func Fig9a() (*ViewsResult, error) {
 }
 
 // Fig9b regenerates Figure 9b (normal scene #2, the legitimate hybrid).
-func Fig9b() (*ViewsResult, error) {
-	w, err := newWorld(accounting.BatteryStats)
+func Fig9b(newWorld WorldFunc) (*ViewsResult, error) {
+	w, err := newWorld(worldCfg(accounting.BatteryStats))
 	if err != nil {
 		return nil, err
 	}
@@ -102,8 +97,8 @@ func Fig9b() (*ViewsResult, error) {
 // Fig9c regenerates Figure 9c (attack #3: bind without unbind). The
 // attack runs for 60 s, then the malware unbinds and the victim runs on
 // for another 30 s — whose energy must NOT be charged to the malware.
-func Fig9c() (*ViewsResult, error) {
-	w, err := newWorld(accounting.BatteryStats)
+func Fig9c(newWorld WorldFunc) (*ViewsResult, error) {
+	w, err := newWorld(worldCfg(accounting.BatteryStats))
 	if err != nil {
 		return nil, err
 	}
@@ -123,8 +118,8 @@ func Fig9c() (*ViewsResult, error) {
 
 // Fig9d regenerates Figure 9d (attack #4: interrupt to background with
 // an unreleased wakelock).
-func Fig9d() (*ViewsResult, error) {
-	w, err := newWorld(accounting.BatteryStats)
+func Fig9d(newWorld WorldFunc) (*ViewsResult, error) {
+	w, err := newWorld(worldCfg(accounting.BatteryStats))
 	if err != nil {
 		return nil, err
 	}
@@ -154,9 +149,9 @@ func (r *PhasedResult) Render() string {
 }
 
 // Fig9e regenerates Figure 9e (attack #5: brightness escalation).
-func Fig9e() (*PhasedResult, error) {
+func Fig9e(newWorld WorldFunc) (*PhasedResult, error) {
 	// Normal half: the victim runs 60 s at default brightness.
-	normal, err := newWorld(accounting.BatteryStats)
+	normal, err := newWorld(worldCfg(accounting.BatteryStats))
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +167,7 @@ func Fig9e() (*PhasedResult, error) {
 
 	// Attack half: same run, but the malware escalates brightness after
 	// the first instant.
-	attack, err := newWorld(accounting.BatteryStats)
+	attack, err := newWorld(worldCfg(accounting.BatteryStats))
 	if err != nil {
 		return nil, err
 	}
@@ -189,8 +184,8 @@ func Fig9e() (*PhasedResult, error) {
 // Fig9f regenerates Figure 9f (attack #6: screen wakelock never
 // released). Normal half: screen times out after 30 s of a 60 s window.
 // Attack half: malware's wakelock pins the screen for the full 60 s.
-func Fig9f() (*PhasedResult, error) {
-	normal, err := newWorld(accounting.BatteryStats)
+func Fig9f(newWorld WorldFunc) (*PhasedResult, error) {
+	normal, err := newWorld(worldCfg(accounting.BatteryStats))
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +193,7 @@ func Fig9f() (*PhasedResult, error) {
 		return nil, err
 	}
 
-	attack, err := newWorld(accounting.BatteryStats)
+	attack, err := newWorld(worldCfg(accounting.BatteryStats))
 	if err != nil {
 		return nil, err
 	}
@@ -228,8 +223,8 @@ func (r *Fig8Result) Render() string {
 }
 
 // Fig8 runs scene #2 under the PowerTutor policy.
-func Fig8() (*Fig8Result, error) {
-	w, err := newWorld(accounting.PowerTutor)
+func Fig8(newWorld WorldFunc) (*Fig8Result, error) {
+	w, err := newWorld(worldCfg(accounting.PowerTutor))
 	if err != nil {
 		return nil, err
 	}
@@ -249,8 +244,8 @@ func Fig8() (*Fig8Result, error) {
 // omits its PowerTutor plots because "the results of PowerTutor are
 // similar to those of Android's interface"; this entry regenerates that
 // omitted variant so the claim itself is checkable.
-func Fig9aPowerTutor() (*ViewsResult, error) {
-	w, err := newWorld(accounting.PowerTutor)
+func Fig9aPowerTutor(newWorld WorldFunc) (*ViewsResult, error) {
+	w, err := newWorld(worldCfg(accounting.PowerTutor))
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/accounting"
-	"repro/internal/scenario"
 )
 
 // StealthResult is the extension experiment around §V's delivery story:
@@ -32,8 +31,8 @@ func (r *StealthResult) Render() string {
 }
 
 // ExtStealth runs the stealth auto-launch attack for 60 s.
-func ExtStealth() (*StealthResult, error) {
-	w, err := scenario.NewWorld(worldCfg(accounting.BatteryStats))
+func ExtStealth(newWorld WorldFunc) (*StealthResult, error) {
+	w, err := newWorld(worldCfg(accounting.BatteryStats))
 	if err != nil {
 		return nil, err
 	}

@@ -206,33 +206,33 @@ func TestWatchdogFinishIdempotent(t *testing.T) {
 }
 
 // TestWatchdogsOnSharedRecorder: serial worlds sharing one recorder
-// (the CLIs' world funnel) each get a watchdog from the construction
-// hook, and each judges exactly what it would alone — its closed-window
-// rate history, window counts and findings match a solo run of the same
-// world. World 0 ends mid-window, so its partial final window closes
-// only at Finish, after world 1 has run.
+// each get a watchdog attached before the cast is installed, and each
+// judges exactly what it would alone — its closed-window rate history,
+// window counts and findings match a solo run of the same world. World
+// 0 ends mid-window, so its partial final window closes only at
+// Finish, after world 1 has run.
 func TestWatchdogsOnSharedRecorder(t *testing.T) {
 	scripts := []func(*scenario.World) error{
 		func(w *scenario.World) error { return w.Attack3ServicePin(75 * time.Second) },
 		func(w *scenario.World) error { return w.Attack6WakelockScreen(2 * time.Minute) },
 	}
 	// run builds the selected worlds in order over one recorder, then
-	// finishes their watchdogs in build order, as eandroid-sim does.
+	// finishes their watchdogs in build order.
 	run := func(which ...int) []*Watchdog {
+		rec := telemetry.New(telemetry.Options{})
 		var wds []*Watchdog
-		opts := scenario.WorldOptions{
-			Telemetry: telemetry.New(telemetry.Options{}),
-			Hook: func(dev *device.Device) {
-				wd, err := NewWatchdog(dev, WatchdogOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				wd.Start()
-				wds = append(wds, wd)
-			},
-		}
 		for _, i := range which {
-			w, err := scenario.NewWorldWith(device.Config{EAndroid: true}, opts)
+			dev, err := device.New(device.Config{EAndroid: true, Telemetry: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wd, err := NewWatchdog(dev, WatchdogOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wd.Start()
+			wds = append(wds, wd)
+			w, err := scenario.Populate(dev)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,8 +275,7 @@ func TestWatchdogMatchesAccountantAttribution(t *testing.T) {
 	for _, policy := range []accounting.Policy{accounting.BatteryStats, accounting.PowerTutor} {
 		t.Run(policy.String(), func(t *testing.T) {
 			rec := telemetry.New(telemetry.Options{EventCapacity: 1 << 15})
-			w, err := scenario.NewWorldWith(device.Config{EAndroid: true, Policy: policy, Telemetry: rec},
-				scenario.WorldOptions{})
+			w, err := scenario.NewWorld(device.Config{EAndroid: true, Policy: policy, Telemetry: rec})
 			if err != nil {
 				t.Fatal(err)
 			}

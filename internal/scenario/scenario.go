@@ -13,12 +13,10 @@ package scenario
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/activity"
 	"repro/internal/app"
-	"repro/internal/check"
 	"repro/internal/device"
 	"repro/internal/display"
 	"repro/internal/intent"
@@ -26,7 +24,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/surfaceflinger"
-	"repro/internal/telemetry"
 )
 
 // Package names for the demo cast.
@@ -48,68 +45,11 @@ type World struct {
 	Malware  *app.App
 }
 
-// WorldOptions carries the cross-cutting construction options NewWorld
-// threads into every world it builds: the CLIs' telemetry recorder
-// (-trace-out/-events-out/-metrics-out), the runtime invariant checker
-// options, and a post-construction hook for observers that need the
-// concrete device (e.g. the obsv flame-graph collector). Options set
-// directly on the device.Config win over these; every built device gets
-// its own Checker — only the options pointer is shared.
-type WorldOptions struct {
-	Telemetry *telemetry.Recorder
-	Checks    *check.Options
-	Hook      func(*device.Device)
-}
-
-// worldMu guards worldDefaults: the CLIs install process defaults once
-// at startup, but fleet runners and parallel tests may build worlds
-// concurrently, so the default set is read under a lock rather than
-// through bare package globals (which raced under -race).
-var (
-	worldMu       sync.RWMutex
-	worldDefaults WorldOptions
-)
-
-// SetWorldOptions atomically replaces the process-default options used
-// by NewWorld (zero value detaches everything) and returns the previous
-// set so callers can restore it.
-func SetWorldOptions(opts WorldOptions) WorldOptions {
-	worldMu.Lock()
-	defer worldMu.Unlock()
-	prev := worldDefaults
-	worldDefaults = opts
-	return prev
-}
-
-// DefaultWorldOptions returns a snapshot of the process-default options.
-func DefaultWorldOptions() WorldOptions {
-	worldMu.RLock()
-	defer worldMu.RUnlock()
-	return worldDefaults
-}
-
-// NewWorld builds a device from cfg with the process-default options
-// and installs the demo cast.
+// NewWorld builds a device from cfg and installs the demo cast.
 func NewWorld(cfg device.Config) (*World, error) {
-	return NewWorldWith(cfg, DefaultWorldOptions())
-}
-
-// NewWorldWith builds a device from cfg with explicit options — no
-// process globals involved, so concurrent builders can each carry their
-// own recorder, checker options and hook.
-func NewWorldWith(cfg device.Config, opts WorldOptions) (*World, error) {
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = opts.Telemetry
-	}
-	if cfg.Checks == nil {
-		cfg.Checks = opts.Checks
-	}
 	dev, err := device.New(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if opts.Hook != nil {
-		opts.Hook(dev)
 	}
 	return Populate(dev)
 }
