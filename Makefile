@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check arch-check loc bench bench-gate fleet-bench fleet-mem telemetry-bench check-bench obsv-bench obsv-smoke trace-bench trace-smoke corpus-bench corpus-smoke jobs-smoke jobs-bench perfbench-test fuzz-short fuzz-corpus-short fuzz-json-short clean
+.PHONY: all build test race vet fmt-check arch-check loc bench bench-gate fleet-bench fleet-mem telemetry-bench check-bench obsv-bench obsv-smoke trace-bench trace-smoke corpus-bench corpus-smoke jobs-smoke jobs-bench perfbench-test fuzz-short fuzz-corpus-short fuzz-json-short fuzz-rand-short clean
 
 all: build test
 
@@ -245,6 +245,12 @@ fuzz-corpus-short:
 # strconv.FormatFloat(x, 'f', 0, 64) does.
 fuzz-json-short:
 	$(GO) test -run NONE -fuzz FuzzJSONAppend -fuzztime 15s ./internal/obsv
+
+# 15-second randomized hunt over the corpus's random source: for any
+# seed, after any number of draws under another seed, reseeding it must
+# yield rand.NewSource(seed)'s stream value for value.
+fuzz-rand-short:
+	$(GO) test -run NONE -fuzz FuzzSourceMatchesMathRand -fuzztime 15s ./internal/corpus
 
 clean:
 	$(GO) clean ./...

@@ -166,8 +166,9 @@ func BenchmarkFleet64Workers8(b *testing.B) { benchFleet(b, 64, 8) }
 // dominated by the engine and the detector. With scripts generated
 // into pooled buffers and the demo cast shared, running the script
 // (engine, meter and checker) takes about half the CPU and device.New
-// about half the allocated bytes; reseeding math/rand's source for
-// each script is the largest single CPU leaf (~12%).
+// about half the allocated bytes. Generating the script takes about a
+// tenth of the CPU, of which its random source, seeded in O(1)
+// (internal/corpus/source.go), takes about a quarter.
 func BenchmarkFleetPopulation256(b *testing.B) {
 	pop := population.Default()
 	spec, err := pop.FleetSpec(256, 0, 0, 42)

@@ -77,10 +77,20 @@ func run(args []string) error {
 	var res *experiments.Fig3Result
 	var err error
 	if *workers == 1 {
+		// The sweep's worlds are kept until it returns, for their
+		// end-of-run checks.
+		var worlds []*scenario.World
 		res, err = experiments.Fig3WithStep(func(cfg device.Config) (*scenario.World, error) {
 			cfg.Telemetry, cfg.Checks = rec, checks
-			return scenario.NewWorld(cfg)
+			w, err := scenario.NewWorld(cfg)
+			if err == nil {
+				worlds = append(worlds, w)
+			}
+			return w, err
 		}, *step)
+		if err == nil {
+			err = experiments.FinishChecks(worlds)
+		}
 	} else {
 		res, err = experiments.Fig3WithStepWorkers(*step, *workers, checks)
 	}

@@ -92,9 +92,10 @@ func run(args []string) error {
 	// Every experiment world gets the same recorder, which feeds every
 	// file export, and a fail-fast checker, so a conservation breach
 	// aborts the experiment instead of printing a silently wrong figure
-	// (-check=false builds unchecked worlds). A flame collector is a
-	// sink on its own world's meter, attached before the cast is
-	// installed.
+	// (-check=false builds unchecked worlds); an experiment's worlds are
+	// kept until it returns, for their end-of-run checks. A flame
+	// collector is a sink on its own world's meter, attached before the
+	// cast is installed.
 	var rec *telemetry.Recorder
 	if *traceOut != "" || *eventsOut != "" || *metricsOut != "" {
 		rec = telemetry.New(telemetry.Options{})
@@ -102,6 +103,7 @@ func run(args []string) error {
 	checks := &check.Options{FailFast: *checkOn, Disabled: !*checkOn}
 	flame := *flameOut != "" || *flameHTML != ""
 	var flames []*obsv.FlameCollector
+	var worlds []*scenario.World
 	newWorld := func(cfg device.Config) (*scenario.World, error) {
 		cfg.Telemetry, cfg.Checks = rec, checks
 		dev, err := device.New(cfg)
@@ -111,11 +113,19 @@ func run(args []string) error {
 		if flame {
 			flames = append(flames, obsv.AttachFlame(dev))
 		}
-		return scenario.Populate(dev)
+		w, err := scenario.Populate(dev)
+		if err == nil {
+			worlds = append(worlds, w)
+		}
+		return w, err
 	}
 
 	for _, s := range specs {
 		r, err := s.Run(newWorld)
+		if err == nil {
+			err = experiments.FinishChecks(worlds)
+		}
+		worlds = nil
 		if err != nil {
 			if *exp == "all" {
 				err = fmt.Errorf("%s: %w", s.ID, err)
@@ -140,7 +150,8 @@ var outputFlags = map[string]bool{
 
 // rejectIgnoredFlags fails on an explicitly set flag that the selected
 // mode would ignore: the fleet mode runs no experiment, the list runs
-// none either, and only the fleet mode has workers and a seed.
+// none either (-list wins over an -exp id), and only the fleet mode has
+// workers and a seed.
 func rejectIgnoredFlags(fs *flag.FlagSet, fleetMode, listing bool) error {
 	var err error
 	fs.Visit(func(f *flag.Flag) {
@@ -149,7 +160,9 @@ func rejectIgnoredFlags(fs *flag.FlagSet, fleetMode, listing bool) error {
 		case err != nil:
 		case fleetMode && (out || f.Name == "exp" || f.Name == "list" || f.Name == "check"):
 			err = fmt.Errorf("-%s does not apply to -fleet", f.Name)
-		case !fleetMode && listing && out:
+		case !fleetMode && listing && f.Name == "exp" && f.Value.String() != "":
+			err = fmt.Errorf("-exp does not apply to -list")
+		case !fleetMode && listing && (out || f.Name == "check"):
 			err = fmt.Errorf("-%s needs an experiment to run (-exp)", f.Name)
 		case !fleetMode && (f.Name == "workers" || f.Name == "seed"):
 			err = fmt.Errorf("-%s applies only to -fleet", f.Name)

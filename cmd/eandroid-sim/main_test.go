@@ -59,13 +59,17 @@ func TestRejectsIgnoredFlags(t *testing.T) {
 		{[]string{"-fleet", "4", "-metrics-out", out("m.prom")}, "-metrics-out"},
 		{[]string{"-fleet", "4", "-flame-out", out("f.txt")}, "-flame-out"},
 		{[]string{"-list", "-flame-html", out("f.html")}, "-flame-html"},
-		{[]string{"-list", "-exp", "fig9a", "-trace-out", out("t.json")}, "-trace-out"},
+		{[]string{"-list", "-trace-out", out("t.json")}, "-trace-out"},
+		{[]string{"-list", "-exp", "fig9a"}, "-exp"},
+		{[]string{"-list", "-exp", "fig9a", "-check=false"}, "-check"},
+		{[]string{"-list", "-check=false"}, "-check"},
+		{[]string{"-check"}, "-check"},
 		{[]string{"-events-out", out("e.jsonl")}, "-events-out"},
 		{[]string{"-exp", "fig9a", "-workers", "2"}, "-workers"},
 		{[]string{"-seed", "7"}, "-seed"},
 		{[]string{"-fleet", "0", "-workers", "2"}, "-workers"},
 		{[]string{"-fleet", "4", "-workers", "2", "-seed", "7"}, ""},
-		{[]string{"-list", "-check=false"}, ""},
+		{[]string{"-exp", "", "-list"}, ""},
 		{[]string{"-exp", "fig9a", "-check=false"}, ""},
 	} {
 		err := run(tc.args)

@@ -152,9 +152,10 @@ type generator struct {
 	idles []segment
 }
 
-// generate fills g.s with the script for (cell, seed, p). Reseeding a
-// math/rand source restarts it exactly as rand.NewSource(seed) would,
-// so a reused generator yields the same script as a fresh one.
+// generate fills g.s with the script for (cell, seed, p). Its random
+// stream is rand.NewSource(seed)'s, drawn from a source that seeds in
+// O(1) (source.go), and reseeding restarts that stream, so a reused
+// generator yields the same script as a fresh one.
 func (g *generator) generate(cell Cell, seed int64, p Params) error {
 	if err := p.fill(); err != nil {
 		return err
@@ -164,7 +165,7 @@ func (g *generator) generate(cell Cell, seed int64, p Params) error {
 		return fmt.Errorf("corpus: unknown archetype %q", cell.Archetype)
 	}
 	if g.rng == nil {
-		g.rng = rand.New(rand.NewSource(seed))
+		g.rng = rand.New(newSource(seed))
 	} else {
 		g.rng.Seed(seed)
 	}

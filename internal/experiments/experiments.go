@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/accounting"
+	"repro/internal/check"
 	"repro/internal/device"
 	"repro/internal/scenario"
 )
@@ -25,6 +26,21 @@ type Renderer interface {
 // every world (a recorder, checker options, a flame collector) passes a
 // function that adds them to the config or to the built device.
 type WorldFunc func(device.Config) (*scenario.World, error)
+
+// FinishChecks runs the end-of-run checks of every world (the
+// checker's final aggregator audit and, when enabled, its differential
+// envelope; Device.FinishChecks) and returns the first violation any
+// world recorded as a *check.ViolationError. A caller whose WorldFunc
+// keeps the worlds it builds calls it once the experiment returns;
+// worlds built without a checker pass.
+func FinishChecks(worlds []*scenario.World) error {
+	for _, w := range worlds {
+		if vs := w.Dev.FinishChecks(); len(vs) > 0 {
+			return &check.ViolationError{V: vs[0]}
+		}
+	}
+	return nil
+}
 
 // worldCfg is the E-Android device an experiment world starts from.
 func worldCfg(policy accounting.Policy) device.Config {

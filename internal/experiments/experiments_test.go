@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -8,6 +9,8 @@ import (
 
 	"repro/internal/antutu"
 	"repro/internal/app"
+	"repro/internal/check"
+	"repro/internal/device"
 	"repro/internal/scenario"
 )
 
@@ -31,6 +34,34 @@ func TestAllRegistryResolves(t *testing.T) {
 	}
 	if _, err := ByID("nope"); err == nil {
 		t.Fatal("unknown id accepted")
+	}
+}
+
+// FinishChecks reports a violation only the end-of-run audit finds (a
+// meter CPU share the aggregator never granted, set after the last
+// lifecycle audit), and passes healthy and unchecked worlds.
+func TestFinishChecksReportsEndOfRunViolation(t *testing.T) {
+	world := func(checks *check.Options, corrupt bool) *scenario.World {
+		w, err := scenario.NewWorld(device.Config{EAndroid: true, Checks: checks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Attack3ServicePin(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if corrupt {
+			w.Dev.Meter.SetCPUUtil(w.Victim.UID, 0.99)
+		}
+		return w
+	}
+	failFast := &check.Options{FailFast: true}
+	err := FinishChecks([]*scenario.World{world(failFast, false), world(failFast, true)})
+	var ve *check.ViolationError
+	if !errors.As(err, &ve) || ve.V.Invariant != check.InvAggregator {
+		t.Fatalf("corrupted world: err = %v, want an aggregator audit violation", err)
+	}
+	if err := FinishChecks([]*scenario.World{world(failFast, false), world(&check.Options{Disabled: true}, true)}); err != nil {
+		t.Fatalf("healthy and unchecked worlds: %v", err)
 	}
 }
 

@@ -157,8 +157,8 @@ func FleetDrainStudy(replicas, workers int, seed int64, window time.Duration) (*
 // sweeping concurrently on a fleet worker pool. Each full depletion
 // sweep stays single-threaded inside its own device; only distinct
 // configurations run in parallel. Every device is checked under
-// checks: with FailFast, a violation fails its sweep and becomes the
-// error returned here.
+// checks: with FailFast, a violation, also one the end-of-run checks
+// find, fails its sweep and becomes the error returned here.
 func Fig3WithStepWorkers(step time.Duration, workers int, checks *check.Options) (*Fig3Result, error) {
 	if step <= 0 {
 		return nil, fmt.Errorf("experiments: non-positive step %v", step)

@@ -393,6 +393,11 @@ func runDevice(ctx context.Context, spec Spec, i int) (res Result) {
 	}
 	harvest(&res, dev)
 	res.Violations = dev.FinishChecks()
+	if len(res.Violations) > 0 && cfg.Checks != nil && cfg.Checks.FailFast {
+		// Fail-fast fails the device on a violation the end-of-run
+		// checks find, as the engine does on one found while it runs.
+		res.Err = fmt.Errorf("fleet: device %d: %w", i, &check.ViolationError{V: res.Violations[0]})
+	}
 	if dev.Telemetry != nil {
 		res.Metrics = dev.Telemetry.Metrics()
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/scenario"
@@ -350,6 +351,50 @@ func TestScenarioErrorIsIsolated(t *testing.T) {
 	for _, i := range []int{0, 1, 3} {
 		if results[i].Err != nil {
 			t.Fatalf("healthy device %d infected by failure: %v", i, results[i].Err)
+		}
+	}
+}
+
+// A violation that only the end-of-run checks find (a meter CPU share
+// the aggregator never granted, set after the last lifecycle audit)
+// fails its device under fail-fast and is counted passively otherwise.
+func TestFailFastFailsOnEndOfRunViolation(t *testing.T) {
+	for _, failFast := range []bool{true, false} {
+		spec := attackSpec(4, 2, 9)
+		spec.Config.Checks = &check.Options{FailFast: failFast}
+		spec.Scenario = func(i int, dev *device.Device) error {
+			w, err := scenario.Populate(dev)
+			if err != nil {
+				return err
+			}
+			if err := w.Attack3ServicePin(10 * time.Second); err != nil {
+				return err
+			}
+			if i == 2 {
+				dev.Meter.SetCPUUtil(w.Victim.UID, 0.99)
+			}
+			return nil
+		}
+		fr, results := runCollect(t, context.Background(), spec)
+		if len(results[2].Violations) == 0 || results[2].Violations[0].Invariant != check.InvAggregator {
+			t.Fatalf("fail-fast %v: device 2 violations %v, want an aggregator audit failure", failFast, results[2].Violations)
+		}
+		var ve *check.ViolationError
+		if failed := errors.As(results[2].Err, &ve); failed != failFast {
+			t.Fatalf("fail-fast %v: device 2 err = %v", failFast, results[2].Err)
+		}
+		wantFailed, wantViolations := 0, len(results[2].Violations)
+		if failFast {
+			wantFailed, wantViolations = 1, 0
+		}
+		if fr.Summary.Failed != wantFailed || fr.Summary.Violations != wantViolations {
+			t.Fatalf("fail-fast %v: summary failed %d violations %d, want %d and %d",
+				failFast, fr.Summary.Failed, fr.Summary.Violations, wantFailed, wantViolations)
+		}
+		for _, i := range []int{0, 1, 3} {
+			if results[i].Err != nil || len(results[i].Violations) > 0 {
+				t.Fatalf("fail-fast %v: healthy device %d: err %v, violations %v", failFast, i, results[i].Err, results[i].Violations)
+			}
 		}
 	}
 }

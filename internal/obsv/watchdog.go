@@ -322,8 +322,17 @@ func (w *Watchdog) Accrue(iv hw.Interval) {
 	if w.finished {
 		return
 	}
+	// The interval's rows ascend by UID, as the columns do, so one
+	// merge walk finds (or inserts) every row's column.
+	i := 0
 	for _, uid := range iv.UIDs() {
-		w.credit(uid, iv.App(uid).Total())
+		for i < len(w.uids) && w.uids[i] < uid {
+			i++
+		}
+		if i == len(w.uids) || w.uids[i] != uid {
+			w.insertColumn(i, uid)
+		}
+		w.creditColumn(i, iv.App(uid).Total())
 	}
 	if iv.ScreenJ > 0 {
 		w.credit(w.dev.Android.ScreenOwner(), iv.ScreenJ)
@@ -339,8 +348,10 @@ func (w *Watchdog) Accrue(iv hw.Interval) {
 }
 
 // credit adds j joules to uid's window total.
-func (w *Watchdog) credit(uid app.UID, j float64) {
-	i := w.column(uid)
+func (w *Watchdog) credit(uid app.UID, j float64) { w.creditColumn(w.column(uid), j) }
+
+// creditColumn adds j joules to column i's window total.
+func (w *Watchdog) creditColumn(i int, j float64) {
 	w.direct[i] += j
 	if w.hist[i] == nil {
 		w.hist[i] = make([]float64, 0, w.opts.Baseline)
@@ -352,12 +363,17 @@ func (w *Watchdog) credit(uid app.UID, j float64) {
 func (w *Watchdog) column(uid app.UID) int {
 	i, ok := slices.BinarySearch(w.uids, uid)
 	if !ok {
-		w.uids = slices.Insert(w.uids, i, uid)
-		w.direct = slices.Insert(w.direct, i, 0)
-		w.hist = slices.Insert(w.hist, i, nil)
-		w.lastCol = slices.Insert(w.lastCol, i, 0)
+		w.insertColumn(i, uid)
 	}
 	return i
+}
+
+// insertColumn inserts uid's column at index i, where it sorts.
+func (w *Watchdog) insertColumn(i int, uid app.UID) {
+	w.uids = slices.Insert(w.uids, i, uid)
+	w.direct = slices.Insert(w.direct, i, 0)
+	w.hist = slices.Insert(w.hist, i, nil)
+	w.lastCol = slices.Insert(w.lastCol, i, 0)
 }
 
 // tick fires once per window on the virtual clock.
